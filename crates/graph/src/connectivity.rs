@@ -314,6 +314,22 @@ impl ComponentCache {
         self.view.as_ref().expect("just ensured")
     }
 
+    /// [`Self::view`], paired with the refresh count after the call.
+    ///
+    /// The count identifies the served view: it changes exactly when the
+    /// view is rebuilt, so a caller can key per-view data on it without a
+    /// second — counted — `view` call.
+    pub fn view_and_refreshes(
+        &mut self,
+        topology: &Topology,
+        state: &NetworkState,
+        votes: &[u64],
+    ) -> (&ComponentView, u64) {
+        self.view(topology, state, votes);
+        let view = self.view.as_ref().expect("view() just ensured it");
+        (view, self.recomputations)
+    }
+
     /// Number of view refreshes performed (full BFS without the kernel;
     /// canonical re-materializations with it).
     pub fn recomputations(&self) -> u64 {
@@ -489,6 +505,23 @@ mod tests {
         cache.invalidate();
         assert_eq!(cache.view(&t, &s, &votes).votes_of(1), 4);
         assert_eq!(cache.recomputations(), 2);
+    }
+
+    #[test]
+    fn refresh_count_changes_exactly_when_the_view_is_rebuilt() {
+        let t = Topology::ring(5);
+        let mut s = NetworkState::all_up(&t);
+        let votes = uniform_votes(5);
+        let mut cache = ComponentCache::incremental();
+        let (view, first) = cache.view_and_refreshes(&t, &s, &votes);
+        assert_eq!((view.votes_of(0), first), (5, 1));
+        let (_, again) = cache.view_and_refreshes(&t, &s, &votes);
+        assert_eq!(again, first, "a cache hit serves the same view");
+        s.set_site(0, false);
+        cache.apply_event(&t, &s, &votes, TopologyEvent::Site { site: 0, up: false });
+        let (view, next) = cache.view_and_refreshes(&t, &s, &votes);
+        assert_eq!((view.votes_of(1), next), (4, 2));
+        assert_eq!((cache.hits(), cache.recomputations()), (1, 2));
     }
 
     #[test]

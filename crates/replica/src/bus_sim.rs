@@ -7,13 +7,13 @@
 //! architectural variants) end-to-end and lets examples explore bus-backed
 //! replication.
 
-use crate::object::SerializabilityChecker;
+use crate::object::{load_members, SerializabilityChecker};
 use crate::results::BatchStats;
 use crate::workload::Workload;
 use quorum_core::protocol::ConsistencyProtocol;
 use quorum_core::{Access, VoteAssignment};
 use quorum_des::{EventQueue, OnOffProcess, PoissonProcess, SimParams, SimTime};
-use quorum_graph::{BusFailureMode, BusNetwork};
+use quorum_graph::{BitSet, BusFailureMode, BusNetwork};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use quorum_stats::VoteHistogram;
 
@@ -103,6 +103,8 @@ impl BusSimulation {
         let target = warmup + self.params.batch_accesses;
         let mut seen = 0u64;
         let mut members: Vec<usize> = Vec::with_capacity(n);
+        let mut member_bits = BitSet::new(n);
+        let mut refresh_bits = BitSet::new(n);
         while seen < target {
             let (_t, ev) = queue.pop().expect("streams never drain");
             match ev {
@@ -131,7 +133,8 @@ impl BusSimulation {
                     }
                     let decision = protocol.decide(kind, &members, votes);
                     for refreshed in protocol.drain_refreshes() {
-                        checker.on_refresh(&refreshed);
+                        load_members(&mut refresh_bits, &refreshed);
+                        checker.on_refresh(&refresh_bits);
                     }
                     let measured = seen > warmup;
                     if measured {
@@ -168,14 +171,15 @@ impl BusSimulation {
                         stats.per_site_votes[site].record(votes as usize);
                     }
                     if decision.is_granted() {
+                        load_members(&mut member_bits, &members);
                         match kind {
                             Access::Write => {
-                                if !checker.on_write_granted(&members) && measured {
+                                if !checker.on_write_granted(&member_bits) && measured {
                                     stats.write_conflicts += 1;
                                 }
                             }
                             Access::Read => {
-                                if !checker.on_read_granted(&members) && measured {
+                                if !checker.on_read_granted(&member_bits) && measured {
                                     stats.stale_reads += 1;
                                 }
                             }

@@ -7,13 +7,21 @@
 //! its component contains at least one current copy. Valid quorum pairs
 //! (conditions 1–2) guarantee zero violations; the checker exists precisely
 //! so tests can demonstrate both directions.
+//!
+//! The checker only ever asks whether a copy holds the *latest* version,
+//! so it keeps the set of such copies as a bit set instead of a version
+//! per copy: every check is one word-parallel intersection with the
+//! component's member bits. The version-vector formulation survives as
+//! the test oracle below.
+
+use quorum_graph::BitSet;
 
 /// Tracks copy currency and counts 1SR violations.
 #[derive(Debug, Clone)]
 pub struct SerializabilityChecker {
-    /// Monotone version per copy; version 0 = initial value (held by all).
-    copy_version: Vec<u64>,
-    /// Version of the most recent granted write.
+    /// Copies holding the most recent granted write (initially all).
+    current: BitSet,
+    /// Version of the most recent granted write; 0 = the initial value.
     latest: u64,
     reads_checked: u64,
     stale_reads: u64,
@@ -24,7 +32,7 @@ impl SerializabilityChecker {
     /// All copies start current (version 0).
     pub fn new(n_sites: usize) -> Self {
         Self {
-            copy_version: vec![0; n_sites],
+            current: BitSet::all_set(n_sites),
             latest: 0,
             reads_checked: 0,
             stale_reads: 0,
@@ -32,27 +40,30 @@ impl SerializabilityChecker {
         }
     }
 
-    /// Records a granted write performed from a component containing
-    /// `members`: all reachable copies receive the new version.
+    /// True if a component with these members holds the latest value.
+    /// Before the first write every copy does, even for an empty
+    /// component (the initial value needs no copy to be known).
+    fn sees_latest(&self, members: &BitSet) -> bool {
+        self.latest == 0 || self.current.intersects(members)
+    }
+
+    /// Records a granted write performed from a component with member
+    /// set `members`: all reachable copies receive the new version.
     ///
     /// Returns `false` — and counts a *write-write conflict* — when the
     /// writing component could not see the most recent write (a lost
     /// update). Condition 2 (`q_w > T/2`) exists precisely to make this
     /// impossible; condition 1 alone only protects reads.
-    pub fn on_write_granted(&mut self, members: &[usize]) -> bool {
-        let best = members
-            .iter()
-            .map(|&s| self.copy_version[s])
-            .max()
-            .unwrap_or(0);
-        let aware = best == self.latest;
+    ///
+    /// # Panics
+    /// Panics if `members` is not sized to the checker's site count.
+    pub fn on_write_granted(&mut self, members: &BitSet) -> bool {
+        let aware = self.sees_latest(members);
         if !aware {
             self.concurrent_write_epochs += 1;
         }
         self.latest += 1;
-        for &s in members {
-            self.copy_version[s] = self.latest;
-        }
+        self.current.copy_from(members);
         aware
     }
 
@@ -64,27 +75,25 @@ impl SerializabilityChecker {
     /// always contains a current copy to propagate. Without this refresh
     /// a subsequent read under a loosened `q_r` can miss the last write —
     /// see the `adaptive_tracks_reliability_degradation` test.
-    pub fn on_refresh(&mut self, members: &[usize]) {
-        let best = members
-            .iter()
-            .map(|&s| self.copy_version[s])
-            .max()
-            .unwrap_or(0);
-        for &s in members {
-            self.copy_version[s] = best;
+    ///
+    /// # Panics
+    /// Panics if `members` is not sized to the checker's site count.
+    pub fn on_refresh(&mut self, members: &BitSet) {
+        // A refresh without a current copy moves only older versions,
+        // which no check ever compares against.
+        if self.current.intersects(members) {
+            self.current.or_assign(members);
         }
     }
 
-    /// Records a granted read from a component containing `members`;
-    /// returns `true` if the read saw the most recent write.
-    pub fn on_read_granted(&mut self, members: &[usize]) -> bool {
+    /// Records a granted read from a component with member set
+    /// `members`; returns `true` if the read saw the most recent write.
+    ///
+    /// # Panics
+    /// Panics if `members` is not sized to the checker's site count.
+    pub fn on_read_granted(&mut self, members: &BitSet) -> bool {
         self.reads_checked += 1;
-        let best = members
-            .iter()
-            .map(|&s| self.copy_version[s])
-            .max()
-            .unwrap_or(0);
-        let fresh = best == self.latest;
+        let fresh = self.sees_latest(members);
         if !fresh {
             self.stale_reads += 1;
         }
@@ -120,7 +129,7 @@ impl SerializabilityChecker {
 
     /// Resets for a fresh batch.
     pub fn reset(&mut self) {
-        self.copy_version.fill(0);
+        self.current.fill(true);
         self.latest = 0;
         self.reads_checked = 0;
         self.stale_reads = 0;
@@ -128,23 +137,102 @@ impl SerializabilityChecker {
     }
 }
 
+/// Overwrites `bits` with the sites in `members`: how a member list — a
+/// protocol's refresh list, a bus component — becomes the checker's
+/// member set without allocating.
+pub(crate) fn load_members(bits: &mut BitSet, members: &[usize]) {
+    bits.fill(false);
+    for &site in members {
+        bits.set(site, true);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The version-vector checker the bit-set one replaced, kept as the
+    /// reference: one monotone version per copy, every check a max over
+    /// the component's copies compared with the latest version.
+    struct VersionVectorChecker {
+        copy_version: Vec<u64>,
+        latest: u64,
+        reads_checked: u64,
+        stale_reads: u64,
+        write_conflicts: u64,
+    }
+
+    impl VersionVectorChecker {
+        fn new(n_sites: usize) -> Self {
+            Self {
+                copy_version: vec![0; n_sites],
+                latest: 0,
+                reads_checked: 0,
+                stale_reads: 0,
+                write_conflicts: 0,
+            }
+        }
+
+        fn best(&self, members: &[usize]) -> u64 {
+            members
+                .iter()
+                .map(|&s| self.copy_version[s])
+                .max()
+                .unwrap_or(0)
+        }
+
+        fn on_write_granted(&mut self, members: &[usize]) -> bool {
+            let aware = self.best(members) == self.latest;
+            if !aware {
+                self.write_conflicts += 1;
+            }
+            self.latest += 1;
+            for &s in members {
+                self.copy_version[s] = self.latest;
+            }
+            aware
+        }
+
+        fn on_refresh(&mut self, members: &[usize]) {
+            let best = self.best(members);
+            for &s in members {
+                self.copy_version[s] = best;
+            }
+        }
+
+        fn on_read_granted(&mut self, members: &[usize]) -> bool {
+            self.reads_checked += 1;
+            let fresh = self.best(members) == self.latest;
+            if !fresh {
+                self.stale_reads += 1;
+            }
+            fresh
+        }
+    }
+
+    fn bits(n: usize, members: &[usize]) -> BitSet {
+        let mut b = BitSet::new(n);
+        load_members(&mut b, members);
+        b
+    }
 
     #[test]
     fn read_after_write_in_same_component_is_fresh() {
         let mut c = SerializabilityChecker::new(5);
-        assert!(c.on_write_granted(&[0, 1, 2]));
-        assert!(c.on_read_granted(&[2, 3]));
+        assert!(c.on_write_granted(&bits(5, &[0, 1, 2])));
+        assert!(c.on_read_granted(&bits(5, &[2, 3])));
         assert!(c.is_one_copy_serializable());
     }
 
     #[test]
     fn read_in_disjoint_component_is_stale() {
         let mut c = SerializabilityChecker::new(5);
-        c.on_write_granted(&[0, 1, 2]);
-        assert!(!c.on_read_granted(&[3, 4]), "no current copy reachable");
+        c.on_write_granted(&bits(5, &[0, 1, 2]));
+        assert!(
+            !c.on_read_granted(&bits(5, &[3, 4])),
+            "no current copy reachable"
+        );
         assert_eq!(c.stale_reads(), 1);
         assert!(!c.is_one_copy_serializable());
     }
@@ -152,17 +240,21 @@ mod tests {
     #[test]
     fn initial_reads_are_fresh() {
         let mut c = SerializabilityChecker::new(3);
-        assert!(c.on_read_granted(&[1]));
+        assert!(c.on_read_granted(&bits(3, &[1])));
         assert_eq!(c.latest_version(), 0);
     }
 
     #[test]
     fn later_write_supersedes() {
         let mut c = SerializabilityChecker::new(4);
-        assert!(c.on_write_granted(&[0, 1, 2, 3]));
-        assert!(c.on_write_granted(&[0, 1])); // partition shrank, quorum held
-        assert!(c.on_read_granted(&[1, 2]), "copy 1 is current");
-        assert!(!c.on_read_granted(&[2, 3]), "copies 2,3 hold version 1");
+        assert!(c.on_write_granted(&bits(4, &[0, 1, 2, 3])));
+        // Partition shrank, quorum held.
+        assert!(c.on_write_granted(&bits(4, &[0, 1])));
+        assert!(c.on_read_granted(&bits(4, &[1, 2])), "copy 1 is current");
+        assert!(
+            !c.on_read_granted(&bits(4, &[2, 3])),
+            "copies 2,3 hold version 1"
+        );
     }
 
     #[test]
@@ -170,32 +262,117 @@ mod tests {
         // Two writes in disjoint components: the second cannot have seen
         // the first — a lost update (what condition 2 forbids).
         let mut c = SerializabilityChecker::new(6);
-        assert!(c.on_write_granted(&[0, 1, 2]));
-        assert!(!c.on_write_granted(&[3, 4, 5]), "blind write");
+        assert!(c.on_write_granted(&bits(6, &[0, 1, 2])));
+        assert!(!c.on_write_granted(&bits(6, &[3, 4, 5])), "blind write");
         assert_eq!(c.write_conflicts(), 1);
         assert!(!c.is_one_copy_serializable());
         // A read that reaches the newest epoch is still "fresh" w.r.t. the
         // version counter, but the history is already non-serializable.
-        assert!(c.on_read_granted(&[4]));
+        assert!(c.on_read_granted(&bits(6, &[4])));
+    }
+
+    #[test]
+    fn refresh_spreads_the_current_value_only_from_a_current_copy() {
+        let mut c = SerializabilityChecker::new(6);
+        c.on_write_granted(&bits(6, &[0, 1]));
+        // {2, 3} holds no current copy: refreshing it changes nothing.
+        c.on_refresh(&bits(6, &[2, 3]));
+        assert!(!c.on_read_granted(&bits(6, &[3])));
+        // {1, 2, 3} does: afterwards all three are current.
+        c.on_refresh(&bits(6, &[1, 2, 3]));
+        assert!(c.on_read_granted(&bits(6, &[3])));
+        assert!(!c.on_read_granted(&bits(6, &[4, 5])));
     }
 
     #[test]
     fn reset_clears_history() {
         let mut c = SerializabilityChecker::new(3);
-        c.on_write_granted(&[0]);
-        c.on_read_granted(&[1]); // stale
+        c.on_write_granted(&bits(3, &[0]));
+        c.on_read_granted(&bits(3, &[1])); // stale
         assert!(!c.is_one_copy_serializable());
         c.reset();
         assert!(c.is_one_copy_serializable());
         assert_eq!(c.latest_version(), 0);
         assert_eq!(c.reads_checked(), 0);
+        assert!(
+            c.on_read_granted(&bits(3, &[1])),
+            "all copies current again"
+        );
     }
 
     #[test]
     fn empty_member_read_counts_against_initial_only() {
         let mut c = SerializabilityChecker::new(3);
-        assert!(c.on_read_granted(&[]), "version 0 everywhere");
-        c.on_write_granted(&[0]);
-        assert!(!c.on_read_granted(&[]));
+        assert!(c.on_read_granted(&bits(3, &[])), "version 0 everywhere");
+        c.on_write_granted(&bits(3, &[0]));
+        assert!(!c.on_read_granted(&bits(3, &[])));
+    }
+
+    /// Member subset of `0..n` drawn from `shape` and two random words:
+    /// empty, full, one site, a short run of sites (often disjoint from
+    /// the last writer, so stale reads and lost updates occur at every
+    /// `n`), sparse (~1/4), dense (~3/4) or half.
+    fn subset(n: usize, shape: u8, a: u64, b: u64) -> Vec<usize> {
+        let start = (a % n as u64) as usize;
+        match shape {
+            2 => return vec![start],
+            3 => return (start..n.min(start + 1 + (b % 8) as usize)).collect(),
+            _ => {}
+        }
+        let word = |i: usize| {
+            let (x, y) = (a.rotate_left(i as u32), b.rotate_right(i as u32));
+            match shape {
+                0 => 0,
+                1 => u64::MAX,
+                4 => x & y,
+                5 => x | y,
+                _ => x ^ y,
+            }
+        };
+        (0..n)
+            .filter(|&i| (word(i / 64) >> (i % 64)) & 1 == 1)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The bit-set checker and the version-vector reference agree on
+        /// every return value and every counter, after every operation of
+        /// a random write/read/refresh sequence.
+        #[test]
+        fn bitset_checker_matches_version_vectors(
+            size in 0usize..5,
+            ops in prop::collection::vec(
+                (0u8..3, 0u8..7, 0u64..u64::MAX, 0u64..u64::MAX),
+                0..60,
+            ),
+        ) {
+            let n = [1, 63, 64, 65, 101][size];
+            let mut fast = SerializabilityChecker::new(n);
+            let mut oracle = VersionVectorChecker::new(n);
+            for &(op, shape, a, b) in &ops {
+                let members = subset(n, shape, a, b);
+                let member_bits = bits(n, &members);
+                match op {
+                    0 => prop_assert_eq!(
+                        fast.on_write_granted(&member_bits),
+                        oracle.on_write_granted(&members)
+                    ),
+                    1 => prop_assert_eq!(
+                        fast.on_read_granted(&member_bits),
+                        oracle.on_read_granted(&members)
+                    ),
+                    _ => {
+                        fast.on_refresh(&member_bits);
+                        oracle.on_refresh(&members);
+                    }
+                }
+                prop_assert_eq!(fast.latest_version(), oracle.latest);
+                prop_assert_eq!(fast.stale_reads(), oracle.stale_reads);
+                prop_assert_eq!(fast.write_conflicts(), oracle.write_conflicts);
+                prop_assert_eq!(fast.reads_checked(), oracle.reads_checked);
+            }
+        }
     }
 }

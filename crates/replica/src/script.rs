@@ -7,10 +7,10 @@
 //! the stochastic simulator uses — `NetworkState`, `ComponentCache`, the
 //! 1SR checker, and any [`ConsistencyProtocol`].
 
-use crate::object::SerializabilityChecker;
+use crate::object::{load_members, SerializabilityChecker};
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
-use quorum_graph::{ComponentCache, NetworkState, Topology};
+use quorum_graph::{BitSet, ComponentCache, NetworkState, Topology};
 
 /// One scripted step.
 #[derive(Debug, Clone)]
@@ -52,6 +52,10 @@ pub struct Scenario<'a> {
     state: NetworkState,
     cache: ComponentCache,
     checker: SerializabilityChecker,
+    /// The submitting site's component members, reused across accesses.
+    members: Vec<usize>,
+    /// Scratch member set for refreshes and components without votes.
+    scratch_bits: BitSet,
     outcomes: Vec<AccessOutcome>,
     steps_run: usize,
 }
@@ -70,6 +74,8 @@ impl<'a> Scenario<'a> {
             state: NetworkState::all_up(topology),
             cache: ComponentCache::new(),
             checker: SerializabilityChecker::new(topology.num_sites()),
+            members: Vec::with_capacity(topology.num_sites()),
+            scratch_bits: BitSet::new(topology.num_sites()),
             votes,
             outcomes: Vec::new(),
             steps_run: 0,
@@ -126,19 +132,25 @@ impl<'a> Scenario<'a> {
                     .cache
                     .view(self.topology, &self.state, self.votes.as_slice());
                 let votes = view.votes_of(site);
-                let members: Vec<usize> = if votes > 0 {
-                    view.members_of(site).collect()
-                } else {
-                    Vec::new()
-                };
-                let decision = protocol.decide(kind, &members, votes);
+                self.members.clear();
+                if votes > 0 {
+                    self.members.extend(view.members_of(site));
+                }
+                let decision = protocol.decide(kind, &self.members, votes);
                 for refreshed in protocol.drain_refreshes() {
-                    self.checker.on_refresh(&refreshed);
+                    load_members(&mut self.scratch_bits, &refreshed);
+                    self.checker.on_refresh(&self.scratch_bits);
                 }
                 let consistent = if decision.is_granted() {
+                    let member_bits = if votes > 0 {
+                        view.member_bits(view.component_of(site))
+                    } else {
+                        self.scratch_bits.fill(false);
+                        &self.scratch_bits
+                    };
                     match kind {
-                        Access::Write => self.checker.on_write_granted(&members),
-                        Access::Read => self.checker.on_read_granted(&members),
+                        Access::Write => self.checker.on_write_granted(member_bits),
+                        Access::Read => self.checker.on_read_granted(member_bits),
                     }
                 } else {
                     true
@@ -183,7 +195,8 @@ impl<'a> Scenario<'a> {
     /// Applies a protocol-driven data refresh directly (used when a test
     /// drives the protocol outside [`Scenario::step`]).
     pub fn apply_refresh(&mut self, members: &[usize]) {
-        self.checker.on_refresh(members);
+        load_members(&mut self.scratch_bits, members);
+        self.checker.on_refresh(&self.scratch_bits);
     }
 }
 

@@ -14,13 +14,13 @@
 //! discarded; the next `batch_accesses` are measured.
 
 use crate::failure::FailureProcesses;
-use crate::object::SerializabilityChecker;
+use crate::object::{load_members, SerializabilityChecker};
 use crate::results::BatchStats;
 use crate::workload::Workload;
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
 use quorum_des::{CalendarQueue, EventQueue, EventSchedule, PoissonProcess, SimParams, SimTime};
-use quorum_graph::{ComponentCache, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{BitSet, ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use quorum_stats::VoteHistogram;
 use rand::rngs::StdRng;
@@ -34,6 +34,79 @@ enum Event {
     LinkTransition(usize),
     /// An access arrives (kind and site sampled at dispatch).
     Access,
+}
+
+/// What the access path needs from one component view, so an access
+/// does O(1) work here except the first one in each component of each
+/// view. Per component, filled lazily: the ascending member list (the
+/// `&[usize]` the protocol and the observer take) and the prefix sums of
+/// the members' votes in descending order (the contact count). Entries
+/// belong to the view with a given cache refresh count and are dropped
+/// when it moves. They partition the up sites, so they hold at most `n`
+/// members.
+struct ComponentMemo {
+    /// Cache refresh count of the view the entries were filled from.
+    refreshes: u64,
+    /// The view's largest component vote total.
+    largest_votes: u64,
+    /// Per component id: the entry's `start..end` in `members` and
+    /// `vote_prefix`, once filled.
+    ranges: Vec<Option<(usize, usize)>>,
+    members: Vec<usize>,
+    vote_prefix: Vec<u64>,
+}
+
+impl ComponentMemo {
+    fn new(n: usize) -> Self {
+        Self {
+            // Refresh counts start at 1, so the first sync clears.
+            refreshes: 0,
+            largest_votes: 0,
+            ranges: Vec::with_capacity(n),
+            members: Vec::with_capacity(n),
+            vote_prefix: Vec::with_capacity(n),
+        }
+    }
+
+    /// Drops every entry if `view` is not the one they were filled from.
+    fn sync(&mut self, view: &ComponentView, refreshes: u64) {
+        if refreshes != self.refreshes {
+            self.refreshes = refreshes;
+            self.largest_votes = view.largest_component_votes();
+            self.ranges.clear();
+            self.ranges.resize(view.num_components(), None);
+            self.members.clear();
+            self.vote_prefix.clear();
+        }
+    }
+
+    /// Member list and descending vote prefix sums of component `id` of
+    /// the synced view, filling the entry on first use.
+    fn entry(&mut self, view: &ComponentView, id: u32, votes: &[u64]) -> (&[usize], &[u64]) {
+        let (start, end) = *self.ranges[id as usize].get_or_insert_with(|| {
+            let start = self.members.len();
+            self.members.extend(view.members_of_component(id));
+            self.vote_prefix
+                .extend(self.members[start..].iter().map(|&s| votes[s]));
+            let sums = &mut self.vote_prefix[start..];
+            sums.sort_unstable_by(|a, b| b.cmp(a));
+            let mut acc = 0;
+            for v in sums {
+                acc += *v;
+                *v = acc;
+            }
+            (start, self.members.len())
+        });
+        (&self.members[start..end], &self.vote_prefix[start..end])
+    }
+}
+
+/// Members a granted access contacts: the fewest, taken by largest votes
+/// first, whose votes reach `threshold` — or every member if none do.
+/// `vote_prefix` is a component's descending vote prefix sums.
+fn contacts(vote_prefix: &[u64], threshold: u64) -> u64 {
+    let reached_at = vote_prefix.partition_point(|&sum| sum < threshold);
+    (reached_at + 1).min(vote_prefix.len()) as u64
 }
 
 /// A single-batch simulation of one topology.
@@ -63,6 +136,9 @@ pub trait AccessObserver {
     /// site, its component members (empty if down), the component votes,
     /// the access kind, the decision, and the measured-access index
     /// (0-based within the batch; warm-up accesses report `None`).
+    ///
+    /// `members` is in ascending site order and is borrowed only for the
+    /// call: the simulator reuses its storage, so copy it to keep it.
     fn on_access(
         &mut self,
         site: usize,
@@ -312,8 +388,9 @@ impl<'a> Simulation<'a> {
         let warmup = self.params.warmup_accesses;
         let target = warmup + self.params.batch_accesses;
         let mut accesses_seen = 0u64;
-        let mut members_buf: Vec<usize> = Vec::with_capacity(n);
-        let mut surv_buf: Vec<usize> = Vec::with_capacity(n);
+        let mut memo = ComponentMemo::new(n);
+        let no_members = BitSet::new(n);
+        let mut refresh_bits = BitSet::new(n);
 
         let mut last_time = SimTime::ZERO;
         while accesses_seen < target {
@@ -361,33 +438,34 @@ impl<'a> Simulation<'a> {
                     queue.schedule_in(access_proc.next_gap(&mut access_rng), Event::Access);
 
                     let (kind, site) = self.workload.sample(&mut workload_rng);
-                    let (votes, largest, surv) = {
-                        let view = cache.view(self.topology, &state, self.votes.as_slice());
-                        let votes = view.votes_of(site);
-                        members_buf.clear();
-                        if votes > 0 {
-                            members_buf.extend(view.members_of(site));
-                        }
-                        let largest = view.largest_component_votes();
-                        // Per-component member bitsets make this probe
-                        // allocation-free: the member fill reuses one
-                        // scratch buffer and the vote total is already
-                        // maintained per component.
-                        let surv = self.probe_survivability
-                            && (0..view.num_components() as u32).any(|id| {
-                                surv_buf.clear();
-                                surv_buf.extend(view.members_of_component(id));
-                                let comp_votes = view.component_votes()[id as usize];
-                                protocol.can_grant(kind, &surv_buf, comp_votes)
-                            });
-                        (votes, largest, surv)
+                    let (view, refreshes) =
+                        cache.view_and_refreshes(self.topology, &state, self.votes.as_slice());
+                    memo.sync(view, refreshes);
+                    let votes = view.votes_of(site);
+                    let largest = memo.largest_votes;
+                    // The SURV probe asks every component, each answered
+                    // from its memo entry.
+                    let surv = self.probe_survivability
+                        && (0..view.num_components() as u32).any(|id| {
+                            let (members, _) = memo.entry(view, id, self.votes.as_slice());
+                            protocol.can_grant(kind, members, view.component_votes()[id as usize])
+                        });
+                    // A site that is down, or whose component holds no
+                    // votes, accesses with no members.
+                    let (members, vote_prefix, member_bits) = if votes > 0 {
+                        let id = view.component_of(site);
+                        let (members, prefix) = memo.entry(view, id, self.votes.as_slice());
+                        (members, prefix, view.member_bits(id))
+                    } else {
+                        (&[][..], &[][..], &no_members)
                     };
-                    let decision = protocol.decide(kind, &members_buf, votes);
+                    let decision = protocol.decide(kind, members, votes);
                     // Reassignments performed inside decide() copy the
                     // current value across the installing component;
                     // apply those refreshes before accounting the access.
                     for refreshed in protocol.drain_refreshes() {
-                        checker.on_refresh(&refreshed);
+                        load_members(&mut refresh_bits, &refreshed);
+                        checker.on_refresh(&refresh_bits);
                     }
 
                     let measured = accesses_seen > warmup;
@@ -396,26 +474,11 @@ impl<'a> Simulation<'a> {
                         // the cheapest member subset reaching its quorum
                         // (largest votes first); a denied access polls the
                         // whole component before giving up.
-                        let spec = protocol.effective_spec(&members_buf);
-                        let threshold = spec.threshold(kind);
                         stats.contact_messages += if decision.is_granted() {
-                            let mut vote_counts: Vec<u64> = members_buf
-                                .iter()
-                                .map(|&s| self.votes.votes_of(s))
-                                .collect();
-                            vote_counts.sort_unstable_by(|a, b| b.cmp(a));
-                            let mut acc = 0u64;
-                            let mut contacted = 0u64;
-                            for v in vote_counts {
-                                contacted += 1;
-                                acc += v;
-                                if acc >= threshold {
-                                    break;
-                                }
-                            }
-                            contacted
+                            let threshold = protocol.effective_spec(members).threshold(kind);
+                            contacts(vote_prefix, threshold)
                         } else {
-                            members_buf.len() as u64
+                            members.len() as u64
                         };
                         match kind {
                             Access::Read => {
@@ -445,13 +508,13 @@ impl<'a> Simulation<'a> {
                     if decision.is_granted() {
                         match kind {
                             Access::Write => {
-                                let aware = checker.on_write_granted(&members_buf);
+                                let aware = checker.on_write_granted(member_bits);
                                 if !aware && measured {
                                     stats.write_conflicts += 1;
                                 }
                             }
                             Access::Read => {
-                                let fresh = checker.on_read_granted(&members_buf);
+                                let fresh = checker.on_read_granted(member_bits);
                                 if !fresh && measured {
                                     stats.stale_reads += 1;
                                 }
@@ -460,7 +523,7 @@ impl<'a> Simulation<'a> {
                     }
                     observer.on_access(
                         site,
-                        &members_buf,
+                        members,
                         votes,
                         kind,
                         decision,
