@@ -23,8 +23,10 @@
 //!   machinery, so vote-optimal and structurally-optimal systems race
 //!   on the paper's topologies under identical failure processes.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Exact `==`/`!=` on floats encodes an accidental bit-pattern property;
+// compare with an explicit epsilon or write a reasoned `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod expr;
 pub mod protocol;

@@ -11,8 +11,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin analytic_vs_sim
 //!        [-- --sites 31 --medium-scale --seed 7]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, Args, Scale};
 use quorum_core::analytic::{
     bus_density_sites_fail, bus_density_sites_independent, fully_connected_density, ring_density,

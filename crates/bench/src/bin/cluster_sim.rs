@@ -25,15 +25,13 @@
 //!            --latency 0.02 --loss 0.02 --timeout 0.25 --retries 3
 //!            --seed 11 --quick --sweep --ideal --manifest run.json]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, manifest, pct, print_table, run_jobs, Args, Scale};
 use quorum_cluster::{
     run_cluster, run_cluster_observed, ClusterConfig, LatencyDist, NetConfig, RunOptions,
 };
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_graph::Topology;
-use quorum_obs::{Registry, RunManifest};
+use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::Workload;
 
 /// Builds the topology plus matching votes/workload. The bus hub (node
@@ -108,6 +106,10 @@ fn single_run(args: &Args, scale: Scale, seed: u64) {
     );
 
     let registry = Registry::new();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "driver-level wall-clock printout; the measured quantity is wall time"
+    )]
     let started = std::time::Instant::now();
     let res = run_cluster_observed(
         &topo,
@@ -173,7 +175,7 @@ fn single_run(args: &Args, scale: Scale, seed: u64) {
             format!(
                 "{:.2}s on {threads} thread(s), utilization {:.0}%",
                 wall.as_secs_f64(),
-                100.0 * registry.snapshot().gauges["cluster.thread_utilization"],
+                100.0 * registry.snapshot().gauges[keys::CLUSTER_THREAD_UTILIZATION.as_str()],
             ),
         ],
     ];
@@ -261,15 +263,15 @@ fn sweep(args: &Args, scale: Scale, seed: u64) {
         for (qi, &qr) in qrs.iter().enumerate() {
             let (acc, goodput, rl, wl) = results[li * qrs.len() + qi];
             println!("{lat}\t{qr}\t{}\t{goodput:.3}\t{rl:.4}\t{wl:.4}", pct(acc));
-            m.set_metric(&format!("sweep.acc.lat{lat}.qr{qr}"), acc);
-            m.set_metric(&format!("sweep.goodput.lat{lat}.qr{qr}"), goodput);
+            m.set_labeled_metric(keys::SWEEP_ACC, &format!("lat{lat}.qr{qr}"), acc);
+            m.set_labeled_metric(keys::SWEEP_GOODPUT, &format!("lat{lat}.qr{qr}"), goodput);
             if best.is_none_or(|(_, a)| acc > a) {
                 best = Some((qr, acc));
             }
         }
         let (qr, acc) = best.expect("non-empty q_r domain");
         println!("# latency {lat}: ACC-optimal q_r = {qr} ({})", pct(acc));
-        m.set_metric(&format!("sweep.best_qr.lat{lat}"), qr as f64);
+        m.set_labeled_metric(keys::SWEEP_BEST_QR, &format!("lat{lat}"), qr as f64);
         best_track.push(qr);
     }
     println!(

@@ -28,14 +28,13 @@
 //!        [-- --quick --threads 2 --seed 7 --alpha 0.5
 //!            --iterations 2000 --manifest results/ALGEBRA_PR.json]
 
-#![forbid(unsafe_code)]
-
 use quorum_algebra::{optimize_load, uniform_threshold_load, AlgebraProtocol, QuorumSystem};
 use quorum_bench::{manifest, print_table, Args, Scale};
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_graph::Topology;
 use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::{run_protocol_observed, RunConfig, Workload};
+use std::collections::BTreeSet;
 
 /// Exact load-optimal uniform-vote pair on `n` sites with resilience at
 /// least `min_f`, by scanning every valid `(q_r, q_w)`: the load of a
@@ -113,6 +112,7 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut grid_load = f64::INFINITY;
     let mut hier_load = f64::INFINITY;
+    let mut recorded = BTreeSet::new();
 
     for (label, topo, chords, offset) in &shapes {
         let n = topo.num_sites();
@@ -178,18 +178,15 @@ fn main() {
             let acc = res.availability();
 
             // Load and resilience are system properties (topology-free):
-            // record them once under the system name; instances on the
-            // shifted bus universe produce identical values by symmetry.
-            m.metrics
-                .entry(format!("load.{}", sys.name()))
-                .or_insert(profile.load);
-            m.metrics
-                .entry(format!("load-lower.{}", sys.name()))
-                .or_insert(profile.lower_bound);
-            m.metrics
-                .entry(format!("resilience.{}", sys.name()))
-                .or_insert(f64::from(resilience));
-            m.set_metric(&format!("acc.{label}.{}", sys.name()), acc);
+            // record them once, at the first instance of each system;
+            // instances on the shifted bus universe produce identical
+            // values by symmetry.
+            if recorded.insert(sys.name().to_string()) {
+                m.set_labeled_metric(keys::LOAD, sys.name(), profile.load);
+                m.set_labeled_metric(keys::LOAD_LOWER, sys.name(), profile.lower_bound);
+                m.set_labeled_metric(keys::RESILIENCE, sys.name(), f64::from(resilience));
+            }
+            m.set_labeled_metric(keys::ACC, &format!("{label}.{}", sys.name()), acc);
 
             if sys.name() == "grid-3x3" {
                 grid_load = grid_load.min(profile.load);

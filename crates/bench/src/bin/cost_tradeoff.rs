@@ -11,8 +11,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin cost_tradeoff
 //!        [-- --topology 16 --alpha 0.75 --medium-scale]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, pct, run_jobs, Args, Scale};
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_replica::scenario::PaperScenario;

@@ -11,8 +11,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin dyn_voting
 //!        [-- --alpha 0.5 --medium-scale]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, pct, Args, Scale};
 use quorum_core::{DynamicVoting, QuorumConsensus, QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_replica::adaptive::{run_adaptive, AdaptiveConfig, Phase};

@@ -10,8 +10,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin dynamic_qr
 //!        [-- --topology 0 --seed 3 --accesses 40000]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{pct, Args};
 use quorum_core::{QuorumConsensus, QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;

@@ -14,12 +14,10 @@
 //!   * all α-curves converge at q_r = ⌊T/2⌋ = 50;
 //!   * curve maxima land at the endpoints (except Topology 16, α = .75).
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, manifest, pct, print_table, Args, Scale};
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
-use quorum_obs::Registry;
+use quorum_obs::{keys, Registry};
 use quorum_replica::scenario::{PaperScenario, PAPER_ALPHAS};
 use quorum_replica::{run_static_observed, CurveSet, RunConfig, RunResults, Workload};
 
@@ -65,9 +63,14 @@ fn main() {
             seed,
             threads,
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-figure wall-clock phase timing for the manifest"
+        )]
         let t0 = std::time::Instant::now();
         let results = {
-            let _t = registry.scoped_timer(&format!("figures.topology_{}", sc.chords));
+            let _t =
+                registry.scoped_timer_labeled(keys::FIGURES, &format!("topology_{}", sc.chords));
             run_static_observed(
                 &topo,
                 VoteAssignment::uniform(n),
@@ -195,9 +198,9 @@ fn main() {
             &results,
             &registry,
         );
-        m.batches = m.counter(quorum_obs::keys::RUN_BATCHES);
+        m.batches = m.counter(keys::RUN_BATCHES);
         for (chords, a) in &per_topo {
-            m.set_metric(&format!("availability.topology_{chords}"), *a);
+            m.set_labeled_metric(keys::AVAILABILITY, &format!("topology_{chords}"), *a);
         }
         manifest::write_requested(&args, &m);
     }

@@ -22,12 +22,10 @@
 //!        [-- --paper-scale --threads 2 --seed 11 --events 50000
 //!            --manifest results/BENCH_PR.json]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{manifest, print_table, run_jobs, Args, Scale};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_graph::{ComponentCache, DeltaConnectivity, NetworkState, Topology, TopologyEvent};
-use quorum_obs::{Registry, RunManifest};
+use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::simulation::NullObserver;
 use quorum_replica::{BatchStats, Simulation, Workload};
 use std::time::Instant;
@@ -140,6 +138,10 @@ fn replay(
     let mut state = NetworkState::all_up(&setup.topo);
     let mut cache = make_cache();
     cache.view(&setup.topo, &state, votes);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "benchmark timer: replay wall time is the result"
+    )]
     let started = Instant::now();
     let mut acc = 0u64;
     for (i, &ev) in trace.iter().enumerate() {
@@ -158,6 +160,10 @@ fn replay_bitset(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64) {
     let votes = setup.votes.as_slice();
     let n = setup.topo.num_sites();
     let mut state = NetworkState::all_up(&setup.topo);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "benchmark timer: replay wall time is the result"
+    )]
     let started = Instant::now();
     let mut acc = 0u64;
     for (i, &ev) in trace.iter().enumerate() {
@@ -183,6 +189,10 @@ fn engine_run(
 ) -> (f64, BatchStats) {
     let params = scale.params();
     let spec = QuorumSpec::majority(setup.votes.total());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "benchmark timer: engine wall time is the result"
+    )]
     let started = Instant::now();
     type Job<'a> = Box<dyn FnOnce() -> BatchStats + Send + 'a>;
     let jobs: Vec<Job<'_>> = (0..batches)
@@ -255,13 +265,10 @@ fn main() {
                 counters.merges, counters.rescans, counters.noops
             ),
         ]);
-        m.set_metric(&format!("replay.full_bfs_secs.{}", setup.label), full_secs);
-        m.set_metric(
-            &format!("replay.bitset_bfs_secs.{}", setup.label),
-            bitset_secs,
-        );
-        m.set_metric(&format!("replay.delta_secs.{}", setup.label), delta_secs);
-        m.set_metric(&format!("replay.speedup.{}", setup.label), speedup);
+        m.set_labeled_metric(keys::REPLAY_FULL_BFS_SECS, &setup.label, full_secs);
+        m.set_labeled_metric(keys::REPLAY_BITSET_BFS_SECS, &setup.label, bitset_secs);
+        m.set_labeled_metric(keys::REPLAY_DELTA_SECS, &setup.label, delta_secs);
+        m.set_labeled_metric(keys::REPLAY_SPEEDUP, &setup.label, speedup);
     }
     print_table(
         &[
@@ -294,15 +301,10 @@ fn main() {
                 format!("{on_secs:.2}"),
                 format!("{:.2}x", off_secs / on_secs),
             ]);
-            m.set_metric(
-                &format!("engine.full_bfs_secs.{}.t{t}", setup.label),
-                off_secs,
-            );
-            m.set_metric(&format!("engine.delta_secs.{}.t{t}", setup.label), on_secs);
-            m.set_metric(
-                &format!("engine.speedup.{}.t{t}", setup.label),
-                off_secs / on_secs,
-            );
+            let label = format!("{}.t{t}", setup.label);
+            m.set_labeled_metric(keys::ENGINE_FULL_BFS_SECS, &label, off_secs);
+            m.set_labeled_metric(keys::ENGINE_DELTA_SECS, &label, on_secs);
+            m.set_labeled_metric(keys::ENGINE_SPEEDUP, &label, off_secs / on_secs);
         }
     }
     println!();

@@ -11,8 +11,6 @@
 //!       --model ring --sites 21 --site-rel 0.95 --link-rel 0.99 --floor 0.2
 //!   cargo run -p quorum-bench --release --bin optimize -- --model fc --sites 9
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{pct, Args};
 use quorum_core::analytic::{
     bus_density_sites_fail, bus_density_sites_independent, fully_connected_density, ring_density,

@@ -12,8 +12,6 @@
 //!
 //! Usage: cargo run -p quorum-bench --release --bin rw_ratio [-- --paper-scale]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, manifest, pct, run_jobs, Args, Scale};
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_obs::Registry;

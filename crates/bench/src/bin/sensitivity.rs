@@ -12,8 +12,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin sensitivity
 //!        [-- --topology 2 --medium-scale]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, pct, Args, Scale};
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, VoteAssignment};

@@ -33,8 +33,6 @@
 //!            --per-object --alpha-buckets 4 --alpha-spread 0.2
 //!            --manifest results/BENCH_PR.json]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{manifest, print_table, Args};
 use quorum_core::analytic::{fully_connected_density, ring_density};
 use quorum_des::SimParams;
@@ -96,6 +94,10 @@ fn main() {
 
     let engine = ShardEngine::new(&topology, &catalog, &timeline, horizon, seed);
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "benchmark timer: batched-engine accesses/sec is the result"
+    )]
     let batched_started = Instant::now();
     let (stats, conv) = {
         let _t = registry.scoped_timer(keys::PHASE_BATCHED_RUN);
@@ -107,6 +109,10 @@ fn main() {
     let naive = if args.flag("skip-naive") {
         None
     } else {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "benchmark timer: naive-heap accesses/sec is the result"
+        )]
         let naive_started = Instant::now();
         let naive_stats = {
             let _t = registry.scoped_timer(keys::PHASE_NAIVE_RUN);

@@ -10,8 +10,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin validate_curves
 //!        [-- --topology 4 --seed 6 --medium-scale --manifest m.json]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::validate::{run, ValidateOpts};
 use quorum_bench::{manifest, pct, Args, Scale};
 

@@ -15,8 +15,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin vote_heuristics
 //!        [-- --alpha 0.5 --reliability 0.85 --medium-scale]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, pct, run_jobs, Args, Scale};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_graph::{articulation_weighted_votes, Topology};

@@ -8,8 +8,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin vote_opt
 //!        [-- --alpha 0.5 --max-votes 3]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{pct, Args};
 use quorum_core::nonpartition::{optimal_votes_exhaustive, optimal_votes_hill_climb};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};

@@ -15,8 +15,6 @@
 //! Usage: cargo run -p quorum-bench --release --bin wan_clusters
 //!        [-- --clusters 5 --cluster-size 5 --alpha 0.75 --medium-scale]
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, pct, Args, Scale};
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};

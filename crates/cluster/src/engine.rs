@@ -50,7 +50,7 @@ use crate::net::NetConfig;
 use crate::protocol::{ProtocolCore, Scheduler, TimerToken};
 use crate::stats::{ClusterStats, Outcome};
 use quorum_core::{Access, QuorumSpec, VoteAssignment};
-use quorum_des::{EventKey, EventQueue, PoissonProcess, SimTime};
+use quorum_des::{EventKey, PoissonProcess, SimTime};
 use quorum_graph::{ComponentCache, NetworkState, Topology, TopologyEvent};
 use quorum_replica::failure::FailureProcesses;
 use quorum_replica::Workload;
@@ -58,10 +58,20 @@ use quorum_stats::rng::{derive_seed, rng_from_seed};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// The cluster event loop's future-event list. This alias is the only
+/// place the crate names `EventQueue`: `ProtocolCore` reaches time and
+/// the network through [`Scheduler`] alone, which is what lets quorum-mc
+/// re-drive it with a scheduler of its own.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the engine owns the event queue; crates/cluster/clippy.toml bars every other module from naming it"
+)]
+type Queue = quorum_des::EventQueue<Event>;
+
 /// One scheduled event of the cluster event loop.
 ///
 /// Public so alternative drivers (e.g. the demonstration
-/// [`Scheduler`] impl on [`EventQueue<Event>`]) can name the queue's
+/// [`Scheduler`] impl on `EventQueue<Event>`) can name the queue's
 /// payload type; the engine itself constructs and consumes these
 /// internally.
 #[derive(Debug, Clone, Copy)]
@@ -80,16 +90,16 @@ pub enum Event {
     Install(usize),
 }
 
-/// The trivial ideal-network driver: an [`EventQueue`] over [`Event`]
+/// The trivial ideal-network driver: an `EventQueue` over [`Event`]
 /// *is* a scheduler — sends become zero-latency, loss-free deliveries
 /// and timers become plain cancellable entries.
 ///
 /// The engine itself layers loss and latency on top via [`NetScheduler`];
 /// this impl exists so a [`ProtocolCore`] can be driven directly off a
 /// bare queue (unit tests, examples) with no stochastic machinery at all.
-impl Scheduler for EventQueue<Event> {
+impl Scheduler for Queue {
     fn now(&self) -> SimTime {
-        EventQueue::now(self)
+        Queue::now(self)
     }
 
     fn send(&mut self, msg: Message) -> bool {
@@ -113,7 +123,7 @@ impl Scheduler for EventQueue<Event> {
 /// latency otherwise, timers as cancellable queue entries. Borrows the
 /// batch's queue and network RNG for the duration of one protocol step.
 struct NetScheduler<'q> {
-    queue: &'q mut EventQueue<Event>,
+    queue: &'q mut Queue,
     net: &'q NetConfig,
     rng: &'q mut StdRng,
 }
@@ -293,7 +303,7 @@ impl<'a> ClusterEngine<'a> {
             self.site_reliabilities.as_deref(),
             self.link_reliabilities.as_deref(),
         );
-        let mut queue: EventQueue<Event> = EventQueue::new();
+        let mut queue = Queue::new();
         let mut fail_rng = fail_rng;
         procs.schedule_initial(
             &mut queue,
@@ -406,7 +416,7 @@ struct Batch<'a> {
     topology: &'a Topology,
     votes: &'a VoteAssignment,
     config: &'a ClusterConfig,
-    queue: EventQueue<Event>,
+    queue: Queue,
     state: NetworkState,
     cache: ComponentCache,
     procs: FailureProcesses,
@@ -782,7 +792,7 @@ mod tests {
         let cfg = ClusterConfig::ideal(SimParams::quick());
         let votes = VoteAssignment::uniform(3);
         let mut core = ProtocolCore::new(&cfg, &votes, QuorumSpec::majority(3));
-        let mut queue: EventQueue<Event> = EventQueue::new();
+        let mut queue = Queue::new();
         let id = core.open_session(0, Access::Write, Some(0), &mut queue);
         // Drain deliveries until the session resolves: request → grant →
         // commit → ack, all at time zero.

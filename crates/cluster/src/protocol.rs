@@ -191,7 +191,7 @@ pub struct ProtocolCore<'a> {
     votes: &'a VoteAssignment,
     num_sites: usize,
     sites: Vec<SiteState>,
-    // Ordered by session id (quorum-lint `no-unordered-iteration`):
+    // Ordered by session id (clippy.toml bars hash maps, DESIGN.md §9):
     // drains and sweeps over open sessions feed stats and canonical
     // encodings, so iteration order must be deterministic.
     sessions: BTreeMap<SessionId, Session>,

@@ -229,7 +229,9 @@ mod tests {
         res.fill_manifest(&mut manifest);
         manifest.absorb_snapshot(&registry.snapshot());
         assert_eq!(manifest.histograms.len(), 2);
-        assert!(manifest.metrics.contains_key(keys::CLUSTER_AVAILABILITY));
+        assert!(manifest
+            .metrics
+            .contains_key(keys::CLUSTER_AVAILABILITY.as_str()));
         // The registry snapshot is the single owner of counters, so the
         // manifest carries every total exactly once.
         assert_eq!(

@@ -71,10 +71,10 @@ impl LatencyHistogram {
         &self.counts
     }
 
-    /// Converts to a manifest record under `name`.
-    pub fn to_record(&self, name: &str) -> HistogramRecord {
+    /// Converts to a manifest record under `key`.
+    pub fn to_record(&self, key: quorum_obs::Key) -> HistogramRecord {
         HistogramRecord {
-            name: name.to_string(),
+            name: key.as_str().to_string(),
             bounds: self.bounds.clone(),
             counts: self.counts.clone(),
         }

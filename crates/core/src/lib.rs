@@ -34,8 +34,10 @@
 //!   electorate-shrinking dynamic protocol family the paper contrasts its
 //!   quorum-reassignment approach with.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Exact `==`/`!=` on floats encodes an accidental bit-pattern property;
+// compare with an explicit epsilon or write a reasoned `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod analytic;
 pub mod availability;

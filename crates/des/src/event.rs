@@ -2,7 +2,7 @@
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// One scheduled entry. Shared with the calendar-queue implementation
 /// so both event lists order entries by exactly the same `(time, seq)`
@@ -58,6 +58,13 @@ impl EventKey {
     }
 }
 
+/// Event sequence numbers, queried for membership only.
+#[expect(
+    clippy::disallowed_types,
+    reason = "O(1) membership in the event hot loop; never iterated, so hash order is never observed"
+)]
+type SeqSet = std::collections::HashSet<u64>;
+
 /// A deterministic future-event list.
 ///
 /// Events pop in non-decreasing time order; simultaneous events pop in
@@ -75,9 +82,9 @@ pub struct EventQueue<E> {
     popped: u64,
     now: SimTime,
     /// Seq numbers of cancellable entries still in the heap.
-    live_keys: HashSet<u64>,
+    live_keys: SeqSet,
     /// Seq numbers cancelled but not yet reaped from the heap.
-    voided: HashSet<u64>,
+    voided: SeqSet,
     cancelled: u64,
     compactions: u64,
 }
@@ -90,8 +97,8 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             popped: 0,
             now: SimTime::ZERO,
-            live_keys: HashSet::new(),
-            voided: HashSet::new(),
+            live_keys: SeqSet::default(),
+            voided: SeqSet::default(),
             cancelled: 0,
             compactions: 0,
         }
@@ -434,7 +441,8 @@ mod tests {
         assert!(snap.counter(quorum_obs::keys::DES_QUEUE_COMPACTIONS) >= 1);
         let residue = q.tombstones();
         assert_eq!(
-            snap.gauges.get(quorum_obs::keys::DES_QUEUE_TOMBSTONES),
+            snap.gauges
+                .get(quorum_obs::keys::DES_QUEUE_TOMBSTONES.as_str()),
             Some(&(residue as f64))
         );
     }

@@ -21,7 +21,6 @@
 //!   site and link.
 //! * [`SimParams`] — the paper's parameter set with derived `μ_f`, `μ_r`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calendar;

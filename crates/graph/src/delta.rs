@@ -26,6 +26,23 @@
 //! [`ComponentView::compute`] — the kernel can never change a reported
 //! number (pinned by `tests/delta_kernel.rs`).
 
+// Hot kernel: it absorbs every topology event of every batch, so a
+// panic or a silently wrapping cast here corrupts a whole run. Indexing
+// stays unlinted: the slot arrays are sized by construction.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros,
+        clippy::cast_possible_truncation,
+    )
+)]
+
 use crate::bitset::BitSet;
 use crate::connectivity::ComponentView;
 use crate::state::NetworkState;
@@ -125,6 +142,10 @@ impl DeltaConnectivity {
     ///
     /// # Panics
     /// Panics if `votes.len()` differs from the site count.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "shape validation runs once per kernel build, never per topology event"
+    )]
     pub fn new(topology: &Topology, state: &NetworkState, votes: &[u64]) -> Self {
         let n = topology.num_sites();
         assert_eq!(votes.len(), n, "one vote weight per site");
@@ -170,6 +191,10 @@ impl DeltaConnectivity {
     /// Materializes the canonical [`ComponentView`]: internal slots are
     /// renumbered in order of their lowest site index, which is exactly
     /// the id order [`ComponentView::compute`] assigns.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "component count <= site count; topologies are tens of sites, so u32 has nine decimal orders of headroom"
+    )]
     pub fn to_view(&self) -> ComponentView {
         let mut remap = vec![u32::MAX; self.slots.len()];
         let mut comp_id = vec![ComponentView::DOWN; self.n];
@@ -199,6 +224,10 @@ impl DeltaConnectivity {
         &self.site_up == state.site_bits()
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! compiles out of release builds"
+    )]
     fn site_recovered(&mut self, site: usize) -> DeltaOutcome {
         debug_assert!(!self.site_up.get(site), "recovery of an up site");
         self.site_up.set(site, true);
@@ -225,6 +254,10 @@ impl DeltaConnectivity {
         DeltaOutcome::Merge
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! compiles out of release builds"
+    )]
     fn site_failed(&mut self, site: usize) -> DeltaOutcome {
         debug_assert!(self.site_up.get(site), "failure of a down site");
         self.site_up.set(site, false);
@@ -264,6 +297,10 @@ impl DeltaConnectivity {
         DeltaOutcome::Merge
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! compiles out of release builds"
+    )]
     fn link_failed(&mut self, link: usize) -> DeltaOutcome {
         let (a, b) = self.link_ends[link];
         self.live_adj[a].set(b, false);
@@ -326,6 +363,10 @@ impl DeltaConnectivity {
 
     /// Relabels the smaller component into the larger (amortized
     /// smaller-half argument — the classic union-by-size bound).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! compiles out of release builds"
+    )]
     fn merge_slots(&mut self, x: u32, y: u32) {
         debug_assert_ne!(x, y);
         let (keep, drop) = if self.slots[x as usize].size >= self.slots[y as usize].size {
@@ -349,6 +390,10 @@ impl DeltaConnectivity {
     /// Pops a cleared slot off the free list (or grows the slab). The
     /// free list bounds the slab at the peak live component count, so
     /// long runs never grow it past `n`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slot ids are bounded by 2n-1 slots for n sites; u32 holds any representable topology"
+    )]
     fn alloc_slot(&mut self) -> u32 {
         if let Some(slot) = self.free.pop() {
             slot

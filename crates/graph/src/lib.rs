@@ -27,7 +27,6 @@
 //! * [`articulation_points`] — cut-vertex detection (Tarjan) feeding the
 //!   structural vote-weighting heuristic.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod articulation;

@@ -46,6 +46,10 @@ impl Topology {
     /// `n == 0`.
     pub fn from_links(n: usize, links: Vec<(usize, usize)>, name: impl Into<String>) -> Self {
         assert!(n > 0, "topology needs at least one site");
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership only: constructor-time duplicate-link check, never iterated"
+        )]
         let mut seen = std::collections::HashSet::with_capacity(links.len());
         let mut canonical = Vec::with_capacity(links.len());
         for &(a, b) in &links {
@@ -247,6 +251,10 @@ impl Topology {
             stride += 1;
         }
         let mut links: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership only: chord dedup, the insert result gates the push and order is never observed"
+        )]
         let mut seen: std::collections::HashSet<(usize, usize)> =
             links.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
         let mut remaining = k;

@@ -11,8 +11,10 @@
 //! See [`explore`] for the checked invariants and the soundness
 //! arguments, and [`Universe`] for how worlds are scripted.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Exact `==`/`!=` on floats encodes an accidental bit-pattern property;
+// compare with an explicit epsilon or write a reasoned `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod explore;
 pub mod universe;

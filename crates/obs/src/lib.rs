@@ -20,7 +20,6 @@
 //!   third-party dependencies, so offline builds keep working), plus CSV
 //!   flattening for spreadsheet-side diffing.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
@@ -28,11 +27,12 @@ pub mod manifest;
 pub mod registry;
 
 pub use json::JsonValue;
+pub use keys::Key;
 pub use manifest::{
     CiPoint, HistogramRecord, PhaseTiming, RunManifest, SimParamsRecord, TopologyRecord,
 };
 pub use registry::{Counter, Registry, ScopedTimer, Snapshot};
 
-/// Conventional metric names shared by the instrumented crates — see
-/// the module docs; `quorum-lint` enforces the registry contract.
+/// The declared metric keys: every name a registry or manifest method
+/// accepts is a [`keys::Key`] constant from this module.
 pub mod keys;

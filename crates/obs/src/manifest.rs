@@ -13,6 +13,7 @@ use std::io;
 use std::path::Path;
 
 use crate::json::{self, JsonValue};
+use crate::keys::Key;
 use crate::registry::Snapshot;
 
 /// Version stamp written into every manifest; bump on breaking schema
@@ -177,20 +178,26 @@ impl RunManifest {
     }
 
     /// Records a free-form numeric metric.
-    pub fn set_metric(&mut self, name: &str, value: f64) {
-        self.metrics.insert(name.to_string(), value);
+    pub fn set_metric(&mut self, key: Key, value: f64) {
+        self.metrics.insert(key.as_str().to_string(), value);
     }
 
-    /// Counter value by name (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// Records a metric under `"{prefix}.{label}"`, for results keyed by
+    /// a run-time name (a quorum system, a topology, a kernel).
+    pub fn set_labeled_metric(&mut self, prefix: Key, label: &str, value: f64) {
+        self.metrics.insert(format!("{prefix}.{label}"), value);
     }
 
-    /// Total seconds recorded for phase `name`, or 0.
-    pub fn phase_secs(&self, name: &str) -> f64 {
+    /// Counter value by key (0 if absent).
+    pub fn counter(&self, key: Key) -> u64 {
+        self.counters.get(key.as_str()).copied().unwrap_or(0)
+    }
+
+    /// Total seconds recorded for phase `key`, or 0.
+    pub fn phase_secs(&self, key: Key) -> f64 {
         self.phases
             .iter()
-            .filter(|p| p.phase == name)
+            .filter(|p| p.phase == key.as_str())
             .map(|p| p.seconds)
             .sum()
     }
@@ -527,8 +534,10 @@ mod tests {
             bounds: vec![0.5, 1.0, 2.0],
             counts: vec![10, 25, 7, 1],
         }];
-        m.counters.insert(crate::keys::DES_EVENTS.into(), 1_000);
-        m.counters.insert(crate::keys::CACHE_HITS.into(), 900);
+        m.counters
+            .insert(crate::keys::DES_EVENTS.as_str().into(), 1_000);
+        m.counters
+            .insert(crate::keys::CACHE_HITS.as_str().into(), 900);
         m.metrics.insert("availability".into(), 0.945);
         m
     }
@@ -552,15 +561,22 @@ mod tests {
     fn absorb_snapshot_moves_counters_timers_gauges() {
         let r = Registry::new();
         r.add(crate::keys::DES_EVENTS, 7);
-        r.record_duration("simulate", std::time::Duration::from_millis(250));
-        r.set_gauge("threads.utilization", 0.8);
+        r.record_duration(
+            crate::keys::REPLICA_RUN_STATIC,
+            std::time::Duration::from_millis(250),
+        );
+        r.set_gauge(crate::keys::REPLICA_THREAD_UTILIZATION, 0.8);
         let mut m = RunManifest::new("test", 1);
-        m.counters.insert(crate::keys::DES_EVENTS.into(), 3);
+        m.counters
+            .insert(crate::keys::DES_EVENTS.as_str().into(), 3);
         m.absorb_snapshot(&r.snapshot());
         assert_eq!(m.counter(crate::keys::DES_EVENTS), 10);
-        assert!((m.phase_secs("simulate") - 0.25).abs() < 1e-9);
+        assert!((m.phase_secs(crate::keys::REPLICA_RUN_STATIC) - 0.25).abs() < 1e-9);
         assert_eq!(m.phases[0].activations, 1);
-        assert_eq!(m.metrics["threads.utilization"], 0.8);
+        assert_eq!(
+            m.metrics[crate::keys::REPLICA_THREAD_UTILIZATION.as_str()],
+            0.8
+        );
     }
 
     #[test]

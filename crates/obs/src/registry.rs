@@ -10,6 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::keys::Key;
+
 /// A shareable handle to one named monotonic counter.
 ///
 /// Cloning is cheap (an `Arc` bump); increments are relaxed atomic adds.
@@ -62,42 +64,47 @@ impl Registry {
         Self::default()
     }
 
-    /// Returns (creating on first use) the counter named `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().expect("registry lock");
-        map.entry(name.to_string()).or_default().clone()
+    /// Returns (creating on first use) the counter for `key`.
+    pub fn counter(&self, key: Key) -> Counter {
+        self.counter_named(key.as_str())
     }
 
-    /// Adds `n` to the counter named `name` (handle-free convenience for
+    /// Adds `n` to the counter for `key` (handle-free convenience for
     /// cold paths; hot paths should hold a [`Counter`]).
-    pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
+    pub fn add(&self, key: Key, n: u64) {
+        self.counter(key).add(n);
     }
 
-    /// Sets the gauge named `name` (last write wins).
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut map = self.gauges.lock().expect("registry lock");
-        map.insert(name.to_string(), value);
+    /// Sets the gauge for `key` (last write wins).
+    pub fn set_gauge(&self, key: Key, value: f64) {
+        self.set_gauge_named(key.as_str(), value);
     }
 
-    /// Starts a scoped timer accumulating into `name` on drop.
-    pub fn scoped_timer(&self, name: &str) -> ScopedTimer {
-        let cell = {
-            let mut map = self.timers.lock().expect("registry lock");
-            Arc::clone(map.entry(name.to_string()).or_default())
-        };
+    /// Starts a scoped timer accumulating into `key` on drop.
+    pub fn scoped_timer(&self, key: Key) -> ScopedTimer {
+        self.start_timer(key.as_str())
+    }
+
+    /// Starts a scoped timer accumulating into `"{prefix}.{label}"`, for
+    /// phases named at run time (one per topology, say).
+    pub fn scoped_timer_labeled(&self, prefix: Key, label: &str) -> ScopedTimer {
+        self.start_timer(&format!("{prefix}.{label}"))
+    }
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "phase timers measure wall time by design; manifests report them as timings, never as simulated numbers"
+    )]
+    fn start_timer(&self, name: &str) -> ScopedTimer {
         ScopedTimer {
-            cell,
+            cell: self.timer_named(name),
             started: Instant::now(),
         }
     }
 
-    /// Records an externally-measured duration into timer `name`.
-    pub fn record_duration(&self, name: &str, duration: std::time::Duration) {
-        let cell = {
-            let mut map = self.timers.lock().expect("registry lock");
-            Arc::clone(map.entry(name.to_string()).or_default())
-        };
+    /// Records an externally-measured duration into the timer for `key`.
+    pub fn record_duration(&self, key: Key, duration: std::time::Duration) {
+        let cell = self.timer_named(key.as_str());
         cell.nanos
             .fetch_add(duration.as_nanos() as u64, Ordering::Relaxed);
         cell.activations.fetch_add(1, Ordering::Relaxed);
@@ -108,19 +115,34 @@ impl Registry {
     pub fn merge(&self, other: &Registry) {
         let snap = other.snapshot();
         for (name, v) in &snap.counters {
-            self.add(name, *v);
+            self.counter_named(name).add(*v);
         }
         for (name, (nanos, activations)) in &snap.timers {
-            let cell = {
-                let mut map = self.timers.lock().expect("registry lock");
-                Arc::clone(map.entry(name.clone()).or_default())
-            };
+            let cell = self.timer_named(name);
             cell.nanos.fetch_add(*nanos, Ordering::Relaxed);
             cell.activations.fetch_add(*activations, Ordering::Relaxed);
         }
         for (name, v) in &snap.gauges {
-            self.set_gauge(name, *v);
+            self.set_gauge_named(name, *v);
         }
+    }
+
+    // The by-name paths below serve `merge`, which copies names that were
+    // keys when another registry recorded them, and the labeled timers.
+
+    fn counter_named(&self, name: &str) -> Counter {
+        let mut map = self.counters.lock().expect("registry lock");
+        map.entry(name.to_string()).or_default().clone()
+    }
+
+    fn set_gauge_named(&self, name: &str, value: f64) {
+        let mut map = self.gauges.lock().expect("registry lock");
+        map.insert(name.to_string(), value);
+    }
+
+    fn timer_named(&self, name: &str) -> Arc<TimerCell> {
+        let mut map = self.timers.lock().expect("registry lock");
+        Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// A deterministic point-in-time copy of every metric.
@@ -185,14 +207,14 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Counter value, or 0 if absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn counter(&self, key: Key) -> u64 {
+        self.counters.get(key.as_str()).copied().unwrap_or(0)
     }
 
-    /// Accumulated seconds in timer `name`, or 0.
-    pub fn timer_secs(&self, name: &str) -> f64 {
+    /// Accumulated seconds in the timer for `key`, or 0.
+    pub fn timer_secs(&self, key: Key) -> f64 {
         self.timers
-            .get(name)
+            .get(key.as_str())
             .map(|&(nanos, _)| nanos as f64 / 1e9)
             .unwrap_or(0.0)
     }
@@ -209,71 +231,72 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys;
 
     #[test]
     fn counter_handle_and_name_share_storage() {
         let r = Registry::new();
-        let c = r.counter("x");
+        let c = r.counter(keys::DES_EVENTS);
         c.add(3);
-        r.add("x", 4);
-        assert_eq!(r.counter("x").get(), 7);
-        assert_eq!(r.snapshot().counter("x"), 7);
+        r.add(keys::DES_EVENTS, 4);
+        assert_eq!(r.counter(keys::DES_EVENTS).get(), 7);
+        assert_eq!(r.snapshot().counter(keys::DES_EVENTS), 7);
     }
 
     #[test]
     fn missing_names_read_zero() {
         let s = Registry::new().snapshot();
-        assert_eq!(s.counter("nope"), 0);
-        assert_eq!(s.timer_secs("nope"), 0.0);
+        assert_eq!(s.counter(keys::DES_EVENTS), 0);
+        assert_eq!(s.timer_secs(keys::DES_EVENTS), 0.0);
     }
 
     #[test]
     fn scoped_timer_accumulates() {
         let r = Registry::new();
         for _ in 0..3 {
-            let _t = r.scoped_timer("phase");
+            let _t = r.scoped_timer(keys::REPLICA_RUN_STATIC);
             std::hint::black_box(());
         }
         let snap = r.snapshot();
-        let (_nanos, activations) = snap.timers["phase"];
+        let (_nanos, activations) = snap.timers[keys::REPLICA_RUN_STATIC.as_str()];
         assert_eq!(activations, 3);
-        assert!(snap.timer_secs("phase") >= 0.0);
+        assert!(snap.timer_secs(keys::REPLICA_RUN_STATIC) >= 0.0);
     }
 
     #[test]
     fn record_duration_is_explicit_path() {
         let r = Registry::new();
-        r.record_duration("io", std::time::Duration::from_millis(5));
-        r.record_duration("io", std::time::Duration::from_millis(7));
+        r.record_duration(keys::CLUSTER_RUN, std::time::Duration::from_millis(5));
+        r.record_duration(keys::CLUSTER_RUN, std::time::Duration::from_millis(7));
         let snap = r.snapshot();
-        assert_eq!(snap.timers["io"].1, 2);
-        assert!((snap.timer_secs("io") - 0.012).abs() < 1e-9);
+        assert_eq!(snap.timers[keys::CLUSTER_RUN.as_str()].1, 2);
+        assert!((snap.timer_secs(keys::CLUSTER_RUN) - 0.012).abs() < 1e-9);
     }
 
     #[test]
     fn merge_adds_counters_and_timers_overwrites_gauges() {
         let a = Registry::new();
         let b = Registry::new();
-        a.add("c", 10);
-        b.add("c", 5);
-        b.add("only_b", 1);
-        a.record_duration("t", std::time::Duration::from_secs(1));
-        b.record_duration("t", std::time::Duration::from_secs(2));
-        a.set_gauge("g", 1.0);
-        b.set_gauge("g", 9.0);
+        a.add(keys::DES_EVENTS, 10);
+        b.add(keys::DES_EVENTS, 5);
+        b.add(keys::DES_ACCESSES, 1);
+        a.record_duration(keys::CLUSTER_RUN, std::time::Duration::from_secs(1));
+        b.record_duration(keys::CLUSTER_RUN, std::time::Duration::from_secs(2));
+        a.set_gauge(keys::RUN_THREADS, 1.0);
+        b.set_gauge(keys::RUN_THREADS, 9.0);
         a.merge(&b);
         let snap = a.snapshot();
-        assert_eq!(snap.counter("c"), 15);
-        assert_eq!(snap.counter("only_b"), 1);
-        assert_eq!(snap.timers["t"], (3_000_000_000, 2));
-        assert_eq!(snap.gauges["g"], 9.0);
+        assert_eq!(snap.counter(keys::DES_EVENTS), 15);
+        assert_eq!(snap.counter(keys::DES_ACCESSES), 1);
+        assert_eq!(snap.timers[keys::CLUSTER_RUN.as_str()], (3_000_000_000, 2));
+        assert_eq!(snap.gauges[keys::RUN_THREADS.as_str()], 9.0);
     }
 
     #[test]
     fn merge_is_associative_for_counters() {
         let mk = |v: u64| {
             let r = Registry::new();
-            r.add("c", v);
+            r.add(keys::DES_EVENTS, v);
             r
         };
         let left = mk(1);
@@ -283,13 +306,16 @@ mod tests {
         let bc = mk(2);
         bc.merge(&mk(4));
         right.merge(&bc);
-        assert_eq!(left.snapshot().counter("c"), right.snapshot().counter("c"));
+        assert_eq!(
+            left.snapshot().counter(keys::DES_EVENTS),
+            right.snapshot().counter(keys::DES_EVENTS)
+        );
     }
 
     #[test]
     fn concurrent_increments_are_lossless() {
         let r = Registry::new();
-        let c = r.counter("hot");
+        let c = r.counter(keys::DES_EVENTS);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let c = c.clone();
@@ -300,23 +326,30 @@ mod tests {
                 });
             }
         });
-        assert_eq!(r.snapshot().counter("hot"), 80_000);
+        assert_eq!(r.snapshot().counter(keys::DES_EVENTS), 80_000);
     }
 
     #[test]
     fn snapshot_is_sorted() {
         let r = Registry::new();
-        r.add("zebra", 1);
-        r.add("alpha", 1);
-        r.add("mid", 1);
+        r.add(keys::SHARD_OBJECTS, 1);
+        r.add(keys::CACHE_HITS, 1);
+        r.add(keys::MC_TRANSITIONS, 1);
         let snap = r.snapshot();
         let names: Vec<&String> = snap.counters.keys().collect();
-        assert_eq!(names, ["alpha", "mid", "zebra"]);
+        assert_eq!(
+            names,
+            [
+                "graph.component_cache.hits",
+                "mc.transitions",
+                "shard.objects"
+            ]
+        );
     }
 
     #[test]
     fn global_registry_is_shared() {
-        global().add("obs.test.global", 2);
-        assert!(global().snapshot().counter("obs.test.global") >= 2);
+        global().add(keys::MC_MAX_DEPTH, 2);
+        assert!(global().snapshot().counter(keys::MC_MAX_DEPTH) >= 2);
     }
 }

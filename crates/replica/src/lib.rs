@@ -23,7 +23,6 @@
 //! * [`script::Scenario`] — deterministic scripted walkthroughs (the §2.2
 //!   reassignment narrative as executable steps).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;

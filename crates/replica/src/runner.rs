@@ -16,7 +16,7 @@ use quorum_core::protocol::ConsistencyProtocol;
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_obs::{keys, Registry};
+use quorum_obs::{keys, Key, Registry};
 use quorum_stats::{converge, BatchMeans};
 
 /// Configuration of a multi-batch run.
@@ -97,7 +97,7 @@ pub fn run_protocol_observed<P, F>(
     workload: Workload,
     cfg: RunConfig,
     registry: &Registry,
-    phase: &str,
+    phase: Key,
     make_protocol: F,
 ) -> RunResults
 where
@@ -241,8 +241,8 @@ mod tests {
         );
         assert_eq!(snap.counter(keys::RUN_BATCHES), res.batches);
         // One timer activation per batch, plus the whole-run phase timer.
-        assert_eq!(snap.timers[keys::REPLICA_BATCH].1, res.batches);
-        assert_eq!(snap.timers[keys::REPLICA_RUN_STATIC].1, 1);
+        assert_eq!(snap.timers[keys::REPLICA_BATCH.as_str()].1, res.batches);
+        assert_eq!(snap.timers[keys::REPLICA_RUN_STATIC.as_str()].1, 1);
         assert!(snap.timer_secs(keys::REPLICA_RUN_STATIC) > 0.0);
         // The convergence trace ends at the final batch count.
         assert_eq!(res.ci_trace.last().unwrap().batches, res.batches);
@@ -252,9 +252,9 @@ mod tests {
             .all(|p| p.half_width >= 0.0 && p.batches >= 2));
         // Per-round thread-seconds accounting keeps utilization a true
         // fraction; ε absorbs clock-read noise only.
-        let util = snap.gauges[keys::REPLICA_THREAD_UTILIZATION];
+        let util = snap.gauges[keys::REPLICA_THREAD_UTILIZATION.as_str()];
         assert!(util > 0.0 && util <= 1.0 + 0.005, "utilization {util}");
-        assert!((snap.gauges[keys::RUN_THREADS] - 2.0).abs() < 1e-12);
+        assert!((snap.gauges[keys::RUN_THREADS.as_str()] - 2.0).abs() < 1e-12);
     }
 
     #[test]

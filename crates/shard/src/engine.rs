@@ -33,6 +33,24 @@
 //!   entries). It exists as the correctness pin and as the benchmark
 //!   baseline the batched path is measured against.
 
+// Hot kernel: a panic here kills a million-object run half-way, and a
+// narrowing cast that wraps corrupts state silently. The asserts live in
+// once-per-run validation, each under a reasoned `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::disallowed_macros,
+        clippy::cast_possible_truncation,
+        clippy::indexing_slicing,
+    )
+)]
+
 use crate::catalog::ObjectCatalog;
 use crate::timeline::{FailureTimeline, READ_BIT, WRITE_BIT};
 use quorum_graph::Topology;
@@ -86,6 +104,10 @@ impl ShardStats {
     ///
     /// # Panics
     /// Panics if the class counts differ.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "shape check once per batch tally merge, documented under # Panics"
+    )]
     pub fn merge(&mut self, other: &ShardStats) {
         assert_eq!(self.class_accesses.len(), other.class_accesses.len());
         self.objects += other.objects;
@@ -133,6 +155,10 @@ impl ShardStats {
 
 /// Records one access outcome from its precomputed grant mask.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "class < num_classes by catalog construction, and both tally vectors are sized num_classes"
+)]
 fn record(stats: &mut ShardStats, class: usize, mask: u8, is_read: bool) {
     let granted = if is_read {
         mask & READ_BIT != 0
@@ -174,6 +200,10 @@ impl<'a> PreparedWalk<'a> {
     /// `[0, 1]` (per-bucket αs are clamped into `(0, 1)` by
     /// construction, and per-object rates inherit positivity from the
     /// class base rate).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "run validation happens once here so the per-access loops carry no asserts"
+    )]
     fn new(engine: &ShardEngine<'a>) -> Self {
         let horizon = engine.horizon;
         assert!(
@@ -214,6 +244,10 @@ impl<'a> PreparedWalk<'a> {
 
     /// Submitting site for a uniform draw `u ∈ [0, 1)`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "u is in [0, 1), so u * sites is below the site count; min() clamps rounding"
+    )]
     fn site_of(&self, u: f64) -> usize {
         ((u * self.sites_f) as usize).min(self.sites - 1)
     }
@@ -237,6 +271,18 @@ impl<'a> PreparedWalk<'a> {
     /// and a compaction pass retiring lanes whose clock passed the
     /// horizon. Tallies are additive, so the lane interleaving leaves
     /// the aggregate identical to a one-object-at-a-time walk.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every lane index is < width <= STRIPE, and live[..len] holds only such lanes, so no [T; STRIPE] access can go out of bounds"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "width <= STRIPE; class and assignment ids index catalog tables of a handful of rows, and the epoch index is bounded by the timeline epoch count, so each fits its u32 lane"
+    )]
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug_assert! compiles out of release builds"
+    )]
     fn walk_stripe(&self, lo: u64, hi: u64, stats: &mut ShardStats) {
         let width = (hi - lo) as usize;
         debug_assert!(0 < width && width <= STRIPE);
@@ -361,6 +407,10 @@ impl<'a> ShardEngine<'a> {
     ///
     /// # Panics
     /// Panics unless `1 <= shards <= objects`.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "shard-count validation once per run, documented under # Panics"
+    )]
     pub fn run_sharded(&self, shards: u64, threads: usize) -> (ShardStats, Convergence) {
         assert!(shards >= 1, "need at least one shard");
         assert!(
@@ -419,6 +469,14 @@ impl<'a> ShardEngine<'a> {
     /// [`Self::run_sharded`] does, so the returned tally is equal — the
     /// difference is purely the `O(log N)`-per-access event-list traffic
     /// this formulation pays.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the SoA vectors are all sized num_objects and i is an object id popped from the queue"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "object ids fit in memory-sized vectors; class and assignment ids mirror the stripe packing into u32"
+    )]
     pub fn run_naive(&self) -> ShardStats {
         let prepared = PreparedWalk::new(self);
         let objects = self.catalog.num_objects() as usize;

@@ -41,7 +41,6 @@
 //! through [`quorum_stats::converge`]; [`engine::ShardEngine::run_naive`]
 //! is the reference implementation the equality tests pin against.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;

@@ -88,6 +88,10 @@ impl FailureTimeline {
         let n = topology.num_sites();
         let m = topology.num_links();
         let uniform = vec![1u64; n];
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the failure replay runs once per run through FailureProcesses, which is generic over rand::Rng; the access loops use CounterRng"
+        )]
         let mut rng = rng_from_seed(derive_seed(seed, 1));
         let mut procs = FailureProcesses::new(params, n, m, None, None);
         let mut queue: CalendarQueue<TimelineEvent> = CalendarQueue::new();

@@ -117,6 +117,10 @@ where
     J: Fn(u64) -> S + Sync,
 {
     let timed = |i: u64| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-batch busy time for the utilization gauge; no simulated statistic reads it"
+        )]
         let started = Instant::now();
         let stats = job(i);
         (stats, started.elapsed())
@@ -189,6 +193,10 @@ where
         params.max_batches,
         params.min_batches
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "run wall-clock for Convergence::wall; reporting only"
+    )]
     let wall_start = Instant::now();
     let threads = params.threads.max(1);
     let mut acc = BatchMeans::new(
@@ -211,6 +219,10 @@ where
         let indices: Vec<u64> = (next_index..goal).collect();
         next_index = goal;
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "available thread-seconds per round, the utilization gauge denominator"
+        )]
         let round_start = Instant::now();
         let results = run_round(&indices, threads, &job);
         let round_wall = round_start.elapsed().as_secs_f64();

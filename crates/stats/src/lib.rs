@@ -22,8 +22,10 @@
 //! * RNG helpers ([`rng`]) — deterministic seed derivation and exponential
 //!   variates for Poisson processes.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Exact `==`/`!=` on floats encodes an accidental bit-pattern property;
+// compare with an explicit epsilon or write a reasoned `#[expect]`.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod batch;
 pub mod ci;

@@ -120,6 +120,10 @@ pub fn golden_section_max(lo: usize, hi: usize, mut f: impl FnMut(usize) -> f64)
     let ib = b.ceil().min(hi as f64) as usize;
     for x in ia..=ib {
         let v = eval(x, &mut evals);
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact tie-break keeps the first of equal values; an epsilon could move optimizer picks"
+        )]
         if v > best.value || (v == best.value && x < best.x) {
             best = IntMax { x, value: v, evals };
         }
@@ -241,6 +245,10 @@ pub fn brent_max(a: f64, b: f64, tol: f64, mut f: impl FnMut(f64) -> f64) -> Flo
             } else {
                 hi = u;
             }
+            #[expect(
+                clippy::float_cmp,
+                reason = "Brent bookkeeping: v, w and x are assigned from one another, so == tests whether two trackers hold the same point"
+            )]
             if fu <= fw || w == x {
                 v = w;
                 fv = fw;

@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn derived_seeds_unique_over_many_indices() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(derive_seed(7, i)), "collision at {i}");
         }
@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn counter_streams_decorrelate_across_seeds() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for seed in 0..100u64 {
             for k in 0..100u64 {
                 assert!(

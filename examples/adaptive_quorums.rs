@@ -10,8 +10,6 @@
 //! assignments through the version-numbered QR protocol — never violating
 //! one-copy serializability along the way.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::{QuorumConsensus, QuorumSpec};
 use quorum_des::SimParams;
 use quorum_graph::Topology;

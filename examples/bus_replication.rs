@@ -8,8 +8,6 @@
 //! We compute the exact §4.2 densities for both, pick optimal quorums for
 //! a 60 %-read workload, and confirm with the discrete-event simulator.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::analytic::{bus_density_sites_fail, bus_density_sites_independent};
 use quorum_core::{AvailabilityModel, QuorumConsensus, QuorumSpec, SearchStrategy};
 use quorum_des::SimParams;

@@ -10,8 +10,6 @@
 //! Cheung–Ahamad–Ammar joint vote/quorum search, then shows the marginal
 //! value of each extra replica.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::nonpartition::{
     model_uniform_access, optimal_votes_exhaustive, optimal_votes_hill_climb, up_vote_distribution,
 };

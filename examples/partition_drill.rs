@@ -9,8 +9,6 @@
 //! the majority side, and the heal — with one-copy-serializability
 //! checked at every access.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::protocol::Decision;
 use quorum_core::{Access, QrProtocol, QuorumSpec, VoteAssignment};
 use quorum_graph::Topology;

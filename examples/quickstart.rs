@@ -9,8 +9,6 @@
 //! Gilbert's recursion (§4.2 of Johnson & Raab), run the Figure-1
 //! optimizer, and compare the result against the classic baselines.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::analytic::fully_connected_density;
 use quorum_core::{AvailabilityModel, QuorumSpec, SearchStrategy};
 

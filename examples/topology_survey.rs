@@ -9,8 +9,6 @@
 //! The punchline matches §5.5: on well-connected networks majority-style
 //! assignments are fine; on sparse ones they can be the *worst* choice.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;

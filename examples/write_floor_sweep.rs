@@ -9,8 +9,6 @@
 //! write-availability floor `A_w` and show the availability the operator
 //! gives up for each guarantee level.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;

@@ -5,8 +5,6 @@
 //! ties at exactly the threshold — against the raw vote arithmetic the
 //! protocol layer uses.
 
-#![forbid(unsafe_code)]
-
 use proptest::prelude::*;
 use quorum_algebra::{Expr, QuorumSystem};
 use quorum_core::{QuorumSpec, VoteAssignment};

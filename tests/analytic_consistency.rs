@@ -3,8 +3,6 @@
 //! must produce the same component-vote distributions and, downstream, the
 //! same optimal quorum assignments.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::analytic::{fully_connected_density, ring_density, star_densities};
 use quorum_core::{AvailabilityModel, QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;

@@ -1,8 +1,6 @@
 //! Validates the §5.2 output-analysis methodology itself: batch
 //! independence, CI calibration, and scale consistency.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;

@@ -9,8 +9,6 @@
 //! Verified here for every protocol in the workspace on the same topology
 //! and seed.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::protocol::ConsistencyProtocol;
 use quorum_core::{
     CoterieProtocol, DynamicVoting, QrProtocol, QuorumConsensus, QuorumSpec, ReadWriteCoterie,

@@ -6,8 +6,6 @@
 //! workload). This is the contract that lets the cluster's latency/loss
 //! results extend the paper's §5 numbers instead of contradicting them.
 
-#![forbid(unsafe_code)]
-
 use quorum_cluster::{run_cluster, ClusterConfig, ClusterEngine, Outcome};
 use quorum_core::protocol::{Access, Decision};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};

@@ -5,8 +5,6 @@
 //! reassignments — and the `commit_on_grant` ablation must demonstrably
 //! break it, proving the checker has teeth.
 
-#![forbid(unsafe_code)]
-
 use proptest::prelude::*;
 use quorum_cluster::{
     jointly_safe, run_cluster_observed, ClusterConfig, ClusterEngine, ClusterStats, InstallStep,

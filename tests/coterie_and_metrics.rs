@@ -1,8 +1,6 @@
 //! Integration tests for the coterie-driven protocol and the SURV metric
 //! variant (§3, footnote 3).
 
-#![forbid(unsafe_code)]
-
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{
     CoterieProtocol, QuorumConsensus, QuorumSpec, ReadWriteCoterie, SearchStrategy, VoteAssignment,

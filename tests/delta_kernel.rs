@@ -7,8 +7,6 @@
 //! *every* event of *any* event sequence, and both simulation engines
 //! must report bit-identical batch statistics with the kernel on or off.
 
-#![forbid(unsafe_code)]
-
 use proptest::prelude::*;
 use quorum_cluster::{ClusterConfig, ClusterEngine};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};

@@ -2,8 +2,6 @@
 //! must converge to the analytic truth and drive the optimizer to the same
 //! decisions.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::analytic::{fully_connected_density, ring_density};
 use quorum_core::{AvailabilityModel, QuorumSpec, SearchStrategy, SiteEstimators, VoteAssignment};
 use quorum_des::SimParams;

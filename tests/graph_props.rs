@@ -2,8 +2,6 @@
 //! with union-find on arbitrary random graphs and failure patterns, and
 //! topology constructors maintain their structural invariants.
 
-#![forbid(unsafe_code)]
-
 use proptest::prelude::*;
 use quorum_graph::{ComponentView, NetworkState, Topology, UnionFind};
 use rand::SeedableRng;

@@ -1,3 +1,1 @@
 // integration test workspace member
-
-#![forbid(unsafe_code)]

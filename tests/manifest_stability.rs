@@ -1,12 +1,10 @@
 //! Manifest determinism pins: the same seed must produce byte-identical
 //! manifest JSON, run to run and across thread counts, once the fields
 //! that *are* wall-clock measurements (phase timings, utilization
-//! gauges) are stripped. This is the end-to-end guarantee `quorum-lint`
-//! enforces structurally — no hash-iteration order, no wall clock, no
-//! OS entropy anywhere in the path from simulator to serialized JSON —
-//! pinned here on concrete runs of both simulators.
-
-#![forbid(unsafe_code)]
+//! gauges) are stripped. This is the end-to-end guarantee the workspace
+//! lints enforce structurally (DESIGN.md §9) — no hash-iteration order,
+//! no wall clock, no OS entropy anywhere in the path from simulator to
+//! serialized JSON — pinned here on concrete runs of both simulators.
 
 use quorum_algebra::{optimize_load, AlgebraProtocol, QuorumSystem};
 use quorum_bench::manifest::{manifest_for_run, sim_params_record, topology_record};
@@ -170,15 +168,19 @@ fn algebra_manifest(seed: u64, threads: usize) -> String {
             threads,
         },
         &registry,
-        "algebra.simulate",
+        quorum_obs::keys::ALGEBRA_SIMULATE,
         || AlgebraProtocol::new(sys.clone()),
     );
     let mut m = RunManifest::new("manifest_stability_algebra", seed);
     m.params = sim_params_record(&params);
     m.topology = topology_record("ring-9+2", 2, &topo);
     m.votes = votes.as_slice().to_vec();
-    m.set_metric(&format!("load.{}", sys.name()), profile.load);
-    m.set_metric(&format!("load-lower.{}", sys.name()), profile.lower_bound);
+    m.set_labeled_metric(quorum_obs::keys::LOAD, sys.name(), profile.load);
+    m.set_labeled_metric(
+        quorum_obs::keys::LOAD_LOWER,
+        sys.name(),
+        profile.lower_bound,
+    );
     m.set_metric(quorum_obs::keys::AVAILABILITY, res.availability());
     m.absorb_snapshot(&registry.snapshot());
     strip_wall_clock(&mut m);

@@ -21,8 +21,6 @@
 //! mixing bug through both of its channels. CI's `model-check` job runs
 //! the untrimmed universe through the release binary.
 
-#![forbid(unsafe_code)]
-
 use quorum_mc::{explore, ExploreOptions, Universe};
 
 /// The standard universe with partition toggles disabled: small enough

@@ -3,8 +3,6 @@
 //! own accounting, end to end — from a raw [`ComponentCache`] up through
 //! the `validate_curves` sweep and its written manifest.
 
-#![forbid(unsafe_code)]
-
 use quorum_bench::validate::{run, ValidateOpts};
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
@@ -127,9 +125,9 @@ fn validate_sweep_manifest_is_self_consistent() {
     assert!(m.batches >= 3 * opts.params.min_batches);
 
     // Per-phase wall-clock timings are present and non-trivial.
-    assert!(m.phase_secs("validate.reference") > 0.0);
-    assert!(m.phase_secs("validate.grid") > 0.0);
-    assert!(m.phase_secs("replica.run_static") > 0.0);
+    assert!(m.phase_secs(keys::VALIDATE_REFERENCE) > 0.0);
+    assert!(m.phase_secs(keys::VALIDATE_GRID) > 0.0);
+    assert!(m.phase_secs(keys::REPLICA_RUN_STATIC) > 0.0);
 
     // DES event count and cache counters are present and consistent:
     // one cache query per dispatched access.

@@ -1,8 +1,6 @@
 //! Property tests on the Figure-1 optimizer and its §5.4 variants, against
 //! brute force on randomly generated availability models.
 
-#![forbid(unsafe_code)]
-
 use proptest::prelude::*;
 use quorum_core::optimal::{
     min_read_quorum_for_write_floor, optimal_quorum, optimal_weighted, optimal_with_write_floor,

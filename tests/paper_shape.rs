@@ -1,8 +1,6 @@
 //! End-to-end reproduction of the paper's §5.3 qualitative observations,
 //! at reduced scale (CI-friendly) but with the full 101-site topologies.
 
-#![forbid(unsafe_code)]
-
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;

@@ -2,8 +2,6 @@
 //! quorum assignment, QR safety under adversarial partition schedules, and
 //! the negative direction (invalid assignments do fail).
 
-#![forbid(unsafe_code)]
-
 use proptest::prelude::*;
 use quorum_core::protocol::{Access, ConsistencyProtocol, Decision};
 use quorum_core::{QrProtocol, QuorumConsensus, QuorumSpec, VoteAssignment};

@@ -16,7 +16,10 @@
 //! only) the checker exhaustively *finds* the stale-read state — turning
 //! the simulation-discovered bug into a verified property.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "test-only visited sets, queried for membership; the determinism rules cover crate code"
+)]
 
 use std::collections::{HashSet, VecDeque};
 

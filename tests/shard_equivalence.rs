@@ -5,8 +5,6 @@
 //! count, stripe-boundary object populations, and per-object optimized
 //! assignment tables.
 
-#![forbid(unsafe_code)]
-
 use proptest::prelude::*;
 use quorum_des::SimParams;
 use quorum_graph::Topology;

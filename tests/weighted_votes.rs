@@ -3,8 +3,6 @@
 //! chosen assignment) with non-uniform votes, which the paper supports in
 //! the protocol (§2.1) but does not exercise in its own study (§5.1).
 
-#![forbid(unsafe_code)]
-
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;
