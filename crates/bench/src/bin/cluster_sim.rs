@@ -34,8 +34,12 @@ use quorum_graph::Topology;
 use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::Workload;
 
-/// Builds the topology plus matching votes/workload. The bus hub (node
-/// 0) is pure wiring: zero votes, zero workload weight.
+/// The `--topology` choices; the first is the default.
+const TOPOLOGIES: [&str; 3] = ["ring", "full", "bus"];
+
+/// Builds the topology plus matching votes/workload for one of
+/// [`TOPOLOGIES`]. The bus hub (node 0) is pure wiring: zero votes, zero
+/// workload weight.
 fn site_setup(kind: &str, sites: usize, alpha: f64) -> (Topology, VoteAssignment, Workload) {
     match kind {
         "ring" => (
@@ -60,7 +64,7 @@ fn site_setup(kind: &str, sites: usize, alpha: f64) -> (Topology, VoteAssignment
                 Workload::weighted(alpha, &weights, &weights),
             )
         }
-        other => panic!("--topology {other:?}: expected ring, full, or bus"),
+        other => unreachable!("one_of returned unlisted {other:?}"),
     }
 }
 
@@ -84,8 +88,8 @@ fn config_for(args: &Args, scale: Scale) -> ClusterConfig {
 fn single_run(args: &Args, scale: Scale, seed: u64) {
     let sites: usize = args.get_or("sites", 9);
     let alpha: f64 = args.get_or("alpha", 0.7);
-    let kind: String = args.get_or("topology", "ring".to_string());
-    let (topo, votes, workload) = site_setup(&kind, sites, alpha);
+    let kind = args.one_of("topology", &TOPOLOGIES);
+    let (topo, votes, workload) = site_setup(kind, sites, alpha);
     let total = votes.total();
     let qr: u64 = args.get_or("qr", total / 2);
     let spec = QuorumSpec::from_read_quorum(qr, total).expect("legal --qr for this vote total");
@@ -198,9 +202,9 @@ type CellJob<'a> = Box<dyn FnOnce() -> CellResult + Send + 'a>;
 fn sweep(args: &Args, scale: Scale, seed: u64) {
     let sites: usize = args.get_or("sites", 9);
     let alpha: f64 = args.get_or("alpha", 0.7);
-    let kind: String = args.get_or("topology", "ring".to_string());
+    let kind = args.one_of("topology", &TOPOLOGIES);
     let threads = args.get_or("threads", default_threads());
-    let (topo, votes, workload) = site_setup(&kind, sites, alpha);
+    let (topo, votes, workload) = site_setup(kind, sites, alpha);
     let total = votes.total();
 
     // Fixed-batch parameters keep the grid affordable; the CI question

@@ -17,25 +17,23 @@
 //!            --net-changes 1 --no-reduction --no-symmetry
 //!            --manifest run.json]
 
-use quorum_bench::{manifest, print_table, Args};
+use quorum_bench::{manifest, or_usage_exit, print_table, Args};
 use quorum_mc::{explore, ExploreOptions, Universe};
 use quorum_obs::{Registry, RunManifest};
 
-fn universe_for(name: &str) -> Universe {
-    match name {
-        "standard" => Universe::standard(),
-        "symmetric" => Universe::symmetric(),
-        other => panic!("--universe {other:?}: expected standard or symmetric"),
-    }
-}
-
 fn main() {
     let args = Args::parse();
-    let name: String = args.get_or("universe", "standard".to_string());
-    let mut universe = universe_for(&name);
+    let name = args.one_of("universe", &["standard", "symmetric"]);
+    let mut universe = match name {
+        "standard" => Universe::standard(),
+        "symmetric" => Universe::symmetric(),
+        other => unreachable!("one_of returned unlisted {other:?}"),
+    };
     if let Some(nc) = args.get::<u32>("net-changes") {
         universe.max_net_changes = nc;
     }
+    // The state key stores the mode-switch count in one byte.
+    or_usage_exit(universe.check_key_widths());
     let opts = ExploreOptions {
         mix_epoch_votes: args.flag("ablate"),
         reduction: !args.flag("no-reduction"),

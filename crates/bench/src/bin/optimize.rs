@@ -11,7 +11,7 @@
 //!       --model ring --sites 21 --site-rel 0.95 --link-rel 0.99 --floor 0.2
 //!   cargo run -p quorum-bench --release --bin optimize -- --model fc --sites 9
 
-use quorum_bench::{pct, Args};
+use quorum_bench::{or_usage_exit, pct, Args};
 use quorum_core::analytic::{
     bus_density_sites_fail, bus_density_sites_independent, fully_connected_density, ring_density,
 };
@@ -19,40 +19,50 @@ use quorum_core::optimal::{optimal_quorum, optimal_with_write_floor};
 use quorum_core::{AvailabilityModel, SearchStrategy};
 use quorum_stats::DiscreteDist;
 
-fn load_histogram(path: &str) -> DiscreteDist {
+fn load_histogram(path: &str) -> Result<DiscreteDist, String> {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read histogram {path:?}: {e}"));
-    let counts: Vec<f64> = text
+        .map_err(|e| format!("--hist: cannot read histogram {path:?}: {e}"))?;
+    let counts = text
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            l.parse::<f64>()
-                .unwrap_or_else(|e| panic!("bad histogram line {l:?}: {e}"))
+        .map(|l| match l.parse::<f64>() {
+            Ok(c) if c.is_finite() && c >= 0.0 => Ok(c),
+            Ok(c) => Err(format!(
+                "--hist {path:?}: count {c} is not a finite, non-negative number"
+            )),
+            Err(e) => Err(format!("--hist {path:?}: bad histogram line {l:?}: {e}")),
         })
-        .collect();
-    assert!(
-        counts.len() >= 2,
-        "histogram needs at least counts for v = 0 and v = 1"
-    );
-    DiscreteDist::from_pmf(counts).normalized()
+        .collect::<Result<Vec<f64>, String>>()?;
+    if counts.len() < 2 {
+        return Err(format!(
+            "--hist {path:?}: histogram needs at least counts for v = 0 and v = 1"
+        ));
+    }
+    if counts.iter().sum::<f64>() <= 0.0 {
+        return Err(format!("--hist {path:?}: histogram counts sum to zero"));
+    }
+    Ok(DiscreteDist::from_pmf(counts).normalized())
 }
 
 fn main() {
     let args = Args::parse();
     let density = if let Some(path) = args.get::<String>("hist") {
-        load_histogram(&path)
+        or_usage_exit(load_histogram(&path))
     } else {
-        let model: String = args.get_or("model", "ring".to_string());
+        let model = args.one_of(
+            "model",
+            &["ring", "fc", "fully-connected", "bus-fail", "bus-indep"],
+        );
         let n: usize = args.get_or("sites", 21);
         let p: f64 = args.get_or("site-rel", 0.96);
         let r: f64 = args.get_or("link-rel", 0.96);
-        match model.as_str() {
+        match model {
             "ring" => ring_density(n, p, r),
             "fc" | "fully-connected" => fully_connected_density(n, p, r),
             "bus-fail" => bus_density_sites_fail(n, p, r),
             "bus-indep" => bus_density_sites_independent(n, p, r),
-            other => panic!("unknown --model {other:?} (ring|fc|bus-fail|bus-indep)"),
+            other => unreachable!("one_of returned unlisted {other:?}"),
         }
     };
     let total = density.max_votes();

@@ -24,8 +24,9 @@ pub mod validate;
 /// state that later grows a "dump all options into the manifest" loop,
 /// and that loop must be ordered from day one.
 ///
-/// Bad input is a usage error, not a panic: [`Args::from_args`] and
-/// [`Args::get`] print `error: …` and exit with status 2.
+/// Bad input is a usage error, not a panic: [`Args::from_args`],
+/// [`Args::get`] and [`Args::one_of`] print `error: …` and exit with
+/// status 2 (see [`or_usage_exit`]).
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     flags: Vec<String>,
@@ -87,6 +88,29 @@ impl Args {
             .transpose()
     }
 
+    /// Value of `--name <value>`, which must be one of `choices`; the
+    /// first choice is the default. Exits with status 2 on any other
+    /// value.
+    pub fn one_of<'c>(&self, name: &str, choices: &[&'c str]) -> &'c str {
+        or_usage_exit(self.try_one_of(name, choices))
+    }
+
+    /// Value of `--name <value>` checked against `choices`, or the usage
+    /// error.
+    fn try_one_of<'c>(&self, name: &str, choices: &[&'c str]) -> Result<&'c str, String> {
+        match self.values.get(name) {
+            None => choices
+                .first()
+                .copied()
+                .ok_or_else(|| format!("--{name}: no choices")),
+            Some(v) => {
+                choices.iter().copied().find(|c| c == v).ok_or_else(|| {
+                    format!("--{name} {v:?}: expected one of {}", choices.join(", "))
+                })
+            }
+        }
+    }
+
     /// Value with a default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T
     where
@@ -96,9 +120,9 @@ impl Args {
     }
 }
 
-/// Unwraps a command-line parse, or prints the usage error and exits
-/// with status 2.
-fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
+/// Unwraps a parse of command-line input (flags, or files they name), or
+/// prints the usage error (`error: …`) and exits with status 2.
+pub fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2)
@@ -241,6 +265,16 @@ mod tests {
         );
         assert_eq!(a.try_get::<u64>("seed"), Ok(Some(42)));
         assert_eq!(a.try_get::<u64>("missing"), Ok(None));
+        let choices = ["ring", "full", "bus"];
+        assert_eq!(argv("").try_one_of("topology", &choices), Ok("ring"));
+        assert_eq!(
+            argv("--topology bus").try_one_of("topology", &choices),
+            Ok("bus")
+        );
+        assert_eq!(
+            argv("--topology x").try_one_of("topology", &choices),
+            Err("--topology \"x\": expected one of ring, full, bus".to_string())
+        );
         let err = Args::try_from_args(["quick".to_string()]).unwrap_err();
         assert_eq!(err, "unexpected positional argument \"quick\"");
     }

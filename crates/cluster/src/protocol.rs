@@ -54,7 +54,6 @@ use crate::stats::{ClusterStats, Outcome};
 use quorum_core::reassign::SiteAssignment;
 use quorum_core::{Access, QuorumSpec, VoteAssignment};
 use quorum_des::SimTime;
-use std::collections::BTreeMap;
 
 /// Opaque handle to a pending session timer, issued by a [`Scheduler`].
 ///
@@ -116,6 +115,7 @@ pub enum SessionPhase {
 /// Coordinator-side state of one in-flight session.
 #[derive(Debug, Clone)]
 struct Session {
+    id: SessionId,
     origin: usize,
     kind: Access,
     submitted_at: SimTime,
@@ -130,6 +130,23 @@ struct Session {
     spec: QuorumSpec,
     epoch: u64,
     timer: TimerToken,
+}
+
+impl Session {
+    fn view(&self) -> SessionView<'_> {
+        SessionView {
+            origin: self.origin,
+            kind: self.kind,
+            phase: self.phase,
+            round: self.round,
+            votes: self.votes,
+            contributed: &self.contributed,
+            epoch: self.epoch,
+            spec: self.spec,
+            max_version: self.max_version,
+            new_version: self.new_version,
+        }
+    }
 }
 
 /// Durable per-site replica state.
@@ -182,19 +199,24 @@ pub struct SiteView {
 /// session state, independent of any particular scheduler.
 ///
 /// The engine's event loop owns one per batch; the model checker clones
-/// it freely (cloning is cheap at model-checking scale — a few sites and
-/// sessions). All statistics accumulate into [`ProtocolCore::stats`];
-/// violation counting lives in the embedded [`FreshnessChecker`].
+/// one per explored transition. A clone is not free: it allocates the
+/// site table, the session table, each open session's per-site
+/// `contributed` flags, and the statistics' latency histograms, so its
+/// cost grows with the site count and the number of open sessions. All
+/// statistics accumulate into [`ProtocolCore::stats`]; violation
+/// counting lives in the embedded [`FreshnessChecker`].
 #[derive(Debug, Clone)]
 pub struct ProtocolCore<'a> {
     config: &'a ClusterConfig,
     votes: &'a VoteAssignment,
     num_sites: usize,
     sites: Vec<SiteState>,
-    // Ordered by session id (clippy.toml bars hash maps, DESIGN.md §9):
-    // drains and sweeps over open sessions feed stats and canonical
-    // encodings, so iteration order must be deterministic.
-    sessions: BTreeMap<SessionId, Session>,
+    // Open sessions, sorted by id (clippy.toml bars hash maps, DESIGN.md
+    // §9): sweeps over open sessions feed canonical encodings, so
+    // iteration order must be deterministic. Ids are handed out in
+    // ascending order, so opening a session is a push and a lookup is a
+    // binary search.
+    sessions: Vec<Session>,
     next_session: SessionId,
     checker: FreshnessChecker,
     stats: ClusterStats,
@@ -223,7 +245,7 @@ impl<'a> ProtocolCore<'a> {
                 };
                 num_sites
             ],
-            sessions: BTreeMap::new(),
+            sessions: Vec::new(),
             next_session: NO_SESSION + 1,
             checker: FreshnessChecker::new(),
             stats: ClusterStats::new(&config.latency_bounds),
@@ -265,30 +287,29 @@ impl<'a> ProtocolCore<'a> {
         self.sessions.len()
     }
 
-    /// Ids of unresolved sessions, ascending.
-    pub fn session_ids(&self) -> Vec<SessionId> {
-        self.sessions.keys().copied().collect()
+    /// Every unresolved session with its snapshot, ascending by id.
+    pub fn sessions(&self) -> impl Iterator<Item = (SessionId, SessionView<'_>)> {
+        self.sessions.iter().map(|s| (s.id, s.view()))
+    }
+
+    /// Position of open session `id` in the id-sorted session table.
+    fn session_index(&self, id: SessionId) -> Option<usize> {
+        self.sessions.binary_search_by_key(&id, |s| s.id).ok()
+    }
+
+    /// Open session `id`, if any.
+    fn session(&self, id: SessionId) -> Option<&Session> {
+        self.session_index(id).map(|i| &self.sessions[i])
     }
 
     /// Coordinator of session `id`, if the session is still open.
     pub fn session_origin(&self, id: SessionId) -> Option<usize> {
-        self.sessions.get(&id).map(|s| s.origin)
+        self.session(id).map(|s| s.origin)
     }
 
     /// Snapshot of session `id`, if still open.
     pub fn session_view(&self, id: SessionId) -> Option<SessionView<'_>> {
-        self.sessions.get(&id).map(|s| SessionView {
-            origin: s.origin,
-            kind: s.kind,
-            phase: s.phase,
-            round: s.round,
-            votes: s.votes,
-            contributed: &s.contributed,
-            epoch: s.epoch,
-            spec: s.spec,
-            max_version: s.max_version,
-            new_version: s.new_version,
-        })
+        self.session(id).map(Session::view)
     }
 
     /// Snapshot of site `site`'s durable state.
@@ -346,25 +367,25 @@ impl<'a> ProtocolCore<'a> {
         let mut contributed = vec![false; n];
         contributed[origin] = true;
         let timer = sched.arm_timer(id, self.config.timeout_for(0));
-        self.sessions.insert(
+        // `id` exceeds every id handed out before, so pushing keeps the
+        // table sorted.
+        self.sessions.push(Session {
             id,
-            Session {
-                origin,
-                kind,
-                submitted_at: sched.now(),
-                measured_index,
-                round: 0,
-                phase: SessionPhase::Gather,
-                votes: own,
-                contributed,
-                max_version: self.sites[origin].version,
-                new_version: 0,
-                floor: self.checker.floor(),
-                spec: assignment.spec,
-                epoch: assignment.version,
-                timer,
-            },
-        );
+            origin,
+            kind,
+            submitted_at: sched.now(),
+            measured_index,
+            round: 0,
+            phase: SessionPhase::Gather,
+            votes: own,
+            contributed,
+            max_version: self.sites[origin].version,
+            new_version: 0,
+            floor: self.checker.floor(),
+            spec: assignment.spec,
+            epoch: assignment.version,
+            timer,
+        });
         for peer in (0..n).filter(|&p| p != origin) {
             self.send(
                 sched,
@@ -381,8 +402,9 @@ impl<'a> ProtocolCore<'a> {
             );
         }
         // Single-site quorum (e.g. ROWA reads, weighted coordinators).
+        // The new session is still the table's last entry.
         if own >= assignment.spec.threshold(kind) {
-            self.quorum_reached(id, sched);
+            self.quorum_reached(self.sessions.len() - 1, sched);
         }
         id
     }
@@ -511,9 +533,10 @@ impl<'a> ProtocolCore<'a> {
         epoch: u64,
         sched: &mut impl Scheduler,
     ) {
-        let Some(s) = self.sessions.get_mut(&id) else {
+        let Some(i) = self.session_index(id) else {
             return; // session already resolved; stale reply
         };
+        let s = &mut self.sessions[i];
         if s.phase != SessionPhase::Gather || s.contributed[from] {
             return;
         }
@@ -531,47 +554,47 @@ impl<'a> ProtocolCore<'a> {
         s.votes += votes;
         s.max_version = s.max_version.max(version);
         if s.votes >= s.spec.threshold(s.kind) {
-            self.quorum_reached(id, sched);
+            self.quorum_reached(i, sched);
         }
     }
 
     /// A phase-2 ack arrived at the coordinator.
     fn ack_received(&mut self, id: SessionId, from: usize, votes: u64, sched: &mut impl Scheduler) {
-        // Single guarded lookup: remove, accumulate, and re-insert if
-        // the session stays open. A stale ack for a resolved session is
-        // silently ignored rather than a panic path.
-        let Some(mut s) = self.sessions.remove(&id) else {
+        // A stale ack for a resolved session is silently ignored rather
+        // than a panic path.
+        let Some(i) = self.session_index(id) else {
             return;
         };
+        let s = &mut self.sessions[i];
         if s.phase != SessionPhase::Commit || s.contributed[from] {
-            self.sessions.insert(id, s);
             return;
         }
         s.contributed[from] = true;
         s.votes += votes;
         if s.votes >= s.spec.q_w() {
+            let s = self.sessions.remove(i);
             self.resolve_committed(s, sched);
-        } else {
-            self.sessions.insert(id, s);
         }
     }
 
-    /// Phase-1 votes reached the threshold: reads commit, writes enter
-    /// (or — under the unsafe ablation — skip) the commit phase.
-    ///
-    /// A single guarded lookup removes the session up front and
-    /// re-inserts it only if it stays open, so a call for an
-    /// already-resolved session is a no-op instead of a panic.
-    fn quorum_reached(&mut self, id: SessionId, sched: &mut impl Scheduler) {
-        let Some(mut s) = self.sessions.remove(&id) else {
-            return;
-        };
-        match s.kind {
-            Access::Read => self.resolve_committed(s, sched),
+    /// Phase-1 votes reached the threshold for the session at table
+    /// position `i`: reads commit, writes enter (or — under the unsafe
+    /// ablation — skip) the commit phase. Sessions that resolve leave the
+    /// table; a write entering its commit phase stays at position `i`
+    /// (sending never opens or closes a session).
+    fn quorum_reached(&mut self, i: usize, sched: &mut impl Scheduler) {
+        let kind = self.sessions[i].kind;
+        match kind {
+            Access::Read => {
+                let s = self.sessions.remove(i);
+                self.resolve_committed(s, sched);
+            }
             Access::Write if self.config.commit_on_grant => {
                 // UNSAFE ablation: client told "committed" before any
                 // replica durably holds the new version. The freshness
                 // checker exists to catch exactly this.
+                let mut s = self.sessions.remove(i);
+                let id = s.id;
                 s.new_version = s.max_version + 1;
                 let (origin, version) = (s.origin, s.new_version);
                 self.sites[origin].version = self.sites[origin].version.max(version);
@@ -590,9 +613,10 @@ impl<'a> ProtocolCore<'a> {
                 self.resolve_committed(s, sched);
             }
             Access::Write => {
+                let s = &mut self.sessions[i];
                 s.new_version = s.max_version + 1;
                 s.phase = SessionPhase::Commit;
-                let origin = s.origin;
+                let (id, origin) = (s.id, s.origin);
                 let own = self.votes.votes_of(origin);
                 s.votes = own;
                 s.contributed.fill(false);
@@ -614,9 +638,8 @@ impl<'a> ProtocolCore<'a> {
                     );
                 }
                 if own >= q_w {
+                    let s = self.sessions.remove(i);
                     self.resolve_committed(s, sched);
-                } else {
-                    self.sessions.insert(id, s);
                 }
             }
         }
@@ -634,15 +657,13 @@ impl<'a> ProtocolCore<'a> {
     /// threshold. Under [`ClusterConfig::mix_epoch_votes`] the pre-fix
     /// mixing behavior is restored as an ablation.
     pub fn session_timeout(&mut self, id: SessionId, origin_up: bool, sched: &mut impl Scheduler) {
-        let Some(s) = self.sessions.get_mut(&id) else {
+        let Some(i) = self.session_index(id) else {
             return; // cancelled timers never fire; defensive only
         };
+        let s = &mut self.sessions[i];
         let origin = s.origin;
         if s.round >= self.config.max_retries || !origin_up {
-            let s = self
-                .sessions
-                .remove(&id)
-                .expect("session looked up just above");
+            let s = self.sessions.remove(i);
             self.resolve_timed_out(s, sched);
             return;
         }
@@ -764,6 +785,7 @@ impl<'a> ProtocolCore<'a> {
 mod tests {
     use super::*;
     use quorum_des::SimParams;
+    use std::collections::BTreeMap;
 
     /// A minimal deterministic scheduler: sent messages pile up in a
     /// vector, timers in a map. Tests deliver and fire by hand.

@@ -24,15 +24,38 @@
 //!
 //! ## State canonicalization
 //!
-//! A state is hashed by a canonical byte encoding of its semantic
-//! content: site versions/epochs, open-session accumulators, the sorted
-//! in-flight multiset, and the script/mode counters. Timer token values
-//! and statistics counters are deliberately excluded — they never affect
+//! A state is identified by a canonical byte encoding of its semantic
+//! content: the script/mode counters, site versions/epochs, open-session
+//! accumulators, and the in-flight multiset. Timer token values and
+//! statistics counters are deliberately excluded — they never affect
 //! future behavior. With symmetry enabled the key is the minimum
 //! encoding over the universe's valid site permutations (those that
 //! preserve votes, fix every scripted origin, and map every mode's
 //! partition onto itself), quotienting away interchangeable-site
 //! symmetry.
+//!
+//! The key is written in place by a `KeyEncoder` whose buffers live
+//! for the whole search. Every field has a fixed width, the session
+//! count is written before the sessions, and each in-flight message
+//! becomes one fixed-width 35-byte record (from, to, session, a payload
+//! tag that also carries a request's access kind, and up to three
+//! payload words, zero-padded). The records are sorted as plain byte
+//! arrays, so a message held twice contributes two equal records and
+//! the multiset keeps its multiplicity. Fixed widths make the encoding
+//! injective, and the minimum over the group of an injective encoding
+//! identifies exactly the symmetry orbit. Byte fields (mode, counters,
+//! site indices, retry round) fit because [`Universe::validate`]
+//! bounds every one of them by 255.
+//!
+//! ## Visited set
+//!
+//! Keys are interned in a `VisitedSet`: one byte arena holding every
+//! key back to back, a `usize` offset per key, and an open-addressing
+//! index of `u32` key ids under a fixed hash. A probe compares the
+//! stored hash and then the stored bytes, so a key is new exactly when
+//! no byte-equal key is stored — a hash match alone never drops a state
+//! and the certificate stays exhaustive. Each new key gets the next
+//! dense id.
 //!
 //! ## Reduction
 //!
@@ -68,15 +91,18 @@ use quorum_cluster::{
 use quorum_core::Access;
 use quorum_des::SimTime;
 use quorum_obs::Registry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// The enumerable transport: sent messages pile up in an in-flight bag,
-/// timers in a token map. The explorer picks which message to deliver or
-/// drop and which timer to fire; nothing ever happens spontaneously.
+/// timers in a token-sorted list. The explorer picks which message to
+/// deliver or drop and which timer to fire; nothing ever happens
+/// spontaneously.
 #[derive(Debug, Clone, Default)]
 pub struct BagScheduler {
     in_flight: Vec<Message>,
-    timers: BTreeMap<u64, SessionId>,
+    // Sorted by token. Tokens are minted in ascending order, so arming a
+    // timer is a push and cancelling one is a binary search.
+    timers: Vec<(u64, SessionId)>,
     next_token: u64,
 }
 
@@ -87,8 +113,14 @@ impl BagScheduler {
     }
 
     /// Sessions with a pending timer, ordered by token age.
-    pub fn pending_timers(&self) -> Vec<(u64, SessionId)> {
-        self.timers.iter().map(|(&t, &s)| (t, s)).collect()
+    pub fn pending_timers(&self) -> &[(u64, SessionId)] {
+        &self.timers
+    }
+
+    /// Removes the pending timer `token`, returning its session.
+    fn take_timer(&mut self, token: u64) -> Option<SessionId> {
+        let i = self.timers.binary_search_by_key(&token, |&(t, _)| t).ok()?;
+        Some(self.timers.remove(i).1)
     }
 }
 
@@ -105,12 +137,12 @@ impl Scheduler for BagScheduler {
     fn arm_timer(&mut self, id: SessionId, _timeout: f64) -> TimerToken {
         let raw = self.next_token;
         self.next_token += 1;
-        self.timers.insert(raw, id);
+        self.timers.push((raw, id));
         TimerToken::new(raw)
     }
 
     fn cancel_timer(&mut self, token: TimerToken) -> bool {
-        self.timers.remove(&token.raw()).is_some()
+        self.take_timer(token.raw()).is_some()
     }
 }
 
@@ -275,7 +307,35 @@ struct Ctx<'a> {
     perms: Vec<Vec<usize>>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    fn new(universe: &'a Universe, opts: &ExploreOptions) -> Self {
+        let n = universe.num_sites();
+        let site_group = universe
+            .modes
+            .iter()
+            .map(|groups| {
+                let mut g = vec![0usize; n];
+                for (gi, group) in groups.iter().enumerate() {
+                    for &s in group {
+                        g[s] = gi;
+                    }
+                }
+                g
+            })
+            .collect();
+        let perms = if opts.symmetry {
+            valid_perms(universe)
+        } else {
+            vec![(0..n).collect()]
+        };
+        Self {
+            universe,
+            mix: opts.mix_epoch_votes,
+            site_group,
+            perms,
+        }
+    }
+
     fn connected(&self, mode: usize, a: usize, b: usize) -> bool {
         self.site_group[mode][a] == self.site_group[mode][b]
     }
@@ -340,135 +400,247 @@ fn permute(p: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
     }
 }
 
-fn push_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
+/// Width of one in-flight message record in a state key: from, to,
+/// session id, a payload tag (a `VoteRequest`'s tag also carries its
+/// access kind), and up to three payload words, zero-padded.
+const MSG_RECORD: usize = 35;
 
-fn encode_payload(out: &mut Vec<u8>, payload: &Payload) {
-    match *payload {
+/// The fixed-width record of `m` under the site renaming `perm`.
+fn message_record(m: &Message, perm: &[usize]) -> [u8; MSG_RECORD] {
+    let (tag, words) = match m.payload {
         Payload::VoteRequest {
             kind,
             epoch,
             epoch_spec,
-        } => {
-            out.push(0);
-            out.push(kind as u8);
-            push_u64(out, epoch);
-            push_u64(out, epoch_spec.q_r());
-            push_u64(out, epoch_spec.q_w());
-        }
+        } => (
+            access_byte(kind),
+            [epoch, epoch_spec.q_r(), epoch_spec.q_w()],
+        ),
         Payload::ReadValue {
             votes,
             version,
             epoch,
-        } => {
-            out.push(1);
-            push_u64(out, votes);
-            push_u64(out, version);
-            push_u64(out, epoch);
-        }
+        } => (2, [votes, version, epoch]),
         Payload::VoteGrant {
             votes,
             version,
             epoch,
-        } => {
-            out.push(2);
-            push_u64(out, votes);
-            push_u64(out, version);
-            push_u64(out, epoch);
+        } => (3, [votes, version, epoch]),
+        Payload::VoteDeny { epoch, epoch_spec } => (4, [epoch, epoch_spec.q_r(), epoch_spec.q_w()]),
+        Payload::WriteCommit { version } => (5, [version, 0, 0]),
+        Payload::CommitAck { votes } => (6, [votes, 0, 0]),
+        Payload::Install { epoch, epoch_spec } => (7, [epoch, epoch_spec.q_r(), epoch_spec.q_w()]),
+    };
+    let mut rec = [0u8; MSG_RECORD];
+    rec[0] = perm[m.from] as u8;
+    rec[1] = perm[m.to] as u8;
+    rec[2..10].copy_from_slice(&m.session.to_le_bytes());
+    rec[10] = tag;
+    for (field, w) in rec[11..].chunks_exact_mut(8).zip(words) {
+        field.copy_from_slice(&w.to_le_bytes());
+    }
+    rec
+}
+
+fn access_byte(kind: Access) -> u8 {
+    match kind {
+        Access::Read => 0,
+        Access::Write => 1,
+    }
+}
+
+/// Writes canonical state keys into buffers reused across calls.
+#[derive(Default)]
+struct KeyEncoder {
+    /// Inverse of the current permutation: renamed index → original.
+    inv: Vec<usize>,
+    /// The in-flight records of the encoding being written.
+    records: Vec<[u8; MSG_RECORD]>,
+    /// The encoding being written.
+    scratch: Vec<u8>,
+    /// The least encoding so far: the key once the group is exhausted.
+    best: Vec<u8>,
+}
+
+impl KeyEncoder {
+    /// The canonical key of `st`: its minimum encoding over the
+    /// symmetry group. Valid until the next call.
+    fn canonical_key(&mut self, ctx: &Ctx<'_>, st: &McState<'_>) -> &[u8] {
+        let (first, rest) = ctx
+            .perms
+            .split_first()
+            .expect("the identity permutation is always present");
+        let mut best = std::mem::take(&mut self.best);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.encode(st, first, &mut best);
+        for perm in rest {
+            self.encode(st, perm, &mut scratch);
+            if scratch < best {
+                std::mem::swap(&mut scratch, &mut best);
+            }
         }
-        Payload::VoteDeny { epoch, epoch_spec } => {
-            out.push(3);
-            push_u64(out, epoch);
-            push_u64(out, epoch_spec.q_r());
-            push_u64(out, epoch_spec.q_w());
+        self.scratch = scratch;
+        self.best = best;
+        &self.best
+    }
+
+    /// Writes the state's semantic content under the site renaming
+    /// `perm` into `out`. Timer token values, statistics, and clock are
+    /// excluded: they never affect future protocol behavior.
+    fn encode(&mut self, st: &McState<'_>, perm: &[usize], out: &mut Vec<u8>) {
+        out.clear();
+        self.inv.clear();
+        self.inv.resize(perm.len(), 0);
+        for (i, &p) in perm.iter().enumerate() {
+            self.inv[p] = i;
         }
-        Payload::WriteCommit { version } => {
-            out.push(4);
-            push_u64(out, version);
+        out.extend_from_slice(&[
+            st.mode as u8,
+            st.net_changes as u8,
+            st.next_access as u8,
+            st.next_install as u8,
+        ]);
+        for &orig in &self.inv {
+            let v = st.core.site_view(orig);
+            out.extend_from_slice(&v.version.to_le_bytes());
+            out.extend_from_slice(&v.epoch.to_le_bytes());
         }
-        Payload::CommitAck { votes } => {
-            out.push(5);
-            push_u64(out, votes);
+        // Sessions are fixed-width records after their count; every
+        // scripted access opens at most one, so the count fits a byte.
+        out.push(st.core.open_sessions() as u8);
+        for (id, v) in st.core.sessions() {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&[
+                perm[v.origin] as u8,
+                access_byte(v.kind),
+                match v.phase {
+                    SessionPhase::Gather => 0,
+                    SessionPhase::Commit => 1,
+                },
+                v.round as u8,
+            ]);
+            out.extend_from_slice(&v.votes.to_le_bytes());
+            out.extend(self.inv.iter().map(|&orig| u8::from(v.contributed[orig])));
+            out.extend_from_slice(&v.epoch.to_le_bytes());
+            out.extend_from_slice(&v.max_version.to_le_bytes());
+            out.extend_from_slice(&v.new_version.to_le_bytes());
+            out.push(u8::from(st.sched.timers.iter().any(|&(_, s)| s == id)));
         }
-        Payload::Install { epoch, epoch_spec } => {
-            out.push(6);
-            push_u64(out, epoch);
-            push_u64(out, epoch_spec.q_r());
-            push_u64(out, epoch_spec.q_w());
+        // The in-flight multiset: what remains after the sessions is a
+        // whole number of records.
+        self.records.clear();
+        self.records
+            .extend(st.sched.in_flight.iter().map(|m| message_record(m, perm)));
+        self.records.sort_unstable();
+        for rec in &self.records {
+            out.extend_from_slice(rec);
         }
     }
 }
 
-/// Encodes the state's semantic content under a site renaming. Timer
-/// token values, statistics, and clock are excluded: they never affect
-/// future protocol behavior.
-fn encode(ctx: &Ctx<'_>, st: &McState<'_>, perm: &[usize]) -> Vec<u8> {
-    let n = ctx.universe.num_sites();
-    let mut inv = vec![0usize; n];
-    for (i, &p) in perm.iter().enumerate() {
-        inv[p] = i;
+/// A fixed 64-bit hash of a key: eight bytes at a time, multiply and
+/// fold. Deterministic across processes and platforms, unlike `std`'s
+/// randomly keyed hasher.
+fn key_hash(key: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = (key.len() as u64).wrapping_mul(K);
+    let mut chunks = key.chunks_exact(8);
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(K);
+        h ^= h >> 32;
     }
-    let mut out = Vec::with_capacity(96);
-    out.push(st.mode as u8);
-    out.push(st.net_changes as u8);
-    out.push(st.next_access as u8);
-    out.push(st.next_install as u8);
-    for &orig in &inv {
-        let v = st.core.site_view(orig);
-        push_u64(&mut out, v.version);
-        push_u64(&mut out, v.epoch);
-    }
-    for id in st.core.session_ids() {
-        let v = st.core.session_view(id).expect("listed session is open");
-        push_u64(&mut out, id);
-        out.push(perm[v.origin] as u8);
-        out.push(match v.kind {
-            Access::Read => 0,
-            Access::Write => 1,
-        });
-        out.push(match v.phase {
-            SessionPhase::Gather => 0,
-            SessionPhase::Commit => 1,
-        });
-        out.push(v.round as u8);
-        push_u64(&mut out, v.votes);
-        for &orig in &inv {
-            out.push(u8::from(v.contributed[orig]));
-        }
-        push_u64(&mut out, v.epoch);
-        push_u64(&mut out, v.max_version);
-        push_u64(&mut out, v.new_version);
-        out.push(u8::from(st.sched.timers.values().any(|&s| s == id)));
-    }
-    out.push(0xFF);
-    let mut msgs: Vec<Vec<u8>> = st
-        .sched
-        .in_flight
-        .iter()
-        .map(|m| {
-            let mut b = Vec::with_capacity(32);
-            b.push(perm[m.from] as u8);
-            b.push(perm[m.to] as u8);
-            push_u64(&mut b, m.session);
-            encode_payload(&mut b, &m.payload);
-            b
-        })
-        .collect();
-    msgs.sort();
-    for m in msgs {
-        out.extend_from_slice(&m);
-    }
-    out
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+    h ^ (h >> 29)
 }
 
-/// The canonical key: minimum encoding over the symmetry group.
-fn canonical_key(ctx: &Ctx<'_>, st: &McState<'_>) -> Vec<u8> {
-    ctx.perms
-        .iter()
-        .map(|p| encode(ctx, st, p))
-        .min()
-        .expect("the identity permutation is always present")
+/// Slot value of an empty index entry.
+const EMPTY: u32 = u32::MAX;
+
+/// The set of visited canonical keys: an append-only byte arena plus an
+/// exact open-addressing index (module docs, "Visited set").
+struct VisitedSet {
+    /// Every key, back to back, in insertion order.
+    arena: Vec<u8>,
+    /// Key `id` occupies `arena[offsets[id]..offsets[id + 1]]`.
+    offsets: Vec<usize>,
+    /// `key_hash` of key `id`: rejects most non-matching probes without
+    /// touching the arena, and lets the index grow without rehashing.
+    hashes: Vec<u64>,
+    /// Linear-probing table of key ids ([`EMPTY`] when free); its length
+    /// is a power of two and at most half of it is occupied.
+    slots: Vec<u32>,
+}
+
+impl VisitedSet {
+    /// An empty set whose index starts with `slots` entries (rounded up
+    /// to a power of two, at least 2).
+    fn with_slots(slots: usize) -> Self {
+        Self {
+            arena: Vec::new(),
+            offsets: vec![0],
+            hashes: Vec::new(),
+            slots: vec![EMPTY; slots.next_power_of_two().max(2)],
+        }
+    }
+
+    /// Number of keys stored.
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Stored key `id`.
+    fn key(&self, id: usize) -> &[u8] {
+        &self.arena[self.offsets[id]..self.offsets[id + 1]]
+    }
+
+    /// Stores `key` unless a byte-equal key is already stored. Returns
+    /// the new key's dense id (0, 1, 2, … in insertion order), or `None`
+    /// if the key was already present.
+    fn insert(&mut self, key: &[u8]) -> Option<u32> {
+        let hash = key_hash(key);
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let id = self.slots[i];
+            if id == EMPTY {
+                break;
+            }
+            if self.hashes[id as usize] == hash && self.key(id as usize) == key {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("visited set holds fewer than 2^32 - 1 keys");
+        self.slots[i] = id;
+        self.arena.extend_from_slice(key);
+        self.offsets.push(self.arena.len());
+        self.hashes.push(hash);
+        if 2 * self.len() > self.slots.len() {
+            self.grow();
+        }
+        Some(id)
+    }
+
+    /// Doubles the index and re-places every id by its stored hash.
+    fn grow(&mut self) {
+        let slots = 2 * self.slots.len();
+        let mask = slots - 1;
+        self.slots = vec![EMPTY; slots];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut i = hash as usize & mask;
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id as u32;
+        }
+    }
 }
 
 /// Is delivering `msg` a no-op now *and in every future*? Such a message
@@ -511,11 +683,19 @@ fn permanently_dead(core: &ProtocolCore<'_>, mix: bool, msg: &Message) -> bool {
     }
 }
 
-/// All enabled transitions, in deterministic order. With reduction on,
-/// a state holding a permanently dead (or forever-undeliverable)
-/// message collapses to the single choice of dropping it, and explicit
-/// drops of live messages are pruned entirely (see module docs).
-fn choices(ctx: &Ctx<'_>, st: &McState<'_>, reduction: bool, report: &mut McReport) -> Vec<Choice> {
+/// Writes all enabled transitions into `cs`, in deterministic order.
+/// With reduction on, a state holding a permanently dead (or
+/// forever-undeliverable) message collapses to the single choice of
+/// dropping it, and explicit drops of live messages are pruned entirely
+/// (see module docs).
+fn choices(
+    ctx: &Ctx<'_>,
+    st: &McState<'_>,
+    reduction: bool,
+    report: &mut McReport,
+    cs: &mut Vec<Choice>,
+) {
+    cs.clear();
     if reduction {
         if let Some(i) = st.sched.in_flight.iter().position(|m| {
             permanently_dead(&st.core, ctx.mix, m)
@@ -523,10 +703,10 @@ fn choices(ctx: &Ctx<'_>, st: &McState<'_>, reduction: bool, report: &mut McRepo
                     && st.net_changes >= ctx.universe.max_net_changes)
         }) {
             report.noop_skips += 1;
-            return vec![Choice::Drop(i)];
+            cs.push(Choice::Drop(i));
+            return;
         }
     }
-    let mut cs = Vec::new();
     for (i, m) in st.sched.in_flight.iter().enumerate() {
         if ctx.connected(st.mode, m.from, m.to) {
             cs.push(Choice::Deliver(i));
@@ -537,7 +717,7 @@ fn choices(ctx: &Ctx<'_>, st: &McState<'_>, reduction: bool, report: &mut McRepo
             cs.push(Choice::Drop(i));
         }
     }
-    for &tok in st.sched.timers.keys() {
+    for &(tok, _) in &st.sched.timers {
         cs.push(Choice::Timer(tok));
     }
     if st.net_changes < ctx.universe.max_net_changes {
@@ -553,7 +733,6 @@ fn choices(ctx: &Ctx<'_>, st: &McState<'_>, reduction: bool, report: &mut McRepo
     if st.next_install < ctx.universe.installs.len() {
         cs.push(Choice::Install);
     }
-    cs
 }
 
 /// Does the state have any enabled transition at all? (Used to decide
@@ -614,8 +793,7 @@ fn step<'a>(
         Choice::Timer(tok) => {
             let id = s
                 .sched
-                .timers
-                .remove(&tok)
+                .take_timer(tok)
                 .expect("enumerated timers are pending");
             let pre = s.core.session_view(id).map(|v| (v.epoch, v.origin));
             {
@@ -690,31 +868,7 @@ fn multi_write_component(ctx: &Ctx<'_>, st: &McState<'_>) -> bool {
 pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
     universe.validate();
     let cfg = universe.config(opts.mix_epoch_votes);
-    let n = universe.num_sites();
-    let site_group = universe
-        .modes
-        .iter()
-        .map(|groups| {
-            let mut g = vec![0usize; n];
-            for (gi, group) in groups.iter().enumerate() {
-                for &s in group {
-                    g[s] = gi;
-                }
-            }
-            g
-        })
-        .collect();
-    let perms = if opts.symmetry {
-        valid_perms(universe)
-    } else {
-        vec![(0..n).collect()]
-    };
-    let ctx = Ctx {
-        universe,
-        mix: opts.mix_epoch_votes,
-        site_group,
-        perms,
-    };
+    let ctx = Ctx::new(universe, opts);
     let max_depth = opts.max_depth.unwrap_or(universe.max_depth);
     let max_states = opts.max_states.unwrap_or(universe.max_states);
 
@@ -734,11 +888,14 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
     if multi_write_component(&ctx, &root) {
         report.record(ViolationKind::MultiWriteComponent, 0);
     }
-    let mut visited: BTreeSet<Vec<u8>> = BTreeSet::new();
-    visited.insert(canonical_key(&ctx, &root));
+    let mut encoder = KeyEncoder::default();
+    let mut visited = VisitedSet::with_slots(1 << 12);
+    visited.insert(encoder.canonical_key(&ctx, &root));
     report.states_explored = 1;
     let mut frontier: VecDeque<(McState<'_>, u32)> = VecDeque::new();
     frontier.push_back((root, 0));
+    let mut cs = Vec::new();
+    let mut viols = Vec::new();
 
     'bfs: while let Some((st, depth)) = frontier.pop_front() {
         report.max_depth_seen = report.max_depth_seen.max(depth);
@@ -748,14 +905,14 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
             }
             continue;
         }
-        for choice in choices(&ctx, &st, opts.reduction, &mut report) {
+        choices(&ctx, &st, opts.reduction, &mut report, &mut cs);
+        for &choice in &cs {
             report.transitions += 1;
-            let mut viols = Vec::new();
             let next = step(&ctx, &st, choice, &mut viols);
-            for kind in viols {
+            for kind in viols.drain(..) {
                 report.record(kind, depth + 1);
             }
-            if visited.insert(canonical_key(&ctx, &next)) {
+            if visited.insert(encoder.canonical_key(&ctx, &next)).is_some() {
                 if multi_write_component(&ctx, &next) {
                     report.record(ViolationKind::MultiWriteComponent, depth + 1);
                 }
@@ -844,6 +1001,167 @@ mod tests {
         );
         assert!(report.truncated > 0);
         assert!(!report.exhaustive());
+    }
+
+    /// Keys `0..count`, each eight bytes, whose hash lands on the index
+    /// slot `slot` of a `slots`-entry table.
+    fn colliding_keys(count: usize, slots: usize, slot: usize) -> Vec<Vec<u8>> {
+        (0u64..)
+            .map(|i| i.to_le_bytes().to_vec())
+            .filter(|k| key_hash(k) as usize & (slots - 1) == slot)
+            .take(count)
+            .collect()
+    }
+
+    #[test]
+    fn visited_set_finds_duplicates_after_growing() {
+        let mut set = VisitedSet::with_slots(2);
+        let keys: Vec<Vec<u8>> = (0u32..1000).map(|i| i.to_be_bytes().to_vec()).collect();
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(set.insert(k), Some(i as u32), "ids are dense");
+        }
+        assert!(set.slots.len() >= 2 * keys.len(), "the index grew");
+        for k in &keys {
+            assert_eq!(set.insert(k), None, "{k:?} is already stored");
+        }
+        assert_eq!(set.len(), keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(set.key(i), k.as_slice());
+        }
+    }
+
+    #[test]
+    fn visited_set_keeps_prefix_sharing_keys_apart() {
+        let mut set = VisitedSet::with_slots(2);
+        let keys: [&[u8]; 5] = [b"", b"\0", b"\0\0", b"ab", b"abc"];
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(set.insert(k), Some(i as u32), "{k:?} is new");
+        }
+        for k in keys {
+            assert_eq!(set.insert(k), None);
+        }
+        // Back to back in the arena, the keys still read back whole.
+        assert_eq!(set.arena, b"\0\0\0ababc");
+        assert_eq!(set.key(4), b"abc");
+    }
+
+    #[test]
+    fn visited_set_resolves_long_probe_chains() {
+        // 24 keys on one home slot of a 64-slot index fill 24 slots in
+        // a row before the index grows; a 25th key on the same slot
+        // must probe past all of them.
+        let keys = colliding_keys(25, 64, 7);
+        let mut set = VisitedSet::with_slots(64);
+        for (i, k) in keys[..24].iter().enumerate() {
+            assert_eq!(set.insert(k), Some(i as u32));
+        }
+        assert_eq!(set.slots.len(), 64, "no growth yet");
+        assert!(set.slots[7..31].iter().all(|&id| id != EMPTY));
+        for k in &keys[..24] {
+            assert_eq!(set.insert(k), None, "found at the end of its chain");
+        }
+        assert_eq!(set.insert(&keys[24]), Some(24));
+        // Growing past half load re-places the chain; nothing is lost.
+        for i in 0u32..40 {
+            set.insert(&(1_000_000 + i).to_le_bytes());
+        }
+        assert!(set.slots.len() > 64);
+        for k in &keys {
+            assert_eq!(set.insert(k), None);
+        }
+    }
+
+    /// The root state of the standard universe with the write from site
+    /// 0 dispatched: one open session, one pending timer, two requests
+    /// in flight.
+    fn state_with_a_session<'a>(
+        cfg: &'a quorum_cluster::ClusterConfig,
+        u: &'a Universe,
+    ) -> McState<'a> {
+        let mut st = McState {
+            core: ProtocolCore::new(cfg, &u.votes, u.initial_spec),
+            sched: BagScheduler::default(),
+            mode: 0,
+            net_changes: 0,
+            next_access: 1,
+            next_install: 0,
+        };
+        let McState { core, sched, .. } = &mut st;
+        core.open_session(0, Access::Write, Some(0), sched);
+        st
+    }
+
+    #[test]
+    fn timer_tokens_and_stats_do_not_enter_the_key() {
+        let u = Universe::standard();
+        let cfg = u.config(false);
+        let ctx = Ctx::new(&u, &ExploreOptions::default());
+        let mut enc = KeyEncoder::default();
+        let a = state_with_a_session(&cfg, &u);
+        let key_a = enc.canonical_key(&ctx, &a).to_vec();
+
+        let mut b = McState {
+            core: ProtocolCore::new(&cfg, &u.votes, u.initial_spec),
+            sched: BagScheduler::default(),
+            ..a.clone()
+        };
+        // Burn timer tokens so b's session timer gets a different one.
+        for _ in 0..5 {
+            let t = b.sched.arm_timer(99, 1.0);
+            b.sched.cancel_timer(t);
+        }
+        let McState { core, sched, .. } = &mut b;
+        core.open_session(0, Access::Write, Some(0), sched);
+        core.stats_mut().messages_delivered += 7;
+        core.stats_mut().writes_submitted += 1;
+        assert_ne!(a.sched.pending_timers(), b.sched.pending_timers());
+        assert_eq!(enc.canonical_key(&ctx, &b), key_a.as_slice());
+    }
+
+    #[test]
+    fn in_flight_bag_keeps_multiplicity_not_order() {
+        let u = Universe::standard();
+        let cfg = u.config(false);
+        let ctx = Ctx::new(&u, &ExploreOptions::default());
+        let mut enc = KeyEncoder::default();
+        let once = state_with_a_session(&cfg, &u);
+        assert_eq!(once.sched.in_flight().len(), 2);
+        let key_once = enc.canonical_key(&ctx, &once).to_vec();
+
+        let mut reordered = once.clone();
+        reordered.sched.in_flight.reverse();
+        assert_eq!(enc.canonical_key(&ctx, &reordered), key_once.as_slice());
+
+        let mut twice = once.clone();
+        twice.sched.in_flight.push(once.sched.in_flight()[0]);
+        let key_twice = enc.canonical_key(&ctx, &twice).to_vec();
+        assert_ne!(key_twice, key_once);
+        assert_eq!(key_twice.len(), key_once.len() + MSG_RECORD);
+    }
+
+    #[test]
+    fn symmetric_key_is_the_least_encoding() {
+        // Sites 1 and 2 of the symmetric universe are interchangeable: a
+        // request to site 1 and one to site 2 are the same state up to
+        // renaming, and both keys are the smaller of the two encodings.
+        let u = Universe::symmetric();
+        let cfg = u.config(false);
+        let ctx = Ctx::new(&u, &ExploreOptions::default());
+        let mut enc = KeyEncoder::default();
+        let mut st = state_with_a_session(&cfg, &u);
+        let (to1, to2) = (st.sched.in_flight[0], st.sched.in_flight[1]);
+        assert_eq!((to1.to, to2.to), (1, 2));
+        st.sched.in_flight = vec![to1];
+        let key1 = enc.canonical_key(&ctx, &st).to_vec();
+        st.sched.in_flight = vec![to2];
+        let key2 = enc.canonical_key(&ctx, &st).to_vec();
+        assert_eq!(key1, key2);
+        let mut identity = Vec::new();
+        enc.encode(&st, &ctx.perms[0], &mut identity);
+        let mut swapped = Vec::new();
+        enc.encode(&st, &ctx.perms[1], &mut swapped);
+        assert_ne!(identity, swapped);
+        assert_eq!(key2, identity.min(swapped));
     }
 
     #[test]

@@ -118,8 +118,34 @@ impl Universe {
         cfg
     }
 
-    /// Checks the universe's internal consistency: scripted origins in
-    /// range, every mode a partition of the site set, and the spec/
+    /// Checks that every value the explorer's canonical state key stores
+    /// in one byte fits in it: site indices, the access and install
+    /// script positions, the mode index, the mode-switch count and the
+    /// retry round. Past 255 two distinct states would share a key and
+    /// the search would skip one of them. The error names the field.
+    pub fn check_key_widths(&self) -> Result<(), String> {
+        let fields = [
+            ("sites", self.num_sites() as u64),
+            ("accesses", self.accesses.len() as u64),
+            ("installs", self.installs.len() as u64),
+            ("modes", self.modes.len() as u64),
+            ("max_net_changes", u64::from(self.max_net_changes)),
+            ("max_retries", u64::from(self.max_retries)),
+        ];
+        for (field, value) in fields {
+            if value > 255 {
+                return Err(format!(
+                    "universe {:?}: {field} = {value} exceeds 255, the largest value a model-checker state key holds in one byte",
+                    self.name
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the universe's internal consistency: every byte-wide key
+    /// field in range ([`Universe::check_key_widths`]), scripted origins
+    /// in range, every mode a partition of the site set, and the spec/
     /// install script jointly safe (via [`ClusterConfig::validate`]).
     ///
     /// # Panics
@@ -127,6 +153,9 @@ impl Universe {
     pub fn validate(&self) {
         let n = self.num_sites();
         assert!(n > 0, "universe needs at least one site");
+        if let Err(msg) = self.check_key_widths() {
+            panic!("{msg}");
+        }
         assert!(!self.modes.is_empty(), "universe needs an initial mode");
         for &(origin, _) in &self.accesses {
             assert!(origin < n, "access origin out of range");
@@ -180,6 +209,48 @@ mod tests {
     fn incomplete_mode_is_rejected() {
         let mut u = Universe::standard();
         u.modes.push(vec![vec![0, 1]]);
+        u.validate();
+    }
+
+    #[test]
+    fn key_widths_name_the_field_past_255() {
+        let u = Universe::standard();
+        assert_eq!(u.check_key_widths(), Ok(()));
+        let mut edge = u.clone();
+        edge.max_net_changes = 255;
+        edge.max_retries = 255;
+        assert_eq!(edge.check_key_widths(), Ok(()));
+
+        let mut nc = u.clone();
+        nc.max_net_changes = 256;
+        let mut retries = u.clone();
+        retries.max_retries = 300;
+        let mut accesses = u.clone();
+        accesses.accesses = vec![(0, Access::Read); 256];
+        let mut installs = u.clone();
+        installs.installs = vec![(2, QuorumSpec::new(2, 2, 3).unwrap()); 256];
+        let mut modes = u.clone();
+        modes.modes = vec![vec![vec![0, 1, 2]]; 256];
+        let mut sites = u;
+        sites.votes = VoteAssignment::uniform(256);
+        for (bad, field) in [
+            (nc, "max_net_changes = 256"),
+            (retries, "max_retries = 300"),
+            (accesses, "accesses = 256"),
+            (installs, "installs = 256"),
+            (modes, "modes = 256"),
+            (sites, "sites = 256"),
+        ] {
+            let err = bad.check_key_widths().unwrap_err();
+            assert!(err.contains(field), "{err:?} should name {field:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_net_changes = 256 exceeds 255")]
+    fn wide_net_change_budget_is_rejected() {
+        let mut u = Universe::standard();
+        u.max_net_changes = 256;
         u.validate();
     }
 
