@@ -25,7 +25,9 @@
 //!            --latency 0.02 --loss 0.02 --timeout 0.25 --retries 3
 //!            --seed 11 --quick --sweep --ideal --manifest run.json]
 
-use quorum_bench::{default_threads, manifest, pct, print_table, run_jobs, Args, Scale};
+use quorum_bench::{
+    default_threads, manifest, or_usage_exit, pct, print_table, run_jobs, Args, Scale,
+};
 use quorum_cluster::{
     run_cluster, run_cluster_observed, ClusterConfig, LatencyDist, NetConfig, RunOptions,
 };
@@ -68,19 +70,33 @@ fn site_setup(kind: &str, sites: usize, alpha: f64) -> (Topology, VoteAssignment
     }
 }
 
+/// The run's configuration. Each flag's value goes through the check
+/// `ClusterConfig::validate` would assert, so a bad value is a usage
+/// error naming the flag rather than a panic inside the engine.
 fn config_for(args: &Args, scale: Scale) -> ClusterConfig {
     let mut cfg = if args.flag("ideal") {
         ClusterConfig::ideal(scale.params())
     } else {
         ClusterConfig::new(scale.params())
     };
-    if let Some(mean) = args.get::<f64>("latency") {
+    if let Some(mean) =
+        args.get_checked("latency", |&mean| LatencyDist::Exponential { mean }.check())
+    {
         cfg.net.latency = LatencyDist::Exponential { mean };
     }
-    if let Some(loss) = args.get::<f64>("loss") {
+    if let Some(loss) = args.get_checked("loss", |&loss| NetConfig { loss, ..cfg.net }.check()) {
         cfg.net.loss = loss;
     }
-    cfg.session_timeout = args.get_or("timeout", cfg.session_timeout);
+    let timeout_check = |&session_timeout: &f64| {
+        ClusterConfig {
+            session_timeout,
+            ..cfg.clone()
+        }
+        .check()
+    };
+    if let Some(timeout) = args.get_checked("timeout", timeout_check) {
+        cfg.session_timeout = timeout;
+    }
     cfg.max_retries = args.get_or("retries", cfg.max_retries);
     cfg
 }
@@ -92,7 +108,10 @@ fn single_run(args: &Args, scale: Scale, seed: u64) {
     let (topo, votes, workload) = site_setup(kind, sites, alpha);
     let total = votes.total();
     let qr: u64 = args.get_or("qr", total / 2);
-    let spec = QuorumSpec::from_read_quorum(qr, total).expect("legal --qr for this vote total");
+    let spec = or_usage_exit(QuorumSpec::from_read_quorum(qr, total).map_err(|_| {
+        let domain = QuorumSpec::read_quorum_domain(total);
+        format!("--qr {qr}: expected a read quorum in {domain:?} for {total} votes")
+    }));
     let cfg = config_for(args, scale);
     let threads = args.get_or("threads", default_threads());
 

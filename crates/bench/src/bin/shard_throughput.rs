@@ -33,7 +33,7 @@
 //!            --per-object --alpha-buckets 4 --alpha-spread 0.2
 //!            --manifest results/BENCH_PR.json]
 
-use quorum_bench::{manifest, print_table, Args};
+use quorum_bench::{manifest, or_usage_exit, print_table, Args};
 use quorum_core::analytic::{fully_connected_density, ring_density};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
@@ -44,15 +44,29 @@ use std::time::Instant;
 fn main() {
     let args = Args::parse();
     let seed: u64 = args.get_or("seed", 11);
-    let objects: u64 = args.get_or("objects", 50_000);
-    let shards: u64 = args.get_or("shards", 64);
-    let threads: usize = args.get_or("threads", quorum_bench::default_threads());
-    let horizon: f64 = args.get_or("horizon", 2.0);
-    let per_object = args.flag("per-object");
     let (label, topology) = match args.get::<usize>("chords") {
         Some(k) => (format!("ring-101-c{k}"), Topology::ring_with_chords(101, k)),
         None => ("full-101".to_string(), Topology::fully_connected(101)),
     };
+    // Sizes go through the library's own checks, so a bad value is a
+    // usage error naming its flag rather than a panic mid-run.
+    let objects: u64 = args
+        .get_checked("objects", |&o| {
+            ObjectCatalog::check_size(topology.num_sites(), o)
+        })
+        .unwrap_or(50_000);
+    // The default shard count is checked too: it can exceed a small
+    // `--objects`.
+    let shards: u64 = args.get_or("shards", 64);
+    or_usage_exit(
+        ShardEngine::check_shards(shards, objects)
+            .map_err(|rule| format!("--shards {shards}: {rule}")),
+    );
+    let threads: usize = args.get_or("threads", quorum_bench::default_threads());
+    let horizon: f64 = args
+        .get_checked("horizon", |&h| FailureTimeline::check_horizon(h))
+        .unwrap_or(2.0);
+    let per_object = args.flag("per-object");
     let params = SimParams::paper();
 
     println!(

@@ -3,16 +3,17 @@
 //! Each binary in `src/bin/` regenerates one artifact of the paper's
 //! evaluation (see DESIGN.md §4 for the index and EXPERIMENTS.md for the
 //! recorded outcomes). This library provides the tiny argument parser,
-//! table formatting, the scale presets, and a crossbeam-based parallel
+//! table formatting, the scale presets, and a scoped-thread parallel
 //! driver for sweeping many simulation configurations with dynamic load
 //! balancing (paper topologies differ by 50× in link count, so static
 //! partitioning wastes workers).
 
 #![warn(missing_docs)]
 
-use parking_lot::Mutex;
 use quorum_des::SimParams;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub mod manifest;
 pub mod validate;
@@ -25,8 +26,8 @@ pub mod validate;
 /// and that loop must be ordered from day one.
 ///
 /// Bad input is a usage error, not a panic: [`Args::from_args`],
-/// [`Args::get`] and [`Args::one_of`] print `error: …` and exit with
-/// status 2 (see [`or_usage_exit`]).
+/// [`Args::get`], [`Args::get_checked`] and [`Args::one_of`] print
+/// `error: …` and exit with status 2 (see [`or_usage_exit`]).
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     flags: Vec<String>,
@@ -86,6 +87,37 @@ impl Args {
             .get(name)
             .map(|v| v.parse().map_err(|e| format!("--{name} {v:?}: {e}")))
             .transpose()
+    }
+
+    /// Value of `--name <value>`, parsed and passed through `check` (a
+    /// library's own parameter check, so the flag is held to exactly the
+    /// rule the library would assert); exits with status 2, naming the
+    /// flag, if either step fails.
+    pub fn get_checked<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        check: impl FnOnce(&T) -> Result<(), String>,
+    ) -> Option<T>
+    where
+        T::Err: std::fmt::Display,
+    {
+        or_usage_exit(self.try_get_checked(name, check))
+    }
+
+    /// Value of `--name <value>`, parsed and checked, or the usage error.
+    fn try_get_checked<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        check: impl FnOnce(&T) -> Result<(), String>,
+    ) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let Some(value) = self.try_get::<T>(name)? else {
+            return Ok(None);
+        };
+        check(&value).map_err(|rule| format!("--{name} {:?}: {rule}", self.values[name]))?;
+        Ok(Some(value))
     }
 
     /// Value of `--name <value>`, which must be one of `choices`; the
@@ -181,40 +213,45 @@ impl Scale {
     }
 }
 
-/// Runs `jobs` closures across `threads` workers with dynamic (queue-based)
-/// load balancing, returning results in job order.
+/// Runs `jobs` closures across `threads` workers with dynamic load
+/// balancing, returning results in job order.
 ///
-/// Uses a crossbeam channel as the work queue: paper topologies range from
-/// 101 to 5050 links, so equal-sized static chunks would leave most
-/// workers idle while one grinds the fully-connected case.
+/// Workers claim the next unstarted job through a shared atomic index:
+/// paper topologies range from 101 to 5050 links, so equal-sized static
+/// chunks would leave most workers idle while one grinds the
+/// fully-connected case.
 pub fn run_jobs<T: Send>(threads: usize, jobs: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
+    const UNPOISONED: &str = "no slot lock is held across a job";
     let n = jobs.len();
     let threads = threads.max(1).min(n.max(1));
     if threads <= 1 || n <= 1 {
         return jobs.into_iter().map(|j| j()).collect();
     }
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Box<dyn FnOnce() -> T + Send + '_>)>();
-    for (i, j) in jobs.into_iter().enumerate() {
-        tx.send((i, j)).expect("queue open");
-    }
-    drop(tx);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    // Each slot is locked once to take its job and once to store its
+    // result, so the locks are never contended. A job runs outside the
+    // lock, so a panicking job (re-raised by the scope) poisons none.
+    let slots: Vec<_> = jobs
+        .into_iter()
+        .map(|job| Mutex::new((Some(job), None::<T>)))
+        .collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let rx = rx.clone();
-            let results = &results;
-            scope.spawn(move || {
-                while let Ok((i, job)) = rx.recv() {
-                    let out = job();
-                    results.lock()[i] = Some(out);
-                }
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let job = slot.lock().expect(UNPOISONED).0.take();
+                let out = job.expect("each job is claimed once")();
+                slot.lock().expect(UNPOISONED).1 = Some(out);
             });
         }
     });
-    results
-        .into_inner()
+    slots
         .into_iter()
-        .map(|o| o.expect("every job ran"))
+        .map(|slot| {
+            let (_, out) = slot.into_inner().expect(UNPOISONED);
+            out.expect("every job ran")
+        })
         .collect()
 }
 
@@ -241,6 +278,8 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quorum_cluster::{ClusterConfig, LatencyDist, NetConfig};
+    use quorum_shard::{FailureTimeline, ObjectCatalog};
 
     fn argv(s: &str) -> Args {
         Args::try_from_args(s.split_whitespace().map(String::from)).unwrap()
@@ -277,6 +316,77 @@ mod tests {
         );
         let err = Args::try_from_args(["quick".to_string()]).unwrap_err();
         assert_eq!(err, "unexpected positional argument \"quick\"");
+
+        // The checks `cluster_sim` and `shard_throughput` hand to
+        // `get_checked`: each is the one the engine would assert.
+        let latency = |s| {
+            argv(s).try_get_checked("latency", |&mean| LatencyDist::Exponential { mean }.check())
+        };
+        let loss = |s| {
+            argv(s).try_get_checked("loss", |&loss| {
+                NetConfig {
+                    loss,
+                    ..NetConfig::ideal()
+                }
+                .check()
+            })
+        };
+        let timeout = |s| {
+            argv(s).try_get_checked("timeout", |&session_timeout| {
+                ClusterConfig {
+                    session_timeout,
+                    ..ClusterConfig::new(SimParams::quick())
+                }
+                .check()
+            })
+        };
+        let objects =
+            |s| argv(s).try_get_checked("objects", |&o| ObjectCatalog::check_size(101, o));
+        let horizon =
+            |s| argv(s).try_get_checked("horizon", |&h| FailureTimeline::check_horizon(h));
+        let cases = [
+            (
+                loss("--loss 2.0"),
+                "--loss \"2.0\": loss probability must lie in [0, 1)",
+            ),
+            (
+                loss("--loss -0.5"),
+                "--loss \"-0.5\": loss probability must lie in [0, 1)",
+            ),
+            (
+                latency("--latency -1"),
+                "--latency \"-1\": mean latency must be non-negative",
+            ),
+            (
+                timeout("--timeout 0"),
+                "--timeout \"0\": session timeout must be positive",
+            ),
+            (
+                horizon("--horizon 0"),
+                "--horizon \"0\": horizon must be positive and finite",
+            ),
+            (
+                horizon("--horizon -1"),
+                "--horizon \"-1\": horizon must be positive and finite",
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, Err(want.to_string()));
+        }
+        assert_eq!(
+            objects("--objects 0"),
+            Err("--objects \"0\": need at least one object".to_string())
+        );
+        // A value that fails to parse is reported before any check runs.
+        assert_eq!(
+            loss("--loss x"),
+            Err("--loss \"x\": invalid float literal".to_string())
+        );
+        assert_eq!(loss("--loss 0.02"), Ok(Some(0.02)));
+        assert_eq!(latency(""), Ok(None));
+        assert_eq!(timeout("--timeout 0.25"), Ok(Some(0.25)));
+        assert_eq!(objects("--objects 1000000"), Ok(Some(1_000_000)));
+        assert_eq!(horizon("--horizon 2.0"), Ok(Some(2.0)));
     }
 
     #[test]

@@ -124,29 +124,46 @@ impl ClusterConfig {
         self.session_timeout * factor
     }
 
+    /// Checks the network parameters, timeout positivity, the backoff
+    /// settings and the latency-histogram bounds, returning the violated
+    /// rule. These are the checks that need neither the quorum spec nor
+    /// the site count.
+    pub fn check(&self) -> Result<(), String> {
+        self.net.check()?;
+        let rules = [
+            (
+                self.session_timeout > 0.0,
+                "session timeout must be positive",
+            ),
+            (
+                self.retry_backoff >= 1.0,
+                "backoff must not shrink timeouts",
+            ),
+            (self.max_backoff_factor >= 1.0, "backoff cap must be >= 1"),
+            (
+                self.latency_bounds.windows(2).all(|w| w[0] < w[1]),
+                "latency bounds must be strictly increasing",
+            ),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some((_, rule)) => Err(rule.to_string()),
+            None => Ok(()),
+        }
+    }
+
     /// Validates the configuration against the initial spec and the
-    /// number of sites: network parameters, timeout positivity, install
-    /// origins in range, and pairwise joint safety across the initial
-    /// spec and every scripted spec (see [`jointly_safe`]).
+    /// number of sites: the simulation parameters, everything
+    /// [`ClusterConfig::check`] covers, install origins in range, and
+    /// pairwise joint safety across the initial spec and every scripted
+    /// spec (see [`jointly_safe`]).
     ///
     /// # Panics
     /// Panics on any violated constraint.
     pub fn validate(&self, initial: QuorumSpec, num_sites: usize) {
         self.params.validate();
-        self.net.validate();
-        assert!(
-            self.session_timeout > 0.0,
-            "session timeout must be positive"
-        );
-        assert!(
-            self.retry_backoff >= 1.0,
-            "backoff must not shrink timeouts"
-        );
-        assert!(self.max_backoff_factor >= 1.0, "backoff cap must be >= 1");
-        assert!(
-            self.latency_bounds.windows(2).all(|w| w[0] < w[1]),
-            "latency bounds must be strictly increasing"
-        );
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
         let mut specs = vec![initial];
         for step in &self.installs {
             assert!(step.origin < num_sites, "install origin out of range");

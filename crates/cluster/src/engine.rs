@@ -22,12 +22,18 @@
 //!    coordinator resolves [`Outcome::Unavailable`].
 //!
 //! The protocol rules themselves live in [`crate::protocol`]: the state
-//! machines are a [`ProtocolCore`] driven through the
-//! [`Scheduler`](crate::protocol::Scheduler) trait. This event loop
-//! supplies the stochastic environment — Bernoulli loss, sampled
-//! latencies, failure processes, the Poisson access stream — while the
-//! `quorum-mc` model checker drives the *same* core through an
-//! exhaustive scheduler.
+//! machines are a [`ProtocolCore`] driven through the [`Scheduler`]
+//! trait. This event loop supplies the stochastic environment —
+//! Bernoulli loss, sampled latencies, failure processes, the Poisson
+//! access stream — while the `quorum-mc` model checker drives the
+//! *same* core through an exhaustive scheduler.
+//!
+//! [`Payload::VoteRequest`]: crate::Payload::VoteRequest
+//! [`Payload::ReadValue`]: crate::Payload::ReadValue
+//! [`Payload::VoteGrant`]: crate::Payload::VoteGrant
+//! [`Payload::VoteDeny`]: crate::Payload::VoteDeny
+//! [`Payload::WriteCommit`]: crate::Payload::WriteCommit
+//! [`Payload::CommitAck`]: crate::Payload::CommitAck
 //!
 //! Messages cross the topology's connectivity: a message is delivered
 //! iff sender and receiver are up and mutually reachable *at the
@@ -94,7 +100,7 @@ pub enum Event {
 /// *is* a scheduler — sends become zero-latency, loss-free deliveries
 /// and timers become plain cancellable entries.
 ///
-/// The engine itself layers loss and latency on top via [`NetScheduler`];
+/// The engine itself layers loss and latency on top via `NetScheduler`;
 /// this impl exists so a [`ProtocolCore`] can be driven directly off a
 /// bare queue (unit tests, examples) with no stochastic machinery at all.
 impl Scheduler for Queue {

@@ -52,22 +52,31 @@ impl LatencyDist {
         }
     }
 
-    /// Validates parameters (non-negative, ordered bounds).
+    /// Checks the parameters (non-negative, ordered bounds), returning
+    /// the violated rule.
+    pub fn check(&self) -> Result<(), String> {
+        let (ok, rule) = match *self {
+            LatencyDist::Constant(c) => (c >= 0.0, "latency must be non-negative"),
+            LatencyDist::Uniform { min, max } => (
+                min >= 0.0 && max >= min,
+                "uniform bounds must be 0 <= min <= max",
+            ),
+            LatencyDist::Exponential { mean } => (mean >= 0.0, "mean latency must be non-negative"),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(rule.to_string())
+        }
+    }
+
+    /// Validates parameters (see [`LatencyDist::check`]).
     ///
     /// # Panics
     /// Panics on negative or inverted parameters.
     pub fn validate(&self) {
-        match *self {
-            LatencyDist::Constant(c) => assert!(c >= 0.0, "latency must be non-negative"),
-            LatencyDist::Uniform { min, max } => {
-                assert!(
-                    min >= 0.0 && max >= min,
-                    "uniform bounds must be 0 <= min <= max"
-                );
-            }
-            LatencyDist::Exponential { mean } => {
-                assert!(mean >= 0.0, "mean latency must be non-negative");
-            }
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
         }
     }
 }
@@ -91,16 +100,25 @@ impl NetConfig {
         }
     }
 
-    /// Validates parameters.
+    /// Checks the latency and that `loss` lies in `[0, 1)`, returning
+    /// the violated rule.
+    pub fn check(&self) -> Result<(), String> {
+        self.latency.check()?;
+        if (0.0..1.0).contains(&self.loss) {
+            Ok(())
+        } else {
+            Err("loss probability must lie in [0, 1)".to_string())
+        }
+    }
+
+    /// Validates parameters (see [`NetConfig::check`]).
     ///
     /// # Panics
     /// Panics if `loss` is outside `[0, 1)` or the latency is invalid.
     pub fn validate(&self) {
-        self.latency.validate();
-        assert!(
-            (0.0..1.0).contains(&self.loss),
-            "loss probability must lie in [0, 1)"
-        );
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Multi-batch cluster runs with batch-means confidence intervals,
 //! mirroring the §5.2 methodology of [`quorum_replica::runner`].
 //!
-//! Batches run on the shared [`quorum_stats::converge`] orchestrator:
+//! Batches run on the shared [`quorum_stats::converge()`] orchestrator:
 //! every batch constructs a **fresh** [`ClusterEngine`] and derives its
 //! RNG streams from `(seed, batch index)` alone, so batches can fan out
 //! over worker threads and merge back in index order — thread count
@@ -53,7 +53,7 @@ pub struct ClusterRunResults {
     pub combined: ClusterStats,
     /// CI-convergence trace (one point per counted batch from the
     /// second on — same granularity as the replica runner's, since both
-    /// come from [`quorum_stats::converge`]).
+    /// come from [`quorum_stats::converge()`]).
     pub ci_trace: Vec<CiPoint>,
 }
 

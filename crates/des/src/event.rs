@@ -4,14 +4,12 @@ use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// One scheduled entry. Shared with the calendar-queue implementation
-/// so both event lists order entries by exactly the same `(time, seq)`
-/// key and therefore pop bit-identical sequences.
+/// One scheduled entry, ordered by the total `(time, insertion seq)` key.
 #[derive(Debug, Clone)]
-pub(crate) struct Scheduled<E> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) payload: E,
+struct Scheduled<E> {
+    time: SimTime,
+    seq: u64,
+    payload: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -500,6 +498,153 @@ mod tests {
                     last = Some((t, s));
                 }
                 prop_assert!(q.is_empty());
+            }
+        }
+
+        /// One step of the randomized model test.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Schedule(f64),
+            ScheduleCancellable(f64),
+            Pop,
+            /// Cancel the `k`-th most recently issued key (if any).
+            Cancel(usize),
+        }
+
+        /// Whole-number delays, so simultaneous events (and with them
+        /// the FIFO tie-break) are common.
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            (0u8..4, 0u8..16, 0usize..8).prop_map(|(which, dt, k)| match which {
+                0 => Op::Schedule(dt as f64),
+                1 => Op::ScheduleCancellable(dt as f64),
+                2 => Op::Pop,
+                _ => Op::Cancel(k),
+            })
+        }
+
+        /// The naive reference: every pending entry in a `Vec`, each pop
+        /// a scan for the least `(time, seq)`. Entries are
+        /// `(time, seq, cancellable)`; the payload is the seq.
+        struct Model {
+            live: Vec<(SimTime, u64, bool)>,
+            next_seq: u64,
+            now: SimTime,
+            popped: u64,
+            cancelled: u64,
+        }
+
+        impl Model {
+            fn new() -> Self {
+                Self {
+                    live: Vec::new(),
+                    next_seq: 0,
+                    now: SimTime::ZERO,
+                    popped: 0,
+                    cancelled: 0,
+                }
+            }
+
+            fn schedule_in(&mut self, dt: f64, cancellable: bool) -> u64 {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.live.push((self.now + dt, seq, cancellable));
+                seq
+            }
+
+            fn cancel(&mut self, seq: u64) -> bool {
+                let found = self.live.iter().position(|&(_, s, c)| s == seq && c);
+                if let Some(i) = found {
+                    self.live.remove(i);
+                    self.cancelled += 1;
+                }
+                found.is_some()
+            }
+
+            fn peek(&self) -> Option<(SimTime, u64)> {
+                self.live.iter().map(|&(t, s, _)| (t, s)).min()
+            }
+
+            fn pop(&mut self) -> Option<(SimTime, u64)> {
+                let (t, s) = self.peek()?;
+                self.live.retain(|&(_, seq, _)| seq != s);
+                self.now = t;
+                self.popped += 1;
+                Some((t, s))
+            }
+        }
+
+        /// Asserts every observable total of the queue against the model.
+        fn assert_totals(q: &EventQueue<u64>, m: &Model) {
+            assert_eq!(q.now(), m.now);
+            assert_eq!(q.len(), m.live.len());
+            assert_eq!(q.scheduled(), m.next_seq);
+            assert_eq!(q.cancelled(), m.cancelled);
+            assert_eq!(q.popped(), m.popped);
+        }
+
+        proptest! {
+            /// The heap is observationally identical to the naive model
+            /// over arbitrary interleavings of schedules, cancellable
+            /// schedules, cancels, and pops. Every case ends with a
+            /// cancel sweep large enough to force a tombstone
+            /// compaction, then drains the queue.
+            #[test]
+            fn matches_naive_model(ops in prop::collection::vec(op_strategy(), 1..300)) {
+                let mut q = EventQueue::new();
+                let mut m = Model::new();
+                let mut keys: Vec<EventKey> = Vec::new();
+                for op in ops {
+                    match op {
+                        Op::Schedule(dt) => {
+                            let seq = m.schedule_in(dt, false);
+                            q.schedule_in(dt, seq);
+                        }
+                        Op::ScheduleCancellable(dt) => {
+                            let seq = m.schedule_in(dt, true);
+                            let key = q.schedule_cancellable_in(dt, seq);
+                            prop_assert_eq!(key.raw(), seq);
+                            keys.push(key);
+                        }
+                        Op::Pop => {
+                            prop_assert_eq!(q.peek_time(), m.peek().map(|(t, _)| t));
+                            prop_assert_eq!(q.pop(), m.pop());
+                        }
+                        Op::Cancel(k) => {
+                            if !keys.is_empty() {
+                                let key = keys[keys.len() - 1 - k % keys.len()];
+                                prop_assert_eq!(q.cancel(key), m.cancel(key.raw()));
+                            }
+                        }
+                    }
+                    assert_totals(&q, &m);
+                }
+
+                // Cancelling more fresh entries than are pending pushes
+                // the tombstones past half the live entries.
+                let compactions = q.compactions();
+                let sweep: Vec<EventKey> = (0..=q.len())
+                    .map(|i| {
+                        let dt = (i % 16) as f64;
+                        let seq = m.schedule_in(dt, true);
+                        q.schedule_cancellable_in(dt, seq)
+                    })
+                    .collect();
+                for key in sweep {
+                    prop_assert!(q.cancel(key));
+                    prop_assert!(m.cancel(key.raw()));
+                    assert_totals(&q, &m);
+                }
+                prop_assert!(q.compactions() > compactions, "the sweep must compact");
+
+                loop {
+                    prop_assert_eq!(q.peek_time(), m.peek().map(|(t, _)| t));
+                    let popped = q.pop();
+                    prop_assert_eq!(popped, m.pop());
+                    assert_totals(&q, &m);
+                    if popped.is_none() {
+                        break;
+                    }
+                }
             }
         }
     }

@@ -10,12 +10,9 @@
 //! This crate supplies the engine pieces:
 //!
 //! * [`SimTime`] — totally-ordered simulation timestamps.
-//! * [`EventQueue`] — a deterministic future-event list (min-heap with FIFO
-//!   tie-breaking); the reference implementation.
-//! * [`CalendarQueue`] — the amortized-O(1) calendar-queue future-event
-//!   list, pop-for-pop identical to the heap.
-//! * [`EventSchedule`] — the trait both lists implement, so simulators
-//!   are written once and run on either.
+//! * [`EventQueue`] — the deterministic future-event list (binary min-heap
+//!   with FIFO tie-breaking and O(1) cancellation) that every simulator
+//!   runs on.
 //! * [`PoissonProcess`] — exponential inter-arrival sampling.
 //! * [`OnOffProcess`] — the alternating up/down renewal process driving each
 //!   site and link.
@@ -23,18 +20,14 @@
 
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod event;
 pub mod failure;
 pub mod params;
 pub mod poisson;
-pub mod schedule;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use event::{EventKey, EventQueue};
 pub use failure::{DurationDist, OnOffProcess};
 pub use params::{ci_points, SimParams};
 pub use poisson::PoissonProcess;
-pub use schedule::EventSchedule;
 pub use time::SimTime;

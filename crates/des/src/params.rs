@@ -115,7 +115,7 @@ impl Default for SimParams {
     }
 }
 
-/// Converts a [`quorum_stats::converge`] trace into the manifest's
+/// Converts a [`quorum_stats::converge()`] trace into the manifest's
 /// [`quorum_obs::CiPoint`] form (both runners record per-round points).
 pub fn ci_points(trace: &[quorum_stats::TracePoint]) -> Vec<quorum_obs::CiPoint> {
     trace

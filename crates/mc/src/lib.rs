@@ -8,7 +8,7 @@
 //! reduction keep the search exhaustive within bounds, and the report
 //! says so explicitly (`truncated == 0`, `capped == false`).
 //!
-//! See [`explore`] for the checked invariants and the soundness
+//! See [`explore`](mod@explore) for the checked invariants and the soundness
 //! arguments, and [`Universe`] for how worlds are scripted.
 
 #![warn(missing_docs)]

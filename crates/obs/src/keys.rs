@@ -9,7 +9,7 @@
 //! * [`Key`] has a private field, so only this module can build one. The
 //!   registry and manifest methods that name a metric take a `Key`, so a
 //!   raw string literal there fails to compile.
-//! * [`ALL`] lists every key. `tests/toolchain_lints.rs` checks that the
+//! * [`ALL`](crate::keys::ALL) lists every key. `tests/toolchain_lints.rs` checks that the
 //!   values are unique, that every constant is referenced outside this
 //!   file, and that every key a CI gate reads is declared here.
 //! * Keys built per system or per label (`load.grid-3x3`) go through
@@ -153,7 +153,7 @@ keys! {
     MC_SYMMETRY_PERMS = "mc.symmetry_perms";
     /// Deepest BFS layer reached during exploration.
     MC_MAX_DEPTH = "mc.max_depth";
-    /// Events pushed into a future-event list (both heap and calendar).
+    /// Events pushed into the future-event list.
     DES_EVENTS_SCHEDULED = "des.events_scheduled";
     /// Violations that mixed pledges across assignment epochs.
     MC_CROSS_EPOCH_VIOLATIONS = "mc.cross_epoch_violations";

@@ -9,7 +9,7 @@
 //! what makes the zero-latency degeneracy test exact rather than merely
 //! statistical.
 
-use quorum_des::{EventSchedule, OnOffProcess, SimParams, SimTime};
+use quorum_des::{EventQueue, OnOffProcess, SimParams, SimTime};
 use rand::Rng;
 
 /// The bank of per-site and per-link on/off processes of one batch.
@@ -57,11 +57,10 @@ impl FailureProcesses {
 
     /// Schedules the first transition of every component: all sites in
     /// index order, then all links — the canonical stream order both
-    /// engines share. Generic over the event-list implementation so the
-    /// same code drives the heap and the calendar queue.
-    pub fn schedule_initial<E, Q: EventSchedule<E>, R: Rng + ?Sized>(
+    /// engines share.
+    pub fn schedule_initial<E, R: Rng + ?Sized>(
         &mut self,
-        queue: &mut Q,
+        queue: &mut EventQueue<E>,
         rng: &mut R,
         mut site_event: impl FnMut(usize) -> E,
         mut link_event: impl FnMut(usize) -> E,

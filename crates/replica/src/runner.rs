@@ -6,7 +6,7 @@
 //! construction (disjoint derived seeds, network reset per batch), so they
 //! can run on worker threads; results are merged deterministically by
 //! batch index. The round structure, worker threads, stopping rule, and
-//! utilization accounting all live in [`quorum_stats::converge`] — the
+//! utilization accounting all live in [`quorum_stats::converge()`] — the
 //! same orchestrator the message-level cluster runner uses.
 
 use crate::results::{BatchStats, RunResults};

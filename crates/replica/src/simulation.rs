@@ -19,7 +19,7 @@ use crate::results::BatchStats;
 use crate::workload::Workload;
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
-use quorum_des::{CalendarQueue, EventQueue, EventSchedule, PoissonProcess, SimParams, SimTime};
+use quorum_des::{EventQueue, PoissonProcess, SimParams, SimTime};
 use quorum_graph::{BitSet, ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use quorum_stats::VoteHistogram;
@@ -124,7 +124,6 @@ pub struct Simulation<'a> {
     probe_survivability: bool,
     time_weighted: bool,
     delta_kernel: bool,
-    timer_wheel: bool,
     site_reliabilities: Option<Vec<f64>>,
     link_reliabilities: Option<Vec<f64>>,
 }
@@ -215,7 +214,6 @@ impl<'a> Simulation<'a> {
             probe_survivability: false,
             time_weighted: false,
             delta_kernel: true,
-            timer_wheel: true,
             site_reliabilities: None,
             link_reliabilities: None,
         }
@@ -227,16 +225,6 @@ impl<'a> Simulation<'a> {
     /// and for benchmarking the kernels against each other.
     pub fn with_delta_kernel(mut self, enable: bool) -> Self {
         self.delta_kernel = enable;
-        self
-    }
-
-    /// Selects the future-event list (default: calendar queue / timer
-    /// wheel). The binary heap stays available as the reference
-    /// implementation; both pop bit-identical event sequences on a
-    /// shared seed, pinned by the `timer_wheel_matches_heap` test and
-    /// the queue-level equivalence proptest in `quorum-des`.
-    pub fn with_timer_wheel(mut self, enable: bool) -> Self {
-        self.timer_wheel = enable;
         self
     }
 
@@ -328,22 +316,6 @@ impl<'a> Simulation<'a> {
         observer: &mut dyn AccessObserver,
         batch_index: u64,
     ) -> BatchStats {
-        // Both event lists consume the RNG streams identically and pop
-        // in the same order, so this dispatch never changes a number.
-        if self.timer_wheel {
-            self.run_batch_on(CalendarQueue::new(), protocol, observer, batch_index)
-        } else {
-            self.run_batch_on(EventQueue::new(), protocol, observer, batch_index)
-        }
-    }
-
-    fn run_batch_on<P: ConsistencyProtocol, Q: EventSchedule<Event>>(
-        &mut self,
-        mut queue: Q,
-        protocol: &mut P,
-        observer: &mut dyn AccessObserver,
-        batch_index: u64,
-    ) -> BatchStats {
         let n = self.topology.num_sites();
         let m = self.topology.num_links();
         let total_votes = self.votes.total() as usize;
@@ -362,6 +334,7 @@ impl<'a> Simulation<'a> {
         };
         let mut checker = SerializabilityChecker::new(n);
         let mut stats = BatchStats::new(n, total_votes);
+        let mut queue = EventQueue::new();
 
         let mut procs = FailureProcesses::new(
             &self.params,
@@ -586,35 +559,6 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8), "different seeds should differ");
-    }
-
-    #[test]
-    fn timer_wheel_matches_heap_bit_identically() {
-        // The calendar queue is the production event list; the heap is
-        // the reference. On a shared seed every statistic must agree
-        // exactly — the wheel only changes how the next event is found,
-        // never which event is next.
-        let topo = Topology::ring_with_chords(13, 3);
-        let run = |wheel: bool| {
-            let mut sim = Simulation::new(&topo, quick_params(), Workload::uniform(13, 0.6), 19)
-                .with_timer_wheel(wheel);
-            let mut proto =
-                QuorumConsensus::new(VoteAssignment::uniform(13), QuorumSpec::majority(13));
-            let s = sim.run_batch(&mut proto, &mut NullObserver);
-            (
-                s.reads_granted,
-                s.writes_granted,
-                s.reads_submitted,
-                s.writes_submitted,
-                s.site_transitions,
-                s.link_transitions,
-                s.events_processed,
-                s.contact_messages,
-                s.cache_hits,
-                s.cache_recomputations,
-            )
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -89,6 +89,18 @@ pub struct ObjectCatalog {
 }
 
 impl ObjectCatalog {
+    /// Checks the size of a [`ObjectCatalog::paper_mix`] population,
+    /// returning the violated rule.
+    pub fn check_size(n_sites: usize, objects: u64) -> Result<(), String> {
+        if n_sites < 2 {
+            Err("need at least two sites".to_string())
+        } else if objects == 0 {
+            Err("need at least one object".to_string())
+        } else {
+            Ok(())
+        }
+    }
+
     /// A heterogeneous population over `n_sites` sites in the spirit of
     /// the paper's §5 study: majority voting as the baseline, a
     /// read-optimized assignment (small read quorum), a write-heavy
@@ -98,8 +110,9 @@ impl ObjectCatalog {
     /// # Panics
     /// Panics if `n_sites < 2` or `objects == 0`.
     pub fn paper_mix(n_sites: usize, objects: u64) -> Self {
-        assert!(n_sites >= 2, "need at least two sites");
-        assert!(objects > 0, "need at least one object");
+        if let Err(rule) = Self::check_size(n_sites, objects) {
+            panic!("{rule}");
+        }
         let n = n_sites as u64;
         let core = n_sites.min(5);
         let mut weighted = vec![1u64; n_sites];

@@ -20,7 +20,7 @@
 //! ## The two engines
 //!
 //! * [`ShardEngine::run_sharded`] partitions the object space into
-//!   contiguous shards and fans them through [`quorum_stats::converge`]
+//!   contiguous shards and fans them through [`quorum_stats::converge()`]
 //!   (one shard walks inline). Each shard walks its objects in SoA
 //!   **stripes** of [`STRIPE`] lanes — per-lane seed/counter/clock/rate
 //!   arrays, a batched sampling pass, then a resolve pass against the
@@ -357,6 +357,18 @@ pub struct ShardEngine<'a> {
 }
 
 impl<'a> ShardEngine<'a> {
+    /// Checks a shard count for a population of `objects`, returning the
+    /// violated rule.
+    pub fn check_shards(shards: u64, objects: u64) -> Result<(), String> {
+        if shards == 0 {
+            Err("need at least one shard".to_string())
+        } else if shards > objects {
+            Err("more shards than objects".to_string())
+        } else {
+            Ok(())
+        }
+    }
+
     /// Binds an engine to a prepared run. `seed` must be the same master
     /// seed the timeline was built with (the timeline consumes stream 1,
     /// the access walks consume stream 2).
@@ -393,7 +405,7 @@ impl<'a> ShardEngine<'a> {
     }
 
     /// Runs the batched engine: `shards` contiguous object ranges fanned
-    /// over `threads` workers through [`quorum_stats::converge`], each
+    /// over `threads` workers through [`quorum_stats::converge()`], each
     /// walked by the SoA stripe kernel.
     ///
     /// With `shards >= 2`, every shard is dispatched and consumed
@@ -406,17 +418,16 @@ impl<'a> ShardEngine<'a> {
     /// same tally any other partitioning does.
     ///
     /// # Panics
-    /// Panics unless `1 <= shards <= objects`.
+    /// Panics unless `1 <= shards <= objects` (see
+    /// [`ShardEngine::check_shards`]).
     #[expect(
-        clippy::disallowed_macros,
+        clippy::panic,
         reason = "shard-count validation once per run, documented under # Panics"
     )]
     pub fn run_sharded(&self, shards: u64, threads: usize) -> (ShardStats, Convergence) {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(
-            shards <= self.catalog.num_objects(),
-            "more shards than objects"
-        );
+        if let Err(rule) = Self::check_shards(shards, self.catalog.num_objects()) {
+            panic!("{rule}");
+        }
         let prepared = PreparedWalk::new(self);
         if shards == 1 {
             let mut total = ShardStats::new(self.catalog.num_classes());

@@ -38,7 +38,7 @@
 //! bucket; the timeline carries one grant row per distinct assignment.
 //!
 //! [`engine::ShardEngine::run_sharded`] fans contiguous object shards
-//! through [`quorum_stats::converge`]; [`engine::ShardEngine::run_naive`]
+//! through [`quorum_stats::converge()`]; [`engine::ShardEngine::run_naive`]
 //! is the reference implementation the equality tests pin against.
 
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 //! The §5.2 site/link renewal processes are independent of the access
 //! workload, so a run over `N` objects needs the network sample path
 //! exactly once. [`FailureTimeline::build`] replays the failure stream
-//! through the calendar event queue and the incremental component
+//! through the event queue and the incremental component
 //! kernel, cutting simulated time into **epochs** (maximal intervals
 //! with constant partition structure) and precomputing, per epoch, a
 //! per-assignment × per-site grant bitmask: "would a read (bit 0) /
@@ -22,7 +22,7 @@
 
 use crate::catalog::ObjectCatalog;
 use quorum_core::protocol::Access;
-use quorum_des::{CalendarQueue, SimParams};
+use quorum_des::{EventQueue, SimParams};
 use quorum_graph::{ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
 use quorum_replica::FailureProcesses;
 use quorum_stats::rng::{derive_seed, rng_from_seed};
@@ -63,6 +63,15 @@ pub struct FailureTimeline {
 }
 
 impl FailureTimeline {
+    /// Checks a timeline horizon, returning the violated rule.
+    pub fn check_horizon(horizon: f64) -> Result<(), String> {
+        if horizon.is_finite() && horizon > 0.0 {
+            Ok(())
+        } else {
+            Err("horizon must be positive and finite".to_string())
+        }
+    }
+
     /// Replays the failure stream for `[0, horizon)` and precomputes the
     /// per-epoch grant tables and the epoch bucket index.
     ///
@@ -81,10 +90,9 @@ impl FailureTimeline {
         horizon: f64,
         seed: u64,
     ) -> Self {
-        assert!(
-            horizon.is_finite() && horizon > 0.0,
-            "horizon must be positive and finite"
-        );
+        if let Err(rule) = Self::check_horizon(horizon) {
+            panic!("{rule}");
+        }
         let n = topology.num_sites();
         let m = topology.num_links();
         let uniform = vec![1u64; n];
@@ -94,7 +102,7 @@ impl FailureTimeline {
         )]
         let mut rng = rng_from_seed(derive_seed(seed, 1));
         let mut procs = FailureProcesses::new(params, n, m, None, None);
-        let mut queue: CalendarQueue<TimelineEvent> = CalendarQueue::new();
+        let mut queue: EventQueue<TimelineEvent> = EventQueue::new();
         procs.schedule_initial(
             &mut queue,
             &mut rng,

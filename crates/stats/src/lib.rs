@@ -12,7 +12,7 @@
 //! * [`BatchMeans`] and [`ConfidenceInterval`] — the batch-means output
 //!   analysis the paper's simulator uses (§5.2: batches of one million
 //!   accesses, 95 % confidence intervals of half-width ≤ 0.5 %).
-//! * [`converge`] — the generic parallel batch orchestrator built on
+//! * [`converge`](mod@converge) — the generic parallel batch orchestrator built on
 //!   them: runs `Fn(batch_index) -> stats` jobs on scoped worker
 //!   threads, merges deterministically by batch index, and applies the
 //!   stop-when-tight rule (every multi-batch runner shares this loop).
