@@ -39,10 +39,29 @@ use quorum_replica::Workload;
 /// The `--topology` choices; the first is the default.
 const TOPOLOGIES: [&str; 3] = ["ring", "full", "bus"];
 
-/// Builds the topology plus matching votes/workload for one of
-/// [`TOPOLOGIES`]. The bus hub (node 0) is pure wiring: zero votes, zero
-/// workload weight.
-fn site_setup(kind: &str, sites: usize, alpha: f64) -> (Topology, VoteAssignment, Workload) {
+/// The site-count rule of each of [`TOPOLOGIES`].
+fn check_sites(kind: &str, sites: usize) -> Result<(), String> {
+    match kind {
+        "ring" => Topology::check_ring(sites),
+        "full" => Topology::check_nonempty(sites),
+        "bus" => Topology::check_bus(sites),
+        other => unreachable!("one_of returned unlisted {other:?}"),
+    }
+}
+
+/// Builds the `--topology` (one of [`TOPOLOGIES`]) over `--sites` sites,
+/// plus matching votes and a workload with read fraction `--alpha`. Each
+/// value goes through the check its constructor would assert, so a bad
+/// value is a usage error naming the flag rather than a panic. The bus
+/// hub (node 0) is pure wiring: zero votes, zero workload weight.
+fn site_setup(args: &Args) -> (Topology, VoteAssignment, Workload) {
+    let kind = args.one_of("topology", &TOPOLOGIES);
+    let sites = args
+        .get_checked("sites", |&n| check_sites(kind, n))
+        .unwrap_or(9);
+    let alpha = args
+        .get_checked("alpha", |&a| Workload::check_alpha(a))
+        .unwrap_or(0.7);
     match kind {
         "ring" => (
             Topology::ring(sites),
@@ -102,10 +121,8 @@ fn config_for(args: &Args, scale: Scale) -> ClusterConfig {
 }
 
 fn single_run(args: &Args, scale: Scale, seed: u64) {
-    let sites: usize = args.get_or("sites", 9);
-    let alpha: f64 = args.get_or("alpha", 0.7);
-    let kind = args.one_of("topology", &TOPOLOGIES);
-    let (topo, votes, workload) = site_setup(kind, sites, alpha);
+    let (topo, votes, workload) = site_setup(args);
+    let alpha = workload.alpha();
     let total = votes.total();
     let qr: u64 = args.get_or("qr", total / 2);
     let spec = or_usage_exit(QuorumSpec::from_read_quorum(qr, total).map_err(|_| {
@@ -219,11 +236,9 @@ type CellResult = (f64, f64, f64, f64);
 type CellJob<'a> = Box<dyn FnOnce() -> CellResult + Send + 'a>;
 
 fn sweep(args: &Args, scale: Scale, seed: u64) {
-    let sites: usize = args.get_or("sites", 9);
-    let alpha: f64 = args.get_or("alpha", 0.7);
-    let kind = args.one_of("topology", &TOPOLOGIES);
+    let (topo, votes, workload) = site_setup(args);
+    let alpha = workload.alpha();
     let threads = args.get_or("threads", default_threads());
-    let (topo, votes, workload) = site_setup(kind, sites, alpha);
     let total = votes.total();
 
     // Fixed-batch parameters keep the grid affordable; the CI question

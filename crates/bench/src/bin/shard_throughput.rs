@@ -67,6 +67,12 @@ fn main() {
         .get_checked("horizon", |&h| FailureTimeline::check_horizon(h))
         .unwrap_or(2.0);
     let per_object = args.flag("per-object");
+    let buckets: usize = args
+        .get_checked("alpha-buckets", |&b| ObjectCatalog::check_buckets(b))
+        .unwrap_or(4);
+    let spread: f64 = args
+        .get_checked("alpha-spread", |&s| ObjectCatalog::check_spread(s))
+        .unwrap_or(0.2);
     let params = SimParams::paper();
 
     println!(
@@ -83,8 +89,6 @@ fn main() {
             Some(_) => ring_density(n, r, r),
             None => fully_connected_density(n, r, r),
         };
-        let buckets: usize = args.get_or("alpha-buckets", 4);
-        let spread: f64 = args.get_or("alpha-spread", 0.2);
         catalog = catalog.with_optimized_assignments(&density, buckets, spread);
         registry.add(keys::OPTIMIZER_EVALUATIONS, catalog.optimizer_evaluations());
         println!(

@@ -279,6 +279,8 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
     use quorum_cluster::{ClusterConfig, LatencyDist, NetConfig};
+    use quorum_graph::Topology;
+    use quorum_replica::Workload;
     use quorum_shard::{FailureTimeline, ObjectCatalog};
 
     fn argv(s: &str) -> Args {
@@ -344,6 +346,14 @@ mod tests {
             |s| argv(s).try_get_checked("objects", |&o| ObjectCatalog::check_size(101, o));
         let horizon =
             |s| argv(s).try_get_checked("horizon", |&h| FailureTimeline::check_horizon(h));
+        let alpha = |s| argv(s).try_get_checked("alpha", |&a| Workload::check_alpha(a));
+        let ring_sites = |s| argv(s).try_get_checked("sites", |&n| Topology::check_ring(n));
+        let bus_sites = |s| argv(s).try_get_checked("sites", |&n| Topology::check_bus(n));
+        let full_sites = |s| argv(s).try_get_checked("sites", |&n| Topology::check_nonempty(n));
+        let buckets =
+            |s| argv(s).try_get_checked("alpha-buckets", |&b| ObjectCatalog::check_buckets(b));
+        let spread =
+            |s| argv(s).try_get_checked("alpha-spread", |&x| ObjectCatalog::check_spread(x));
         let cases = [
             (
                 loss("--loss 2.0"),
@@ -369,6 +379,20 @@ mod tests {
                 horizon("--horizon -1"),
                 "--horizon \"-1\": horizon must be positive and finite",
             ),
+            (alpha("--alpha 1.5"), "--alpha \"1.5\": α must lie in [0,1]"),
+            (
+                alpha("--alpha -0.2"),
+                "--alpha \"-0.2\": α must lie in [0,1]",
+            ),
+            (alpha("--alpha NaN"), "--alpha \"NaN\": α must lie in [0,1]"),
+            (
+                spread("--alpha-spread -0.1"),
+                "--alpha-spread \"-0.1\": spread must be non-negative and finite",
+            ),
+            (
+                spread("--alpha-spread NaN"),
+                "--alpha-spread \"NaN\": spread must be non-negative and finite",
+            ),
         ];
         for (got, want) in cases {
             assert_eq!(got, Err(want.to_string()));
@@ -377,6 +401,31 @@ mod tests {
             objects("--objects 0"),
             Err("--objects \"0\": need at least one object".to_string())
         );
+        let site_cases = [
+            (
+                ring_sites("--sites 0"),
+                "--sites \"0\": a ring needs at least 3 sites",
+            ),
+            (
+                ring_sites("--sites 2"),
+                "--sites \"2\": a ring needs at least 3 sites",
+            ),
+            (
+                bus_sites("--sites 1"),
+                "--sites \"1\": a bus needs at least 2 sites",
+            ),
+            (
+                full_sites("--sites 0"),
+                "--sites \"0\": topology needs at least one site",
+            ),
+            (
+                buckets("--alpha-buckets 0"),
+                "--alpha-buckets \"0\": need at least one alpha bucket",
+            ),
+        ];
+        for (got, want) in site_cases {
+            assert_eq!(got, Err(want.to_string()));
+        }
         // A value that fails to parse is reported before any check runs.
         assert_eq!(
             loss("--loss x"),
@@ -387,6 +436,11 @@ mod tests {
         assert_eq!(timeout("--timeout 0.25"), Ok(Some(0.25)));
         assert_eq!(objects("--objects 1000000"), Ok(Some(1_000_000)));
         assert_eq!(horizon("--horizon 2.0"), Ok(Some(2.0)));
+        assert_eq!(alpha("--alpha 0.7"), Ok(Some(0.7)));
+        assert_eq!(ring_sites("--sites 3"), Ok(Some(3)));
+        assert_eq!(bus_sites("--sites 2"), Ok(Some(2)));
+        assert_eq!(buckets("--alpha-buckets 1"), Ok(Some(1)));
+        assert_eq!(spread("--alpha-spread 0"), Ok(Some(0.0)));
     }
 
     #[test]

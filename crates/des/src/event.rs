@@ -9,6 +9,9 @@ use std::collections::BinaryHeap;
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
+    /// Scheduled through [`EventQueue::schedule_cancellable`], so it has a
+    /// [`Timer`] record.
+    cancellable: bool,
     payload: E,
 }
 
@@ -31,11 +34,19 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// The record of a pending cancellable entry.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    seq: u64,
+    /// Cancelled: the entry is a tombstone, skipped when its turn comes.
+    voided: bool,
+}
+
 /// Handle to a cancellable entry returned by
 /// [`EventQueue::schedule_cancellable`]. Passing it to
-/// [`EventQueue::cancel`] voids the entry: it stays in the heap but is
-/// silently skipped when its turn comes (void-on-pop), so cancellation is
-/// O(1) and never perturbs the order of surviving events.
+/// [`EventQueue::cancel`] voids the entry: it stays queued but is
+/// silently skipped when its turn comes (void-on-pop), so cancellation
+/// never perturbs the order of surviving events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventKey(pub(crate) u64);
 
@@ -56,33 +67,38 @@ impl EventKey {
     }
 }
 
-/// Event sequence numbers, queried for membership only.
-#[expect(
-    clippy::disallowed_types,
-    reason = "O(1) membership in the event hot loop; never iterated, so hash order is never observed"
-)]
-type SeqSet = std::collections::HashSet<u64>;
-
 /// A deterministic future-event list.
 ///
 /// Events pop in non-decreasing time order; simultaneous events pop in
 /// insertion (FIFO) order, which keeps simulations reproducible across runs
 /// regardless of heap internals.
 ///
+/// A newly scheduled entry that precedes everything pending goes into a
+/// front slot outside the binary heap. A simulation's next event is most
+/// often the one it just scheduled (the next Poisson arrival), so that
+/// entry is scheduled and popped without a heap operation; a still
+/// earlier arrival demotes the front entry into the heap.
+///
 /// Entries scheduled through [`EventQueue::schedule_cancellable`] can be
 /// invalidated later (session timeouts that were beaten by a reply); a
 /// cancelled entry is skipped on pop without advancing the clock or
-/// counting as a processed event.
+/// counting as a processed event. Each pending cancellable entry has a
+/// timer record in a `Vec` sorted by seq: arming one is a push, and
+/// cancelling is a binary search, O(log pending timers). Plain entries
+/// have no record and cost nothing extra.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
+    /// The earliest pending entry, if it is not in the heap: when set,
+    /// it precedes every heap entry.
+    front: Option<Scheduled<E>>,
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// Records of the cancellable entries still queued, sorted by seq.
+    timers: Vec<Timer>,
+    /// Number of voided records: cancelled entries not yet reaped.
+    tombstones: usize,
     next_seq: u64,
     popped: u64,
     now: SimTime,
-    /// Seq numbers of cancellable entries still in the heap.
-    live_keys: SeqSet,
-    /// Seq numbers cancelled but not yet reaped from the heap.
-    voided: SeqSet,
     cancelled: u64,
     compactions: u64,
 }
@@ -91,12 +107,13 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         Self {
+            front: None,
             heap: BinaryHeap::new(),
+            timers: Vec::new(),
+            tombstones: 0,
             next_seq: 0,
             popped: 0,
             now: SimTime::ZERO,
-            live_keys: SeqSet::default(),
-            voided: SeqSet::default(),
             cancelled: 0,
             compactions: 0,
         }
@@ -107,14 +124,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if `time` precedes the current simulation time (causality).
     pub fn schedule(&mut self, time: SimTime, payload: E) {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: {time} < now {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled { time, seq, payload }));
+        self.insert(time, false, payload);
     }
 
     /// Schedules `payload` at `now + dt`.
@@ -130,10 +140,11 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if `time` precedes the current simulation time (causality).
     pub fn schedule_cancellable(&mut self, time: SimTime, payload: E) -> EventKey {
-        let key = EventKey(self.next_seq);
-        self.schedule(time, payload);
-        self.live_keys.insert(key.0);
-        key
+        let seq = self.insert(time, true, payload);
+        // Seqs are issued in increasing order, so the push keeps the
+        // records sorted.
+        self.timers.push(Timer { seq, voided: false });
+        EventKey(seq)
     }
 
     /// Schedules a cancellable `payload` at `now + dt`.
@@ -142,36 +153,114 @@ impl<E> EventQueue<E> {
         self.schedule_cancellable(t, payload)
     }
 
+    /// Queues an entry under the next seq, which it returns. The entry
+    /// takes the front slot if it precedes the current front entry (or,
+    /// with the slot empty, the heap top); at most one entry moves into
+    /// the heap.
+    fn insert(&mut self, time: SimTime, cancellable: bool, payload: E) -> u64 {
+        assert!(
+            time >= self.now,
+            "cannot schedule into the past: {time} < now {}",
+            self.now
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let ev = Scheduled {
+            time,
+            seq,
+            cancellable,
+            payload,
+        };
+        let to_heap = match &mut self.front {
+            Some(front) if ev < *front => std::mem::replace(front, ev),
+            Some(_) => ev,
+            None if self.heap.peek().is_some_and(|Reverse(top)| *top < ev) => ev,
+            None => {
+                self.front = Some(ev);
+                return seq;
+            }
+        };
+        self.heap.push(Reverse(to_heap));
+        seq
+    }
+
+    /// Index of the timer record for `seq`, if the entry is cancellable
+    /// and still queued.
+    fn timer(&self, seq: u64) -> Option<usize> {
+        self.timers.binary_search_by_key(&seq, |t| t.seq).ok()
+    }
+
     /// Voids a cancellable entry. Returns `true` if the entry was still
     /// pending (not yet popped or previously cancelled); the entry is then
-    /// skipped silently when the heap reaches it.
+    /// skipped silently when its turn comes. A key that was never issued,
+    /// or that names a plain entry, is a no-op.
     ///
     /// Tombstones are reaped eagerly once they outnumber half the live
     /// entries, so retry-heavy runs (most timers beaten by replies) keep
     /// the heap at O(live) instead of growing monotonically.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        let was_live = self.live_keys.remove(&key.0);
-        if was_live {
-            self.voided.insert(key.0);
-            self.cancelled += 1;
-            if self.voided.len() > self.len() / 2 {
-                self.compact();
-            }
+        let Some(i) = self.timer(key.0) else {
+            return false;
+        };
+        let timer = &mut self.timers[i];
+        if timer.voided {
+            return false;
         }
-        was_live
+        timer.voided = true;
+        self.tombstones += 1;
+        self.cancelled += 1;
+        if self.tombstones > self.len() / 2 {
+            self.compact();
+        }
+        true
     }
 
-    /// Rebuilds the heap without the voided entries. Pop order is
+    /// True if `ev` is a cancelled entry awaiting reaping.
+    fn is_voided(&self, ev: &Scheduled<E>) -> bool {
+        ev.cancellable && self.timer(ev.seq).is_some_and(|i| self.timers[i].voided)
+    }
+
+    /// Drops the voided entries and their records. Pop order is
     /// unaffected: the heap's internal layout changes, but extraction is
     /// always by the total `(time, seq)` order.
     fn compact(&mut self) {
+        if self.front.as_ref().is_some_and(|ev| self.is_voided(ev)) {
+            self.front = None;
+        }
         let heap = std::mem::take(&mut self.heap);
         self.heap = heap
             .into_iter()
-            .filter(|Reverse(ev)| !self.voided.contains(&ev.seq))
+            .filter(|Reverse(ev)| !self.is_voided(ev))
             .collect();
-        self.voided.clear();
+        self.timers.retain(|t| !t.voided);
+        self.tombstones = 0;
         self.compactions += 1;
+    }
+
+    /// The earliest queued entry, cancelled or not.
+    fn peek_entry(&self) -> Option<&Scheduled<E>> {
+        self.front
+            .as_ref()
+            .or_else(|| self.heap.peek().map(|Reverse(ev)| ev))
+    }
+
+    /// Removes the earliest queued entry, cancelled or not.
+    fn take_entry(&mut self) -> Option<Scheduled<E>> {
+        match self.front.take() {
+            Some(ev) => Some(ev),
+            None => self.heap.pop().map(|Reverse(ev)| ev),
+        }
+    }
+
+    /// Drops the timer record of a cancellable entry leaving the queue.
+    /// Returns `true` if the entry was cancelled.
+    fn reap(&mut self, seq: u64) -> bool {
+        let i = self.timer(seq).expect("a queued timer has a record");
+        let voided = self.timers.remove(i).voided;
+        if voided {
+            self.tombstones -= 1;
+        }
+        voided
     }
 
     /// Pops the earliest surviving event, advancing the clock to its
@@ -179,11 +268,10 @@ impl<E> EventQueue<E> {
     /// or counting toward [`EventQueue::popped`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            let Reverse(ev) = self.heap.pop()?;
-            if self.voided.remove(&ev.seq) {
+            let ev = self.take_entry()?;
+            if ev.cancellable && self.reap(ev.seq) {
                 continue;
             }
-            self.live_keys.remove(&ev.seq);
             self.now = ev.time;
             self.popped += 1;
             return Some((ev.time, ev.payload));
@@ -193,12 +281,13 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next surviving event without popping.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            let seq = self.heap.peek().map(|Reverse(ev)| ev.seq)?;
-            if self.voided.remove(&seq) {
-                self.heap.pop();
-                continue;
+            let ev = self.peek_entry()?;
+            if !self.is_voided(ev) {
+                return Some(ev.time);
             }
-            return self.heap.peek().map(|Reverse(ev)| ev.time);
+            let seq = ev.seq;
+            self.take_entry();
+            self.reap(seq);
         }
     }
 
@@ -209,7 +298,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.voided.len()
+        self.heap.len() + usize::from(self.front.is_some()) - self.tombstones
     }
 
     /// True if no non-cancelled events are pending.
@@ -222,11 +311,11 @@ impl<E> EventQueue<E> {
         self.cancelled
     }
 
-    /// Cancelled entries currently awaiting reaping (heap residency minus
+    /// Cancelled entries currently awaiting reaping (queued entries minus
     /// live entries). Bounded by half the live entries plus one — the
     /// compaction threshold.
     pub fn tombstones(&self) -> u64 {
-        self.voided.len() as u64
+        self.tombstones as u64
     }
 
     /// Tombstone compaction sweeps performed over the queue's lifetime.
@@ -252,7 +341,7 @@ impl<E> EventQueue<E> {
         registry.add(quorum_obs::keys::DES_QUEUE_COMPACTIONS, self.compactions);
         registry.set_gauge(
             quorum_obs::keys::DES_QUEUE_TOMBSTONES,
-            self.voided.len() as f64,
+            self.tombstones as f64,
         );
     }
 }
@@ -456,6 +545,60 @@ mod tests {
     }
 
     #[test]
+    fn front_slot_holds_the_earliest_entry() {
+        let front_seq = |q: &EventQueue<&str>| q.front.as_ref().map(|ev| ev.seq);
+
+        // A later entry is demoted into the heap when an earlier one
+        // arrives.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::new(5.0), "late");
+        assert_eq!((front_seq(&q), q.heap.len()), (Some(0), 0));
+        q.schedule(SimTime::new(2.0), "early");
+        assert_eq!((front_seq(&q), q.heap.len()), (Some(1), 1));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::new(2.0), "early")));
+        assert_eq!(q.pop(), Some((SimTime::new(5.0), "late")));
+
+        // Simultaneous entries split between the front and the heap still
+        // pop FIFO.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::new(3.0), "a");
+        q.schedule(SimTime::new(3.0), "b");
+        assert_eq!((front_seq(&q), q.heap.len()), (Some(0), 1));
+        q.schedule(SimTime::new(1.0), "x");
+        assert_eq!((front_seq(&q), q.heap.len()), (Some(2), 2));
+        assert_eq!(q.pop(), Some((SimTime::new(1.0), "x")));
+        // The slot is empty and the heap top ties with the new entry,
+        // which goes behind it.
+        q.schedule(SimTime::new(3.0), "c");
+        assert_eq!((front_seq(&q), q.heap.len()), (None, 3));
+        q.schedule(SimTime::new(2.0), "y");
+        assert_eq!((front_seq(&q), q.heap.len()), (Some(4), 3));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, vec!["y", "a", "b", "c"]);
+
+        // A cancelled front entry is skipped by both `peek_time` and
+        // `pop`. Three live entries keep the one tombstone below the
+        // compaction threshold, so it is still in the slot.
+        for peek_first in [true, false] {
+            let mut q = EventQueue::new();
+            let key = q.schedule_cancellable(SimTime::new(1.0), "timer");
+            for (t, p) in [(2.0, "b"), (3.0, "c"), (4.0, "d")] {
+                q.schedule(SimTime::new(t), p);
+            }
+            assert!(q.cancel(key));
+            assert_eq!((front_seq(&q), q.tombstones(), q.len()), (Some(0), 1, 3));
+            if peek_first {
+                assert_eq!(q.peek_time(), Some(SimTime::new(2.0)));
+                assert_eq!(q.tombstones(), 0);
+            }
+            assert_eq!(q.pop(), Some((SimTime::new(2.0), "b")));
+            assert_eq!((q.tombstones(), q.len(), q.popped()), (0, 2, 1));
+            assert_eq!(q.now(), SimTime::new(2.0));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
         let mut q = EventQueue::new();
@@ -509,16 +652,20 @@ mod tests {
             Pop,
             /// Cancel the `k`-th most recently issued key (if any).
             Cancel(usize),
+            /// Cancel `EventKey::from_raw(r)`: a plain entry, a popped
+            /// one, a pending timer or a seq never issued.
+            CancelRaw(u64),
         }
 
         /// Whole-number delays, so simultaneous events (and with them
         /// the FIFO tie-break) are common.
         fn op_strategy() -> impl Strategy<Value = Op> {
-            (0u8..4, 0u8..16, 0usize..8).prop_map(|(which, dt, k)| match which {
+            (0u8..5, 0u8..16, 0usize..8, 0u64..320).prop_map(|(which, dt, k, r)| match which {
                 0 => Op::Schedule(dt as f64),
                 1 => Op::ScheduleCancellable(dt as f64),
                 2 => Op::Pop,
-                _ => Op::Cancel(k),
+                3 => Op::Cancel(k),
+                _ => Op::CancelRaw(r),
             })
         }
 
@@ -614,6 +761,9 @@ mod tests {
                                 let key = keys[keys.len() - 1 - k % keys.len()];
                                 prop_assert_eq!(q.cancel(key), m.cancel(key.raw()));
                             }
+                        }
+                        Op::CancelRaw(r) => {
+                            prop_assert_eq!(q.cancel(EventKey::from_raw(r)), m.cancel(r));
                         }
                     }
                     assert_totals(&q, &m);

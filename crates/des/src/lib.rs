@@ -10,9 +10,13 @@
 //! This crate supplies the engine pieces:
 //!
 //! * [`SimTime`] — totally-ordered simulation timestamps.
-//! * [`EventQueue`] — the deterministic future-event list (binary min-heap
-//!   with FIFO tie-breaking and O(1) cancellation) that every simulator
-//!   runs on.
+//! * [`EventQueue`] — the deterministic future-event list that every
+//!   simulator runs on: a binary min-heap with FIFO tie-breaking, plus a
+//!   front slot holding the earliest entry, so the common case of
+//!   scheduling and then popping the next arrival skips the heap.
+//!   Cancellable entries (timers) have records in a `Vec` sorted by seq,
+//!   so cancellation is O(log pending timers) and plain entries touch no
+//!   side table.
 //! * [`PoissonProcess`] — exponential inter-arrival sampling.
 //! * [`OnOffProcess`] — the alternating up/down renewal process driving each
 //!   site and link.

@@ -38,14 +38,48 @@ pub struct Topology {
     name: String,
 }
 
+/// `Ok` if `ok`, else the violated `rule`.
+fn require(ok: bool, rule: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(rule.to_string())
+    }
+}
+
+/// Panics with the violated rule, if any.
+fn enforce(check: Result<(), String>) {
+    if let Err(rule) = check {
+        panic!("{rule}");
+    }
+}
+
 impl Topology {
+    /// Checks the site count of any topology (at least one site),
+    /// returning the violated rule.
+    pub fn check_nonempty(n: usize) -> Result<(), String> {
+        require(n > 0, "topology needs at least one site")
+    }
+
+    /// Checks the site count of a [`Topology::ring`], returning the
+    /// violated rule.
+    pub fn check_ring(n: usize) -> Result<(), String> {
+        require(n >= 3, "a ring needs at least 3 sites")
+    }
+
+    /// Checks the site count of a [`Topology::bus`], returning the
+    /// violated rule.
+    pub fn check_bus(sites: usize) -> Result<(), String> {
+        require(sites >= 2, "a bus needs at least 2 sites")
+    }
+
     /// Builds a topology from an explicit link list.
     ///
     /// # Panics
     /// Panics on self-loops, out-of-range endpoints, duplicate links, or
     /// `n == 0`.
     pub fn from_links(n: usize, links: Vec<(usize, usize)>, name: impl Into<String>) -> Self {
-        assert!(n > 0, "topology needs at least one site");
+        enforce(Self::check_nonempty(n));
         #[expect(
             clippy::disallowed_types,
             reason = "membership only: constructor-time duplicate-link check, never iterated"
@@ -74,7 +108,7 @@ impl Topology {
 
     /// A ring of `n ≥ 3` sites: links `(i, i+1 mod n)`.
     pub fn ring(n: usize) -> Self {
-        assert!(n >= 3, "a ring needs at least 3 sites");
+        enforce(Self::check_ring(n));
         let links = (0..n).map(|i| (i, (i + 1) % n)).collect();
         Self::from_links(n, links, format!("ring-{n}"))
     }
@@ -86,8 +120,9 @@ impl Topology {
         Self::from_links(n, links, format!("path-{n}"))
     }
 
-    /// The complete graph on `n` sites.
+    /// The complete graph on `n ≥ 1` sites.
     pub fn fully_connected(n: usize) -> Self {
+        enforce(Self::check_nonempty(n));
         let mut links = Vec::with_capacity(n * (n - 1) / 2);
         for a in 0..n {
             for b in a + 1..n {
@@ -113,7 +148,7 @@ impl Topology {
     ///
     /// Returns `sites + 1` nodes; the medium is index 0.
     pub fn bus(sites: usize) -> Self {
-        assert!(sites >= 2, "a bus needs at least 2 sites");
+        enforce(Self::check_bus(sites));
         let links = (1..=sites).map(|i| (0, i)).collect();
         Self::from_links(sites + 1, links, format!("bus-{sites}"))
     }
@@ -610,5 +645,19 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn too_many_chords_rejected() {
         Topology::ring_with_chords(101, 4950);
+    }
+
+    #[test]
+    fn size_checks_match_the_constructors() {
+        assert!(Topology::check_ring(3).is_ok() && Topology::check_ring(2).is_err());
+        assert!(Topology::check_bus(2).is_ok() && Topology::check_bus(1).is_err());
+        assert!(Topology::check_nonempty(1).is_ok() && Topology::check_nonempty(0).is_err());
+        assert_eq!(Topology::fully_connected(1).num_links(), 0);
+        for build in [Topology::ring, Topology::bus, Topology::fully_connected] {
+            let panicked = std::panic::catch_unwind(|| build(0)).unwrap_err();
+            assert!(panicked
+                .downcast_ref::<String>()
+                .is_some_and(|m| m.contains("needs at least")));
+        }
     }
 }

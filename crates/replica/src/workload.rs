@@ -64,12 +64,23 @@ impl Workload {
         Self::weighted(alpha, &w, &w)
     }
 
+    /// Checks a read fraction, returning the violated rule.
+    pub fn check_alpha(alpha: f64) -> Result<(), String> {
+        if (0.0..=1.0).contains(&alpha) {
+            Ok(())
+        } else {
+            Err("α must lie in [0,1]".to_string())
+        }
+    }
+
     /// Arbitrary (unnormalized) read/write site weights.
     ///
     /// # Panics
     /// Panics if `alpha ∉ [0,1]`, lengths differ, or weights are invalid.
     pub fn weighted(alpha: f64, read_weights: &[f64], write_weights: &[f64]) -> Self {
-        assert!((0.0..=1.0).contains(&alpha), "α must lie in [0,1]");
+        if let Err(rule) = Self::check_alpha(alpha) {
+            panic!("{rule}");
+        }
         assert_eq!(
             read_weights.len(),
             write_weights.len(),
@@ -93,7 +104,9 @@ impl Workload {
 
     /// Changes `α` (used by shifting-workload experiments).
     pub fn set_alpha(&mut self, alpha: f64) {
-        assert!((0.0..=1.0).contains(&alpha), "α must lie in [0,1]");
+        if let Err(rule) = Self::check_alpha(alpha) {
+            panic!("{rule}");
+        }
         self.alpha = alpha;
     }
 

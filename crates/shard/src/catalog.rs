@@ -101,6 +101,28 @@ impl ObjectCatalog {
         }
     }
 
+    /// Checks the α-bucket count of
+    /// [`ObjectCatalog::with_optimized_assignments`], returning the
+    /// violated rule.
+    pub fn check_buckets(buckets: usize) -> Result<(), String> {
+        if buckets >= 1 {
+            Ok(())
+        } else {
+            Err("need at least one alpha bucket".to_string())
+        }
+    }
+
+    /// Checks the α spread of
+    /// [`ObjectCatalog::with_optimized_assignments`], returning the
+    /// violated rule.
+    pub fn check_spread(spread: f64) -> Result<(), String> {
+        if spread >= 0.0 && spread.is_finite() {
+            Ok(())
+        } else {
+            Err("spread must be non-negative and finite".to_string())
+        }
+    }
+
     /// A heterogeneous population over `n_sites` sites in the spirit of
     /// the paper's §5 study: majority voting as the baseline, a
     /// read-optimized assignment (small read quorum), a write-heavy
@@ -211,8 +233,9 @@ impl ObjectCatalog {
         buckets: usize,
         spread: f64,
     ) -> Self {
-        assert!(buckets >= 1, "need at least one alpha bucket");
-        assert!(spread >= 0.0 && spread.is_finite(), "spread must be >= 0");
+        if let Err(rule) = Self::check_buckets(buckets).and(Self::check_spread(spread)) {
+            panic!("{rule}");
+        }
         let model = AvailabilityModel::from_mixtures(density, density);
         let mut profiles: Vec<AssignmentProfile> = Vec::new();
         let mut slot_profile = Vec::with_capacity(self.classes.len() * buckets);
@@ -474,6 +497,19 @@ mod tests {
         let density = quorum_core::analytic::ring_density(n_sites, 0.96, 0.96);
         ObjectCatalog::paper_mix(n_sites, objects)
             .with_optimized_assignments(&density, buckets, 0.2)
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one alpha bucket")]
+    fn optimized_assignments_reject_zero_buckets() {
+        optimized_fixture(13, 400, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "spread must be non-negative and finite")]
+    fn optimized_assignments_reject_nan_spread() {
+        let density = quorum_core::analytic::ring_density(13, 0.96, 0.96);
+        ObjectCatalog::paper_mix(13, 400).with_optimized_assignments(&density, 4, f64::NAN);
     }
 
     #[test]
