@@ -37,10 +37,10 @@
 use quorum_core::VoteAssignment;
 use std::fmt;
 
-/// Maximum universe size for quorum *enumeration* (masks are `u64`;
-/// matching `quorum_core::coterie`'s exponential-routine cap keeps the
-/// two layers cross-checkable). Expressions themselves may mention
-/// more sites — evaluation and duality never enumerate.
+/// Maximum universe size for quorum *enumeration* and the other `2^n`
+/// scans (powerset reference, non-partitionable availability,
+/// domination witness). Masks are `u64`; expressions themselves may
+/// mention more sites — evaluation and duality never enumerate.
 pub const MAX_ENUM_SITES: usize = 20;
 
 /// Cap on intermediate quorum-family size during structural
@@ -348,6 +348,13 @@ impl Expr {
 
 /// Recursively expands every `k`-subset of `families` through the
 /// `And` combiner, appending each subset's cross-unions to `out`.
+///
+/// When `out` outgrows the family cap it is minimalized in place, which
+/// leaves the final minimal family unchanged; only a family still over
+/// half the cap after that is too large. A weighted threshold repeats
+/// each site's leaf once per vote, so `C(T, q)` subsets can collapse to
+/// a handful of minimal quorums (7 sites with 3 votes each, `q = 11`:
+/// 352 716 subsets, 35 quorums).
 fn k_subsets(
     families: &[Vec<u64>],
     k: usize,
@@ -361,10 +368,13 @@ fn k_subsets(
             acc = cross_union(&acc, &families[idx]);
         }
         out.extend(acc);
-        assert!(
-            out.len() <= MAX_FAMILY,
-            "quorum enumeration exceeded {MAX_FAMILY} sets"
-        );
+        if out.len() > MAX_FAMILY {
+            *out = minimalize(std::mem::take(out));
+            assert!(
+                out.len() <= MAX_FAMILY / 2,
+                "quorum enumeration exceeded {MAX_FAMILY} sets"
+            );
+        }
         return;
     }
     // Not enough families left to fill the subset: prune.
@@ -507,6 +517,19 @@ mod tests {
         assert!(e.is_quorum(0b0011));
         // One vote short: {1,3} holds 3.
         assert!(!e.is_quorum(0b1010));
+    }
+
+    #[test]
+    fn repeated_leaves_collapse_under_the_family_cap() {
+        // Seven sites with three votes each, q = 11: C(21, 11) = 352 716
+        // leaf subsets, more than the cap, but only the C(7, 4) = 35
+        // four-site sets are minimal.
+        let votes = VoteAssignment::weighted(vec![3; 7]);
+        let e = Expr::weighted_threshold(&votes, 11);
+        let quorums = e.min_quorums();
+        assert_eq!(quorums.len(), 35);
+        assert!(quorums.iter().all(|q| q.count_ones() == 4));
+        assert_eq!(quorums, e.min_quorums_powerset(7));
     }
 
     #[test]

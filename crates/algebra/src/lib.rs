@@ -12,8 +12,9 @@
 //!   capped heuristic for scale);
 //! * [`QuorumSystem`] — named read/write families with an explicit
 //!   [`IntersectionCertificate`] (checked safety, not assumed), exact
-//!   crash [`QuorumSystem::resilience`], and constructors for majority,
-//!   grid, hierarchical, and vote-derived systems;
+//!   crash [`QuorumSystem::resilience`], the Garcia-Molina–Barbara
+//!   domination order ([`QuorumSystem::dominates`]), and constructors
+//!   for majority, grid, hierarchical, and vote-derived systems;
 //! * [`strategy`] — LP-free load optimization over quorum
 //!   distributions with certified upper *and* lower bounds, the exact
 //!   closed form for uniform-vote thresholds, and an f-resilience
@@ -33,10 +34,26 @@ pub mod protocol;
 pub mod strategy;
 pub mod system;
 
+// Unit tests of the Garcia-Molina–Barbara coterie facts on
+// `QuorumSystem`: a coterie is the system whose reads and writes are
+// the same family.
+#[cfg(test)]
+mod coterie {
+    mod tests;
+}
+
+// Unit tests of read/write coterie pairs: vote-derived and hand-built
+// `QuorumSystem`s, their certificates, domination and `AlgebraProtocol`
+// decisions.
+#[cfg(test)]
+mod bicoterie {
+    mod tests;
+}
+
 pub use expr::Expr;
 pub use protocol::{view_availability, AlgebraProtocol};
 pub use strategy::{
-    heuristic_load, mixed_load, optimize_load, optimize_load_resilient, uniform_threshold_load,
-    LoadProfile, ResilienceShortfall, Strategy,
+    check_iterations, heuristic_load, mixed_load, optimize_load, optimize_load_resilient,
+    uniform_threshold_load, LoadProfile, ResilienceShortfall, Strategy,
 };
 pub use system::{CertFailure, IntersectionCertificate, QuorumSystem};

@@ -69,8 +69,8 @@ impl ConsistencyProtocol for AlgebraProtocol {
 
     fn effective_spec(&self, _members: &[usize]) -> QuorumSpec {
         // General systems have no canonical vote threshold; report the
-        // loosest consistent pair for observability, matching the
-        // `CoterieProtocol` convention.
+        // loosest consistent pair over one vote per site, for
+        // observability.
         QuorumSpec::majority(self.system.n() as u64)
     }
 

@@ -157,13 +157,16 @@ impl std::error::Error for ResilienceShortfall {}
 /// manifests built on these numbers stay byte-stable.
 ///
 /// # Panics
-/// Panics if `read_fraction` is outside `[0, 1]` or `iterations == 0`.
+/// Panics if `read_fraction` is outside `[0, 1]` or `iterations == 0`
+/// (see [`check_iterations`]).
 pub fn optimize_load(system: &QuorumSystem, read_fraction: f64, iterations: usize) -> LoadProfile {
     assert!(
         (0.0..=1.0).contains(&read_fraction),
         "read fraction must lie in [0,1]"
     );
-    assert!(iterations >= 1, "need at least one iteration");
+    if let Err(rule) = check_iterations(iterations) {
+        panic!("{rule}");
+    }
     let reads = system.reads();
     let writes = system.writes();
     let support = reads.iter().chain(writes).fold(0u64, |a, &q| a | q);
@@ -234,6 +237,16 @@ pub fn optimize_load(system: &QuorumSystem, read_fraction: f64, iterations: usiz
         iterations: iterations as u64,
         read_strategy,
         write_strategy,
+    }
+}
+
+/// Checks an [`optimize_load`] iteration count, returning the violated
+/// rule.
+pub fn check_iterations(iterations: usize) -> Result<(), String> {
+    if iterations >= 1 {
+        Ok(())
+    } else {
+        Err("need at least one iteration".to_string())
     }
 }
 

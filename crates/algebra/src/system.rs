@@ -9,6 +9,12 @@
 //! 2), returning an explicit [`IntersectionCertificate`] — the
 //! FBAS-complexity literature's argument for carrying a checkable
 //! witness instead of trusting a construction.
+//!
+//! A coterie `C` in the sense of Garcia-Molina & Barbara \[8\] is the
+//! system with reads = writes = `C`
+//! (`QuorumSystem::from_exprs(name, n, e.clone(), e)`);
+//! [`QuorumSystem::dominates`] and [`QuorumSystem::is_dominated`] carry
+//! their domination order.
 
 use crate::expr::Expr;
 use quorum_core::{QuorumSpec, VoteAssignment};
@@ -242,6 +248,29 @@ impl QuorumSystem {
         self.writes.iter().any(|&q| q & !mask == 0)
     }
 
+    /// True if `self` dominates `other` (Garcia-Molina & Barbara \[8\]):
+    /// both are over the same sites, their families differ, and every
+    /// read (write) quorum of `other` contains a read (write) quorum of
+    /// `self` — so `self` grants every access `other` grants, and more.
+    pub fn dominates(&self, other: &QuorumSystem) -> bool {
+        self.n == other.n
+            && (self.reads != other.reads || self.writes != other.writes)
+            && other.reads.iter().all(|&q| self.read_available(q))
+            && other.writes.iter().all(|&q| self.write_available(q))
+    }
+
+    /// True if some coterie dominates the write family, by the
+    /// Garcia-Molina–Barbara witness test: a site set that meets every
+    /// write quorum yet contains none. Exponential in `n`.
+    ///
+    /// # Panics
+    /// Panics if `n > MAX_ENUM_SITES`.
+    pub fn is_dominated(&self) -> bool {
+        assert!(self.n <= crate::expr::MAX_ENUM_SITES, "2^n scan capped");
+        (1u64..1 << self.n)
+            .any(|x| self.writes.iter().all(|&q| q & x != 0) && !self.write_available(x))
+    }
+
     /// Exhaustively checks both intersection conditions over the
     /// enumerated families and returns the certificate.
     pub fn certify(&self) -> IntersectionCertificate {
@@ -288,9 +317,9 @@ impl QuorumSystem {
     /// Exact availability in the non-partitionable model (site `i` up
     /// with probability `p[i]`, up sites fully connected):
     /// `α·P[read quorum alive] + (1−α)·P[write quorum alive]` over the
-    /// `2^n` up-sets. The SURV-style set probability, matching
-    /// `quorum_core::ReadWriteCoterie::nonpartition_availability` so
-    /// the two layers can be cross-checked.
+    /// `2^n` up-sets. The SURV-style set probability, which is what the
+    /// coterie-comparison theorems of Garcia-Molina & Barbara are stated
+    /// over.
     ///
     /// # Panics
     /// Panics on length mismatch, invalid probabilities, or `n > 20`.
@@ -373,6 +402,43 @@ fn min_transversal(quorums: &[u64]) -> u32 {
 mod tests {
     use super::*;
 
+    /// Minimal site sets whose votes reach `q`, by a scan of all `2^n`
+    /// subsets, sorted like `QuorumSystem`'s families.
+    fn minimal_vote_sets(votes: &VoteAssignment, q: u64) -> Vec<u64> {
+        let n = votes.num_sites();
+        let reaching: Vec<u64> = (1u64..1 << n)
+            .filter(|&m| votes.votes_in((0..n).filter(|&s| m >> s & 1 == 1)) >= q)
+            .collect();
+        let mut minimal: Vec<u64> = reaching
+            .iter()
+            .copied()
+            .filter(|&m| !reaching.iter().any(|&o| o != m && o & m == o))
+            .collect();
+        minimal.sort_unstable_by_key(|&m| (m.count_ones(), m));
+        minimal
+    }
+
+    /// `α·P[some read quorum up] + (1−α)·P[some write quorum up]`, summed
+    /// over all `2^n` up-sets.
+    fn powerset_availability(reads: &[u64], writes: &[u64], p: &[f64], alpha: f64) -> f64 {
+        let contains = |family: &[u64], up: u64| family.iter().any(|&q| q & !up == 0);
+        let mut total = 0.0;
+        for up in 0u64..1 << p.len() {
+            let prob: f64 = p
+                .iter()
+                .enumerate()
+                .map(|(i, &pi)| if up >> i & 1 == 1 { pi } else { 1.0 - pi })
+                .product();
+            if contains(reads, up) {
+                total += alpha * prob;
+            }
+            if contains(writes, up) {
+                total += (1.0 - alpha) * prob;
+            }
+        }
+        total
+    }
+
     #[test]
     fn majority_system_certifies() {
         let s = QuorumSystem::majority(5, 0);
@@ -425,22 +491,14 @@ mod tests {
 
     #[test]
     fn vote_derived_system_matches_bicoterie_layer() {
-        use quorum_core::ReadWriteCoterie;
+        // The read/write coterie of a vote assignment: every minimal site
+        // set reaching q_r (q_w) votes.
         let votes = VoteAssignment::weighted(vec![2, 1, 1, 1]);
         let spec = QuorumSpec::new(2, 4, 5).expect("valid");
         let s = QuorumSystem::from_spec("votes", &votes, spec);
         assert!(s.certify().ok());
-        let bc = ReadWriteCoterie::from_quorums(&votes, spec);
-        let to_masks = |groups: Vec<Vec<usize>>| {
-            let mut m: Vec<u64> = groups
-                .iter()
-                .map(|g| g.iter().fold(0u64, |acc, &s| acc | 1 << s))
-                .collect();
-            m.sort_unstable_by_key(|&q| (q.count_ones(), q));
-            m
-        };
-        assert_eq!(s.reads().to_vec(), to_masks(bc.read_groups()));
-        assert_eq!(s.writes().to_vec(), to_masks(bc.write_groups()));
+        assert_eq!(s.reads().to_vec(), minimal_vote_sets(&votes, 2));
+        assert_eq!(s.writes().to_vec(), minimal_vote_sets(&votes, 4));
     }
 
     #[test]
@@ -499,15 +557,15 @@ mod tests {
 
     #[test]
     fn availability_matches_bicoterie_layer() {
-        use quorum_core::ReadWriteCoterie;
         let votes = VoteAssignment::uniform(5);
         let spec = QuorumSpec::majority(5);
         let s = QuorumSystem::from_spec("maj5", &votes, spec);
-        let bc = ReadWriteCoterie::from_quorums(&votes, spec);
+        let reads = minimal_vote_sets(&votes, spec.q_r());
+        let writes = minimal_vote_sets(&votes, spec.q_w());
         let p = [0.8, 0.5, 0.9, 0.7, 0.6];
         for alpha in [0.0, 0.3, 1.0] {
             let a = s.nonpartition_availability(&p, alpha);
-            let b = bc.nonpartition_availability(&p, alpha);
+            let b = powerset_availability(&reads, &writes, &p, alpha);
             assert!((a - b).abs() < 1e-12, "α={alpha}: {a} vs {b}");
         }
     }

@@ -28,7 +28,9 @@
 //!        [-- --quick --threads 2 --seed 7 --alpha 0.5
 //!            --iterations 2000 --manifest results/ALGEBRA_PR.json]
 
-use quorum_algebra::{optimize_load, uniform_threshold_load, AlgebraProtocol, QuorumSystem};
+use quorum_algebra::{
+    check_iterations, optimize_load, uniform_threshold_load, AlgebraProtocol, QuorumSystem,
+};
 use quorum_bench::{manifest, print_table, Args, Scale};
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_graph::Topology;
@@ -72,8 +74,12 @@ fn main() {
     let args = Args::parse();
     let seed: u64 = args.get_or("seed", 7);
     let threads: usize = args.get_or("threads", quorum_bench::default_threads());
-    let alpha: f64 = args.get_or("alpha", 0.5);
-    let iterations: usize = args.get_or("iterations", 2_000);
+    let alpha = args
+        .get_checked("alpha", |&a| Workload::check_alpha(a))
+        .unwrap_or(0.5);
+    let iterations = args
+        .get_checked("iterations", |&i| check_iterations(i))
+        .unwrap_or(2_000);
     let scale = Scale::from_args(&args);
     let params = scale.params();
     let registry = Registry::new();

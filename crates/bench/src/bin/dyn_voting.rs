@@ -23,7 +23,9 @@ fn main() {
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 61);
     let threads = args.get_or("threads", default_threads());
-    let alpha: f64 = args.get_or("alpha", 0.5);
+    let alpha = args
+        .get_checked("alpha", |&a| Workload::check_alpha(a))
+        .unwrap_or(0.5);
     let params = scale.params();
 
     println!(

@@ -59,7 +59,9 @@ fn main() {
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 19);
     let threads = args.get_or("threads", default_threads());
-    let alpha: f64 = args.get_or("alpha", 0.5);
+    let alpha = args
+        .get_checked("alpha", |&a| Workload::check_alpha(a))
+        .unwrap_or(0.5);
 
     let topologies = vec![Topology::star(15), barbell(8), Topology::grid(4, 4)];
     for reliability in [0.96, 0.85] {

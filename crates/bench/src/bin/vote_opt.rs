@@ -42,7 +42,9 @@ fn simulate_assignment(
 
 fn main() {
     let args = Args::parse();
-    let alpha: f64 = args.get_or("alpha", 0.5);
+    let alpha = args
+        .get_checked("alpha", |&a| Workload::check_alpha(a))
+        .unwrap_or(0.5);
     let max_votes: u64 = args.get_or("max-votes", 3);
     let seed: u64 = args.get_or("seed", 88);
 

@@ -29,7 +29,9 @@ fn main() {
     let threads = args.get_or("threads", default_threads());
     let clusters: usize = args.get_or("clusters", 5);
     let cluster_size: usize = args.get_or("cluster-size", 5);
-    let alpha: f64 = args.get_or("alpha", 0.75);
+    let alpha = args
+        .get_checked("alpha", |&a| Workload::check_alpha(a))
+        .unwrap_or(0.75);
 
     let topo = Topology::ring_of_clusters(clusters, cluster_size);
     let n = topo.num_sites();

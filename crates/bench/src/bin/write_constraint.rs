@@ -24,7 +24,9 @@ fn main() {
     let seed: u64 = args.get_or("seed", 54);
     let threads = args.get_or("threads", default_threads());
     let chords: usize = args.get_or("topology", 2);
-    let alpha: f64 = args.get_or("alpha", 0.75);
+    let alpha = args
+        .get_checked("alpha", |&a| Workload::check_alpha(a))
+        .unwrap_or(0.75);
     let floor: f64 = args.get_or("floor", 0.20);
 
     let sc = PaperScenario::new(chords);

@@ -278,6 +278,7 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quorum_algebra::check_iterations;
     use quorum_cluster::{ClusterConfig, LatencyDist, NetConfig};
     use quorum_graph::Topology;
     use quorum_replica::Workload;
@@ -319,8 +320,9 @@ mod tests {
         let err = Args::try_from_args(["quick".to_string()]).unwrap_err();
         assert_eq!(err, "unexpected positional argument \"quick\"");
 
-        // The checks `cluster_sim` and `shard_throughput` hand to
-        // `get_checked`: each is the one the engine would assert.
+        // The checks `cluster_sim`, `shard_throughput` and
+        // `compare_systems` hand to `get_checked`: each is the one the
+        // engine would assert.
         let latency = |s| {
             argv(s).try_get_checked("latency", |&mean| LatencyDist::Exponential { mean }.check())
         };
@@ -354,6 +356,7 @@ mod tests {
             |s| argv(s).try_get_checked("alpha-buckets", |&b| ObjectCatalog::check_buckets(b));
         let spread =
             |s| argv(s).try_get_checked("alpha-spread", |&x| ObjectCatalog::check_spread(x));
+        let iterations = |s| argv(s).try_get_checked("iterations", |&i| check_iterations(i));
         let cases = [
             (
                 loss("--loss 2.0"),
@@ -422,6 +425,10 @@ mod tests {
                 buckets("--alpha-buckets 0"),
                 "--alpha-buckets \"0\": need at least one alpha bucket",
             ),
+            (
+                iterations("--iterations 0"),
+                "--iterations \"0\": need at least one iteration",
+            ),
         ];
         for (got, want) in site_cases {
             assert_eq!(got, Err(want.to_string()));
@@ -440,6 +447,7 @@ mod tests {
         assert_eq!(ring_sites("--sites 3"), Ok(Some(3)));
         assert_eq!(bus_sites("--sites 2"), Ok(Some(2)));
         assert_eq!(buckets("--alpha-buckets 1"), Ok(Some(1)));
+        assert_eq!(iterations("--iterations 1"), Ok(Some(1)));
         assert_eq!(spread("--alpha-spread 0"), Ok(Some(0.0)));
     }
 

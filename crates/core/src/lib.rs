@@ -10,10 +10,6 @@
 //!   conditions `q_r + q_w > T` and `q_w > T/2` (§2.1).
 //! * [`protocol`] — the quorum consensus protocol and its named special
 //!   cases: majority consensus, read-one/write-all, primary copy.
-//! * [`coterie`] / [`bicoterie`] — the more general (read/write) coterie
-//!   formalism of Garcia-Molina & Barbara used by the related work the
-//!   paper positions against, including a coterie-driven
-//!   [`protocol::ConsistencyProtocol`].
 //! * [`reassign`] — the dynamic quorum reassignment (QR) protocol of §2.2:
 //!   version-numbered assignments installable only in a component holding a
 //!   write quorum under the *old* assignment.
@@ -33,6 +29,10 @@
 //! * [`dynamic_voting`] — Jajodia–Mutchler dynamic voting \[12, 13\], the
 //!   electorate-shrinking dynamic protocol family the paper contrasts its
 //!   quorum-reassignment approach with.
+//!
+//! The coterie formalism of Garcia-Molina & Barbara \[8\] (arbitrary
+//! read/write set families, domination) lives in `quorum-algebra`, which
+//! builds on this crate.
 
 #![warn(missing_docs)]
 // Exact `==`/`!=` on floats encodes an accidental bit-pattern property;
@@ -41,8 +41,6 @@
 
 pub mod analytic;
 pub mod availability;
-pub mod bicoterie;
-pub mod coterie;
 pub mod dynamic_voting;
 pub mod estimator;
 pub mod metrics;
@@ -76,8 +74,6 @@ pub mod prelude {
 }
 
 pub use availability::AvailabilityModel;
-pub use bicoterie::{CoterieProtocol, ReadWriteCoterie};
-pub use coterie::Coterie;
 pub use dynamic_voting::DynamicVoting;
 pub use estimator::SiteEstimators;
 pub use metrics::AvailabilityMetric;

@@ -71,37 +71,6 @@ impl VoteAssignment {
     pub fn is_uniform(&self) -> bool {
         self.votes.iter().all(|&v| v == 1)
     }
-
-    /// The minimal site-sets whose votes reach `quorum`, as sorted site
-    /// lists in ascending mask order — the family a vote threshold
-    /// induces. Shared by the coterie and bicoterie constructors (and
-    /// cross-checked by the algebra layer's expression enumeration), so
-    /// all three derive vote-induced families from one definition.
-    ///
-    /// Exponential subset scan; capped at 20 sites like the other
-    /// exponential routines.
-    ///
-    /// # Panics
-    /// Panics if the site count exceeds 20.
-    pub fn minimal_reaching(&self, quorum: u64) -> Vec<Vec<usize>> {
-        let n = self.num_sites();
-        assert!(n <= 20, "exponential enumeration capped at 20 sites");
-        let mut reaching: Vec<u32> = Vec::new();
-        for mask in 1u32..(1 << n) {
-            let sum: u64 = (0..n)
-                .filter(|&s| mask >> s & 1 == 1)
-                .map(|s| self.votes[s])
-                .sum();
-            if sum >= quorum {
-                reaching.push(mask);
-            }
-        }
-        reaching
-            .iter()
-            .filter(|&&m| !reaching.iter().any(|&o| o != m && o & m == o))
-            .map(|&m| (0..n).filter(|&s| m >> s & 1 == 1).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! agrees with the powerset reference on every small expression, and
 //! vote-derived systems are safe and round-trip exactly — including
 //! ties at exactly the threshold — against the raw vote arithmetic the
-//! protocol layer uses.
+//! protocol layer uses, with their families and availability equal to a
+//! powerset scan of the vote sums.
 
 use proptest::prelude::*;
 use quorum_algebra::{Expr, QuorumSystem};
@@ -29,6 +30,44 @@ fn random_expr(rng: &mut StdRng, n: usize, depth: usize) -> Expr {
             Expr::choose(k, children)
         }
     }
+}
+
+/// The minimal site sets whose votes reach `q`, found by scanning every
+/// subset, in the canonical `(popcount, value)` order: the definition of
+/// a vote-derived family that `QuorumSystem::from_spec` must reproduce.
+fn minimal_vote_sets(votes: &VoteAssignment, q: u64) -> Vec<u64> {
+    let n = votes.num_sites();
+    let reaching: Vec<u64> = (1u64..1 << n)
+        .filter(|&m| votes.votes_in((0..n).filter(|&s| m >> s & 1 == 1)) >= q)
+        .collect();
+    let mut minimal: Vec<u64> = reaching
+        .iter()
+        .copied()
+        .filter(|&m| !reaching.iter().any(|&o| o != m && o & m == o))
+        .collect();
+    minimal.sort_unstable_by_key(|&m| (m.count_ones(), m));
+    minimal
+}
+
+/// `α·P[some read quorum up] + (1−α)·P[some write quorum up]`, summed
+/// over all `2^n` up-sets with site `i` up with probability `p[i]`.
+fn powerset_availability(reads: &[u64], writes: &[u64], p: &[f64], alpha: f64) -> f64 {
+    let contains = |family: &[u64], up: u64| family.iter().any(|&q| q & !up == 0);
+    let mut total = 0.0;
+    for up in 0u64..1 << p.len() {
+        let prob: f64 = p
+            .iter()
+            .enumerate()
+            .map(|(i, &pi)| if up >> i & 1 == 1 { pi } else { 1.0 - pi })
+            .product();
+        if contains(reads, up) {
+            total += alpha * prob;
+        }
+        if contains(writes, up) {
+            total += (1.0 - alpha) * prob;
+        }
+    }
+    total
 }
 
 proptest! {
@@ -116,6 +155,37 @@ proptest! {
                 "mask {mask:#b} with threshold {q} of {:?}",
                 votes.as_slice()
             );
+        }
+    }
+
+    /// `QuorumSystem::from_spec` derives exactly the minimal vote-reaching
+    /// site sets. For random weighted votes (zero-vote sites included)
+    /// and every valid write quorum with its tight read partner — so
+    /// every threshold `1..=T` appears on one side — both families equal
+    /// the powerset scan's, and the non-partitionable availability equals
+    /// the powerset sum over them.
+    #[test]
+    fn vote_families_match_powerset_oracle(seed in 0u64..5_000, n in 1usize..=7) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut votes: Vec<u64> = (0..n).map(|_| rng.random_range(0..=3u64)).collect();
+        if votes.iter().all(|&v| v == 0) {
+            votes[rng.random_range(0..n)] = 1;
+        }
+        let votes = VoteAssignment::weighted(votes);
+        let t = votes.total();
+        let p = &[0.8, 0.5, 0.9, 0.7, 0.6, 0.95, 0.3][..n];
+        for q_w in t / 2 + 1..=t {
+            let spec = QuorumSpec::new(t + 1 - q_w, q_w, t).expect("tight pair is valid");
+            let sys = QuorumSystem::from_spec("prop", &votes, spec);
+            let reads = minimal_vote_sets(&votes, spec.q_r());
+            let writes = minimal_vote_sets(&votes, q_w);
+            prop_assert_eq!(sys.reads(), &reads[..], "reads of {:?}", spec);
+            prop_assert_eq!(sys.writes(), &writes[..], "writes of {:?}", spec);
+            for alpha in [0.0, 0.3, 1.0] {
+                let got = sys.nonpartition_availability(p, alpha);
+                let want = powerset_availability(&reads, &writes, p, alpha);
+                prop_assert!((got - want).abs() < 1e-12, "{spec:?} α={alpha}: {got} vs {want}");
+            }
         }
     }
 }

@@ -9,11 +9,9 @@
 //! Verified here for every protocol in the workspace on the same topology
 //! and seed.
 
+use quorum_algebra::{AlgebraProtocol, QuorumSystem};
 use quorum_core::protocol::ConsistencyProtocol;
-use quorum_core::{
-    CoterieProtocol, DynamicVoting, QrProtocol, QuorumConsensus, QuorumSpec, ReadWriteCoterie,
-    VoteAssignment,
-};
+use quorum_core::{DynamicVoting, QrProtocol, QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
 use quorum_replica::simulation::NullObserver;
@@ -72,7 +70,8 @@ fn no_protocol_beats_site_reliability_on_acc() {
         ("dynamic-voting", Box::new(DynamicVoting::new(13))),
         (
             "coterie",
-            Box::new(CoterieProtocol::new(ReadWriteCoterie::from_quorums(
+            Box::new(AlgebraProtocol::new(QuorumSystem::from_spec(
+                "coterie",
                 &VoteAssignment::uniform(13),
                 QuorumSpec::majority(13),
             ))),

@@ -1,10 +1,9 @@
-//! Integration tests for the coterie-driven protocol and the SURV metric
-//! variant (§3, footnote 3).
+//! Integration tests for the coterie-driven protocol (a set-family
+//! `AlgebraProtocol`) and the SURV metric variant (§3, footnote 3).
 
+use quorum_algebra::{AlgebraProtocol, Expr, QuorumSystem};
 use quorum_core::metrics::AvailabilityMetric;
-use quorum_core::{
-    CoterieProtocol, QuorumConsensus, QuorumSpec, ReadWriteCoterie, SearchStrategy, VoteAssignment,
-};
+use quorum_core::{QuorumConsensus, QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
 use quorum_replica::simulation::NullObserver;
@@ -20,8 +19,8 @@ fn params() -> SimParams {
 
 #[test]
 fn coterie_protocol_matches_quorum_consensus_in_simulation() {
-    // A vote-derived bicoterie must produce the *identical* decision
-    // sequence as the threshold protocol it was derived from.
+    // A vote-derived read/write coterie must produce the *identical*
+    // decision sequence as the threshold protocol it was derived from.
     let n = 11usize;
     let topo = Topology::ring_with_chords(n, 3);
     let votes = VoteAssignment::uniform(n);
@@ -30,8 +29,8 @@ fn coterie_protocol_matches_quorum_consensus_in_simulation() {
     let run = |use_coterie: bool| {
         let mut sim = Simulation::new(&topo, params(), Workload::uniform(n, 0.5), 31);
         if use_coterie {
-            let bc = ReadWriteCoterie::from_quorums(&votes, spec);
-            let mut proto = CoterieProtocol::new(bc);
+            let system = QuorumSystem::from_spec("coterie", &votes, spec);
+            let mut proto = AlgebraProtocol::new(system);
             sim.run_batch(&mut proto, &mut NullObserver)
         } else {
             let mut proto = QuorumConsensus::new(votes.clone(), spec);
@@ -48,18 +47,26 @@ fn coterie_protocol_matches_quorum_consensus_in_simulation() {
 
 #[test]
 fn non_vote_coterie_is_serializable_in_simulation() {
-    // A hand-built (non-threshold) bicoterie with valid intersections
-    // must also be 1SR under partitions.
+    // A hand-built (non-threshold) read/write coterie with valid
+    // intersections must also be 1SR under partitions.
     let n = 4usize;
     let topo = Topology::fully_connected(n);
-    let bc = ReadWriteCoterie::new(
+    let groups = |gs: [&[usize]; 2]| {
+        Expr::or(
+            gs.iter()
+                .map(|g| Expr::and(Expr::nodes(g.iter().copied())))
+                .collect(),
+        )
+    };
+    let system = QuorumSystem::from_exprs(
+        "hand-built",
         n,
-        &[vec![0, 1], vec![2, 3]],
-        &[vec![0, 1, 2], vec![1, 2, 3]],
-    )
-    .unwrap();
+        groups([&[0, 1], &[2, 3]]),
+        groups([&[0, 1, 2], &[1, 2, 3]]),
+    );
+    assert!(system.certify().ok());
     let mut sim = Simulation::new(&topo, params(), Workload::uniform(n, 0.5), 5);
-    let mut proto = CoterieProtocol::new(bc);
+    let mut proto = AlgebraProtocol::new(system);
     let stats = sim.run_batch(&mut proto, &mut NullObserver);
     assert_eq!(stats.stale_reads, 0);
     assert_eq!(stats.write_conflicts, 0);
