@@ -57,7 +57,9 @@ fn main() {
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 4);
     let threads = args.get_or("threads", default_threads());
-    let n: usize = args.get_or("sites", 31);
+    let n = args
+        .get_checked("sites", |&n| Topology::check_ring(n))
+        .unwrap_or(31);
     let p = 0.96;
     let r = 0.96;
 

@@ -13,7 +13,8 @@
 
 use quorum_bench::{or_usage_exit, pct, Args};
 use quorum_core::analytic::{
-    bus_density_sites_fail, bus_density_sites_independent, fully_connected_density, ring_density,
+    bus_density_sites_fail, bus_density_sites_independent, check_reliability, check_ring_sites,
+    check_sites, fully_connected_density, ring_density,
 };
 use quorum_core::optimal::{optimal_quorum, optimal_with_write_floor};
 use quorum_core::{AvailabilityModel, SearchStrategy};
@@ -54,16 +55,23 @@ fn main() {
             "model",
             &["ring", "fc", "fully-connected", "bus-fail", "bus-indep"],
         );
-        let n: usize = args.get_or("sites", 21);
-        let p: f64 = args.get_or("site-rel", 0.96);
-        let r: f64 = args.get_or("link-rel", 0.96);
-        match model {
-            "ring" => ring_density(n, p, r),
-            "fc" | "fully-connected" => fully_connected_density(n, p, r),
-            "bus-fail" => bus_density_sites_fail(n, p, r),
-            "bus-indep" => bus_density_sites_independent(n, p, r),
+        type SiteCheck = fn(usize) -> Result<(), String>;
+        type Density = fn(usize, f64, f64) -> DiscreteDist;
+        let (site_check, density): (SiteCheck, Density) = match model {
+            "ring" => (check_ring_sites, ring_density),
+            "fc" | "fully-connected" => (check_sites, fully_connected_density),
+            "bus-fail" => (check_sites, bus_density_sites_fail),
+            "bus-indep" => (check_sites, bus_density_sites_independent),
             other => unreachable!("one_of returned unlisted {other:?}"),
-        }
+        };
+        let n = args.get_checked("sites", |&n| site_check(n)).unwrap_or(21);
+        let p = args
+            .get_checked("site-rel", |&p| check_reliability(p))
+            .unwrap_or(0.96);
+        let r = args
+            .get_checked("link-rel", |&r| check_reliability(r))
+            .unwrap_or(0.96);
+        density(n, p, r)
     };
     let total = density.max_votes();
     let model = AvailabilityModel::from_mixtures(&density, &density);

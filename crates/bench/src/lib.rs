@@ -280,6 +280,7 @@ mod tests {
     use super::*;
     use quorum_algebra::check_iterations;
     use quorum_cluster::{ClusterConfig, LatencyDist, NetConfig};
+    use quorum_core::analytic::{check_reliability, check_ring_sites, check_sites};
     use quorum_graph::Topology;
     use quorum_replica::Workload;
     use quorum_shard::{FailureTimeline, ObjectCatalog};
@@ -320,9 +321,9 @@ mod tests {
         let err = Args::try_from_args(["quick".to_string()]).unwrap_err();
         assert_eq!(err, "unexpected positional argument \"quick\"");
 
-        // The checks `cluster_sim`, `shard_throughput` and
-        // `compare_systems` hand to `get_checked`: each is the one the
-        // engine would assert.
+        // The checks `cluster_sim`, `shard_throughput`, `compare_systems`,
+        // `optimize` and `analytic_vs_sim` hand to `get_checked`: each is
+        // the one the engine or closed form would assert.
         let latency = |s| {
             argv(s).try_get_checked("latency", |&mean| LatencyDist::Exponential { mean }.check())
         };
@@ -357,6 +358,10 @@ mod tests {
         let spread =
             |s| argv(s).try_get_checked("alpha-spread", |&x| ObjectCatalog::check_spread(x));
         let iterations = |s| argv(s).try_get_checked("iterations", |&i| check_iterations(i));
+        let model_ring_sites = |s| argv(s).try_get_checked("sites", |&n| check_ring_sites(n));
+        let model_sites = |s| argv(s).try_get_checked("sites", |&n| check_sites(n));
+        let site_rel = |s| argv(s).try_get_checked("site-rel", |&p| check_reliability(p));
+        let link_rel = |s| argv(s).try_get_checked("link-rel", |&r| check_reliability(r));
         let cases = [
             (
                 loss("--loss 2.0"),
@@ -396,6 +401,18 @@ mod tests {
                 spread("--alpha-spread NaN"),
                 "--alpha-spread \"NaN\": spread must be non-negative and finite",
             ),
+            (
+                site_rel("--site-rel 1.5"),
+                "--site-rel \"1.5\": reliability must lie in [0,1]",
+            ),
+            (
+                site_rel("--site-rel nan"),
+                "--site-rel \"nan\": reliability must lie in [0,1]",
+            ),
+            (
+                link_rel("--link-rel -1"),
+                "--link-rel \"-1\": reliability must lie in [0,1]",
+            ),
         ];
         for (got, want) in cases {
             assert_eq!(got, Err(want.to_string()));
@@ -412,6 +429,26 @@ mod tests {
             (
                 ring_sites("--sites 2"),
                 "--sites \"2\": a ring needs at least 3 sites",
+            ),
+            (
+                ring_sites("--sites 1"),
+                "--sites \"1\": a ring needs at least 3 sites",
+            ),
+            (
+                model_ring_sites("--sites 0"),
+                "--sites \"0\": a ring needs at least 3 sites",
+            ),
+            (
+                model_ring_sites("--sites 1"),
+                "--sites \"1\": a ring needs at least 3 sites",
+            ),
+            (
+                model_ring_sites("--sites 2"),
+                "--sites \"2\": a ring needs at least 3 sites",
+            ),
+            (
+                model_sites("--sites 0"),
+                "--sites \"0\": need at least one site",
             ),
             (
                 bus_sites("--sites 1"),
@@ -445,6 +482,10 @@ mod tests {
         assert_eq!(horizon("--horizon 2.0"), Ok(Some(2.0)));
         assert_eq!(alpha("--alpha 0.7"), Ok(Some(0.7)));
         assert_eq!(ring_sites("--sites 3"), Ok(Some(3)));
+        assert_eq!(model_ring_sites("--sites 3"), Ok(Some(3)));
+        assert_eq!(model_sites("--sites 1"), Ok(Some(1)));
+        assert_eq!(site_rel("--site-rel 1"), Ok(Some(1.0)));
+        assert_eq!(link_rel("--link-rel 0"), Ok(Some(0.0)));
         assert_eq!(bus_sites("--sites 2"), Ok(Some(2)));
         assert_eq!(buckets("--alpha-buckets 1"), Ok(Some(1)));
         assert_eq!(iterations("--iterations 1"), Ok(Some(1)));

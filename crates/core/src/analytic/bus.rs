@@ -22,7 +22,7 @@
 //!   DESIGN.md (their `f(1) = p` cannot be literal: the sum would exceed
 //!   one).
 
-use super::{check_prob, choose};
+use super::{check_prob, check_sites, choose, enforce};
 use quorum_stats::DiscreteDist;
 
 fn binomial_term(n: usize, v: usize, p: f64) -> f64 {
@@ -32,7 +32,7 @@ fn binomial_term(n: usize, v: usize, p: f64) -> f64 {
 /// Density for the "no site functions when the bus is down" design.
 #[allow(clippy::needless_range_loop)] // indexing pmf[v] mirrors the formulas
 pub fn bus_density_sites_fail(n: usize, p: f64, r: f64) -> DiscreteDist {
-    assert!(n >= 1, "need at least one site");
+    enforce(check_sites(n));
     check_prob("site reliability p", p);
     check_prob("bus reliability r", r);
     let mut pmf = vec![0.0; n + 1];
@@ -46,7 +46,7 @@ pub fn bus_density_sites_fail(n: usize, p: f64, r: f64) -> DiscreteDist {
 /// Density for the "sites survive a bus failure as singletons" design.
 #[allow(clippy::needless_range_loop)] // indexing pmf[v] mirrors the formulas
 pub fn bus_density_sites_independent(n: usize, p: f64, r: f64) -> DiscreteDist {
-    assert!(n >= 1, "need at least one site");
+    enforce(check_sites(n));
     check_prob("site reliability p", p);
     check_prob("bus reliability r", r);
     let mut pmf = vec![0.0; n + 1];

@@ -20,7 +20,7 @@
 //! connected, and every outside site either down or with all `v` of its
 //! links into the component down.
 
-use super::{check_prob, choose};
+use super::{check_prob, check_sites, choose, enforce};
 use quorum_stats::DiscreteDist;
 
 /// Computes `Rel(1..=m, r)` in one O(m²) pass; `out[k] = Rel(k, r)`.
@@ -51,7 +51,7 @@ pub fn gilbert_rel(m: usize, r: f64) -> f64 {
 /// reliability `p`, link reliability `r`, one vote per site).
 #[allow(clippy::needless_range_loop)] // indexing pmf[v] mirrors the formula
 pub fn fully_connected_density(n: usize, p: f64, r: f64) -> DiscreteDist {
-    assert!(n >= 1, "need at least one site");
+    enforce(check_sites(n));
     check_prob("site reliability p", p);
     check_prob("link reliability r", r);
     let rel = gilbert_rel_table(n, r);

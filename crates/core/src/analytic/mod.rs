@@ -21,15 +21,40 @@ pub mod star;
 pub use bus::{bus_density_sites_fail, bus_density_sites_independent};
 pub use fully_connected::{fully_connected_density, gilbert_rel};
 pub use path::{path_densities, path_density};
-pub use ring::ring_density;
+pub use ring::{check_ring_sites, ring_density};
 pub use star::{star_densities, star_hub_density, star_leaf_density};
+
+/// Checks a site or link reliability, returning the violated rule.
+pub fn check_reliability(x: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&x) {
+        Ok(())
+    } else {
+        Err("reliability must lie in [0,1]".to_string())
+    }
+}
+
+/// Checks the site count of [`fully_connected_density`] and of both bus
+/// densities (at least one site), returning the violated rule.
+pub fn check_sites(n: usize) -> Result<(), String> {
+    if n >= 1 {
+        Ok(())
+    } else {
+        Err("need at least one site".to_string())
+    }
+}
+
+/// Panics with the violated rule, if any.
+pub(crate) fn enforce(check: Result<(), String>) {
+    if let Err(rule) = check {
+        panic!("{rule}");
+    }
+}
 
 /// Validates a probability parameter.
 pub(crate) fn check_prob(name: &str, x: f64) {
-    assert!(
-        (0.0..=1.0).contains(&x),
-        "{name} must lie in [0,1], got {x}"
-    );
+    if let Err(rule) = check_reliability(x) {
+        panic!("{name} = {x}: {rule}");
+    }
 }
 
 /// `ln C(n, k)` via `ln Γ`; exact enough for the moderate `n` used here.

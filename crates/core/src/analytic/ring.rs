@@ -16,8 +16,17 @@
 //! by a down neighbor site or a down link (`1 − p r` each). The `v = T−1`
 //! and `v = T` cases account for the shared excluded site / the wrap.
 
-use super::check_prob;
+use super::{check_prob, enforce};
 use quorum_stats::DiscreteDist;
+
+/// Checks the site count of [`ring_density`], returning the violated rule.
+pub fn check_ring_sites(n: usize) -> Result<(), String> {
+    if n >= 3 {
+        Ok(())
+    } else {
+        Err("a ring needs at least 3 sites".to_string())
+    }
+}
 
 /// Exact `f_i(v)` for a ring (any site — the ring is vertex-transitive).
 ///
@@ -25,7 +34,7 @@ use quorum_stats::DiscreteDist;
 /// Panics if `n < 3` or probabilities are outside `[0, 1]`.
 #[allow(clippy::needless_range_loop)] // indexing pmf[v] mirrors the paper's piecewise formula
 pub fn ring_density(n: usize, p: f64, r: f64) -> DiscreteDist {
-    assert!(n >= 3, "ring needs at least 3 sites");
+    enforce(check_ring_sites(n));
     check_prob("site reliability p", p);
     check_prob("link reliability r", r);
     let mut pmf = vec![0.0; n + 1];
