@@ -60,8 +60,9 @@ fn apply_to_state(state: &mut NetworkState, ev: TopologyEvent) {
 
 /// The simulator's hot-loop shape: 1 topology event per 8 component
 /// reads, replayed under each kernel. `full_bfs` pays a queue-based BFS
-/// per event, `bitset_bfs` a word-parallel rebuild per event, and
-/// `delta` only the affected component (or nothing at all).
+/// per event (the [`ComponentView::compute`] oracle), `bitset_bfs` a
+/// word-parallel rebuild per event, and `delta` only the affected
+/// component (or nothing at all).
 fn bench_event_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_replay");
     for chords in [0usize, 256, 1024] {
@@ -71,13 +72,12 @@ fn bench_event_replay(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("full_bfs", chords), &chords, |b, _| {
             b.iter(|| {
                 let mut state = NetworkState::all_up(&topo);
-                let mut cache = ComponentCache::new();
                 let mut acc = 0u64;
                 for (i, &ev) in trace.iter().enumerate() {
                     apply_to_state(&mut state, ev);
-                    cache.apply_event(&topo, &state, &votes, ev);
+                    let view = ComponentView::compute(&topo, &state, &votes);
                     for k in 0..8usize {
-                        acc += cache.view(&topo, &state, &votes).votes_of((i + k) % 101);
+                        acc += view.votes_of((i + k) % 101);
                     }
                 }
                 black_box(acc)
@@ -100,7 +100,7 @@ fn bench_event_replay(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("delta", chords), &chords, |b, _| {
             b.iter(|| {
                 let mut state = NetworkState::all_up(&topo);
-                let mut cache = ComponentCache::incremental();
+                let mut cache = ComponentCache::new();
                 cache.view(&topo, &state, &votes);
                 let mut acc = 0u64;
                 for (i, &ev) in trace.iter().enumerate() {
@@ -168,8 +168,10 @@ fn bench_cache_ablation(c: &mut Criterion) {
             let mut acc = 0u64;
             for i in 0..64usize {
                 if i % 8 == 0 {
-                    state.set_site(i % 101, i % 16 == 0);
-                    cache.invalidate();
+                    let (site, up) = (i % 101, i % 16 == 0);
+                    if state.set_site(site, up) {
+                        cache.apply_event(&topo, &state, &votes, TopologyEvent::Site { site, up });
+                    }
                 }
                 acc += cache.view(&topo, &state, &votes).votes_of(i % 101);
             }

@@ -21,7 +21,9 @@ fn main() {
     let args = Args::parse();
     let chords: usize = args.get_or("topology", 16);
     let seed: u64 = args.get_or("seed", 3);
-    let accesses: u64 = args.get_or("accesses", 40_000);
+    let accesses: u64 = args
+        .get_checked("accesses", |&a| SimParams::check_batch_accesses(a))
+        .unwrap_or(40_000);
 
     let sc = PaperScenario::new(chords);
     let topo = sc.topology();

@@ -4,27 +4,32 @@
 //!
 //! * **Kernel replay** — a deterministic site/link toggle trace with the
 //!   simulator's hot-loop shape (1 topology event per 8 component
-//!   reads), replayed three ways: queue-based full BFS per event, word-
-//!   parallel bitset BFS per event, and the incremental delta kernel
-//!   (merge on recovery, single-component rescan on failure, no-op
-//!   filtering). Reports wall-clock and the full-BFS/delta speedup —
-//!   the headline ratio EXPERIMENTS.md quotes for chords ≥ 256.
+//!   reads), replayed three ways: queue-based full BFS per event
+//!   ([`ComponentView::compute`], the oracle), word-parallel bitset BFS
+//!   per event, and the incremental delta kernel behind
+//!   [`ComponentCache`] (merge on recovery, single-component rescan on
+//!   failure, no-op filtering). The run asserts that all three report
+//!   the same numbers and that every event lands in exactly one
+//!   fast-path counter, and reports wall-clock and the full-BFS/delta
+//!   speedup — the headline ratio EXPERIMENTS.md quotes for
+//!   chords ≥ 256.
 //! * **Engine batches** — full replica-simulator batches (ring, full,
-//!   bus) with the kernel on vs off at 1 and `--threads` worker
-//!   threads, pinning what the micro numbers buy end to end.
+//!   bus) at 1 and `--threads` worker threads.
 //!
 //! With `--manifest <path>` a run manifest is written containing every
-//! wall-clock metric plus the kernel-on engine counters, so the
-//! `graph.delta_*` fast-path identity (counter sum = topology events)
-//! is visible to the CI jq gate.
+//! wall-clock metric plus the engine counters, so the `graph.delta_*`
+//! fast-path identity (counter sum = topology events) can be checked with
+//! the jq expression CI applies to the other run manifests.
 //!
 //! Usage: cargo run -p quorum-bench --release --bin kernel_replay
 //!        [-- --paper-scale --threads 2 --seed 11 --events 50000
-//!            --manifest results/BENCH_PR.json]
+//!            --batches 2 --manifest kernel_replay.json]
 
-use quorum_bench::{manifest, print_table, run_jobs, Args, Scale};
+use quorum_bench::{check_batches, manifest, print_table, run_jobs, Args, Scale};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
-use quorum_graph::{ComponentCache, DeltaConnectivity, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{
+    ComponentCache, ComponentView, DeltaConnectivity, NetworkState, Topology, TopologyEvent,
+};
 use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::simulation::NullObserver;
 use quorum_replica::{BatchStats, Simulation, Workload};
@@ -126,17 +131,13 @@ fn apply_to_state(state: &mut NetworkState, ev: TopologyEvent) {
     }
 }
 
-/// Replays `trace` with 8 component reads per event; `make_cache` picks
-/// the kernel. Returns (wall seconds, vote checksum, final cache).
-fn replay(
-    setup: &Setup,
-    trace: &[TopologyEvent],
-    make_cache: impl Fn() -> ComponentCache,
-) -> (f64, u64, ComponentCache) {
+/// Replays `trace` through the delta kernel with 8 component reads per
+/// event. Returns (wall seconds, vote checksum, final cache).
+fn replay_delta(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64, ComponentCache) {
     let votes = setup.votes.as_slice();
     let n = setup.topo.num_sites();
     let mut state = NetworkState::all_up(&setup.topo);
-    let mut cache = make_cache();
+    let mut cache = ComponentCache::new();
     cache.view(&setup.topo, &state, votes);
     #[expect(
         clippy::disallowed_methods,
@@ -154,9 +155,14 @@ fn replay(
     (started.elapsed().as_secs_f64(), acc, cache)
 }
 
-/// Replays with a from-scratch word-parallel bitset BFS per event (the
-/// middle rung between queue BFS and the incremental kernel).
-fn replay_bitset(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64) {
+/// Replays with a from-scratch view per event, built by `rebuild`: the
+/// queue BFS oracle or the word-parallel bitset BFS (the middle rung
+/// between queue BFS and the incremental kernel).
+fn replay_rebuild(
+    setup: &Setup,
+    trace: &[TopologyEvent],
+    rebuild: impl Fn(&Topology, &NetworkState, &[u64]) -> ComponentView,
+) -> (f64, u64) {
     let votes = setup.votes.as_slice();
     let n = setup.topo.num_sites();
     let mut state = NetworkState::all_up(&setup.topo);
@@ -168,7 +174,7 @@ fn replay_bitset(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64) {
     let mut acc = 0u64;
     for (i, &ev) in trace.iter().enumerate() {
         apply_to_state(&mut state, ev);
-        let view = DeltaConnectivity::new(&setup.topo, &state, votes).to_view();
+        let view = rebuild(&setup.topo, &state, votes);
         for k in 0..8usize {
             acc += view.votes_of((i + k) % n);
         }
@@ -176,14 +182,13 @@ fn replay_bitset(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64) {
     (started.elapsed().as_secs_f64(), acc)
 }
 
-/// Runs `batches` replica batches under one kernel setting, spread over
-/// `threads` workers exactly like the production runner (one engine per
-/// worker, disjoint batch indices). Returns (wall secs, merged stats).
+/// Runs `batches` replica batches spread over `threads` workers exactly
+/// like the production runner (one engine per worker, disjoint batch
+/// indices). Returns (wall secs, merged stats).
 fn engine_run(
     setup: &Setup,
     scale: Scale,
     seed: u64,
-    kernel: bool,
     threads: usize,
     batches: u64,
 ) -> (f64, BatchStats) {
@@ -200,8 +205,7 @@ fn engine_run(
             let (topo, votes, workload) =
                 (&setup.topo, setup.votes.clone(), setup.workload.clone());
             Box::new(move || {
-                let mut sim = Simulation::with_votes(topo, params, votes.clone(), workload, seed)
-                    .with_delta_kernel(kernel);
+                let mut sim = Simulation::with_votes(topo, params, votes.clone(), workload, seed);
                 let mut proto = QuorumConsensus::new(votes, spec);
                 sim.run_indexed_batch(&mut proto, &mut NullObserver, b)
             }) as Job<'_>
@@ -209,8 +213,11 @@ fn engine_run(
         .collect();
     let results = run_jobs(threads, jobs);
     let wall = started.elapsed().as_secs_f64();
-    let mut combined = results[0].clone();
-    for s in &results[1..] {
+    let (first, rest) = results
+        .split_first()
+        .expect("check_batches: at least one batch");
+    let mut combined = first.clone();
+    for s in rest {
         combined.merge(s);
     }
     (wall, combined)
@@ -229,7 +236,9 @@ fn main() {
             Scale::Paper => 50_000,
         },
     );
-    let batches: u64 = args.get_or("batches", 2);
+    let batches: u64 = args
+        .get_checked("batches", |&b| check_batches(b))
+        .unwrap_or(2);
 
     let mut m = RunManifest::new("kernel_replay", seed);
     m.params = manifest::sim_params_record(&scale.params());
@@ -242,9 +251,11 @@ fn main() {
     let setups = setups();
     for setup in &setups {
         let trace = event_trace(&setup.topo, events, seed.wrapping_mul(0x9E3779B97F4A7C15));
-        let (full_secs, full_acc, _) = replay(setup, &trace, ComponentCache::new);
-        let (bitset_secs, bitset_acc) = replay_bitset(setup, &trace);
-        let (delta_secs, delta_acc, cache) = replay(setup, &trace, ComponentCache::incremental);
+        let (full_secs, full_acc) = replay_rebuild(setup, &trace, ComponentView::compute);
+        let (bitset_secs, bitset_acc) = replay_rebuild(setup, &trace, |t, s, v| {
+            DeltaConnectivity::new(t, s, v).to_view()
+        });
+        let (delta_secs, delta_acc, cache) = replay_delta(setup, &trace);
         assert_eq!(full_acc, delta_acc, "kernel changed a reported number");
         assert_eq!(full_acc, bitset_acc, "bitset BFS changed a reported number");
         let counters = cache.delta_counters();
@@ -282,36 +293,26 @@ fn main() {
         &rows,
     );
 
-    // End-to-end engine wall-clock, kernel on vs off, 1 and N threads.
-    // Counters are published from the kernel-on runs only, so the
-    // manifest's delta identity (sum = topology events) stays exact.
+    // End-to-end engine wall-clock at 1 and N threads.
     let registry = Registry::new();
     let headline = &setups[1];
     m.topology = manifest::topology_record(&headline.label, headline.chords, &headline.topo);
     let mut rows = Vec::new();
     for setup in &setups {
         for t in [1usize, threads.max(2)] {
-            let (off_secs, _) = engine_run(setup, scale, seed, false, t, batches);
-            let (on_secs, stats) = engine_run(setup, scale, seed, true, t, batches);
+            let (secs, stats) = engine_run(setup, scale, seed, t, batches);
             stats.observe_into(&registry);
             rows.push(vec![
                 setup.label.clone(),
                 format!("{t}"),
-                format!("{off_secs:.2}"),
-                format!("{on_secs:.2}"),
-                format!("{:.2}x", off_secs / on_secs),
+                format!("{secs:.2}"),
             ]);
             let label = format!("{}.t{t}", setup.label);
-            m.set_labeled_metric(keys::ENGINE_FULL_BFS_SECS, &label, off_secs);
-            m.set_labeled_metric(keys::ENGINE_DELTA_SECS, &label, on_secs);
-            m.set_labeled_metric(keys::ENGINE_SPEEDUP, &label, off_secs / on_secs);
+            m.set_labeled_metric(keys::ENGINE_DELTA_SECS, &label, secs);
         }
     }
     println!();
-    print_table(
-        &["config", "threads", "full_bfs_s", "delta_s", "speedup"],
-        &rows,
-    );
+    print_table(&["config", "threads", "delta_s"], &rows);
     m.batches = batches;
     m.absorb_snapshot(&registry.snapshot());
     manifest::write_requested(&args, &m);

@@ -9,7 +9,9 @@
 //!        [-- --alpha 0.5 --max-votes 3]
 
 use quorum_bench::{pct, Args};
-use quorum_core::nonpartition::{optimal_votes_exhaustive, optimal_votes_hill_climb};
+use quorum_core::nonpartition::{
+    check_max_votes, optimal_votes_exhaustive, optimal_votes_hill_climb,
+};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
@@ -45,7 +47,9 @@ fn main() {
     let alpha = args
         .get_checked("alpha", |&a| Workload::check_alpha(a))
         .unwrap_or(0.5);
-    let max_votes: u64 = args.get_or("max-votes", 3);
+    let max_votes: u64 = args
+        .get_checked("max-votes", |&m| check_max_votes(m))
+        .unwrap_or(3);
     let seed: u64 = args.get_or("seed", 88);
 
     println!("# Joint vote/quorum optimization (related work [7]) | alpha={alpha}");

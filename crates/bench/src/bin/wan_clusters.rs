@@ -27,8 +27,12 @@ fn main() {
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 73);
     let threads = args.get_or("threads", default_threads());
-    let clusters: usize = args.get_or("clusters", 5);
-    let cluster_size: usize = args.get_or("cluster-size", 5);
+    let clusters: usize = args
+        .get_checked("clusters", |&c| Topology::check_clusters(c))
+        .unwrap_or(5);
+    let cluster_size: usize = args
+        .get_checked("cluster-size", |&s| Topology::check_cluster_size(s))
+        .unwrap_or(5);
     let alpha = args
         .get_checked("alpha", |&a| Workload::check_alpha(a))
         .unwrap_or(0.75);

@@ -161,6 +161,16 @@ pub fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
     })
 }
 
+/// Checks a batch count flag (at least one batch), returning the
+/// violated rule.
+pub fn check_batches(batches: u64) -> Result<(), String> {
+    if batches >= 1 {
+        Ok(())
+    } else {
+        Err("need at least one batch".to_string())
+    }
+}
+
 /// Simulation scale preset chosen on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -281,6 +291,7 @@ mod tests {
     use quorum_algebra::check_iterations;
     use quorum_cluster::{ClusterConfig, LatencyDist, NetConfig};
     use quorum_core::analytic::{check_reliability, check_ring_sites, check_sites};
+    use quorum_core::nonpartition::check_max_votes;
     use quorum_graph::Topology;
     use quorum_replica::Workload;
     use quorum_shard::{FailureTimeline, ObjectCatalog};
@@ -322,8 +333,9 @@ mod tests {
         assert_eq!(err, "unexpected positional argument \"quick\"");
 
         // The checks `cluster_sim`, `shard_throughput`, `compare_systems`,
-        // `optimize` and `analytic_vs_sim` hand to `get_checked`: each is
-        // the one the engine or closed form would assert.
+        // `optimize`, `analytic_vs_sim`, `kernel_replay`, `dynamic_qr`,
+        // `vote_opt` and `wan_clusters` hand to `get_checked`: each is the
+        // one the engine, topology constructor or closed form would assert.
         let latency = |s| {
             argv(s).try_get_checked("latency", |&mean| LatencyDist::Exponential { mean }.check())
         };
@@ -362,6 +374,13 @@ mod tests {
         let model_sites = |s| argv(s).try_get_checked("sites", |&n| check_sites(n));
         let site_rel = |s| argv(s).try_get_checked("site-rel", |&p| check_reliability(p));
         let link_rel = |s| argv(s).try_get_checked("link-rel", |&r| check_reliability(r));
+        let batches = |s| argv(s).try_get_checked("batches", |&b| check_batches(b));
+        let accesses =
+            |s| argv(s).try_get_checked("accesses", |&a| SimParams::check_batch_accesses(a));
+        let max_votes = |s| argv(s).try_get_checked("max-votes", |&m| check_max_votes(m));
+        let clusters = |s| argv(s).try_get_checked("clusters", |&c| Topology::check_clusters(c));
+        let cluster_size =
+            |s| argv(s).try_get_checked("cluster-size", |&c| Topology::check_cluster_size(c));
         let cases = [
             (
                 loss("--loss 2.0"),
@@ -470,6 +489,36 @@ mod tests {
         for (got, want) in site_cases {
             assert_eq!(got, Err(want.to_string()));
         }
+        let count_cases = [
+            (
+                batches("--batches 0"),
+                "--batches \"0\": need at least one batch",
+            ),
+            (
+                accesses("--accesses 0"),
+                "--accesses \"0\": batches must measure at least one access",
+            ),
+            (
+                max_votes("--max-votes 0"),
+                "--max-votes \"0\": need at least one vote per site",
+            ),
+        ];
+        for (got, want) in count_cases {
+            assert_eq!(got, Err(want.to_string()));
+        }
+        assert_eq!(
+            clusters("--clusters 0"),
+            Err("--clusters \"0\": need at least 3 clusters for a ring".to_string())
+        );
+        assert_eq!(
+            cluster_size("--cluster-size 0"),
+            Err("--cluster-size \"0\": clusters need at least 2 sites".to_string())
+        );
+        assert_eq!(batches("--batches 1"), Ok(Some(1)));
+        assert_eq!(accesses("--accesses 1"), Ok(Some(1)));
+        assert_eq!(max_votes("--max-votes 1"), Ok(Some(1)));
+        assert_eq!(clusters("--clusters 3"), Ok(Some(3)));
+        assert_eq!(cluster_size("--cluster-size 2"), Ok(Some(2)));
         // A value that fails to parse is reported before any check runs.
         assert_eq!(
             loss("--loss x"),

@@ -57,8 +57,8 @@ use crate::protocol::{ProtocolCore, Scheduler, TimerToken};
 use crate::stats::{ClusterStats, Outcome};
 use quorum_core::{Access, QuorumSpec, VoteAssignment};
 use quorum_des::{EventKey, PoissonProcess, SimTime};
-use quorum_graph::{ComponentCache, NetworkState, Topology, TopologyEvent};
-use quorum_replica::failure::FailureProcesses;
+use quorum_graph::Topology;
+use quorum_replica::failure::{FailureWorld, Transition};
 use quorum_replica::Workload;
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use rand::rngs::StdRng;
@@ -82,10 +82,8 @@ type Queue = quorum_des::EventQueue<Event>;
 /// internally.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
-    /// Site `i` flips up/down (failure renewal process).
-    SiteTransition(usize),
-    /// Link `i` flips up/down.
-    LinkTransition(usize),
+    /// A site or link flips up/down (failure renewal process).
+    Failure(Transition),
     /// The next Poisson access arrives.
     Access,
     /// An in-flight message reaches its destination.
@@ -94,6 +92,12 @@ pub enum Event {
     SessionTimeout(SessionId),
     /// Scripted install step `i` executes at its origin.
     Install(usize),
+}
+
+impl From<Transition> for Event {
+    fn from(transition: Transition) -> Self {
+        Self::Failure(transition)
+    }
 }
 
 /// The trivial ideal-network driver: an `EventQueue` over [`Event`]
@@ -173,8 +177,6 @@ pub struct ClusterEngine<'a> {
     workload: Workload,
     master_seed: u64,
     batches_run: u64,
-    site_reliabilities: Option<Vec<f64>>,
-    link_reliabilities: Option<Vec<f64>>,
 }
 
 impl<'a> ClusterEngine<'a> {
@@ -234,44 +236,7 @@ impl<'a> ClusterEngine<'a> {
             workload,
             master_seed,
             batches_run: 0,
-            site_reliabilities: None,
-            link_reliabilities: None,
         }
-    }
-
-    /// Overrides per-site reliabilities (same semantics as
-    /// [`quorum_replica::Simulation::with_site_reliabilities`]).
-    ///
-    /// # Panics
-    /// Panics on length mismatch or probabilities outside `(0, 1)`.
-    pub fn with_site_reliabilities(mut self, reliabilities: Vec<f64>) -> Self {
-        assert_eq!(
-            reliabilities.len(),
-            self.topology.num_sites(),
-            "one reliability per site"
-        );
-        for &p in &reliabilities {
-            assert!(p > 0.0 && p < 1.0, "site reliability must lie in (0,1)");
-        }
-        self.site_reliabilities = Some(reliabilities);
-        self
-    }
-
-    /// Overrides per-link reliabilities.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or probabilities outside `(0, 1)`.
-    pub fn with_link_reliabilities(mut self, reliabilities: Vec<f64>) -> Self {
-        assert_eq!(
-            reliabilities.len(),
-            self.topology.num_links(),
-            "one reliability per link"
-        );
-        for &p in &reliabilities {
-            assert!(p > 0.0 && p < 1.0, "link reliability must lie in (0,1)");
-        }
-        self.link_reliabilities = Some(reliabilities);
-        self
     }
 
     /// The engine's configuration.
@@ -291,32 +256,26 @@ impl<'a> ClusterEngine<'a> {
     /// processing events until every open session has resolved.
     pub fn run_indexed_batch(&mut self, batch_index: u64) -> ClusterStats {
         let n = self.topology.num_sites();
-        let m = self.topology.num_links();
         let seed = derive_seed(self.master_seed, batch_index);
 
-        // Streams 1–3 are identical to the instantaneous simulator's;
-        // stream 4 is new and feeds only the network (loss/latency), so
-        // an ideal network leaves the shared streams bit-for-bit aligned.
-        let fail_rng: StdRng = rng_from_seed(derive_seed(seed, 1));
+        // Streams 1–3 are identical to the instantaneous simulator's (the
+        // failure world draws stream 1); stream 4 is new and feeds only
+        // the network (loss/latency), so an ideal network leaves the
+        // shared streams bit-for-bit aligned.
         let access_rng: StdRng = rng_from_seed(derive_seed(seed, 2));
         let workload_rng: StdRng = rng_from_seed(derive_seed(seed, 3));
         let net_rng: StdRng = rng_from_seed(derive_seed(seed, 4));
 
-        let mut procs = FailureProcesses::new(
+        let mut world = FailureWorld::new(
+            self.topology,
+            self.votes.as_slice(),
             &self.config.params,
-            n,
-            m,
-            self.site_reliabilities.as_deref(),
-            self.link_reliabilities.as_deref(),
+            seed,
+            None,
+            None,
         );
         let mut queue = Queue::new();
-        let mut fail_rng = fail_rng;
-        procs.schedule_initial(
-            &mut queue,
-            &mut fail_rng,
-            Event::SiteTransition,
-            Event::LinkTransition,
-        );
+        world.schedule_initial(&mut queue);
         let access_proc = PoissonProcess::new(n as f64 / self.config.params.mu_access);
         let mut access_rng = access_rng;
         queue.schedule(
@@ -336,18 +295,9 @@ impl<'a> ClusterEngine<'a> {
         let target = warmup + self.config.params.batch_accesses;
 
         let mut batch = Batch {
-            topology: self.topology,
-            votes: &self.votes,
             config: &self.config,
             queue,
-            state: NetworkState::all_up(self.topology),
-            cache: if self.config.delta_kernel {
-                ComponentCache::incremental()
-            } else {
-                ComponentCache::new()
-            },
-            procs,
-            fail_rng,
+            world,
             access_rng,
             workload_rng,
             net_rng,
@@ -365,32 +315,7 @@ impl<'a> ClusterEngine<'a> {
             let (t, ev) = batch.queue.pop().expect("regenerative streams never drain");
             batch.now = t;
             match ev {
-                Event::SiteTransition(i) => {
-                    batch.core.stats_mut().site_transitions += 1;
-                    let (up, gap) = batch.procs.site_transition(i, &mut batch.fail_rng);
-                    if batch.state.set_site(i, up) {
-                        batch.cache.apply_event(
-                            batch.topology,
-                            &batch.state,
-                            batch.votes.as_slice(),
-                            TopologyEvent::Site { site: i, up },
-                        );
-                    }
-                    batch.queue.schedule_in(gap, Event::SiteTransition(i));
-                }
-                Event::LinkTransition(i) => {
-                    batch.core.stats_mut().link_transitions += 1;
-                    let (up, gap) = batch.procs.link_transition(i, &mut batch.fail_rng);
-                    if batch.state.set_link(i, up) {
-                        batch.cache.apply_event(
-                            batch.topology,
-                            &batch.state,
-                            batch.votes.as_slice(),
-                            TopologyEvent::Link { link: i, up },
-                        );
-                    }
-                    batch.queue.schedule_in(gap, Event::LinkTransition(i));
-                }
+                Event::Failure(transition) => batch.world.apply(transition, &mut batch.queue),
                 Event::Access => batch.dispatch_access(),
                 Event::Deliver(msg) => batch.deliver(msg),
                 Event::SessionTimeout(id) => batch.session_timeout(id),
@@ -398,9 +323,11 @@ impl<'a> ClusterEngine<'a> {
             }
         }
 
-        let delta = batch.cache.delta_counters();
+        let delta = batch.world.cache().delta_counters();
         let violations = batch.core.checker().violations();
         let mut stats = batch.core.take_stats();
+        stats.site_transitions = batch.world.site_transitions();
+        stats.link_transitions = batch.world.link_transitions();
         stats.delta_merges = delta.merges;
         stats.delta_rescans = delta.rescans;
         stats.delta_noops = delta.noops;
@@ -419,14 +346,9 @@ impl<'a> ClusterEngine<'a> {
 /// (failure processes, access stream, transport RNG) wrapped around the
 /// scheduler-agnostic [`ProtocolCore`].
 struct Batch<'a> {
-    topology: &'a Topology,
-    votes: &'a VoteAssignment,
     config: &'a ClusterConfig,
     queue: Queue,
-    state: NetworkState,
-    cache: ComponentCache,
-    procs: FailureProcesses,
-    fail_rng: StdRng,
+    world: FailureWorld<'a>,
     access_rng: StdRng,
     workload_rng: StdRng,
     net_rng: StdRng,
@@ -462,7 +384,7 @@ impl Batch<'_> {
                 Access::Write => self.core.stats_mut().writes_submitted += 1,
             }
         }
-        if !self.state.site_up(origin) {
+        if !self.world.site_up(origin) {
             if measured {
                 match kind {
                     Access::Read => self.core.stats_mut().reads_unavailable += 1,
@@ -488,13 +410,7 @@ impl Batch<'_> {
     /// Processes a delivery: drop if the endpoints are not mutually
     /// reachable at this instant, else run the receiving actor's step.
     fn deliver(&mut self, msg: Message) {
-        let connected = {
-            let view = self
-                .cache
-                .view(self.topology, &self.state, self.votes.as_slice());
-            view.connected(msg.from, msg.to)
-        };
-        if !connected {
+        if !self.world.view().0.connected(msg.from, msg.to) {
             self.core.stats_mut().messages_dropped += 1;
             return;
         }
@@ -513,7 +429,7 @@ impl Batch<'_> {
         let Some(origin) = self.core.session_origin(id) else {
             return; // cancelled timers never fire; defensive only
         };
-        let origin_up = self.state.site_up(origin);
+        let origin_up = self.world.site_up(origin);
         let mut sched = NetScheduler {
             queue: &mut self.queue,
             net: &self.config.net,
@@ -526,7 +442,7 @@ impl Batch<'_> {
     /// assignment and broadcasts it. Epochs follow script order.
     fn scripted_install(&mut self, idx: usize) {
         let step = self.config.installs[idx];
-        if !self.state.site_up(step.origin) {
+        if !self.world.site_up(step.origin) {
             return; // a down origin skips its install
         }
         let epoch = (idx + 1) as u64;

@@ -113,6 +113,16 @@ pub struct VoteOptimum {
     pub evaluations: u64,
 }
 
+/// Checks the per-site vote cap of [`optimal_votes_exhaustive`] and
+/// [`optimal_votes_hill_climb`], returning the violated rule.
+pub fn check_max_votes(max_votes_per_site: u64) -> Result<(), String> {
+    if max_votes_per_site >= 1 {
+        Ok(())
+    } else {
+        Err("need at least one vote per site".to_string())
+    }
+}
+
 /// Exhaustive joint vote/quorum optimization (Cheung-Ahamad-Ammar style):
 /// tries every vote vector with entries in `0..=max_votes_per_site`
 /// (skipping the all-zero vector) and every `q_r` in the domain.
@@ -133,7 +143,7 @@ pub fn optimal_votes_exhaustive(
         (1..=8).contains(&n),
         "exhaustive vote search capped at 8 sites"
     );
-    assert!(max_votes_per_site >= 1);
+    crate::analytic::enforce(check_max_votes(max_votes_per_site));
     let base = max_votes_per_site + 1;
     let combos = base.pow(n as u32);
     let mut best: Option<VoteOptimum> = None;
@@ -176,6 +186,9 @@ pub fn optimal_votes_exhaustive(
 /// uniform cannot reach through monotone single-vote moves), then
 /// repeatedly applies the best ±1-vote single-site perturbation
 /// (re-optimizing `q_r` each time) until no move improves.
+///
+/// # Panics
+/// Panics if `reliabilities` is empty or `max_votes_per_site == 0`.
 pub fn optimal_votes_hill_climb(
     reliabilities: &[f64],
     alpha: f64,
@@ -183,6 +196,7 @@ pub fn optimal_votes_hill_climb(
 ) -> VoteOptimum {
     let n = reliabilities.len();
     assert!(n >= 1);
+    crate::analytic::enforce(check_max_votes(max_votes_per_site));
     let mut evals = 0u64;
     let eval_best_q = |votes: &[u64], evals: &mut u64| -> (u64, f64) {
         let total: u64 = votes.iter().sum();

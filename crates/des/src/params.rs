@@ -88,6 +88,16 @@ impl SimParams {
         }
     }
 
+    /// Checks a batch's measured-access count, returning the violated
+    /// rule.
+    pub fn check_batch_accesses(accesses: u64) -> Result<(), String> {
+        if accesses > 0 {
+            Ok(())
+        } else {
+            Err("batches must measure at least one access".to_string())
+        }
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -99,7 +109,9 @@ impl SimParams {
             self.reliability > 0.0 && self.reliability < 1.0,
             "reliability must lie in (0,1)"
         );
-        assert!(self.batch_accesses > 0, "batches must measure something");
+        if let Err(rule) = Self::check_batch_accesses(self.batch_accesses) {
+            panic!("{rule}");
+        }
         assert!(
             self.min_batches >= 2 && self.min_batches <= self.max_batches,
             "need 2 <= min_batches <= max_batches"

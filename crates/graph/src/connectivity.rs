@@ -7,8 +7,9 @@
 //! component of size zero" (§5.2), represented here by [`ComponentView::DOWN`].
 //!
 //! [`ComponentCache`] adds the dirty-flag memoization used by the
-//! simulator: accesses between two topology events see the same partition,
-//! so the BFS need only rerun when a failure/recovery actually intervened.
+//! engines: accesses between two topology events see the same partition,
+//! and the incremental kernel absorbs each failure/recovery that
+//! intervened. [`ComponentView::compute`] stays as the full-BFS oracle.
 
 use crate::bitset::BitSet;
 use crate::delta::{DeltaConnectivity, DeltaCounters, DeltaOutcome, TopologyEvent};
@@ -197,73 +198,41 @@ impl ComponentView {
     }
 }
 
-/// Dirty-flag memoization of [`ComponentView`], optionally backed by the
+/// Dirty-flag memoization of [`ComponentView`], backed by the
 /// incremental [`DeltaConnectivity`] kernel.
 ///
-/// The simulator calls [`ComponentCache::apply_event`] (or the legacy
-/// [`ComponentCache::invalidate`]) on every topology event and
-/// [`ComponentCache::view`] on every access; recomputation only happens
-/// when at least one event separated two accesses.
+/// The engines call [`ComponentCache::apply_event`] on every topology
+/// event and [`ComponentCache::view`] on every access; a view is only
+/// rebuilt when at least one event separated two accesses.
 ///
-/// With the kernel enabled ([`ComponentCache::incremental`]) the
-/// recomputation is not a whole-graph BFS: recoveries merge components
+/// The rebuild is not a whole-graph BFS: recoveries merge components
 /// (union-find), failures re-scan one component, and provably
 /// partition-preserving events are filtered outright. The served views
-/// are bit-identical either way, and so are the hit/recompute counters —
-/// both count view calls with at least one intervening event, regardless
-/// of how the refresh is produced.
-#[derive(Debug, Clone)]
+/// are bit-identical to [`ComponentView::compute`], the full-BFS oracle
+/// the tests pin the kernel against.
+#[derive(Debug, Clone, Default)]
 pub struct ComponentCache {
     view: Option<ComponentView>,
     kernel: Option<DeltaConnectivity>,
-    use_kernel: bool,
     recomputations: u64,
     hits: u64,
     delta: DeltaCounters,
 }
 
 impl ComponentCache {
-    /// An empty (dirty) cache refreshing via full BFS — the reference
-    /// path every kernel result is pinned against.
+    /// An empty (dirty) cache; the kernel is built from the state at the
+    /// first event or view.
     pub fn new() -> Self {
-        Self {
-            view: None,
-            kernel: None,
-            use_kernel: false,
-            recomputations: 0,
-            hits: 0,
-            delta: DeltaCounters::default(),
-        }
-    }
-
-    /// An empty cache refreshing via the incremental kernel.
-    pub fn incremental() -> Self {
-        Self {
-            use_kernel: true,
-            ..Self::new()
-        }
-    }
-
-    /// True if this cache refreshes through the incremental kernel.
-    pub fn is_incremental(&self) -> bool {
-        self.use_kernel
-    }
-
-    /// Marks the cached view stale and drops the kernel (the state may
-    /// change arbitrarily before the next [`Self::view`] call).
-    pub fn invalidate(&mut self) {
-        self.view = None;
-        self.kernel = None;
+        Self::default()
     }
 
     /// Applies one topology event: the fast path the engines call after
     /// `NetworkState::set_site`/`set_link` reported an actual change
     /// (with `state` already reflecting the event).
     ///
-    /// Without the kernel this degenerates to [`Self::invalidate`]. With
-    /// it, the kernel absorbs the event incrementally — or, if no kernel
-    /// is built yet, is rebuilt from `state` (counted as a full
-    /// recompute, so every event lands in exactly one delta counter).
+    /// The kernel absorbs the event incrementally — or, if no kernel is
+    /// built yet, is built from `state` (counted as a full recompute, so
+    /// every event lands in exactly one delta counter).
     pub fn apply_event(
         &mut self,
         topology: &Topology,
@@ -272,9 +241,6 @@ impl ComponentCache {
         event: TopologyEvent,
     ) {
         self.view = None;
-        if !self.use_kernel {
-            return;
-        }
         match &mut self.kernel {
             Some(kernel) => match kernel.apply(event) {
                 DeltaOutcome::Merge => self.delta.merges += 1,
@@ -298,15 +264,11 @@ impl ComponentCache {
         votes: &[u64],
     ) -> &ComponentView {
         if self.view.is_none() {
-            if self.use_kernel {
-                let kernel = self
-                    .kernel
-                    .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes));
-                debug_assert!(kernel.in_sync_with(state), "kernel missed an event");
-                self.view = Some(kernel.to_view());
-            } else {
-                self.view = Some(ComponentView::compute(topology, state, votes));
-            }
+            let kernel = self
+                .kernel
+                .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes));
+            debug_assert!(kernel.in_sync_with(state), "kernel missed an event");
+            self.view = Some(kernel.to_view());
             self.recomputations += 1;
         } else {
             self.hits += 1;
@@ -330,8 +292,8 @@ impl ComponentCache {
         (view, self.recomputations)
     }
 
-    /// Number of view refreshes performed (full BFS without the kernel;
-    /// canonical re-materializations with it).
+    /// Number of view refreshes performed (canonical re-materializations
+    /// of the kernel's partition).
     pub fn recomputations(&self) -> u64 {
         self.recomputations
     }
@@ -341,7 +303,7 @@ impl ComponentCache {
         self.hits
     }
 
-    /// Lifetime fast-path totals (all zero without the kernel).
+    /// Lifetime fast-path totals.
     pub fn delta_counters(&self) -> DeltaCounters {
         self.delta
     }
@@ -359,12 +321,6 @@ impl ComponentCache {
             quorum_obs::keys::FULL_RECOMPUTES,
             self.delta.full_recomputes,
         );
-    }
-}
-
-impl Default for ComponentCache {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -490,6 +446,32 @@ mod tests {
         assert_eq!(v.largest_component_votes(), 0);
     }
 
+    /// Toggles `site` in `s` and hands the change to `cache`.
+    fn toggle_site(
+        cache: &mut ComponentCache,
+        t: &Topology,
+        s: &mut NetworkState,
+        votes: &[u64],
+        site: usize,
+    ) {
+        let up = !s.site_up(site);
+        s.set_site(site, up);
+        cache.apply_event(t, s, votes, TopologyEvent::Site { site, up });
+    }
+
+    /// Toggles `link` in `s` and hands the change to `cache`.
+    fn toggle_link(
+        cache: &mut ComponentCache,
+        t: &Topology,
+        s: &mut NetworkState,
+        votes: &[u64],
+        link: usize,
+    ) {
+        let up = !s.link_up(link);
+        s.set_link(link, up);
+        cache.apply_event(t, s, votes, TopologyEvent::Link { link, up });
+    }
+
     #[test]
     fn cache_recomputes_only_when_invalidated() {
         let t = Topology::ring(5);
@@ -501,8 +483,7 @@ mod tests {
         assert_eq!(cache.recomputations(), 1);
         assert_eq!(cache.hits(), 1);
 
-        s.set_site(0, false);
-        cache.invalidate();
+        toggle_site(&mut cache, &t, &mut s, &votes, 0);
         assert_eq!(cache.view(&t, &s, &votes).votes_of(1), 4);
         assert_eq!(cache.recomputations(), 2);
     }
@@ -512,13 +493,12 @@ mod tests {
         let t = Topology::ring(5);
         let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(5);
-        let mut cache = ComponentCache::incremental();
+        let mut cache = ComponentCache::new();
         let (view, first) = cache.view_and_refreshes(&t, &s, &votes);
         assert_eq!((view.votes_of(0), first), (5, 1));
         let (_, again) = cache.view_and_refreshes(&t, &s, &votes);
         assert_eq!(again, first, "a cache hit serves the same view");
-        s.set_site(0, false);
-        cache.apply_event(&t, &s, &votes, TopologyEvent::Site { site: 0, up: false });
+        toggle_site(&mut cache, &t, &mut s, &votes, 0);
         let (view, next) = cache.view_and_refreshes(&t, &s, &votes);
         assert_eq!((view.votes_of(1), next), (4, 2));
         assert_eq!((cache.hits(), cache.recomputations()), (1, 2));
@@ -532,8 +512,7 @@ mod tests {
         let mut cache = ComponentCache::new();
         for i in 0..6 {
             if i % 3 == 0 {
-                s.set_site(i % 5, i % 2 == 0);
-                cache.invalidate();
+                toggle_site(&mut cache, &t, &mut s, &votes, i % 5);
             }
             cache.view(&t, &s, &votes);
         }
@@ -555,9 +534,12 @@ mod tests {
         let votes = uniform_votes(21);
         let mut cache = ComponentCache::new();
         for i in 0..10 {
-            s.set_site(i, i % 2 == 0);
-            s.set_link(i, i % 3 != 0);
-            cache.invalidate();
+            if s.site_up(i) != (i % 2 == 0) {
+                toggle_site(&mut cache, &t, &mut s, &votes, i);
+            }
+            if s.link_up(i) != (i % 3 != 0) {
+                toggle_link(&mut cache, &t, &mut s, &votes, i);
+            }
             let cached: Vec<u64> = (0..21)
                 .map(|x| cache.view(&t, &s, &votes).votes_of(x))
                 .collect();
@@ -572,33 +554,28 @@ mod tests {
         let t = Topology::ring_with_chords(21, 8);
         let mut s = NetworkState::all_up(&t);
         let votes: Vec<u64> = (0..21).map(|i| (i % 3 + 1) as u64).collect();
-        let mut fast = ComponentCache::incremental();
-        let mut slow = ComponentCache::new();
+        let mut cache = ComponentCache::new();
+        let mut view_calls = 0u64;
         for i in 0..40usize {
             if i % 2 == 0 {
-                let site = (i * 7) % 21;
-                let up = !s.site_up(site);
-                s.set_site(site, up);
-                fast.apply_event(&t, &s, &votes, TopologyEvent::Site { site, up });
-                slow.apply_event(&t, &s, &votes, TopologyEvent::Site { site, up });
+                toggle_site(&mut cache, &t, &mut s, &votes, (i * 7) % 21);
             } else {
-                let link = (i * 11) % t.num_links();
-                let up = !s.link_up(link);
-                s.set_link(link, up);
-                fast.apply_event(&t, &s, &votes, TopologyEvent::Link { link, up });
-                slow.apply_event(&t, &s, &votes, TopologyEvent::Link { link, up });
+                toggle_link(&mut cache, &t, &mut s, &votes, (i * 11) % t.num_links());
             }
-            let a = fast.view(&t, &s, &votes).clone();
-            let b = slow.view(&t, &s, &votes).clone();
-            assert_eq!(a, b, "kernel diverged at step {i}");
+            // Two reads per event: the second is always a hit.
+            for _ in 0..2 {
+                let got = cache.view(&t, &s, &votes).clone();
+                view_calls += 1;
+                assert_eq!(
+                    got,
+                    ComponentView::compute(&t, &s, &votes),
+                    "kernel diverged at step {i}"
+                );
+            }
         }
-        // Counter parity: both caches saw the same call pattern.
-        assert_eq!(fast.hits(), slow.hits());
-        assert_eq!(fast.recomputations(), slow.recomputations());
-        // Every event classified exactly once; the reference path
-        // classified none.
-        assert_eq!(fast.delta_counters().total(), 40);
-        assert_eq!(slow.delta_counters().total(), 0);
+        assert_eq!(cache.hits() + cache.recomputations(), view_calls);
+        // Every event classified exactly once.
+        assert_eq!(cache.delta_counters().total(), 40);
     }
 
     #[test]
@@ -606,21 +583,16 @@ mod tests {
         let t = Topology::ring(7);
         let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(7);
-        let mut cache = ComponentCache::incremental();
+        let mut cache = ComponentCache::new();
         assert_eq!(cache.view(&t, &s, &votes).votes_of(0), 7);
-        // Arbitrary state change without an event: invalidate must drop
-        // the kernel, and the next event rebuilds it from state.
-        s.set_site(2, false);
-        s.set_site(3, false);
-        cache.invalidate();
+        // The kernel built by view() absorbs every later event
+        // incrementally: two failures cut the ring, a repair re-joins.
+        toggle_site(&mut cache, &t, &mut s, &votes, 2);
+        toggle_site(&mut cache, &t, &mut s, &votes, 3);
         assert_eq!(cache.view(&t, &s, &votes).votes_of(0), 5);
-        s.set_site(3, true);
-        cache.apply_event(&t, &s, &votes, TopologyEvent::Site { site: 3, up: true });
-        assert_eq!(
-            cache.delta_counters().merges,
-            1,
-            "kernel built by view() absorbs later events incrementally"
-        );
+        toggle_site(&mut cache, &t, &mut s, &votes, 3);
+        let counters = cache.delta_counters();
+        assert_eq!((counters.merges, counters.full_recomputes), (1, 0));
         let fresh = ComponentView::compute(&t, &s, &votes);
         assert_eq!(cache.view(&t, &s, &votes), &fresh);
     }
@@ -630,9 +602,8 @@ mod tests {
         let t = Topology::ring(5);
         let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(5);
-        let mut cache = ComponentCache::incremental();
-        s.set_site(1, false);
-        cache.apply_event(&t, &s, &votes, TopologyEvent::Site { site: 1, up: false });
+        let mut cache = ComponentCache::new();
+        toggle_site(&mut cache, &t, &mut s, &votes, 1);
         assert_eq!(cache.delta_counters().full_recomputes, 1);
         assert_eq!(cache.delta_counters().total(), 1);
         let fresh = ComponentView::compute(&t, &s, &votes);

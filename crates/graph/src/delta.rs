@@ -24,7 +24,11 @@
 //! component slots in first-site order, which makes the materialized
 //! [`ComponentView`] *bit-identical* to a fresh
 //! [`ComponentView::compute`] — the kernel can never change a reported
-//! number (pinned by `tests/delta_kernel.rs`).
+//! number (pinned against that full-BFS oracle by the event-sequence
+//! proptests in `tests/delta_kernel.rs`). The replica, cluster and shard
+//! engines all reach this kernel through one `quorum_replica`
+//! `FailureWorld`, which feeds it every site and link transition via
+//! `ComponentCache::apply_event`.
 
 // Hot kernel: it absorbs every topology event of every batch, so a
 // panic or a silently wrapping cast here corrupts a whole run. Indexing
@@ -115,7 +119,8 @@ struct CompSlot {
 ///
 /// Mirrors the site/link state it was built from; callers must feed it
 /// every subsequent state change through [`DeltaConnectivity::apply`]
-/// (the engines route this via `ComponentCache::apply_event`).
+/// (the engines' shared failure world routes this via
+/// `ComponentCache::apply_event`).
 #[derive(Debug, Clone)]
 pub struct DeltaConnectivity {
     n: usize,

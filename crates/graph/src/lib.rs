@@ -13,12 +13,12 @@
 //!   (ring, ring-plus-chords "Topology *k*", fully connected) plus extras
 //!   (star, grid, path, G(n,p)) used by tests and examples.
 //! * [`NetworkState`] — which sites/links are currently up.
-//! * [`ComponentView`] / [`ComponentCache`] — BFS component labelling over
-//!   the up-subgraph, with a dirty-flag cache so the simulator only pays for
-//!   recomputation when topology events actually intervened between
-//!   accesses.
+//! * [`ComponentView`] / [`ComponentCache`] — component labelling over the
+//!   up-subgraph (full BFS in [`ComponentView::compute`], the test
+//!   oracle), with a dirty-flag cache so the engines only pay for a
+//!   refresh when topology events actually intervened between accesses.
 //! * [`DeltaConnectivity`] — the incremental kernel behind
-//!   [`ComponentCache::incremental`]: recoveries merge components
+//!   [`ComponentCache`]: recoveries merge components
 //!   (union-find over member bitsets), failures re-scan only the affected
 //!   component, provable no-ops are filtered, and all scans are
 //!   word-parallel over per-site adjacency bitsets.

@@ -73,6 +73,18 @@ impl Topology {
         require(sites >= 2, "a bus needs at least 2 sites")
     }
 
+    /// Checks the cluster count of a [`Topology::ring_of_clusters`],
+    /// returning the violated rule.
+    pub fn check_clusters(clusters: usize) -> Result<(), String> {
+        require(clusters >= 3, "need at least 3 clusters for a ring")
+    }
+
+    /// Checks the cluster size of a [`Topology::ring_of_clusters`],
+    /// returning the violated rule.
+    pub fn check_cluster_size(cluster_size: usize) -> Result<(), String> {
+        require(cluster_size >= 2, "clusters need at least 2 sites")
+    }
+
     /// Builds a topology from an explicit link list.
     ///
     /// # Panics
@@ -219,8 +231,8 @@ impl Topology {
     /// # Panics
     /// Panics unless `clusters ≥ 3` and `cluster_size ≥ 2`.
     pub fn ring_of_clusters(clusters: usize, cluster_size: usize) -> Self {
-        assert!(clusters >= 3, "need at least 3 clusters for a ring");
-        assert!(cluster_size >= 2, "clusters need at least 2 sites");
+        enforce(Self::check_clusters(clusters));
+        enforce(Self::check_cluster_size(cluster_size));
         let n = clusters * cluster_size;
         let at = |c: usize, i: usize| c * cluster_size + i;
         let mut links = Vec::new();

@@ -287,12 +287,7 @@ keys! {
     REPLAY_DELTA_SECS = "replay.delta_secs";
     /// Metric prefix: full-BFS over delta replay speedup (label: config).
     REPLAY_SPEEDUP = "replay.speedup";
-    /// Metric prefix: engine seconds with full BFS (label `{config}.t{threads}`).
-    ENGINE_FULL_BFS_SECS = "engine.full_bfs_secs";
     /// Metric prefix: engine seconds with the delta kernel (label
     /// `{config}.t{threads}`).
     ENGINE_DELTA_SECS = "engine.delta_secs";
-    /// Metric prefix: engine speedup of the delta kernel (label
-    /// `{config}.t{threads}`).
-    ENGINE_SPEEDUP = "engine.speedup";
 }

@@ -1,20 +1,34 @@
-//! Shared site/link failure-process plumbing.
+//! The §5.2 failure world, shared by every engine that replays it.
 //!
-//! Both the instantaneous simulator ([`crate::Simulation`]) and the
-//! message-level cluster engine (`quorum-cluster`) drive the same §5.2
-//! stochastic model: one alternating up/down renewal process per site and
-//! per link, with optional per-component reliability overrides. Keeping
-//! the process bank and its event-scheduling order in one place guarantees
-//! the two engines consume the failure RNG stream identically — which is
-//! what makes the zero-latency degeneracy test exact rather than merely
-//! statistical.
+//! The paper's model gives every site and every link one alternating
+//! up/down renewal process, with optional per-component reliability
+//! overrides. Three engines replay that model: the instantaneous
+//! simulator ([`crate::Simulation`]), the message-level cluster engine
+//! (`quorum-cluster`) and the shard crate's per-run failure timeline
+//! (`quorum-shard`). All three run it through one [`FailureWorld`]: the
+//! process bank, the failure RNG stream, the network state and the
+//! component cache, with one scheduling order and one transition arm.
+//! That is what makes the engines consume the failure stream
+//! identically, so the cluster engine's zero-latency degeneracy and the
+//! timeline's per-epoch grants are exact rather than merely statistical.
 
 use quorum_des::{EventQueue, OnOffProcess, SimParams, SimTime};
-use rand::Rng;
+use quorum_graph::{ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
+use quorum_stats::rng::{derive_seed, rng_from_seed};
+use rand::rngs::StdRng;
+
+/// One failure-process event: site or link `i` flips up/down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transition {
+    /// Site `i` toggles.
+    Site(usize),
+    /// Link `i` toggles.
+    Link(usize),
+}
 
 /// The bank of per-site and per-link on/off processes of one batch.
-#[derive(Debug, Clone)]
-pub struct FailureProcesses {
+#[derive(Debug)]
+struct FailureProcesses {
     sites: Vec<OnOffProcess>,
     links: Vec<OnOffProcess>,
 }
@@ -42,7 +56,7 @@ impl FailureProcesses {
     ///
     /// # Panics
     /// Panics on reliability-list length mismatch.
-    pub fn new(
+    fn new(
         params: &SimParams,
         n_sites: usize,
         n_links: usize,
@@ -55,100 +69,231 @@ impl FailureProcesses {
         }
     }
 
-    /// Schedules the first transition of every component: all sites in
-    /// index order, then all links — the canonical stream order both
-    /// engines share.
-    pub fn schedule_initial<E, R: Rng + ?Sized>(
+    /// The process behind `transition`.
+    fn process(&mut self, transition: Transition) -> &mut OnOffProcess {
+        match transition {
+            Transition::Site(i) => &mut self.sites[i],
+            Transition::Link(i) => &mut self.links[i],
+        }
+    }
+}
+
+/// One batch's replay of the §5.2 failure model over a topology.
+///
+/// Owns the process bank, the stream-1 failure RNG
+/// (`derive_seed(batch_seed, 1)`), the [`NetworkState`] and the
+/// [`ComponentCache`], and counts the site and link transitions it
+/// applies. The caller owns the event queue, so failure transitions
+/// interleave with whatever else the engine schedules (accesses,
+/// messages, timers) without changing the failure path: the world draws
+/// from its own stream, in the same order, whatever else is queued.
+#[derive(Debug)]
+pub struct FailureWorld<'a> {
+    topology: &'a Topology,
+    votes: &'a [u64],
+    procs: FailureProcesses,
+    rng: StdRng,
+    state: NetworkState,
+    cache: ComponentCache,
+    site_transitions: u64,
+    link_transitions: u64,
+}
+
+impl<'a> FailureWorld<'a> {
+    /// The all-up world of batch seed `batch_seed`, weighting components
+    /// by `votes`. Reliabilities are homogeneous
+    /// (`params.reliability`) unless per-site / per-link lists are given.
+    ///
+    /// # Panics
+    /// Panics if `votes` or a reliability list does not cover the
+    /// topology.
+    pub fn new(
+        topology: &'a Topology,
+        votes: &'a [u64],
+        params: &SimParams,
+        batch_seed: u64,
+        site_rels: Option<&[f64]>,
+        link_rels: Option<&[f64]>,
+    ) -> Self {
+        assert_eq!(
+            votes.len(),
+            topology.num_sites(),
+            "one vote weight per site"
+        );
+        Self {
+            topology,
+            votes,
+            procs: FailureProcesses::new(
+                params,
+                topology.num_sites(),
+                topology.num_links(),
+                site_rels,
+                link_rels,
+            ),
+            rng: rng_from_seed(derive_seed(batch_seed, 1)),
+            state: NetworkState::all_up(topology),
+            cache: ComponentCache::new(),
+            site_transitions: 0,
+            link_transitions: 0,
+        }
+    }
+
+    /// Schedules the first transition of every component into `queue`:
+    /// all sites in index order, then all links — the canonical stream
+    /// order every engine shares. Call it before scheduling anything else
+    /// that draws sequence numbers at time zero.
+    pub fn schedule_initial<E: From<Transition>>(&mut self, queue: &mut EventQueue<E>) {
+        let sites = (0..self.procs.sites.len()).map(Transition::Site);
+        let links = (0..self.procs.links.len()).map(Transition::Link);
+        for transition in sites.chain(links) {
+            let (gap, _) = self
+                .procs
+                .process(transition)
+                .next_transition(&mut self.rng);
+            queue.schedule(SimTime::new(gap), transition.into());
+        }
+    }
+
+    /// Applies one popped transition: flips the component, hands an
+    /// actual change to the connectivity kernel, and schedules the
+    /// component's next transition into `queue`.
+    pub fn apply<E: From<Transition>>(
         &mut self,
+        transition: Transition,
         queue: &mut EventQueue<E>,
-        rng: &mut R,
-        mut site_event: impl FnMut(usize) -> E,
-        mut link_event: impl FnMut(usize) -> E,
     ) {
-        for (i, p) in self.sites.iter_mut().enumerate() {
-            let (gap, _) = p.next_transition(rng);
-            queue.schedule(SimTime::new(gap), site_event(i));
+        let process = self.procs.process(transition);
+        let up = process.is_up();
+        let (gap, _) = process.next_transition(&mut self.rng);
+        let event = match transition {
+            Transition::Site(site) => {
+                self.site_transitions += 1;
+                self.state
+                    .set_site(site, up)
+                    .then_some(TopologyEvent::Site { site, up })
+            }
+            Transition::Link(link) => {
+                self.link_transitions += 1;
+                self.state
+                    .set_link(link, up)
+                    .then_some(TopologyEvent::Link { link, up })
+            }
+        };
+        if let Some(event) = event {
+            self.cache
+                .apply_event(self.topology, &self.state, self.votes, event);
         }
-        for (i, p) in self.links.iter_mut().enumerate() {
-            let (gap, _) = p.next_transition(rng);
-            queue.schedule(SimTime::new(gap), link_event(i));
-        }
+        queue.schedule_in(gap, transition.into());
     }
 
-    /// Handles a site-transition event: returns the site's new up/down
-    /// state and the gap until its next transition (which the caller
-    /// schedules).
-    pub fn site_transition<R: Rng + ?Sized>(&mut self, i: usize, rng: &mut R) -> (bool, f64) {
-        let up = self.sites[i].is_up();
-        let (gap, _) = self.sites[i].next_transition(rng);
-        (up, gap)
+    /// True if `site` is up.
+    #[inline]
+    pub fn site_up(&self, site: usize) -> bool {
+        self.state.site_up(site)
     }
 
-    /// Handles a link-transition event (see
-    /// [`FailureProcesses::site_transition`]).
-    pub fn link_transition<R: Rng + ?Sized>(&mut self, i: usize, rng: &mut R) -> (bool, f64) {
-        let up = self.links[i].is_up();
-        let (gap, _) = self.links[i].next_transition(rng);
-        (up, gap)
+    /// The current component view, paired with the cache's refresh count
+    /// (see [`ComponentCache::view_and_refreshes`]). Each call counts as
+    /// one cache hit or one refresh.
+    #[inline]
+    pub fn view(&mut self) -> (&ComponentView, u64) {
+        self.cache
+            .view_and_refreshes(self.topology, &self.state, self.votes)
     }
 
-    /// Number of site processes.
-    pub fn num_sites(&self) -> usize {
-        self.sites.len()
+    /// The component cache, for its hit/refresh and kernel counters.
+    pub fn cache(&self) -> &ComponentCache {
+        &self.cache
     }
 
-    /// Number of link processes.
-    pub fn num_links(&self) -> usize {
-        self.links.len()
+    /// Site transitions applied so far.
+    pub fn site_transitions(&self) -> u64 {
+        self.site_transitions
+    }
+
+    /// Link transitions applied so far.
+    pub fn link_transitions(&self) -> u64 {
+        self.link_transitions
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_des::EventQueue;
-    use quorum_stats::rng::rng_from_seed;
+
+    fn world<'a>(t: &'a Topology, votes: &'a [u64], seed: u64) -> FailureWorld<'a> {
+        FailureWorld::new(t, votes, &SimParams::quick(), seed, None, None)
+    }
 
     #[test]
     fn bank_sizes_and_defaults() {
         let p = SimParams::quick();
         let f = FailureProcesses::new(&p, 5, 7, None, None);
-        assert_eq!(f.num_sites(), 5);
-        assert_eq!(f.num_links(), 7);
+        assert_eq!((f.sites.len(), f.links.len()), (5, 7));
+        assert!(f.sites.iter().all(|s| s.reliability() == p.reliability));
     }
 
     #[test]
     fn initial_schedule_covers_every_component() {
-        let p = SimParams::quick();
-        let mut f = FailureProcesses::new(&p, 3, 4, None, None);
-        let mut q: EventQueue<(bool, usize)> = EventQueue::new();
-        let mut rng = rng_from_seed(1);
-        f.schedule_initial(&mut q, &mut rng, |i| (true, i), |i| (false, i));
-        assert_eq!(q.len(), 7);
+        let t = Topology::ring_with_chords(5, 2);
+        let votes = vec![1; 5];
+        let mut w = world(&t, &votes, 1);
+        let mut q: EventQueue<Transition> = EventQueue::new();
+        w.schedule_initial(&mut q);
+        assert_eq!(q.len(), 5 + t.num_links());
         let mut sites = 0;
         let mut links = 0;
-        while let Some((_, (is_site, _))) = q.pop() {
-            if is_site {
-                sites += 1;
-            } else {
-                links += 1;
+        while let Some((_, transition)) = q.pop() {
+            match transition {
+                Transition::Site(_) => sites += 1,
+                Transition::Link(_) => links += 1,
             }
         }
-        assert_eq!((sites, links), (3, 4));
+        assert_eq!((sites, links), (5, t.num_links()));
     }
 
     #[test]
     fn transitions_alternate_state() {
-        let p = SimParams::quick();
-        let mut f = FailureProcesses::new(&p, 1, 0, None, None);
-        let mut rng = rng_from_seed(2);
-        // Initial next_transition (during scheduling) flips toward down.
-        let mut q: EventQueue<usize> = EventQueue::new();
-        f.schedule_initial(&mut q, &mut rng, |i| i, |i| i);
-        let (up1, _) = f.site_transition(0, &mut rng);
-        assert!(!up1, "first transition is the failure");
-        let (up2, _) = f.site_transition(0, &mut rng);
-        assert!(up2, "second is the repair");
+        let t = Topology::ring(3);
+        let votes = vec![1; 3];
+        let mut w = world(&t, &votes, 2);
+        let mut q: EventQueue<Transition> = EventQueue::new();
+        w.schedule_initial(&mut q);
+        let mut flips = [0u32; 3];
+        for _ in 0..40 {
+            let (_, transition) = q.pop().expect("renewal processes never drain");
+            w.apply(transition, &mut q);
+            if let Transition::Site(i) = transition {
+                flips[i] += 1;
+                // The first transition is the failure, the next the repair.
+                assert_eq!(w.site_up(i), flips[i] % 2 == 0);
+            }
+        }
+        assert_eq!(
+            w.site_transitions() + w.link_transitions(),
+            40,
+            "every applied transition is counted once"
+        );
+    }
+
+    #[test]
+    fn view_tracks_every_transition() {
+        let t = Topology::ring_with_chords(9, 3);
+        let votes: Vec<u64> = (0..9).map(|i| i % 3 + 1).collect();
+        let mut w = world(&t, &votes, 3);
+        let mut q: EventQueue<Transition> = EventQueue::new();
+        w.schedule_initial(&mut q);
+        for _ in 0..200 {
+            let (_, transition) = q.pop().expect("renewal processes never drain");
+            w.apply(transition, &mut q);
+            let oracle = ComponentView::compute(&t, &w.state, &votes);
+            assert_eq!(w.view().0, &oracle);
+        }
+        // Transitions alternate, so each one is a real change the kernel
+        // classifies exactly once.
+        let delta = w.cache().delta_counters();
+        assert_eq!(delta.total(), w.site_transitions() + w.link_transitions());
+        assert_eq!(w.cache().hits() + w.cache().recomputations(), 200);
     }
 
     #[test]
@@ -163,7 +308,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "one reliability per component")]
     fn wrong_override_length_rejected() {
-        let p = SimParams::quick();
-        FailureProcesses::new(&p, 3, 0, Some(&[0.9]), None);
+        let t = Topology::ring(3);
+        let votes = vec![1; 3];
+        FailureWorld::new(&t, &votes, &SimParams::quick(), 1, Some(&[0.9]), None);
     }
 }

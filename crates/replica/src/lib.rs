@@ -39,7 +39,7 @@ pub mod sweep;
 pub mod workload;
 
 pub use curves::CurveSet;
-pub use failure::FailureProcesses;
+pub use failure::{FailureWorld, Transition};
 pub use object::SerializabilityChecker;
 pub use results::{BatchStats, RunResults};
 pub use runner::{run_protocol_observed, run_static, run_static_observed, RunConfig};

@@ -10,7 +10,7 @@
 use crate::object::{load_members, SerializabilityChecker};
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
-use quorum_graph::{BitSet, ComponentCache, NetworkState, Topology};
+use quorum_graph::{BitSet, ComponentCache, NetworkState, Topology, TopologyEvent};
 
 /// One scripted step.
 #[derive(Debug, Clone)]
@@ -107,26 +107,10 @@ impl<'a> Scenario<'a> {
         let idx = self.steps_run;
         self.steps_run += 1;
         match step {
-            Step::FailSite(s) => {
-                if self.state.set_site(s, false) {
-                    self.cache.invalidate();
-                }
-            }
-            Step::RepairSite(s) => {
-                if self.state.set_site(s, true) {
-                    self.cache.invalidate();
-                }
-            }
-            Step::FailLink(l) => {
-                if self.state.set_link(l, false) {
-                    self.cache.invalidate();
-                }
-            }
-            Step::RepairLink(l) => {
-                if self.state.set_link(l, true) {
-                    self.cache.invalidate();
-                }
-            }
+            Step::FailSite(site) => self.toggle(TopologyEvent::Site { site, up: false }),
+            Step::RepairSite(site) => self.toggle(TopologyEvent::Site { site, up: true }),
+            Step::FailLink(link) => self.toggle(TopologyEvent::Link { link, up: false }),
+            Step::RepairLink(link) => self.toggle(TopologyEvent::Link { link, up: true }),
             Step::Access(kind, site) => {
                 let view = self
                     .cache
@@ -164,6 +148,18 @@ impl<'a> Scenario<'a> {
                     consistent,
                 });
             }
+        }
+    }
+
+    /// Sets one site or link, handing an actual change to the cache.
+    fn toggle(&mut self, event: TopologyEvent) {
+        let changed = match event {
+            TopologyEvent::Site { site, up } => self.state.set_site(site, up),
+            TopologyEvent::Link { link, up } => self.state.set_link(link, up),
+        };
+        if changed {
+            self.cache
+                .apply_event(self.topology, &self.state, self.votes.as_slice(), event);
         }
     }
 

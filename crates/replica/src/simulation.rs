@@ -13,14 +13,14 @@
 //! The first `warmup_accesses` accesses after the all-up initial state are
 //! discarded; the next `batch_accesses` are measured.
 
-use crate::failure::FailureProcesses;
+use crate::failure::{FailureWorld, Transition};
 use crate::object::{load_members, SerializabilityChecker};
 use crate::results::BatchStats;
 use crate::workload::Workload;
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
 use quorum_des::{EventQueue, PoissonProcess, SimParams, SimTime};
-use quorum_graph::{BitSet, ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{BitSet, ComponentView, Topology};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use quorum_stats::VoteHistogram;
 use rand::rngs::StdRng;
@@ -28,12 +28,16 @@ use rand::rngs::StdRng;
 /// One scheduled simulation event.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// Site `i` toggles up/down.
-    SiteTransition(usize),
-    /// Link `i` toggles up/down.
-    LinkTransition(usize),
+    /// A site or link toggles up/down.
+    Failure(Transition),
     /// An access arrives (kind and site sampled at dispatch).
     Access,
+}
+
+impl From<Transition> for Event {
+    fn from(transition: Transition) -> Self {
+        Self::Failure(transition)
+    }
 }
 
 /// What the access path needs from one component view, so an access
@@ -123,7 +127,6 @@ pub struct Simulation<'a> {
     batches_run: u64,
     probe_survivability: bool,
     time_weighted: bool,
-    delta_kernel: bool,
     site_reliabilities: Option<Vec<f64>>,
     link_reliabilities: Option<Vec<f64>>,
 }
@@ -213,19 +216,9 @@ impl<'a> Simulation<'a> {
             batches_run: 0,
             probe_survivability: false,
             time_weighted: false,
-            delta_kernel: true,
             site_reliabilities: None,
             link_reliabilities: None,
         }
-    }
-
-    /// Selects the component-maintenance kernel (default: incremental).
-    /// The reported numbers are bit-identical either way — pinned by
-    /// `tests/delta_kernel.rs` — so this knob exists for that pin test
-    /// and for benchmarking the kernels against each other.
-    pub fn with_delta_kernel(mut self, enable: bool) -> Self {
-        self.delta_kernel = enable;
-        self
     }
 
     /// Overrides the per-site reliabilities (links keep the global
@@ -317,40 +310,28 @@ impl<'a> Simulation<'a> {
         batch_index: u64,
     ) -> BatchStats {
         let n = self.topology.num_sites();
-        let m = self.topology.num_links();
         let total_votes = self.votes.total() as usize;
         let seed = derive_seed(self.master_seed, batch_index);
 
-        // Independent RNG streams: failures, accesses, workload choices.
-        let mut fail_rng: StdRng = rng_from_seed(derive_seed(seed, 1));
+        // Independent RNG streams: failures (stream 1, inside the world),
+        // accesses, workload choices.
         let mut access_rng: StdRng = rng_from_seed(derive_seed(seed, 2));
         let mut workload_rng: StdRng = rng_from_seed(derive_seed(seed, 3));
 
-        let mut state = NetworkState::all_up(self.topology);
-        let mut cache = if self.delta_kernel {
-            ComponentCache::incremental()
-        } else {
-            ComponentCache::new()
-        };
+        let mut world = FailureWorld::new(
+            self.topology,
+            self.votes.as_slice(),
+            &self.params,
+            seed,
+            self.site_reliabilities.as_deref(),
+            self.link_reliabilities.as_deref(),
+        );
         let mut checker = SerializabilityChecker::new(n);
         let mut stats = BatchStats::new(n, total_votes);
         let mut queue = EventQueue::new();
 
-        let mut procs = FailureProcesses::new(
-            &self.params,
-            n,
-            m,
-            self.site_reliabilities.as_deref(),
-            self.link_reliabilities.as_deref(),
-        );
-
         // Schedule the first transition of every component.
-        procs.schedule_initial(
-            &mut queue,
-            &mut fail_rng,
-            Event::SiteTransition,
-            Event::LinkTransition,
-        );
+        world.schedule_initial(&mut queue);
         // Aggregate access process: rate n/μ_t.
         let access_proc = PoissonProcess::new(n as f64 / self.params.mu_access);
         queue.schedule(
@@ -371,7 +352,7 @@ impl<'a> Simulation<'a> {
             if self.time_weighted && accesses_seen >= warmup {
                 let dt = t - last_time;
                 if dt > 0.0 {
-                    let view = cache.view(self.topology, &state, self.votes.as_slice());
+                    let (view, _) = world.view();
                     for site in 0..n {
                         stats.time_weighted_votes[view.votes_of(site) as usize] += dt;
                     }
@@ -380,39 +361,13 @@ impl<'a> Simulation<'a> {
             }
             last_time = t;
             match ev {
-                Event::SiteTransition(i) => {
-                    stats.site_transitions += 1;
-                    let (up, gap) = procs.site_transition(i, &mut fail_rng);
-                    if state.set_site(i, up) {
-                        cache.apply_event(
-                            self.topology,
-                            &state,
-                            self.votes.as_slice(),
-                            TopologyEvent::Site { site: i, up },
-                        );
-                    }
-                    queue.schedule_in(gap, Event::SiteTransition(i));
-                }
-                Event::LinkTransition(i) => {
-                    stats.link_transitions += 1;
-                    let (up, gap) = procs.link_transition(i, &mut fail_rng);
-                    if state.set_link(i, up) {
-                        cache.apply_event(
-                            self.topology,
-                            &state,
-                            self.votes.as_slice(),
-                            TopologyEvent::Link { link: i, up },
-                        );
-                    }
-                    queue.schedule_in(gap, Event::LinkTransition(i));
-                }
+                Event::Failure(transition) => world.apply(transition, &mut queue),
                 Event::Access => {
                     accesses_seen += 1;
                     queue.schedule_in(access_proc.next_gap(&mut access_rng), Event::Access);
 
                     let (kind, site) = self.workload.sample(&mut workload_rng);
-                    let (view, refreshes) =
-                        cache.view_and_refreshes(self.topology, &state, self.votes.as_slice());
+                    let (view, refreshes) = world.view();
                     memo.sync(view, refreshes);
                     let votes = view.votes_of(site);
                     let largest = memo.largest_votes;
@@ -505,6 +460,9 @@ impl<'a> Simulation<'a> {
                 }
             }
         }
+        stats.site_transitions = world.site_transitions();
+        stats.link_transitions = world.link_transitions();
+        let cache = world.cache();
         stats.cache_recomputations = cache.recomputations();
         stats.cache_hits = cache.hits();
         let delta = cache.delta_counters();

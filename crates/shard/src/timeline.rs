@@ -12,6 +12,11 @@
 //! per-component vote sums, so adding optimizer-expanded per-object
 //! assignments costs one mask row per *distinct* spec, not per object.
 //!
+//! The replay itself is a [`FailureWorld`]: the same process bank,
+//! stream-1 draws and connectivity kernel the replica and cluster
+//! engines run, so the timeline's failure path is theirs, transition for
+//! transition.
+//!
 //! After that, serving a quorum check for any access is one byte load —
 //! the million-object access loops never touch the graph code. Epoch
 //! membership itself is served by a **bucket index** over `[0,
@@ -23,9 +28,8 @@
 use crate::catalog::ObjectCatalog;
 use quorum_core::protocol::Access;
 use quorum_des::{EventQueue, SimParams};
-use quorum_graph::{ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
-use quorum_replica::FailureProcesses;
-use quorum_stats::rng::{derive_seed, rng_from_seed};
+use quorum_graph::{ComponentView, Topology};
+use quorum_replica::{FailureWorld, Transition};
 
 /// Read-granted bit in a grant mask.
 pub const READ_BIT: u8 = 1;
@@ -35,12 +39,6 @@ pub const WRITE_BIT: u8 = 2;
 /// Epoch-index buckets per epoch (oversampling factor of the bucket
 /// index; higher = shorter scans, more memory).
 const BUCKETS_PER_EPOCH: usize = 4;
-
-/// One failure/repair event in the timeline replay.
-enum TimelineEvent {
-    Site(usize),
-    Link(usize),
-}
 
 /// The materialized connectivity history of one run.
 #[derive(Debug, Clone)]
@@ -75,11 +73,11 @@ impl FailureTimeline {
     /// Replays the failure stream for `[0, horizon)` and precomputes the
     /// per-epoch grant tables and the epoch bucket index.
     ///
-    /// The failure RNG stream is `derive_seed(seed, 1)` — the same
+    /// The failure world draws stream `derive_seed(seed, 1)` — the same
     /// master/stream split the per-object access walks use (they draw
     /// from stream 2), so one `seed` fixes the whole run. The failure
-    /// replay keeps `StdRng`: it runs once per run, off the access hot
-    /// path the counter-based streams exist for.
+    /// replay keeps the world's `StdRng`: it runs once per run, off the
+    /// access hot path the counter-based streams exist for.
     ///
     /// # Panics
     /// Panics if `horizon` is not positive and finite.
@@ -94,23 +92,10 @@ impl FailureTimeline {
             panic!("{rule}");
         }
         let n = topology.num_sites();
-        let m = topology.num_links();
         let uniform = vec![1u64; n];
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the failure replay runs once per run through FailureProcesses, which is generic over rand::Rng; the access loops use CounterRng"
-        )]
-        let mut rng = rng_from_seed(derive_seed(seed, 1));
-        let mut procs = FailureProcesses::new(params, n, m, None, None);
-        let mut queue: EventQueue<TimelineEvent> = EventQueue::new();
-        procs.schedule_initial(
-            &mut queue,
-            &mut rng,
-            TimelineEvent::Site,
-            TimelineEvent::Link,
-        );
-        let mut state = NetworkState::all_up(topology);
-        let mut cache = ComponentCache::incremental();
+        let mut world = FailureWorld::new(topology, &uniform, params, seed, None, None);
+        let mut queue: EventQueue<Transition> = EventQueue::new();
+        world.schedule_initial(&mut queue);
 
         let mut out = Self {
             epoch_end: Vec::new(),
@@ -130,66 +115,25 @@ impl FailureTimeline {
                 _ => break,
             };
             // The epoch ending at `t` ran under the current state.
-            out.push_epoch(
-                t.as_f64(),
-                catalog,
-                &state,
-                cache.view(topology, &state, &uniform),
-            );
+            out.push_epoch(t.as_f64(), catalog, world.view().0);
             // Apply every event at exactly `t` before cutting the next
             // epoch, so simultaneous transitions produce one epoch, not
             // a stack of zero-length ones.
             while queue.peek_time().map(SimTimeBits::bits) == Some(t.bits()) {
-                let (_, ev) = queue.pop().expect("peeked");
-                match ev {
-                    TimelineEvent::Site(i) => {
-                        out.site_transitions += 1;
-                        let (up, gap) = procs.site_transition(i, &mut rng);
-                        if state.set_site(i, up) {
-                            cache.apply_event(
-                                topology,
-                                &state,
-                                &uniform,
-                                TopologyEvent::Site { site: i, up },
-                            );
-                        }
-                        queue.schedule_in(gap, TimelineEvent::Site(i));
-                    }
-                    TimelineEvent::Link(i) => {
-                        out.link_transitions += 1;
-                        let (up, gap) = procs.link_transition(i, &mut rng);
-                        if state.set_link(i, up) {
-                            cache.apply_event(
-                                topology,
-                                &state,
-                                &uniform,
-                                TopologyEvent::Link { link: i, up },
-                            );
-                        }
-                        queue.schedule_in(gap, TimelineEvent::Link(i));
-                    }
-                }
+                let (_, transition) = queue.pop().expect("peeked");
+                world.apply(transition, &mut queue);
             }
         }
         // Final epoch: from the last transition to the horizon.
-        out.push_epoch(
-            horizon,
-            catalog,
-            &state,
-            cache.view(topology, &state, &uniform),
-        );
+        out.push_epoch(horizon, catalog, world.view().0);
+        out.site_transitions = world.site_transitions();
+        out.link_transitions = world.link_transitions();
         out.build_bucket_index();
         out
     }
 
     /// Records the grant table of the epoch ending at `end`.
-    fn push_epoch(
-        &mut self,
-        end: f64,
-        catalog: &ObjectCatalog,
-        state: &NetworkState,
-        view: &ComponentView,
-    ) {
+    fn push_epoch(&mut self, end: f64, catalog: &ObjectCatalog, view: &ComponentView) {
         self.epoch_end.push(end);
         let comps = view.num_components();
         let tables = catalog.vote_tables();
@@ -208,7 +152,8 @@ impl FailureTimeline {
             let votes = &comp_votes[profile.votes_key * comps..][..comps];
             for s in 0..self.sites {
                 let c = view.component_of(s);
-                let mask = if c == ComponentView::DOWN || !state.site_up(s) {
+                // Down sites are exactly the ones without a component.
+                let mask = if c == ComponentView::DOWN {
                     0
                 } else {
                     let v = votes[c as usize];

@@ -6,7 +6,7 @@
 use quorum_bench::validate::{run, ValidateOpts};
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
-use quorum_graph::{ComponentCache, NetworkState, Topology};
+use quorum_graph::{ComponentCache, NetworkState, Topology, TopologyEvent};
 use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::{run_static_observed, RunConfig, Workload};
 
@@ -31,9 +31,9 @@ fn registry_cache_counters_equal_cache_accounting() {
     let mut cache = ComponentCache::new();
     let mut queries = 0u64;
     for round in 0..25 {
-        if round % 4 == 0 {
-            state.set_site(round % 11, round % 8 != 0);
-            cache.invalidate();
+        let (site, up) = (round % 11, round % 8 != 0);
+        if round % 4 == 0 && state.set_site(site, up) {
+            cache.apply_event(&topo, &state, &votes, TopologyEvent::Site { site, up });
         }
         cache.view(&topo, &state, &votes);
         queries += 1;
