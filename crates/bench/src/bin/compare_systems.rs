@@ -21,8 +21,11 @@
 //! the same `ComponentView` grant machinery the vote protocol uses.
 //! The headline claim — a structural system achieves strictly lower
 //! load than the *exact* optimum over all uniform-vote pairs at equal
-//! resilience — is asserted here and gated in CI from the manifest
-//! (`structural_beats_votes`, `load.*` metrics).
+//! resilience — is asserted at the default α and solver budget (the
+//! configuration CI runs) and gated in CI from the manifest
+//! (`structural_beats_votes`, `load.*` metrics). At other settings a
+//! failed claim prints `# check structural beats votes: false` and
+//! records the metric as 0.
 //!
 //! Usage: cargo run -p quorum-bench --release --bin compare_systems
 //!        [-- --quick --threads 2 --seed 7 --alpha 0.5
@@ -70,16 +73,22 @@ fn vote_best_exact(n: usize, min_f: u32, alpha: f64) -> (u64, u64, f64) {
     best.expect("some valid pair exists")
 }
 
+/// The read fraction and solver budget CI runs at. The loads compared
+/// depend on these two alone, and the headline claim is asserted only
+/// here: it is a property of this configuration, not of every α.
+const DEFAULT_ALPHA: f64 = 0.5;
+const DEFAULT_ITERATIONS: usize = 2_000;
+
 fn main() {
     let args = Args::parse();
     let seed: u64 = args.get_or("seed", 7);
     let threads: usize = args.get_or("threads", quorum_bench::default_threads());
     let alpha = args
         .get_checked("alpha", |&a| Workload::check_alpha(a))
-        .unwrap_or(0.5);
+        .unwrap_or(DEFAULT_ALPHA);
     let iterations = args
         .get_checked("iterations", |&i| check_iterations(i))
-        .unwrap_or(2_000);
+        .unwrap_or(DEFAULT_ITERATIONS);
     let scale = Scale::from_args(&args);
     let params = scale.params();
     let registry = Registry::new();
@@ -222,20 +231,33 @@ fn main() {
     );
 
     // The headline: at equal resilience floors, the structural systems'
-    // *achieved* loads beat the *exact* vote optima — strictly.
-    assert!(
-        grid_load < f2_load,
-        "grid load {grid_load:.4} must beat the f>=2 vote optimum {f2_load:.4}"
-    );
-    assert!(
-        hier_load < f3_load,
-        "hier load {hier_load:.4} must beat the f>=3 vote optimum {f3_load:.4}"
-    );
-    println!(
-        "# structural beats votes: grid {grid_load:.4} < {f2_load:.4} (f>=2), \
-         hier {hier_load:.4} < {f3_load:.4} (f>=3)"
-    );
-    m.set_metric(keys::STRUCTURAL_BEATS_VOTES, 1.0);
+    // *achieved* loads beat the *exact* vote optima — strictly. At the
+    // configuration CI runs this must hold; elsewhere (α near 0 or 1,
+    // a small solver budget) it may not, and the run reports that.
+    let beats = grid_load < f2_load && hier_load < f3_load;
+    if alpha == DEFAULT_ALPHA && iterations == DEFAULT_ITERATIONS {
+        assert!(
+            grid_load < f2_load,
+            "grid load {grid_load:.4} must beat the f>=2 vote optimum {f2_load:.4}"
+        );
+        assert!(
+            hier_load < f3_load,
+            "hier load {hier_load:.4} must beat the f>=3 vote optimum {f3_load:.4}"
+        );
+    }
+    if beats {
+        println!(
+            "# structural beats votes: grid {grid_load:.4} < {f2_load:.4} (f>=2), \
+             hier {hier_load:.4} < {f3_load:.4} (f>=3)"
+        );
+    } else {
+        println!("# check structural beats votes: false");
+        println!(
+            "# loads: grid {grid_load:.4} vs {f2_load:.4} (f>=2), \
+             hier {hier_load:.4} vs {f3_load:.4} (f>=3)"
+        );
+    }
+    m.set_metric(keys::STRUCTURAL_BEATS_VOTES, f64::from(u8::from(beats)));
 
     m.absorb_snapshot(&registry.snapshot());
     manifest::write_requested(&args, &m);

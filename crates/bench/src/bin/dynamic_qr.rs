@@ -8,9 +8,9 @@
 //!   * adaptive QR (on-line estimates + version-numbered reassignment).
 //!
 //! Usage: cargo run -p quorum-bench --release --bin dynamic_qr
-//!        [-- --topology 0 --seed 3 --accesses 40000]
+//!        [-- --topology 0 --seed 3 --threads 2 --accesses 40000]
 
-use quorum_bench::{pct, Args};
+use quorum_bench::{default_threads, pct, Args};
 use quorum_core::{QuorumConsensus, QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_replica::adaptive::{run_adaptive, run_phased, AdaptiveConfig, Phase};
@@ -21,6 +21,7 @@ fn main() {
     let args = Args::parse();
     let chords: usize = args.get_or("topology", 16);
     let seed: u64 = args.get_or("seed", 3);
+    let threads = args.get_or("threads", default_threads());
     let accesses: u64 = args
         .get_checked("accesses", |&a| SimParams::check_batch_accesses(a))
         .unwrap_or(40_000);
@@ -63,7 +64,7 @@ fn main() {
         RunConfig {
             params: SimParams::quick(),
             seed: seed + 1,
-            threads: 4,
+            threads,
         },
     );
     let oracle_spec = CurveSet::from_run(&calib)

@@ -7,8 +7,9 @@
 //!   reads), replayed three ways: queue-based full BFS per event
 //!   ([`ComponentView::compute`], the oracle), word-parallel bitset BFS
 //!   per event, and the incremental delta kernel behind
-//!   [`ComponentCache`] (merge on recovery, single-component rescan on
-//!   failure, no-op filtering). The run asserts that all three report
+//!   [`ComponentCache`] (merge on recovery, two-sided search or
+//!   single-component rescan on failure, no-op filtering), read straight
+//!   from the kernel. The run asserts that all three report
 //!   the same numbers and that every event lands in exactly one
 //!   fast-path counter, and reports wall-clock and the full-BFS/delta
 //!   speedup — the headline ratio EXPERIMENTS.md quotes for
@@ -25,7 +26,7 @@
 //!        [-- --paper-scale --threads 2 --seed 11 --events 50000
 //!            --batches 2 --manifest kernel_replay.json]
 
-use quorum_bench::{check_batches, manifest, print_table, run_jobs, Args, Scale};
+use quorum_bench::{check_batches, check_events, manifest, print_table, run_jobs, Args, Scale};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_graph::{
     ComponentCache, ComponentView, DeltaConnectivity, NetworkState, Topology, TopologyEvent,
@@ -132,13 +133,14 @@ fn apply_to_state(state: &mut NetworkState, ev: TopologyEvent) {
 }
 
 /// Replays `trace` through the delta kernel with 8 component reads per
-/// event. Returns (wall seconds, vote checksum, final cache).
+/// event, each read straight from the kernel as the engines read it.
+/// Returns (wall seconds, vote checksum, final cache).
 fn replay_delta(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64, ComponentCache) {
     let votes = setup.votes.as_slice();
     let n = setup.topo.num_sites();
     let mut state = NetworkState::all_up(&setup.topo);
     let mut cache = ComponentCache::new();
-    cache.view(&setup.topo, &state, votes);
+    cache.partition(&setup.topo, &state, votes);
     #[expect(
         clippy::disallowed_methods,
         reason = "benchmark timer: replay wall time is the result"
@@ -149,7 +151,9 @@ fn replay_delta(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64, ComponentC
         apply_to_state(&mut state, ev);
         cache.apply_event(&setup.topo, &state, votes, ev);
         for k in 0..8usize {
-            acc += cache.view(&setup.topo, &state, votes).votes_of((i + k) % n);
+            acc += cache
+                .partition(&setup.topo, &state, votes)
+                .votes_of((i + k) % n);
         }
     }
     (started.elapsed().as_secs_f64(), acc, cache)
@@ -228,14 +232,13 @@ fn main() {
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 11);
     let threads: usize = args.get_or("threads", 2);
-    let events: usize = args.get_or(
-        "events",
-        match scale {
+    let events: usize = args
+        .get_checked("events", |&e| check_events(e))
+        .unwrap_or(match scale {
             Scale::Quick => 2_000,
             Scale::Medium => 10_000,
             Scale::Paper => 50_000,
-        },
-    );
+        });
     let batches: u64 = args
         .get_checked("batches", |&b| check_batches(b))
         .unwrap_or(2);

@@ -171,6 +171,16 @@ pub fn check_batches(batches: u64) -> Result<(), String> {
     }
 }
 
+/// Checks a replay length flag (at least one event), returning the
+/// violated rule.
+pub fn check_events(events: usize) -> Result<(), String> {
+    if events >= 1 {
+        Ok(())
+    } else {
+        Err("need at least one event to replay".to_string())
+    }
+}
+
 /// Simulation scale preset chosen on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -375,6 +385,7 @@ mod tests {
         let site_rel = |s| argv(s).try_get_checked("site-rel", |&p| check_reliability(p));
         let link_rel = |s| argv(s).try_get_checked("link-rel", |&r| check_reliability(r));
         let batches = |s| argv(s).try_get_checked("batches", |&b| check_batches(b));
+        let events = |s| argv(s).try_get_checked("events", |&e| check_events(e));
         let accesses =
             |s| argv(s).try_get_checked("accesses", |&a| SimParams::check_batch_accesses(a));
         let max_votes = |s| argv(s).try_get_checked("max-votes", |&m| check_max_votes(m));
@@ -514,7 +525,12 @@ mod tests {
             cluster_size("--cluster-size 0"),
             Err("--cluster-size \"0\": clusters need at least 2 sites".to_string())
         );
+        assert_eq!(
+            events("--events 0"),
+            Err("--events \"0\": need at least one event to replay".to_string())
+        );
         assert_eq!(batches("--batches 1"), Ok(Some(1)));
+        assert_eq!(events("--events 1"), Ok(Some(1)));
         assert_eq!(accesses("--accesses 1"), Ok(Some(1)));
         assert_eq!(max_votes("--max-votes 1"), Ok(Some(1)));
         assert_eq!(clusters("--clusters 3"), Ok(Some(3)));

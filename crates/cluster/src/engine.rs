@@ -410,7 +410,7 @@ impl Batch<'_> {
     /// Processes a delivery: drop if the endpoints are not mutually
     /// reachable at this instant, else run the receiving actor's step.
     fn deliver(&mut self, msg: Message) {
-        if !self.world.view().0.connected(msg.from, msg.to) {
+        if !self.world.partition().connected(msg.from, msg.to) {
             self.core.stats_mut().messages_dropped += 1;
             return;
         }

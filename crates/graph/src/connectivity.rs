@@ -6,10 +6,15 @@
 //! the `v` in the paper's density `f_i(v)`. Down sites are "members of a
 //! component of size zero" (§5.2), represented here by [`ComponentView::DOWN`].
 //!
-//! [`ComponentCache`] adds the dirty-flag memoization used by the
-//! engines: accesses between two topology events see the same partition,
-//! and the incremental kernel absorbs each failure/recovery that
-//! intervened. [`ComponentView::compute`] stays as the full-BFS oracle.
+//! [`ComponentCache`] is the engines' handle on the incremental
+//! [`DeltaConnectivity`] kernel: it feeds the kernel every failure and
+//! recovery, serves the partition straight from the kernel's slots (the
+//! access path's reads), and counts reads as hits or recomputations.
+//! The canonical [`ComponentView`] is still materialized for the callers
+//! that take a whole snapshot — the shard timeline's per-epoch grant
+//! tables, scripted scenarios and the tests — and kept across events
+//! that leave the partition unchanged. [`ComponentView::compute`] stays
+//! as the full-BFS oracle.
 
 use crate::bitset::BitSet;
 use crate::delta::{DeltaConnectivity, DeltaCounters, DeltaOutcome, TopologyEvent};
@@ -198,30 +203,39 @@ impl ComponentView {
     }
 }
 
-/// Dirty-flag memoization of [`ComponentView`], backed by the
-/// incremental [`DeltaConnectivity`] kernel.
+/// The engines' handle on the partition: the incremental
+/// [`DeltaConnectivity`] kernel, read accounting, and a memoized
+/// [`ComponentView`] for callers that want the canonical snapshot.
 ///
 /// The engines call [`ComponentCache::apply_event`] on every topology
-/// event and [`ComponentCache::view`] on every access; a view is only
-/// rebuilt when at least one event separated two accesses.
+/// event and read the partition straight from the kernel through
+/// [`ComponentCache::partition`]: an access costs a few array reads, and
+/// nothing is rebuilt between events. [`ComponentCache::view`]
+/// materializes the canonical view for the callers that still take one
+/// (the shard timeline's per-epoch grant tables, scripted scenarios and
+/// the tests); the view is kept across partition-preserving events and
+/// rebuilt only after the partition changed.
 ///
-/// The rebuild is not a whole-graph BFS: recoveries merge components
-/// (union-find), failures re-scan one component, and provably
-/// partition-preserving events are filtered outright. The served views
-/// are bit-identical to [`ComponentView::compute`], the full-BFS oracle
-/// the tests pin the kernel against.
+/// Every read — a `partition` or a `view` call — counts once: as a
+/// *recomputation* if it is the first read after a partition change (or
+/// the first read at all), else as a *hit*. So `hits + recomputations`
+/// equals the number of reads. The kernel's answers are bit-identical to
+/// [`ComponentView::compute`], the full-BFS oracle the tests pin it
+/// against.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentCache {
     view: Option<ComponentView>,
     kernel: Option<DeltaConnectivity>,
+    /// True once a read has been served since the last partition change.
+    read_since_change: bool,
     recomputations: u64,
     hits: u64,
     delta: DeltaCounters,
 }
 
 impl ComponentCache {
-    /// An empty (dirty) cache; the kernel is built from the state at the
-    /// first event or view.
+    /// An empty cache; the kernel is built from the state at the first
+    /// event or read.
     pub fn new() -> Self {
         Self::default()
     }
@@ -232,7 +246,8 @@ impl ComponentCache {
     ///
     /// The kernel absorbs the event incrementally — or, if no kernel is
     /// built yet, is built from `state` (counted as a full recompute, so
-    /// every event lands in exactly one delta counter).
+    /// every event lands in exactly one delta counter). The memoized view
+    /// survives every event that leaves the partition unchanged.
     pub fn apply_event(
         &mut self,
         topology: &Topology,
@@ -240,47 +255,81 @@ impl ComponentCache {
         votes: &[u64],
         event: TopologyEvent,
     ) {
-        self.view = None;
-        match &mut self.kernel {
-            Some(kernel) => match kernel.apply(event) {
-                DeltaOutcome::Merge => self.delta.merges += 1,
-                DeltaOutcome::Rescan => self.delta.rescans += 1,
-                DeltaOutcome::Noop => self.delta.noops += 1,
-            },
+        let changed = match &mut self.kernel {
+            Some(kernel) => {
+                let applied = kernel.apply(event);
+                match applied.outcome {
+                    DeltaOutcome::Merge => self.delta.merges += 1,
+                    DeltaOutcome::Rescan => self.delta.rescans += 1,
+                    DeltaOutcome::Noop => self.delta.noops += 1,
+                }
+                applied.changed
+            }
             None => {
                 // `state` already includes the event, so building from it
                 // absorbs the event wholesale.
                 self.kernel = Some(DeltaConnectivity::new(topology, state, votes));
                 self.delta.full_recomputes += 1;
+                true
             }
+        };
+        if changed {
+            self.view = None;
+            self.read_since_change = false;
         }
     }
 
-    /// Returns the current view, refreshing if stale.
+    /// Counts one read and returns the kernel, building it from `state`
+    /// on first use.
+    fn read(
+        &mut self,
+        topology: &Topology,
+        state: &NetworkState,
+        votes: &[u64],
+    ) -> &DeltaConnectivity {
+        if self.read_since_change {
+            self.hits += 1;
+        } else {
+            self.recomputations += 1;
+            self.read_since_change = true;
+        }
+        let kernel = self
+            .kernel
+            .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes));
+        debug_assert!(kernel.in_sync_with(state), "kernel missed an event");
+        kernel
+    }
+
+    /// The partition, read straight from the kernel (one counted read).
+    pub fn partition(
+        &mut self,
+        topology: &Topology,
+        state: &NetworkState,
+        votes: &[u64],
+    ) -> &DeltaConnectivity {
+        self.read(topology, state, votes)
+    }
+
+    /// The canonical view of the partition (one counted read),
+    /// materialized from the kernel if the partition changed since it was
+    /// last built.
     pub fn view(
         &mut self,
         topology: &Topology,
         state: &NetworkState,
         votes: &[u64],
     ) -> &ComponentView {
-        if self.view.is_none() {
-            let kernel = self
-                .kernel
-                .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes));
-            debug_assert!(kernel.in_sync_with(state), "kernel missed an event");
-            self.view = Some(kernel.to_view());
-            self.recomputations += 1;
-        } else {
-            self.hits += 1;
-        }
-        self.view.as_ref().expect("just ensured")
+        self.read(topology, state, votes);
+        let Self { view, kernel, .. } = self;
+        view.get_or_insert_with(|| kernel.as_ref().expect("read() built it").to_view())
     }
 
-    /// [`Self::view`], paired with the refresh count after the call.
+    /// [`Self::view`], paired with the recomputation count after the
+    /// call.
     ///
-    /// The count identifies the served view: it changes exactly when the
-    /// view is rebuilt, so a caller can key per-view data on it without a
-    /// second — counted — `view` call.
+    /// The count identifies the partition served: it changes exactly
+    /// when a read follows a partition change, so a caller can key
+    /// per-partition data on it without a second — counted — read.
     pub fn view_and_refreshes(
         &mut self,
         topology: &Topology,
@@ -292,13 +341,13 @@ impl ComponentCache {
         (view, self.recomputations)
     }
 
-    /// Number of view refreshes performed (canonical re-materializations
-    /// of the kernel's partition).
+    /// Number of reads that were the first after a partition change.
     pub fn recomputations(&self) -> u64 {
         self.recomputations
     }
 
-    /// Number of served-from-cache queries.
+    /// Number of reads of a partition already read since it last
+    /// changed.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -574,6 +623,9 @@ mod tests {
             }
         }
         assert_eq!(cache.hits() + cache.recomputations(), view_calls);
+        // Only a read after a partition change recomputes, and every
+        // read here follows an event.
+        assert!(cache.recomputations() <= 40);
         // Every event classified exactly once.
         assert_eq!(cache.delta_counters().total(), 40);
     }
@@ -595,6 +647,29 @@ mod tests {
         assert_eq!((counters.merges, counters.full_recomputes), (1, 0));
         let fresh = ComponentView::compute(&t, &s, &votes);
         assert_eq!(cache.view(&t, &s, &votes), &fresh);
+    }
+
+    #[test]
+    fn view_survives_a_partition_preserving_cut() {
+        let t = Topology::ring(6);
+        let mut s = NetworkState::all_up(&t);
+        let votes = uniform_votes(6);
+        let mut cache = ComponentCache::new();
+        cache.view(&t, &s, &votes);
+        // The first cut of an intact ring leaves a path: same partition,
+        // so the next read is a hit and serves the kept view.
+        toggle_link(&mut cache, &t, &mut s, &votes, 0);
+        let (view, refreshes) = cache.view_and_refreshes(&t, &s, &votes);
+        assert_eq!(view, &ComponentView::compute(&t, &s, &votes));
+        assert_eq!((refreshes, cache.hits()), (1, 1));
+        // The second cut splits it: the next read recomputes.
+        toggle_link(&mut cache, &t, &mut s, &votes, 3);
+        let (view, refreshes) = cache.view_and_refreshes(&t, &s, &votes);
+        assert_eq!(view.num_components(), 2);
+        assert_eq!(refreshes, 2);
+        // Partition reads share the accounting.
+        assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 3);
+        assert_eq!(cache.hits() + cache.recomputations(), 4);
     }
 
     #[test]

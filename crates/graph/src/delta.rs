@@ -3,32 +3,53 @@
 //! [`ComponentView::compute`] re-runs a whole-graph BFS over edge lists
 //! after every topology event. At paper scale (101 sites, chord variants
 //! up to 5 050 links) that BFS dominates batch wall-clock. This module
-//! maintains the partition *incrementally* instead:
+//! maintains the partition *incrementally* instead, as a slab of
+//! component slots (member bitset, vote total, size):
 //!
 //! * **Recovery merges, never scans.** A site or link coming up can only
 //!   join existing components. Joining is a union-find-style
 //!   smaller-into-larger relabel over member bitsets — no BFS at all.
-//! * **Failure re-scans one component.** A site or link going down can
-//!   only split the single component that contained it, so the re-scan
-//!   BFS is seeded from that component's member bitset and never touches
-//!   the rest of the graph.
+//! * **A link failure searches from both ends.** Cutting a link between
+//!   two up sites runs a lockstep breadth-first search from each
+//!   endpoint inside their component, one level per side per turn. If
+//!   the searches meet, the partition is unchanged and nothing is
+//!   relabelled; meeting at depth one is the common-neighbour witness,
+//!   which costs a few word operations on dense graphs. If one side runs
+//!   out first, that side is the whole split-off component and only it
+//!   moves to a new slot.
+//! * **A site failure searches only when it must.** An isolated site
+//!   just deletes its singleton; a leaf (one live neighbour) leaves a
+//!   connected remainder; a site with two live neighbours runs the same
+//!   two-sided search between them. Only a site with three or more live
+//!   neighbours re-scans its component's remaining members.
 //! * **Provable no-ops are filtered.** Toggling a link with a down
-//!   endpoint, failing an already-isolated site, or restoring a link
-//!   inside one component cannot change the partition; these events cost
-//!   O(1).
+//!   endpoint or restoring a link inside one component cannot change the
+//!   partition; these events cost O(1).
 //!
 //! All scans are *word-parallel*: per-site adjacency lives in
 //! [`BitSet`]s keyed by live (up) links, so a BFS frontier expands by
 //! OR-ing 64 sites at a time rather than walking `(neighbor, link)`
-//! pairs. [`DeltaConnectivity::to_view`] renumbers the internal
-//! component slots in first-site order, which makes the materialized
-//! [`ComponentView`] *bit-identical* to a fresh
-//! [`ComponentView::compute`] — the kernel can never change a reported
-//! number (pinned against that full-BFS oracle by the event-sequence
-//! proptests in `tests/delta_kernel.rs`). The replica, cluster and shard
-//! engines all reach this kernel through one `quorum_replica`
-//! `FailureWorld`, which feeds it every site and link transition via
-//! `ComponentCache::apply_event`.
+//! pairs.
+//!
+//! **Reads.** The engines read the partition straight from the kernel:
+//! [`DeltaConnectivity::slot_of`], [`DeltaConnectivity::slot_votes`],
+//! [`DeltaConnectivity::slot_members`], [`DeltaConnectivity::connected`]
+//! and [`DeltaConnectivity::largest_votes`], which the kernel keeps
+//! current. Every slot carries a *generation* stamp
+//! ([`DeltaConnectivity::slot_generation`]) drawn from one counter and
+//! moved whenever the slot's membership moves (allocated, merged, split,
+//! a member removed, freed), so `(slot, generation)` names one member set
+//! for the kernel's lifetime and per-component data keyed on it stays
+//! valid across every event that did not touch that slot.
+//!
+//! [`DeltaConnectivity::to_view`] renumbers the slots in first-site
+//! order, which makes the materialized [`ComponentView`] *bit-identical*
+//! to a fresh [`ComponentView::compute`] — the kernel can never change a
+//! reported number (pinned against that full-BFS oracle by the
+//! event-sequence proptests in `tests/delta_kernel.rs`). The replica,
+//! cluster and shard engines all reach this kernel through one
+//! `quorum_replica` `FailureWorld`, which feeds it every site and link
+//! transition via `ComponentCache::apply_event`.
 
 // Hot kernel: it absorbs every topology event of every batch, so a
 // panic or a silently wrapping cast here corrupts a whole run. Indexing
@@ -78,10 +99,24 @@ pub enum TopologyEvent {
 pub enum DeltaOutcome {
     /// Recovery handled by component merging (no BFS).
     Merge,
-    /// Failure handled by re-scanning the single affected component.
+    /// A site failure in a component of two or more sites, or a link
+    /// failure that split its component.
     Rescan,
-    /// Provably partition-preserving; nothing recomputed.
+    /// Nothing to re-partition: a link the up-subgraph did not use, a
+    /// link cut whose endpoints stay joined, or the failure of an
+    /// isolated site.
     Noop,
+}
+
+/// What [`DeltaConnectivity::apply`] did with one event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Applied {
+    /// The fast path that handled the event.
+    pub outcome: DeltaOutcome,
+    /// Whether the partition changed: an up site appeared or vanished,
+    /// or components merged or split. Only a link event can leave it
+    /// unchanged.
+    pub changed: bool,
 }
 
 /// Lifetime totals of the kernel fast paths. The fourth counter,
@@ -91,9 +126,10 @@ pub enum DeltaOutcome {
 pub struct DeltaCounters {
     /// Events handled by the union-find merge path.
     pub merges: u64,
-    /// Events handled by a single-component re-scan.
+    /// Site failures in multi-site components, and link failures that
+    /// split a component.
     pub rescans: u64,
-    /// Events filtered as partition-preserving no-ops.
+    /// Events that needed no re-partitioning.
     pub noops: u64,
     /// Events absorbed by a from-scratch kernel rebuild.
     pub full_recomputes: u64,
@@ -107,12 +143,14 @@ impl DeltaCounters {
     }
 }
 
-/// One maintained component: its member bitset and cached totals.
+/// One maintained component: its member bitset, cached totals and the
+/// generation of its current member set.
 #[derive(Debug, Clone)]
 struct CompSlot {
     members: BitSet,
     votes: u64,
     size: u32,
+    generation: u64,
 }
 
 /// Incrementally-maintained partition of the up-subgraph.
@@ -136,9 +174,15 @@ pub struct DeltaConnectivity {
     comp_of: Vec<u32>,
     slots: Vec<CompSlot>,
     free: Vec<u32>,
-    // Scratch buffers so steady-state events allocate nothing.
-    scratch: BitSet,
-    frontier: BitSet,
+    /// The last generation stamped on a slot (stamps start at 1).
+    generation: u64,
+    /// Vote total of the largest component (0 when every site is down).
+    largest: u64,
+    // Scratch buffers so steady-state events allocate nothing: the
+    // two-sided search's visited sets and frontiers, one per side, and
+    // the expansion buffer shared with the re-scan.
+    seen: [BitSet; 2],
+    frontier: [BitSet; 2],
     next: BitSet,
 }
 
@@ -173,24 +217,94 @@ impl DeltaConnectivity {
             comp_of: vec![ComponentView::DOWN; n],
             slots: Vec::new(),
             free: Vec::new(),
-            scratch: BitSet::new(n),
-            frontier: BitSet::new(n),
+            generation: 0,
+            largest: 0,
+            seen: [BitSet::new(n), BitSet::new(n)],
+            frontier: [BitSet::new(n), BitSet::new(n)],
             next: BitSet::new(n),
         };
         kernel.carve_components(site_up);
+        kernel.refresh_largest();
         kernel
     }
 
     /// Applies one state transition and reports which fast path handled
-    /// it. The event must describe an actual change (the engines guard
-    /// with `NetworkState::set_site`/`set_link` returning `true`).
-    pub fn apply(&mut self, event: TopologyEvent) -> DeltaOutcome {
-        match event {
+    /// it and whether the partition changed. The event must describe an
+    /// actual change (the engines guard with
+    /// `NetworkState::set_site`/`set_link` returning `true`).
+    pub fn apply(&mut self, event: TopologyEvent) -> Applied {
+        let applied = match event {
             TopologyEvent::Site { site, up: true } => self.site_recovered(site),
             TopologyEvent::Site { site, up: false } => self.site_failed(site),
             TopologyEvent::Link { link, up: true } => self.link_recovered(link),
             TopologyEvent::Link { link, up: false } => self.link_failed(link),
+        };
+        if applied.changed {
+            self.refresh_largest();
         }
+        applied
+    }
+
+    /// Slot of the component holding `site`, or [`ComponentView::DOWN`]
+    /// if the site is down. Slot ids are internal: they are stable only
+    /// while the slot's generation does not move.
+    #[inline]
+    pub fn slot_of(&self, site: usize) -> u32 {
+        self.comp_of[site]
+    }
+
+    /// Vote total of the live component in `slot`.
+    #[inline]
+    pub fn slot_votes(&self, slot: u32) -> u64 {
+        self.slots[slot as usize].votes
+    }
+
+    /// Member bitset of the live component in `slot`.
+    #[inline]
+    pub fn slot_members(&self, slot: u32) -> &BitSet {
+        &self.slots[slot as usize].members
+    }
+
+    /// Generation of `slot`'s member set: it moves whenever the members
+    /// move, and no two member sets of one kernel share a generation.
+    #[inline]
+    pub fn slot_generation(&self, slot: u32) -> u64 {
+        self.slots[slot as usize].generation
+    }
+
+    /// Slots holding a live component, in slot order.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slot ids are bounded by 2n-1 slots for n sites; u32 holds any representable topology"
+    )]
+    pub fn live_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.size > 0)
+            .map(|(s, _)| s as u32)
+    }
+
+    /// Votes reachable from `site` (0 if the site is down).
+    #[inline]
+    pub fn votes_of(&self, site: usize) -> u64 {
+        match self.comp_of[site] {
+            ComponentView::DOWN => 0,
+            slot => self.slots[slot as usize].votes,
+        }
+    }
+
+    /// True if `a` and `b` are both up and mutually reachable.
+    #[inline]
+    pub fn connected(&self, a: usize, b: usize) -> bool {
+        self.comp_of[a] != ComponentView::DOWN && self.comp_of[a] == self.comp_of[b]
+    }
+
+    /// Vote total of the largest component (0 if every site is down):
+    /// the quantity behind the SURV metric.
+    #[inline]
+    pub fn largest_votes(&self) -> u64 {
+        self.largest
     }
 
     /// Materializes the canonical [`ComponentView`]: internal slots are
@@ -233,7 +347,7 @@ impl DeltaConnectivity {
         clippy::disallowed_macros,
         reason = "debug_assert! compiles out of release builds"
     )]
-    fn site_recovered(&mut self, site: usize) -> DeltaOutcome {
+    fn site_recovered(&mut self, site: usize) -> Applied {
         debug_assert!(!self.site_up.get(site), "recovery of an up site");
         self.site_up.set(site, true);
         let slot = self.alloc_slot();
@@ -245,7 +359,7 @@ impl DeltaConnectivity {
         // Union with every component reachable over a live link to an up
         // neighbor. Re-read `comp_of[site]` each step: merging relabels
         // the smaller side, which may be ours.
-        let mut reach = std::mem::take(&mut self.scratch);
+        let mut reach = std::mem::take(&mut self.next);
         reach.copy_from(&self.live_adj[site]);
         reach.and_assign(&self.site_up);
         for nb in reach.iter_ones() {
@@ -255,15 +369,18 @@ impl DeltaConnectivity {
                 self.merge_slots(mine, other);
             }
         }
-        self.scratch = reach;
-        DeltaOutcome::Merge
+        self.next = reach;
+        Applied {
+            outcome: DeltaOutcome::Merge,
+            changed: true,
+        }
     }
 
     #[expect(
         clippy::disallowed_macros,
         reason = "debug_assert! compiles out of release builds"
     )]
-    fn site_failed(&mut self, site: usize) -> DeltaOutcome {
+    fn site_failed(&mut self, site: usize) -> Applied {
         debug_assert!(self.site_up.get(site), "failure of a down site");
         self.site_up.set(site, false);
         let slot = self.comp_of[site];
@@ -276,59 +393,170 @@ impl DeltaConnectivity {
             // Already-isolated site: removing it deletes a singleton and
             // provably cannot re-partition anything else.
             self.free_slot(slot);
-            return DeltaOutcome::Noop;
+            return Applied {
+                outcome: DeltaOutcome::Noop,
+                changed: true,
+            };
         }
-        // The remaining members may have split; re-scan only them.
-        let remaining = std::mem::take(&mut self.slots[s].members);
-        self.free_slot(slot);
-        self.carve_components(remaining);
-        DeltaOutcome::Rescan
+        self.stamp(slot);
+        // Its live neighbours are exactly its component's sites adjacent
+        // to it; with the site gone, only they can have come apart.
+        let mut around = std::mem::take(&mut self.next);
+        around.copy_from(&self.live_adj[site]);
+        around.and_assign(&self.site_up);
+        let (first, second, third) = {
+            let mut near = around.iter_ones();
+            (near.next(), near.next(), near.next())
+        };
+        self.next = around;
+        match (first, second, third) {
+            // A leaf: the rest of its component stays connected.
+            (Some(_), None, _) => {}
+            (Some(u), Some(v), None) => {
+                self.cut_between(slot, u, v);
+            }
+            _ => {
+                // Three or more neighbours: re-scan the remaining members.
+                let remaining = std::mem::take(&mut self.slots[s].members);
+                self.free_slot(slot);
+                self.carve_components(remaining);
+            }
+        }
+        Applied {
+            outcome: DeltaOutcome::Rescan,
+            changed: true,
+        }
     }
 
-    fn link_recovered(&mut self, link: usize) -> DeltaOutcome {
+    fn link_recovered(&mut self, link: usize) -> Applied {
         let (a, b) = self.link_ends[link];
         self.live_adj[a].set(b, true);
         self.live_adj[b].set(a, true);
-        if !self.site_up.get(a) || !self.site_up.get(b) {
-            // A down endpoint keeps the link out of the up-subgraph.
-            return DeltaOutcome::Noop;
-        }
         let (ca, cb) = (self.comp_of[a], self.comp_of[b]);
-        if ca == cb {
-            // Intra-component edge: the partition is unchanged.
-            return DeltaOutcome::Noop;
+        // A down endpoint keeps the link out of the up-subgraph, and an
+        // intra-component edge leaves the partition as it was.
+        if !self.site_up.get(a) || !self.site_up.get(b) || ca == cb {
+            return Applied {
+                outcome: DeltaOutcome::Noop,
+                changed: false,
+            };
         }
         self.merge_slots(ca, cb);
-        DeltaOutcome::Merge
+        Applied {
+            outcome: DeltaOutcome::Merge,
+            changed: true,
+        }
     }
 
     #[expect(
         clippy::disallowed_macros,
         reason = "debug_assert! compiles out of release builds"
     )]
-    fn link_failed(&mut self, link: usize) -> DeltaOutcome {
+    fn link_failed(&mut self, link: usize) -> Applied {
         let (a, b) = self.link_ends[link];
         self.live_adj[a].set(b, false);
         self.live_adj[b].set(a, false);
+        let unchanged = Applied {
+            outcome: DeltaOutcome::Noop,
+            changed: false,
+        };
         if !self.site_up.get(a) || !self.site_up.get(b) {
             // The link was not part of the up-subgraph to begin with.
-            return DeltaOutcome::Noop;
+            return unchanged;
         }
-        // Both endpoints up ⇒ same component; only it can split (into at
-        // most two parts — but carve handles the general case anyway).
+        // Both endpoints up ⇒ same component; only it can split, and
+        // into at most two parts.
         let slot = self.comp_of[a];
         debug_assert_eq!(slot, self.comp_of[b], "up endpoints must share a slot");
-        let remaining = std::mem::take(&mut self.slots[slot as usize].members);
-        self.free_slot(slot);
-        self.carve_components(remaining);
-        DeltaOutcome::Rescan
+        if !self.cut_between(slot, a, b) {
+            return unchanged;
+        }
+        Applied {
+            outcome: DeltaOutcome::Rescan,
+            changed: true,
+        }
+    }
+
+    /// Settles whether `u` and `v`, both members of `slot`, are still
+    /// joined after an edge or a site between them went away. A lockstep
+    /// breadth-first search runs from each, one level per side per turn.
+    /// If the searches meet, nothing moves. If one side runs out first,
+    /// its visited set is a whole component, and only it moves to a new
+    /// slot; `slot` keeps the other side under a new generation.
+    /// Returns whether the component split.
+    fn cut_between(&mut self, slot: u32, u: usize, v: usize) -> bool {
+        let [mut seen_u, mut seen_v] = std::mem::take(&mut self.seen);
+        let [mut front_u, mut front_v] = std::mem::take(&mut self.frontier);
+        let mut next = std::mem::take(&mut self.next);
+        for (seen, front, start) in [
+            (&mut seen_u, &mut front_u, u),
+            (&mut seen_v, &mut front_v, v),
+        ] {
+            seen.fill(false);
+            seen.set(start, true);
+            front.fill(false);
+            front.set(start, true);
+        }
+        let ran_out = 'search: loop {
+            for side in 0..2 {
+                let (seen, front, other) = if side == 0 {
+                    (&mut seen_u, &mut front_u, &seen_v)
+                } else {
+                    (&mut seen_v, &mut front_v, &seen_u)
+                };
+                next.fill(false);
+                for site in front.iter_ones() {
+                    next.or_assign(&self.live_adj[site]);
+                }
+                next.and_assign(&self.site_up);
+                next.and_not_assign(seen);
+                if next.intersects(other) {
+                    break 'search None;
+                }
+                if next.is_all_clear() {
+                    break 'search Some(side);
+                }
+                seen.or_assign(&next);
+                std::mem::swap(front, &mut next);
+            }
+        };
+        match ran_out {
+            Some(0) => self.split_off(slot, &seen_u),
+            Some(_) => self.split_off(slot, &seen_v),
+            None => {}
+        }
+        self.seen = [seen_u, seen_v];
+        self.frontier = [front_u, front_v];
+        self.next = next;
+        ran_out.is_some()
+    }
+
+    /// Moves the sites of `part`, a whole component inside `slot`, to a
+    /// new slot.
+    fn split_off(&mut self, slot: u32, part: &BitSet) {
+        let new = self.alloc_slot();
+        let (mut votes, mut size) = (0u64, 0u32);
+        for site in part.iter_ones() {
+            self.comp_of[site] = new;
+            votes += self.votes[site];
+            size += 1;
+        }
+        let moved = &mut self.slots[new as usize];
+        moved.members.copy_from(part);
+        moved.votes = votes;
+        moved.size = size;
+        let kept = &mut self.slots[slot as usize];
+        kept.members.and_not_assign(part);
+        kept.votes -= votes;
+        kept.size -= size;
+        self.stamp(slot);
     }
 
     /// Partitions the sites in `pool` into components via word-parallel
     /// BFS, allocating one slot per component found. `pool` must contain
     /// only up sites; it is consumed.
     fn carve_components(&mut self, mut pool: BitSet) {
-        let mut frontier = std::mem::take(&mut self.frontier);
+        let [mut frontier, spare] = std::mem::take(&mut self.frontier);
         let mut next = std::mem::take(&mut self.next);
         while let Some(seed) = pool.first_one() {
             let slot = self.alloc_slot();
@@ -362,7 +590,7 @@ impl DeltaConnectivity {
             self.slots[s].votes = votes;
             self.slots[s].size = size;
         }
-        self.frontier = frontier;
+        self.frontier = [frontier, spare];
         self.next = next;
     }
 
@@ -387,29 +615,45 @@ impl DeltaConnectivity {
         self.slots[k].members.or_assign(&moved);
         self.slots[k].votes += self.slots[drop as usize].votes;
         self.slots[k].size += self.slots[drop as usize].size;
+        self.stamp(keep);
         moved.fill(false);
         self.slots[drop as usize].members = moved;
         self.free_slot(drop);
     }
 
-    /// Pops a cleared slot off the free list (or grows the slab). The
-    /// free list bounds the slab at the peak live component count, so
-    /// long runs never grow it past `n`.
+    /// Gives `slot` a fresh generation: its member set just moved.
+    fn stamp(&mut self, slot: u32) {
+        self.generation += 1;
+        self.slots[slot as usize].generation = self.generation;
+    }
+
+    /// Recomputes the largest component vote total over the live slots
+    /// (free slots hold zero votes).
+    fn refresh_largest(&mut self) {
+        self.largest = self.slots.iter().map(|s| s.votes).max().unwrap_or(0);
+    }
+
+    /// Pops a cleared slot off the free list (or grows the slab) and
+    /// stamps it. The free list bounds the slab at the peak live
+    /// component count, so long runs never grow it past `n`.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "slot ids are bounded by 2n-1 slots for n sites; u32 holds any representable topology"
     )]
     fn alloc_slot(&mut self) -> u32 {
-        if let Some(slot) = self.free.pop() {
+        let slot = if let Some(slot) = self.free.pop() {
             slot
         } else {
             self.slots.push(CompSlot {
                 members: BitSet::new(self.n),
                 votes: 0,
                 size: 0,
+                generation: 0,
             });
             (self.slots.len() - 1) as u32
-        }
+        };
+        self.stamp(slot);
+        slot
     }
 
     fn free_slot(&mut self, slot: u32) {
@@ -423,6 +667,7 @@ impl DeltaConnectivity {
         }
         self.slots[s].votes = 0;
         self.slots[s].size = 0;
+        self.stamp(slot);
         self.free.push(slot);
     }
 }
@@ -460,17 +705,21 @@ mod tests {
         let mut s = NetworkState::all_up(&t);
         let votes = vec![1u64; 6];
         let mut k = DeltaConnectivity::new(&t, &s, &votes);
-        // One cut: still connected (rescan, no split).
+        // One cut: the two-sided search meets, so the ring stays one
+        // component and nothing is relabelled.
         s.set_link(0, false);
         assert_eq!(
             k.apply(TopologyEvent::Link { link: 0, up: false }),
-            DeltaOutcome::Rescan
+            Applied {
+                outcome: DeltaOutcome::Noop,
+                changed: false
+            }
         );
         check_matches_fresh(&t, &s, &votes, &k);
         // Second cut: the ring splits in two.
         s.set_link(3, false);
         assert_eq!(
-            k.apply(TopologyEvent::Link { link: 3, up: false }),
+            k.apply(TopologyEvent::Link { link: 3, up: false }).outcome,
             DeltaOutcome::Rescan
         );
         check_matches_fresh(&t, &s, &votes, &k);
@@ -478,7 +727,7 @@ mod tests {
         // Repair one: merge without BFS.
         s.set_link(0, true);
         assert_eq!(
-            k.apply(TopologyEvent::Link { link: 0, up: true }),
+            k.apply(TopologyEvent::Link { link: 0, up: true }).outcome,
             DeltaOutcome::Merge
         );
         check_matches_fresh(&t, &s, &votes, &k);
@@ -494,18 +743,18 @@ mod tests {
         // Fail site 1: its links (0,1) and (1,2) now have a down endpoint.
         s.set_site(1, false);
         assert_eq!(
-            k.apply(TopologyEvent::Site { site: 1, up: false }),
+            k.apply(TopologyEvent::Site { site: 1, up: false }).outcome,
             DeltaOutcome::Rescan
         );
         // Toggling a link with a down endpoint is a no-op both ways.
         s.set_link(0, false);
         assert_eq!(
-            k.apply(TopologyEvent::Link { link: 0, up: false }),
+            k.apply(TopologyEvent::Link { link: 0, up: false }).outcome,
             DeltaOutcome::Noop
         );
         s.set_link(0, true);
         assert_eq!(
-            k.apply(TopologyEvent::Link { link: 0, up: true }),
+            k.apply(TopologyEvent::Link { link: 0, up: true }).outcome,
             DeltaOutcome::Noop
         );
         check_matches_fresh(&t, &s, &votes, &k);
@@ -517,7 +766,7 @@ mod tests {
         check_matches_fresh(&t, &s, &votes, &k);
         s.set_site(3, false);
         assert_eq!(
-            k.apply(TopologyEvent::Site { site: 3, up: false }),
+            k.apply(TopologyEvent::Site { site: 3, up: false }).outcome,
             DeltaOutcome::Noop
         );
         check_matches_fresh(&t, &s, &votes, &k);
@@ -535,7 +784,7 @@ mod tests {
         k.apply(TopologyEvent::Link { link: 0, up: false });
         s.set_link(0, true);
         assert_eq!(
-            k.apply(TopologyEvent::Link { link: 0, up: true }),
+            k.apply(TopologyEvent::Link { link: 0, up: true }).outcome,
             DeltaOutcome::Noop
         );
         check_matches_fresh(&t, &s, &votes, &k);
@@ -549,14 +798,14 @@ mod tests {
         let mut k = DeltaConnectivity::new(&t, &s, &votes);
         s.set_site(0, false);
         assert_eq!(
-            k.apply(TopologyEvent::Site { site: 0, up: false }),
+            k.apply(TopologyEvent::Site { site: 0, up: false }).outcome,
             DeltaOutcome::Rescan
         );
         check_matches_fresh(&t, &s, &votes, &k);
         assert_eq!(k.to_view().num_components(), 5);
         s.set_site(0, true);
         assert_eq!(
-            k.apply(TopologyEvent::Site { site: 0, up: true }),
+            k.apply(TopologyEvent::Site { site: 0, up: true }).outcome,
             DeltaOutcome::Merge
         );
         check_matches_fresh(&t, &s, &votes, &k);
@@ -602,5 +851,139 @@ mod tests {
             check_matches_fresh(&t, &s, &votes, &k);
         }
         assert!(k.slots.len() <= 9, "slab grew past peak: {}", k.slots.len());
+    }
+
+    /// `(slot, generation, members)` of every live slot.
+    fn slot_table(k: &DeltaConnectivity) -> Vec<(u32, u64, Vec<usize>)> {
+        k.live_slots()
+            .map(|slot| {
+                let members = k.slot_members(slot).iter_ones().collect();
+                (slot, k.slot_generation(slot), members)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cut_of_an_intact_ring_preserves_the_partition() {
+        let t = Topology::ring(9);
+        let mut s = NetworkState::all_up(&t);
+        let votes: Vec<u64> = (1..=9).collect();
+        let mut k = DeltaConnectivity::new(&t, &s, &votes);
+        let before = slot_table(&k);
+        s.set_link(4, false);
+        let applied = k.apply(TopologyEvent::Link { link: 4, up: false });
+        assert_eq!(
+            applied,
+            Applied {
+                outcome: DeltaOutcome::Noop,
+                changed: false
+            }
+        );
+        assert_eq!(slot_table(&k), before, "nothing relabelled or restamped");
+        assert_eq!(k.largest_votes(), 45);
+        check_matches_fresh(&t, &s, &votes, &k);
+    }
+
+    #[test]
+    fn path_cut_moves_only_the_side_that_ran_out() {
+        // Path 0-1-2-…-7; cutting (1,2) leaves {0,1} and {2..=7}. The
+        // search from 1 runs out after one level, so {0,1} moves to a
+        // new slot and the long side keeps its slot under a new
+        // generation.
+        let t = Topology::path(8);
+        let mut s = NetworkState::all_up(&t);
+        let votes = vec![1u64; 8];
+        let mut k = DeltaConnectivity::new(&t, &s, &votes);
+        let (slot, generation) = (k.slot_of(5), k.slot_generation(k.slot_of(5)));
+        s.set_link(1, false);
+        let applied = k.apply(TopologyEvent::Link { link: 1, up: false });
+        assert_eq!(
+            applied,
+            Applied {
+                outcome: DeltaOutcome::Rescan,
+                changed: true
+            }
+        );
+        for site in 2..8 {
+            assert_eq!(k.slot_of(site), slot, "site {site} stayed put");
+        }
+        assert_ne!(k.slot_generation(slot), generation);
+        assert_eq!(k.slot_votes(slot), 6);
+        let short = k.slot_of(0);
+        assert_ne!(short, slot);
+        assert_eq!(k.slot_of(1), short);
+        assert_eq!(
+            k.slot_members(short).iter_ones().collect::<Vec<_>>(),
+            [0, 1]
+        );
+        assert!(k.connected(0, 1) && !k.connected(1, 2));
+        assert_eq!(k.largest_votes(), 6);
+        check_matches_fresh(&t, &s, &votes, &k);
+    }
+
+    #[test]
+    fn dense_graph_cut_meets_at_depth_one() {
+        // Every pair of a complete graph has common neighbours, so each
+        // cut is settled by the first level of each search.
+        let t = Topology::fully_connected(7);
+        let mut s = NetworkState::all_up(&t);
+        let votes = vec![1u64; 7];
+        let mut k = DeltaConnectivity::new(&t, &s, &votes);
+        let before = slot_table(&k);
+        // Links 0..5 are five of site 0's six: it keeps one.
+        for link in 0..5 {
+            s.set_link(link, false);
+            let applied = k.apply(TopologyEvent::Link { link, up: false });
+            assert_eq!(applied.outcome, DeltaOutcome::Noop);
+            assert!(!applied.changed);
+        }
+        assert_eq!(slot_table(&k), before);
+        check_matches_fresh(&t, &s, &votes, &k);
+    }
+
+    #[test]
+    fn site_failure_with_two_neighbours_on_a_ring() {
+        let t = Topology::ring(6);
+        let mut s = NetworkState::all_up(&t);
+        let votes: Vec<u64> = (1..=6).collect();
+        let mut k = DeltaConnectivity::new(&t, &s, &votes);
+        let slot = k.slot_of(3);
+        let generation = k.slot_generation(slot);
+        // Site 0's neighbours 1 and 5 stay joined the long way round.
+        s.set_site(0, false);
+        let applied = k.apply(TopologyEvent::Site { site: 0, up: false });
+        assert_eq!(
+            applied,
+            Applied {
+                outcome: DeltaOutcome::Rescan,
+                changed: true
+            }
+        );
+        assert_eq!(k.slot_of(3), slot, "the remainder keeps its slot");
+        assert_ne!(k.slot_generation(slot), generation, "a member left");
+        assert_eq!((k.slot_votes(slot), k.largest_votes()), (20, 20));
+        check_matches_fresh(&t, &s, &votes, &k);
+        // Site 3's neighbours 2 and 4 are now cut apart: {1,2} | {4,5}.
+        s.set_site(3, false);
+        let applied = k.apply(TopologyEvent::Site { site: 3, up: false });
+        assert_eq!(applied.outcome, DeltaOutcome::Rescan);
+        assert!(!k.connected(2, 4));
+        assert_eq!(k.largest_votes(), 11);
+        check_matches_fresh(&t, &s, &votes, &k);
+        assert_eq!(k.to_view().num_components(), 2);
+    }
+
+    #[test]
+    fn leaf_failure_keeps_the_slot() {
+        let t = Topology::path(4);
+        let mut s = NetworkState::all_up(&t);
+        let votes = vec![2u64; 4];
+        let mut k = DeltaConnectivity::new(&t, &s, &votes);
+        let slot = k.slot_of(0);
+        s.set_site(3, false);
+        let applied = k.apply(TopologyEvent::Site { site: 3, up: false });
+        assert_eq!(applied.outcome, DeltaOutcome::Rescan);
+        assert_eq!((k.slot_of(0), k.slot_votes(slot)), (slot, 6));
+        check_matches_fresh(&t, &s, &votes, &k);
     }
 }

@@ -15,13 +15,17 @@
 //! * [`NetworkState`] — which sites/links are currently up.
 //! * [`ComponentView`] / [`ComponentCache`] — component labelling over the
 //!   up-subgraph (full BFS in [`ComponentView::compute`], the test
-//!   oracle), with a dirty-flag cache so the engines only pay for a
-//!   refresh when topology events actually intervened between accesses.
+//!   oracle). The cache serves the engines' partition reads straight
+//!   from the kernel and materializes a view, kept across
+//!   partition-preserving events, for the callers that take one.
 //! * [`DeltaConnectivity`] — the incremental kernel behind
 //!   [`ComponentCache`]: recoveries merge components
-//!   (union-find over member bitsets), failures re-scan only the affected
-//!   component, provable no-ops are filtered, and all scans are
-//!   word-parallel over per-site adjacency bitsets.
+//!   (union-find over member bitsets), a link cut runs a two-sided search
+//!   that relabels nothing unless the component split, site failures
+//!   search or re-scan only the affected component, provable no-ops are
+//!   filtered, and all scans are word-parallel over per-site adjacency
+//!   bitsets. Slots carry generation stamps so per-component data can
+//!   outlive unrelated events.
 //! * [`BusNetwork`] — the single-bus architecture of §4.2 (both variants).
 //! * [`UnionFind`] — static connectivity helper used in tests/benches.
 //! * [`articulation_points`] — cut-vertex detection (Tarjan) feeding the
@@ -42,7 +46,7 @@ pub use articulation::{articulation_points, articulation_weighted_votes};
 pub use bitset::BitSet;
 pub use bus::{BusFailureMode, BusNetwork};
 pub use connectivity::{ComponentCache, ComponentView};
-pub use delta::{DeltaConnectivity, DeltaCounters, DeltaOutcome, TopologyEvent};
+pub use delta::{Applied, DeltaConnectivity, DeltaCounters, DeltaOutcome, TopologyEvent};
 pub use state::NetworkState;
 pub use topology::Topology;
 pub use unionfind::UnionFind;

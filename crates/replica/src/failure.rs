@@ -13,7 +13,9 @@
 //! timeline's per-epoch grants are exact rather than merely statistical.
 
 use quorum_des::{EventQueue, OnOffProcess, SimParams, SimTime};
-use quorum_graph::{ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{
+    ComponentCache, ComponentView, DeltaConnectivity, NetworkState, Topology, TopologyEvent,
+};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use rand::rngs::StdRng;
 
@@ -192,9 +194,19 @@ impl<'a> FailureWorld<'a> {
         self.state.site_up(site)
     }
 
-    /// The current component view, paired with the cache's refresh count
-    /// (see [`ComponentCache::view_and_refreshes`]). Each call counts as
-    /// one cache hit or one refresh.
+    /// The current partition, read straight from the connectivity
+    /// kernel: slot of a site, slot votes, members and generation, the
+    /// largest vote total and `connected(a, b)`. Each call counts as one
+    /// cache read (a hit, or a recomputation if the partition changed
+    /// since the last read).
+    #[inline]
+    pub fn partition(&mut self) -> &DeltaConnectivity {
+        self.cache.partition(self.topology, &self.state, self.votes)
+    }
+
+    /// The current canonical component view, paired with the cache's
+    /// recomputation count (see [`ComponentCache::view_and_refreshes`]).
+    /// Each call counts as one cache read.
     #[inline]
     pub fn view(&mut self) -> (&ComponentView, u64) {
         self.cache

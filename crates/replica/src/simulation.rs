@@ -7,8 +7,9 @@
 //! * accesses arrive as the superposition of the per-site Poisson streams —
 //!   an aggregate Poisson process of rate `n/μ_t` whose submitting site is
 //!   drawn from the workload's `r_i`/`w_i` distribution;
-//! * all events are instantaneous; components are recomputed lazily (dirty
-//!   flag) only when a failure/recovery intervened since the last access.
+//! * all events are instantaneous; the connectivity kernel absorbs each
+//!   failure/recovery as it happens, and an access reads its component
+//!   straight from the kernel.
 //!
 //! The first `warmup_accesses` accesses after the all-up initial state are
 //! discarded; the next `batch_accesses` are measured.
@@ -20,7 +21,7 @@ use crate::workload::Workload;
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
 use quorum_des::{EventQueue, PoissonProcess, SimParams, SimTime};
-use quorum_graph::{BitSet, ComponentView, Topology};
+use quorum_graph::{BitSet, DeltaConnectivity, Topology};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use quorum_stats::VoteHistogram;
 use rand::rngs::StdRng;
@@ -40,68 +41,65 @@ impl From<Transition> for Event {
     }
 }
 
-/// What the access path needs from one component view, so an access
-/// does O(1) work here except the first one in each component of each
-/// view. Per component, filled lazily: the ascending member list (the
-/// `&[usize]` the protocol and the observer take) and the prefix sums of
-/// the members' votes in descending order (the contact count). Entries
-/// belong to the view with a given cache refresh count and are dropped
-/// when it moves. They partition the up sites, so they hold at most `n`
-/// members.
+/// What the access path needs from one component beyond the kernel's
+/// own reads, per kernel slot: the ascending member list (the `&[usize]`
+/// the protocol and the observer take) and the prefix sums of the
+/// members' votes in descending order (the contact count). An entry is
+/// filled on first use and keyed by the slot's generation, so it stays
+/// valid across every event that left its slot alone and is refilled
+/// only after the slot's members moved.
 struct ComponentMemo {
-    /// Cache refresh count of the view the entries were filled from.
-    refreshes: u64,
-    /// The view's largest component vote total.
-    largest_votes: u64,
-    /// Per component id: the entry's `start..end` in `members` and
-    /// `vote_prefix`, once filled.
-    ranges: Vec<Option<(usize, usize)>>,
+    entries: Vec<MemoEntry>,
+}
+
+/// One slot's memo entry; generation 0 (never stamped by the kernel)
+/// marks it unfilled.
+#[derive(Default)]
+struct MemoEntry {
+    generation: u64,
     members: Vec<usize>,
     vote_prefix: Vec<u64>,
 }
 
 impl ComponentMemo {
-    fn new(n: usize) -> Self {
+    fn new() -> Self {
         Self {
-            // Refresh counts start at 1, so the first sync clears.
-            refreshes: 0,
-            largest_votes: 0,
-            ranges: Vec::with_capacity(n),
-            members: Vec::with_capacity(n),
-            vote_prefix: Vec::with_capacity(n),
+            entries: Vec::new(),
         }
     }
 
-    /// Drops every entry if `view` is not the one they were filled from.
-    fn sync(&mut self, view: &ComponentView, refreshes: u64) {
-        if refreshes != self.refreshes {
-            self.refreshes = refreshes;
-            self.largest_votes = view.largest_component_votes();
-            self.ranges.clear();
-            self.ranges.resize(view.num_components(), None);
-            self.members.clear();
-            self.vote_prefix.clear();
+    /// Member list and descending vote prefix sums of the component in
+    /// `slot`, refilling the entry if the slot's generation moved.
+    fn entry(
+        &mut self,
+        partition: &DeltaConnectivity,
+        slot: u32,
+        votes: &[u64],
+    ) -> (&[usize], &[u64]) {
+        let s = slot as usize;
+        if s >= self.entries.len() {
+            self.entries.resize_with(s + 1, MemoEntry::default);
         }
-    }
-
-    /// Member list and descending vote prefix sums of component `id` of
-    /// the synced view, filling the entry on first use.
-    fn entry(&mut self, view: &ComponentView, id: u32, votes: &[u64]) -> (&[usize], &[u64]) {
-        let (start, end) = *self.ranges[id as usize].get_or_insert_with(|| {
-            let start = self.members.len();
-            self.members.extend(view.members_of_component(id));
-            self.vote_prefix
-                .extend(self.members[start..].iter().map(|&s| votes[s]));
-            let sums = &mut self.vote_prefix[start..];
-            sums.sort_unstable_by(|a, b| b.cmp(a));
+        let entry = &mut self.entries[s];
+        let generation = partition.slot_generation(slot);
+        if entry.generation != generation {
+            entry.generation = generation;
+            entry.members.clear();
+            entry
+                .members
+                .extend(partition.slot_members(slot).iter_ones());
+            entry.vote_prefix.clear();
+            entry
+                .vote_prefix
+                .extend(entry.members.iter().map(|&site| votes[site]));
+            entry.vote_prefix.sort_unstable_by(|a, b| b.cmp(a));
             let mut acc = 0;
-            for v in sums {
+            for v in &mut entry.vote_prefix {
                 acc += *v;
                 *v = acc;
             }
-            (start, self.members.len())
-        });
-        (&self.members[start..end], &self.vote_prefix[start..end])
+        }
+        (&entry.members, &entry.vote_prefix)
     }
 }
 
@@ -342,7 +340,7 @@ impl<'a> Simulation<'a> {
         let warmup = self.params.warmup_accesses;
         let target = warmup + self.params.batch_accesses;
         let mut accesses_seen = 0u64;
-        let mut memo = ComponentMemo::new(n);
+        let mut memo = ComponentMemo::new();
         let no_members = BitSet::new(n);
         let mut refresh_bits = BitSet::new(n);
 
@@ -352,9 +350,9 @@ impl<'a> Simulation<'a> {
             if self.time_weighted && accesses_seen >= warmup {
                 let dt = t - last_time;
                 if dt > 0.0 {
-                    let (view, _) = world.view();
+                    let partition = world.partition();
                     for site in 0..n {
-                        stats.time_weighted_votes[view.votes_of(site) as usize] += dt;
+                        stats.time_weighted_votes[partition.votes_of(site) as usize] += dt;
                     }
                     stats.measured_time += dt;
                 }
@@ -367,23 +365,22 @@ impl<'a> Simulation<'a> {
                     queue.schedule_in(access_proc.next_gap(&mut access_rng), Event::Access);
 
                     let (kind, site) = self.workload.sample(&mut workload_rng);
-                    let (view, refreshes) = world.view();
-                    memo.sync(view, refreshes);
-                    let votes = view.votes_of(site);
-                    let largest = memo.largest_votes;
+                    let partition = world.partition();
+                    let votes = partition.votes_of(site);
+                    let largest = partition.largest_votes();
                     // The SURV probe asks every component, each answered
                     // from its memo entry.
                     let surv = self.probe_survivability
-                        && (0..view.num_components() as u32).any(|id| {
-                            let (members, _) = memo.entry(view, id, self.votes.as_slice());
-                            protocol.can_grant(kind, members, view.component_votes()[id as usize])
+                        && partition.live_slots().any(|slot| {
+                            let (members, _) = memo.entry(partition, slot, self.votes.as_slice());
+                            protocol.can_grant(kind, members, partition.slot_votes(slot))
                         });
                     // A site that is down, or whose component holds no
                     // votes, accesses with no members.
                     let (members, vote_prefix, member_bits) = if votes > 0 {
-                        let id = view.component_of(site);
-                        let (members, prefix) = memo.entry(view, id, self.votes.as_slice());
-                        (members, prefix, view.member_bits(id))
+                        let slot = partition.slot_of(site);
+                        let (members, prefix) = memo.entry(partition, slot, self.votes.as_slice());
+                        (members, prefix, partition.slot_members(slot))
                     } else {
                         (&[][..], &[][..], &no_members)
                     };

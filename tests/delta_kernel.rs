@@ -5,10 +5,14 @@
 //! rescan on failure, no-op filtering) must produce component views
 //! bit-identical to the full-BFS oracle [`ComponentView::compute`] after
 //! *every* event of *any* event sequence, and must classify every event
-//! into exactly one fast-path counter.
+//! into exactly one fast-path counter. The kernel's direct reads — the
+//! ones the engines' access paths use — must agree with the oracle too,
+//! and a slot whose generation did not move must hold the same members.
 
 use proptest::prelude::*;
-use quorum_graph::{ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{
+    BitSet, ComponentCache, ComponentView, DeltaConnectivity, NetworkState, Topology, TopologyEvent,
+};
 
 /// The topology families named by the paper's §5 experiments plus the
 /// weighted-bus encoding (star whose hub carries zero votes).
@@ -28,6 +32,20 @@ fn family(kind: usize, n: usize) -> (Topology, Vec<u64>) {
             (Topology::star(n), votes)
         }
         _ => (Topology::star(n), vec![1; n]),
+    }
+}
+
+/// [`family`] plus a complete graph (kind 4), where every cut is settled
+/// by a common neighbour.
+fn kernel_family(kind: usize, n: usize) -> (Topology, Vec<u64>) {
+    if kind == 4 {
+        let n = n.max(5);
+        (
+            Topology::fully_connected(n),
+            (0..n).map(|i| (i % 2 + 1) as u64).collect(),
+        )
+    } else {
+        family(kind, n)
     }
 }
 
@@ -72,6 +90,59 @@ proptest! {
             cache.apply_event(&topo, &state, &votes, ev);
             let expected = ComponentView::compute(&topo, &state, &votes);
             prop_assert_eq!(cache.view(&topo, &state, &votes), &expected);
+        }
+    }
+
+    /// After every event of a random sequence, the kernel's direct reads
+    /// equal the oracle: each site's slot votes, `connected` for every
+    /// pair and the largest vote total. A slot whose generation did not
+    /// move holds the members it held before the event, and an event
+    /// reported as partition-preserving left the oracle's view as it was.
+    #[test]
+    fn kernel_reads_match_reference(
+        kind in 0usize..5,
+        n in 4usize..22,
+        picks in proptest::collection::vec(0usize..10_000, 1..70),
+    ) {
+        let (topo, votes) = kernel_family(kind, n);
+        let n = topo.num_sites();
+        let mut state = NetworkState::all_up(&topo);
+        let mut kernel = DeltaConnectivity::new(&topo, &state, &votes);
+        let mut previous = ComponentView::compute(&topo, &state, &votes);
+        for &pick in &picks {
+            let before: Vec<(u32, u64, BitSet)> = kernel
+                .live_slots()
+                .map(|slot| {
+                    let members = kernel.slot_members(slot).clone();
+                    (slot, kernel.slot_generation(slot), members)
+                })
+                .collect();
+            let ev = toggle(&mut state, &topo, pick);
+            let applied = kernel.apply(ev);
+            let expected = ComponentView::compute(&topo, &state, &votes);
+            for a in 0..n {
+                prop_assert_eq!(kernel.votes_of(a), expected.votes_of(a));
+                let slot = kernel.slot_of(a);
+                if expected.component_of(a) == ComponentView::DOWN {
+                    prop_assert_eq!(slot, ComponentView::DOWN);
+                } else {
+                    prop_assert_eq!(kernel.slot_votes(slot), expected.votes_of(a));
+                    prop_assert!(kernel.slot_members(slot).get(a));
+                }
+                for b in 0..n {
+                    prop_assert_eq!(kernel.connected(a, b), expected.connected(a, b));
+                }
+            }
+            prop_assert_eq!(kernel.largest_votes(), expected.largest_component_votes());
+            for (slot, generation, members) in before {
+                if kernel.slot_generation(slot) == generation {
+                    prop_assert_eq!(kernel.slot_members(slot), &members);
+                }
+            }
+            if !applied.changed {
+                prop_assert_eq!(&expected, &previous);
+            }
+            previous = expected;
         }
     }
 
