@@ -109,10 +109,10 @@ fn ring_without_chords_with_surv_probe() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 2634,
-                cache_hits: 6802,
-                cache_recomputations: 198,
+                cache_hits: 6807,
+                cache_recomputations: 193,
                 events_processed: 7202,
-                debug_fnv: 8160748583341370796,
+                debug_fnv: 9293260243977058584,
             },
             Pin {
                 reads_submitted: 2999,
@@ -123,10 +123,10 @@ fn ring_without_chords_with_surv_probe() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 2954,
-                cache_hits: 6793,
-                cache_recomputations: 207,
+                cache_hits: 6805,
+                cache_recomputations: 195,
                 events_processed: 7210,
-                debug_fnv: 18415575244605021709,
+                debug_fnv: 11177727623117090405,
             },
         ]
     );
@@ -152,10 +152,10 @@ fn ring_with_sixteen_chords_time_weighted() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 0,
-                cache_hits: 12973,
-                cache_recomputations: 232,
+                cache_hits: 13048,
+                cache_recomputations: 157,
                 events_processed: 7231,
-                debug_fnv: 14433763890848228410,
+                debug_fnv: 4494337979091094848,
             },
             Pin {
                 reads_submitted: 1505,
@@ -166,10 +166,10 @@ fn ring_with_sixteen_chords_time_weighted() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 0,
-                cache_hits: 12963,
-                cache_recomputations: 228,
+                cache_hits: 13060,
+                cache_recomputations: 131,
                 events_processed: 7227,
-                debug_fnv: 5910192825421561698,
+                debug_fnv: 15885807885571562206,
             },
         ]
     );
@@ -194,10 +194,10 @@ fn fully_connected_with_surv_probe() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 6000,
-                cache_hits: 5658,
-                cache_recomputations: 1342,
+                cache_hits: 6908,
+                cache_recomputations: 92,
                 events_processed: 8661,
-                debug_fnv: 722673118294667029,
+                debug_fnv: 12292064450313141937,
             },
             Pin {
                 reads_submitted: 4506,
@@ -208,10 +208,10 @@ fn fully_connected_with_surv_probe() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 6000,
-                cache_hits: 5694,
-                cache_recomputations: 1306,
+                cache_hits: 6900,
+                cache_recomputations: 100,
                 events_processed: 8624,
-                debug_fnv: 9240395110153582152,
+                debug_fnv: 10559116448810818856,
             },
         ]
     );
@@ -240,10 +240,10 @@ fn unequal_votes_with_ties() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 4688,
-                cache_hits: 12981,
-                cache_recomputations: 196,
+                cache_hits: 13019,
+                cache_recomputations: 158,
                 events_processed: 7195,
-                debug_fnv: 66645935343754517,
+                debug_fnv: 17329421656725403118,
             },
             Pin {
                 reads_submitted: 2985,
@@ -254,10 +254,10 @@ fn unequal_votes_with_ties() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 4317,
-                cache_hits: 12976,
-                cache_recomputations: 196,
+                cache_hits: 13001,
+                cache_recomputations: 171,
                 events_processed: 7195,
-                debug_fnv: 5996194552773315936,
+                debug_fnv: 8143454854729505421,
             },
         ]
     );
@@ -290,10 +290,10 @@ fn adaptive_qr_reassigns_and_refreshes() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 5295,
-                cache_hits: 6804,
-                cache_recomputations: 196,
+                cache_hits: 6833,
+                cache_recomputations: 167,
                 events_processed: 7202,
-                debug_fnv: 2542630875169840564,
+                debug_fnv: 5842107050407335233,
             },
             Pin {
                 reads_submitted: 4771,
@@ -304,10 +304,10 @@ fn adaptive_qr_reassigns_and_refreshes() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 4809,
-                cache_hits: 6810,
-                cache_recomputations: 190,
+                cache_hits: 6834,
+                cache_recomputations: 166,
                 events_processed: 7195,
-                debug_fnv: 1418314342118520429,
+                debug_fnv: 12426072009988659759,
             },
         ]
     );
@@ -332,10 +332,10 @@ fn dynamic_voting_on_ring_with_chords() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 6000,
-                cache_hits: 6832,
-                cache_recomputations: 168,
+                cache_hits: 6843,
+                cache_recomputations: 157,
                 events_processed: 7172,
-                debug_fnv: 14496692316336345063,
+                debug_fnv: 1241990888514744892,
             },
             Pin {
                 reads_submitted: 2386,
@@ -346,10 +346,10 @@ fn dynamic_voting_on_ring_with_chords() {
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 5944,
-                cache_hits: 6845,
-                cache_recomputations: 155,
+                cache_hits: 6862,
+                cache_recomputations: 138,
                 events_processed: 7161,
-                debug_fnv: 17797461546310651996,
+                debug_fnv: 2886739870421889679,
             },
         ]
     );
@@ -402,10 +402,10 @@ fn unsafe_quorums_on_a_ring() {
                 stale_reads: 1316,
                 write_conflicts: 0,
                 surv_possible: 0,
-                cache_hits: 6806,
-                cache_recomputations: 194,
+                cache_hits: 6813,
+                cache_recomputations: 187,
                 events_processed: 7198,
-                debug_fnv: 3014914046228912350,
+                debug_fnv: 2388095017641274568,
             },
             Pin {
                 reads_submitted: 2988,
@@ -416,10 +416,10 @@ fn unsafe_quorums_on_a_ring() {
                 stale_reads: 1343,
                 write_conflicts: 83,
                 surv_possible: 0,
-                cache_hits: 6808,
-                cache_recomputations: 192,
+                cache_hits: 6816,
+                cache_recomputations: 184,
                 events_processed: 7198,
-                debug_fnv: 9712428304376708261,
+                debug_fnv: 1871732390026217613,
             },
         ]
     );
