@@ -143,9 +143,10 @@ pub struct ClusterStats {
     /// Topology events the incremental kernel absorbed by merging
     /// components (zero when the kernel is disabled).
     pub delta_merges: u64,
-    /// Topology events absorbed by re-scanning one component.
+    /// Site failures in multi-site components, and link failures that
+    /// split a component.
     pub delta_rescans: u64,
-    /// Topology events filtered as partition-preserving no-ops.
+    /// Topology events that needed no re-partitioning.
     pub delta_noops: u64,
     /// Topology events absorbed by a from-scratch kernel rebuild.
     pub full_recomputes: u64,

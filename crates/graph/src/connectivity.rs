@@ -153,8 +153,7 @@ impl ComponentView {
 
     /// Member lists of every component, indexed by component id.
     ///
-    /// Allocates; access paths should prefer [`Self::member_bits`] or
-    /// [`Self::members_of_component`].
+    /// Allocates; access paths should prefer [`Self::member_bits`].
     pub fn all_components(&self) -> Vec<Vec<usize>> {
         self.members
             .iter()
@@ -168,14 +167,6 @@ impl ComponentView {
     /// Panics if `id` is out of range (including [`Self::DOWN`]).
     pub fn member_bits(&self, id: u32) -> &BitSet {
         &self.members[id as usize]
-    }
-
-    /// Iterates over the up sites of component `id` in ascending order.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn members_of_component(&self, id: u32) -> impl Iterator<Item = usize> + '_ {
-        self.members[id as usize].iter_ones()
     }
 
     /// Members of `site`'s component as a single `u64` site mask
@@ -279,9 +270,9 @@ impl ComponentCache {
         }
     }
 
-    /// Counts one read and returns the kernel, building it from `state`
-    /// on first use.
-    fn read(
+    /// The partition, read straight from the kernel (one counted read);
+    /// the kernel is built from `state` on first use.
+    pub fn partition(
         &mut self,
         topology: &Topology,
         state: &NetworkState,
@@ -300,16 +291,6 @@ impl ComponentCache {
         kernel
     }
 
-    /// The partition, read straight from the kernel (one counted read).
-    pub fn partition(
-        &mut self,
-        topology: &Topology,
-        state: &NetworkState,
-        votes: &[u64],
-    ) -> &DeltaConnectivity {
-        self.read(topology, state, votes)
-    }
-
     /// The canonical view of the partition (one counted read),
     /// materialized from the kernel if the partition changed since it was
     /// last built.
@@ -319,9 +300,9 @@ impl ComponentCache {
         state: &NetworkState,
         votes: &[u64],
     ) -> &ComponentView {
-        self.read(topology, state, votes);
+        self.partition(topology, state, votes);
         let Self { view, kernel, .. } = self;
-        view.get_or_insert_with(|| kernel.as_ref().expect("read() built it").to_view())
+        view.get_or_insert_with(|| kernel.as_ref().expect("partition() built it").to_view())
     }
 
     /// [`Self::view`], paired with the recomputation count after the
@@ -694,11 +675,9 @@ mod tests {
         s.set_site(5, false);
         let v = ComponentView::compute(&t, &s, &uniform_votes(6));
         for id in 0..v.num_components() as u32 {
-            let via_iter: Vec<usize> = v.members_of_component(id).collect();
             let via_bits: Vec<usize> = v.member_bits(id).iter_ones().collect();
-            assert_eq!(via_iter, via_bits);
-            assert_eq!(via_iter.len() as u32, v.component_sizes()[id as usize]);
-            for &m in &via_iter {
+            assert_eq!(via_bits.len() as u32, v.component_sizes()[id as usize]);
+            for &m in &via_bits {
                 assert_eq!(v.component_of(m), id);
             }
         }

@@ -76,16 +76,20 @@ keys! {
     SHARD_READS_SUBMITTED = "shard.reads_submitted";
     /// Writes submitted across all objects.
     SHARD_WRITES_SUBMITTED = "shard.writes_submitted";
-    /// Component-cache queries served without a BFS.
+    /// Partition reads of a partition already read since it last
+    /// changed.
     CACHE_HITS = "graph.component_cache.hits";
-    /// Component-cache queries that recomputed the BFS.
+    /// Partition reads that were the first after a partition change.
     CACHE_RECOMPUTATIONS = "graph.component_cache.recomputations";
     /// Topology events the incremental kernel absorbed by merging
     /// components (recoveries; no BFS).
     DELTA_MERGES = "graph.delta_merges";
-    /// Topology events absorbed by re-scanning one component (failures).
+    /// Site failures in multi-site components, and link failures that
+    /// split a component.
     DELTA_RESCANS = "graph.delta_rescans";
-    /// Topology events filtered as provably partition-preserving.
+    /// Topology events that needed no re-partitioning: links outside
+    /// the up-subgraph, link cuts whose endpoints stay joined, and
+    /// failures of isolated sites.
     DELTA_NOOPS = "graph.delta_noops";
     /// Topology events absorbed by rebuilding the kernel from scratch.
     FULL_RECOMPUTES = "graph.full_recomputes";

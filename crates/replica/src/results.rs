@@ -50,16 +50,18 @@ pub struct BatchStats {
     /// Granted writes that did not see the most recent write — lost
     /// updates (0 under valid quorums — condition 2).
     pub write_conflicts: u64,
-    /// Component BFS recomputations performed.
+    /// Partition reads that were the first after a partition change.
     pub cache_recomputations: u64,
-    /// Accesses served without recomputation.
+    /// Partition reads of a partition already read since it last
+    /// changed.
     pub cache_hits: u64,
     /// Topology events the incremental kernel absorbed by merging
     /// components (zero when the kernel is disabled).
     pub delta_merges: u64,
-    /// Topology events absorbed by re-scanning one component.
+    /// Site failures in multi-site components, and link failures that
+    /// split a component.
     pub delta_rescans: u64,
-    /// Topology events filtered as partition-preserving no-ops.
+    /// Topology events that needed no re-partitioning.
     pub delta_noops: u64,
     /// Topology events absorbed by a from-scratch kernel rebuild.
     pub full_recomputes: u64,
