@@ -48,6 +48,7 @@ impl From<Transition> for Event {
 /// filled on first use and keyed by the slot's generation, so it stays
 /// valid across every event that left its slot alone and is refilled
 /// only after the slot's members moved.
+#[derive(Default)]
 struct ComponentMemo {
     entries: Vec<MemoEntry>,
 }
@@ -62,12 +63,6 @@ struct MemoEntry {
 }
 
 impl ComponentMemo {
-    fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
-
     /// Member list and descending vote prefix sums of the component in
     /// `slot`, refilling the entry if the slot's generation moved.
     fn entry(
@@ -340,7 +335,7 @@ impl<'a> Simulation<'a> {
         let warmup = self.params.warmup_accesses;
         let target = warmup + self.params.batch_accesses;
         let mut accesses_seen = 0u64;
-        let mut memo = ComponentMemo::new();
+        let mut memo = ComponentMemo::default();
         let no_members = BitSet::new(n);
         let mut refresh_bits = BitSet::new(n);
 
