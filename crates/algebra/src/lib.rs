@@ -19,10 +19,10 @@
 //!   distributions with certified upper *and* lower bounds, the exact
 //!   closed form for uniform-vote thresholds, and an f-resilience
 //!   constraint gate;
-//! * [`AlgebraProtocol`] / [`view_availability`] — adapters running
-//!   any certified system through the replica simulator's component
-//!   machinery, so vote-optimal and structurally-optimal systems race
-//!   on the paper's topologies under identical failure processes.
+//! * [`AlgebraProtocol`] — the adapter running any certified system
+//!   through the replica simulator's component machinery, so
+//!   vote-optimal and structurally-optimal systems race on the paper's
+//!   topologies under identical failure processes.
 
 #![warn(missing_docs)]
 // Exact `==`/`!=` on floats encodes an accidental bit-pattern property;
@@ -51,7 +51,7 @@ mod bicoterie {
 }
 
 pub use expr::Expr;
-pub use protocol::{view_availability, AlgebraProtocol};
+pub use protocol::AlgebraProtocol;
 pub use strategy::{
     check_iterations, heuristic_load, mixed_load, optimize_load, optimize_load_resilient,
     uniform_threshold_load, LoadProfile, ResilienceShortfall, Strategy,

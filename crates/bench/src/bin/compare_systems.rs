@@ -18,7 +18,7 @@
 //! aborts the run). Per system the driver reports exact f-resilience,
 //! the multiplicative-weights load (upper bound + certified lower
 //! bound), and the simulated partition-model ACC on each topology via
-//! the same `ComponentView` grant machinery the vote protocol uses.
+//! the same kernel-read grant machinery the vote protocol uses.
 //! The headline claim — a structural system achieves strictly lower
 //! load than the *exact* optimum over all uniform-vote pairs at equal
 //! resilience — is asserted at the default α and solver budget (the

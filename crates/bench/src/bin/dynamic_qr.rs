@@ -19,7 +19,9 @@ use quorum_replica::{run_static, CurveSet, RunConfig, Workload};
 
 fn main() {
     let args = Args::parse();
-    let chords: usize = args.get_or("topology", 16);
+    let chords: usize = args
+        .get_checked("topology", |&c| PaperScenario::check_chords(c))
+        .unwrap_or(16);
     let seed: u64 = args.get_or("seed", 3);
     let threads = args.get_or("threads", default_threads());
     let accesses: u64 = args

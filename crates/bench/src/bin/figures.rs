@@ -14,7 +14,7 @@
 //!   * all α-curves converge at q_r = ⌊T/2⌋ = 50;
 //!   * curve maxima land at the endpoints (except Topology 16, α = .75).
 
-use quorum_bench::{default_threads, manifest, pct, print_table, Args, Scale};
+use quorum_bench::{default_threads, manifest, or_usage_exit, pct, print_table, Args, Scale};
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_obs::{keys, Registry};
@@ -33,9 +33,13 @@ fn main() {
     };
     let csv_dir: Option<String> = args.get("csv-dir");
     if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("cannot create --csv-dir");
+        or_usage_exit(
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("--csv-dir {dir:?}: cannot create: {e}")),
+        );
     }
-    let scenarios: Vec<PaperScenario> = match args.get::<usize>("topology") {
+    let topology = args.get_checked("topology", |&c| PaperScenario::check_chords(c));
+    let scenarios: Vec<PaperScenario> = match topology {
         Some(k) => vec![PaperScenario::new(k)],
         None => PaperScenario::all()
             .into_iter()
@@ -127,7 +131,10 @@ fn main() {
                 }
                 csv.push('\n');
             }
-            std::fs::write(&path, csv).expect("cannot write CSV");
+            or_usage_exit(
+                std::fs::write(&path, csv)
+                    .map_err(|e| format!("--csv-dir {dir:?}: cannot write {path}: {e}")),
+            );
             println!("# wrote {path}");
         }
 

@@ -24,7 +24,9 @@ fn main() {
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 12);
     let threads = args.get_or("threads", default_threads());
-    let chords: usize = args.get_or("topology", 2);
+    let chords: usize = args
+        .get_checked("topology", |&c| PaperScenario::check_chords(c))
+        .unwrap_or(2);
 
     let sc = PaperScenario::new(chords);
     let topo = sc.topology();

@@ -303,6 +303,7 @@ mod tests {
     use quorum_core::analytic::{check_reliability, check_ring_sites, check_sites};
     use quorum_core::nonpartition::check_max_votes;
     use quorum_graph::Topology;
+    use quorum_replica::scenario::PaperScenario;
     use quorum_replica::Workload;
     use quorum_shard::{FailureTimeline, ObjectCatalog};
 
@@ -344,8 +345,9 @@ mod tests {
 
         // The checks `cluster_sim`, `shard_throughput`, `compare_systems`,
         // `optimize`, `analytic_vs_sim`, `kernel_replay`, `dynamic_qr`,
-        // `vote_opt` and `wan_clusters` hand to `get_checked`: each is the
-        // one the engine, topology constructor or closed form would assert.
+        // `vote_opt`, `wan_clusters` and the paper-topology bins hand to
+        // `get_checked`: each is the one the engine, topology constructor,
+        // scenario or closed form would assert.
         let latency = |s| {
             argv(s).try_get_checked("latency", |&mean| LatencyDist::Exponential { mean }.check())
         };
@@ -392,6 +394,7 @@ mod tests {
         let clusters = |s| argv(s).try_get_checked("clusters", |&c| Topology::check_clusters(c));
         let cluster_size =
             |s| argv(s).try_get_checked("cluster-size", |&c| Topology::check_cluster_size(c));
+        let chords = |s| argv(s).try_get_checked("topology", |&c| PaperScenario::check_chords(c));
         let cases = [
             (
                 loss("--loss 2.0"),
@@ -529,6 +532,14 @@ mod tests {
             events("--events 0"),
             Err("--events \"0\": need at least one event to replay".to_string())
         );
+        assert_eq!(
+            chords("--topology 3"),
+            Err(
+                "--topology \"3\": paper topologies use chords in [0, 1, 2, 4, 16, 256, 4949]"
+                    .to_string()
+            )
+        );
+        assert_eq!(chords("--topology 4949"), Ok(Some(4949)));
         assert_eq!(batches("--batches 1"), Ok(Some(1)));
         assert_eq!(events("--events 1"), Ok(Some(1)));
         assert_eq!(accesses("--accesses 1"), Ok(Some(1)));

@@ -6,7 +6,7 @@
 //! dependency-free records `quorum-obs` serialises, and
 //! [`write_requested`] handles the flag itself so the binaries stay thin.
 
-use crate::Args;
+use crate::{or_usage_exit, Args};
 use quorum_core::VoteAssignment;
 use quorum_des::{DurationDist, SimParams};
 use quorum_graph::Topology;
@@ -90,20 +90,26 @@ pub fn manifest_for_run(
 /// Writes `manifest` to the path given by `--manifest <path>`, if any.
 ///
 /// Returns `true` when a manifest was written. The extension picks the
-/// format (`.csv` → flat CSV, anything else → pretty JSON).
+/// format (`.csv` → flat CSV, anything else → pretty JSON). A bare
+/// `--manifest` or a path that cannot be written is a usage error
+/// (status 2, see [`or_usage_exit`]).
 pub fn write_requested(args: &Args, manifest: &RunManifest) -> bool {
+    or_usage_exit(try_write_requested(args, manifest))
+}
+
+/// [`write_requested`], returning the usage error instead of exiting.
+fn try_write_requested(args: &Args, manifest: &RunManifest) -> Result<bool, String> {
     let Some(path) = args.get::<String>("manifest") else {
-        assert!(
-            !args.flag("manifest"),
-            "--manifest requires a path (e.g. --manifest run.json)"
-        );
-        return false;
+        if args.flag("manifest") {
+            return Err("--manifest: needs a path (e.g. --manifest run.json)".to_string());
+        }
+        return Ok(false);
     };
     manifest
         .write_to(Path::new(&path))
-        .unwrap_or_else(|e| panic!("cannot write --manifest {path:?}: {e}"));
+        .map_err(|e| format!("--manifest {path:?}: cannot write: {e}"))?;
     println!("# wrote manifest {path}");
-    true
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -156,5 +162,29 @@ mod tests {
         let back = RunManifest::parse(&m.to_json().to_string_pretty()).expect("round-trip");
         assert_eq!(back.counters, m.counters);
         assert_eq!(back.params.fail_dist, "exponential");
+    }
+
+    #[test]
+    fn bad_manifest_path_is_a_usage_error() {
+        let m = RunManifest::new("unit", 1);
+        let args = |a: &[&str]| Args::from_args(a.iter().map(|s| s.to_string()));
+        assert_eq!(try_write_requested(&args(&[]), &m), Ok(false));
+        assert_eq!(
+            try_write_requested(&args(&["--manifest"]), &m),
+            Err("--manifest: needs a path (e.g. --manifest run.json)".to_string())
+        );
+        // A path under a regular file cannot be created.
+        let file = std::env::temp_dir().join(format!(
+            "quorum_bench_manifest_not_a_dir_{}",
+            std::process::id()
+        ));
+        std::fs::write(&file, "").unwrap();
+        let path = file.join("m.json").display().to_string();
+        let err = try_write_requested(&args(&["--manifest", &path]), &m).unwrap_err();
+        assert!(
+            err.starts_with(&format!("--manifest {path:?}: cannot write: ")),
+            "{err}"
+        );
+        let _ = std::fs::remove_file(&file);
     }
 }

@@ -36,7 +36,9 @@ impl ValidateOpts {
     /// Reads `--topology/--seed/--threads` plus the scale flags.
     pub fn from_cli(args: &Args) -> Self {
         Self {
-            chords: args.get_or("topology", 4),
+            chords: args
+                .get_checked("topology", |&c| PaperScenario::check_chords(c))
+                .unwrap_or(4),
             seed: args.get_or("seed", 6),
             threads: args.get_or("threads", crate::default_threads()),
             params: Scale::from_args(args).params(),

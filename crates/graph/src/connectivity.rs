@@ -1,20 +1,20 @@
 //! Component labelling over the up-subgraph.
 //!
 //! A *component* (paper §2.2) is a maximal set of operational sites that can
-//! communicate through operational links. [`ComponentView`] labels every up
-//! site with a component id and totals the votes per component — precisely
-//! the `v` in the paper's density `f_i(v)`. Down sites are "members of a
+//! communicate through operational links. Its vote total is precisely the
+//! `v` in the paper's density `f_i(v)`. Down sites are "members of a
 //! component of size zero" (§5.2), represented here by [`ComponentView::DOWN`].
 //!
 //! [`ComponentCache`] is the engines' handle on the incremental
 //! [`DeltaConnectivity`] kernel: it feeds the kernel every failure and
-//! recovery, serves the partition straight from the kernel's slots (the
-//! access path's reads), and counts reads as hits or recomputations.
-//! The canonical [`ComponentView`] is still materialized for the callers
-//! that take a whole snapshot — the shard timeline's per-epoch grant
-//! tables, scripted scenarios and the tests — and kept across events
-//! that leave the partition unchanged. [`ComponentView::compute`] stays
-//! as the full-BFS oracle.
+//! recovery, serves the partition straight from the kernel's slots, and
+//! counts reads as hits or recomputations. The kernel's slot reads are
+//! the only partition representation the engines use.
+//!
+//! [`ComponentView`] is the reference: [`ComponentView::compute`] labels
+//! every up site by a full BFS and totals the votes per component. The
+//! tests and `kernel_replay` compare the kernel against it through
+//! [`DeltaConnectivity::to_view`].
 
 use crate::bitset::BitSet;
 use crate::delta::{DeltaConnectivity, DeltaCounters, DeltaOutcome, TopologyEvent};
@@ -30,8 +30,7 @@ pub struct ComponentView {
     comp_votes: Vec<u64>,
     /// Number of up sites per component id.
     comp_sizes: Vec<u32>,
-    /// Member bitset per component id — built once at compute time so
-    /// membership reads are O(words) with no per-access allocation.
+    /// Member bitset per component id.
     members: Vec<BitSet>,
 }
 
@@ -115,15 +114,6 @@ impl ComponentView {
         }
     }
 
-    /// Number of up sites in the component containing `site` (0 if down).
-    #[inline]
-    pub fn size_of(&self, site: usize) -> u32 {
-        match self.comp_id[site] {
-            Self::DOWN => 0,
-            id => self.comp_sizes[id as usize],
-        }
-    }
-
     /// Number of components (down sites excluded).
     pub fn num_components(&self) -> usize {
         self.comp_votes.len()
@@ -132,11 +122,6 @@ impl ComponentView {
     /// Vote totals per component.
     pub fn component_votes(&self) -> &[u64] {
         &self.comp_votes
-    }
-
-    /// Up-site counts per component.
-    pub fn component_sizes(&self) -> &[u32] {
-        &self.comp_sizes
     }
 
     /// Maximum votes held by any component (0 if every site is down).
@@ -150,72 +135,23 @@ impl ComponentView {
     pub fn connected(&self, a: usize, b: usize) -> bool {
         self.comp_id[a] != Self::DOWN && self.comp_id[a] == self.comp_id[b]
     }
-
-    /// Member lists of every component, indexed by component id.
-    ///
-    /// Allocates; access paths should prefer [`Self::member_bits`].
-    pub fn all_components(&self) -> Vec<Vec<usize>> {
-        self.members
-            .iter()
-            .map(|bits| bits.iter_ones().collect())
-            .collect()
-    }
-
-    /// Member bitset of component `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range (including [`Self::DOWN`]).
-    pub fn member_bits(&self, id: u32) -> &BitSet {
-        &self.members[id as usize]
-    }
-
-    /// Members of `site`'s component as a single `u64` site mask
-    /// (bit `i` set ⇔ site `i` in the component); `0` when `site` is
-    /// down. This is the constant-time handoff to the quorum-algebra
-    /// layer, whose general-coterie grant checks are mask containment.
-    ///
-    /// # Panics
-    /// Panics if the universe exceeds 64 sites.
-    #[inline]
-    pub fn member_mask(&self, site: usize) -> u64 {
-        match self.comp_id[site] {
-            Self::DOWN => 0,
-            id => self.members[id as usize].as_u64_mask(),
-        }
-    }
-
-    /// Iterates over the up sites in the same component as `site`
-    /// (including `site` itself); empty if `site` is down. O(words) via
-    /// the per-component member index.
-    pub fn members_of(&self, site: usize) -> impl Iterator<Item = usize> + '_ {
-        let id = self.comp_id[site];
-        let bits = (id != Self::DOWN).then(|| &self.members[id as usize]);
-        bits.into_iter().flat_map(|b| b.iter_ones())
-    }
 }
 
 /// The engines' handle on the partition: the incremental
-/// [`DeltaConnectivity`] kernel, read accounting, and a memoized
-/// [`ComponentView`] for callers that want the canonical snapshot.
+/// [`DeltaConnectivity`] kernel and its read accounting.
 ///
 /// The engines call [`ComponentCache::apply_event`] on every topology
 /// event and read the partition straight from the kernel through
 /// [`ComponentCache::partition`]: an access costs a few array reads, and
-/// nothing is rebuilt between events. [`ComponentCache::view`]
-/// materializes the canonical view for the callers that still take one
-/// (the shard timeline's per-epoch grant tables, scripted scenarios and
-/// the tests); the view is kept across partition-preserving events and
-/// rebuilt only after the partition changed.
+/// nothing is rebuilt between events.
 ///
-/// Every read — a `partition` or a `view` call — counts once: as a
-/// *recomputation* if it is the first read after a partition change (or
-/// the first read at all), else as a *hit*. So `hits + recomputations`
-/// equals the number of reads. The kernel's answers are bit-identical to
-/// [`ComponentView::compute`], the full-BFS oracle the tests pin it
-/// against.
+/// Every read counts once: as a *recomputation* if it is the first read
+/// after a partition change (or the first read at all), else as a *hit*.
+/// So `hits + recomputations` equals the number of reads. The kernel's
+/// answers are bit-identical to [`ComponentView::compute`], the full-BFS
+/// oracle the tests pin it against.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentCache {
-    view: Option<ComponentView>,
     kernel: Option<DeltaConnectivity>,
     /// True once a read has been served since the last partition change.
     read_since_change: bool,
@@ -237,8 +173,7 @@ impl ComponentCache {
     ///
     /// The kernel absorbs the event incrementally — or, if no kernel is
     /// built yet, is built from `state` (counted as a full recompute, so
-    /// every event lands in exactly one delta counter). The memoized view
-    /// survives every event that leaves the partition unchanged.
+    /// every event lands in exactly one delta counter).
     pub fn apply_event(
         &mut self,
         topology: &Topology,
@@ -265,7 +200,6 @@ impl ComponentCache {
             }
         };
         if changed {
-            self.view = None;
             self.read_since_change = false;
         }
     }
@@ -289,37 +223,6 @@ impl ComponentCache {
             .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes));
         debug_assert!(kernel.in_sync_with(state), "kernel missed an event");
         kernel
-    }
-
-    /// The canonical view of the partition (one counted read),
-    /// materialized from the kernel if the partition changed since it was
-    /// last built.
-    pub fn view(
-        &mut self,
-        topology: &Topology,
-        state: &NetworkState,
-        votes: &[u64],
-    ) -> &ComponentView {
-        self.partition(topology, state, votes);
-        let Self { view, kernel, .. } = self;
-        view.get_or_insert_with(|| kernel.as_ref().expect("partition() built it").to_view())
-    }
-
-    /// [`Self::view`], paired with the recomputation count after the
-    /// call.
-    ///
-    /// The count identifies the partition served: it changes exactly
-    /// when a read follows a partition change, so a caller can key
-    /// per-partition data on it without a second — counted — read.
-    pub fn view_and_refreshes(
-        &mut self,
-        topology: &Topology,
-        state: &NetworkState,
-        votes: &[u64],
-    ) -> (&ComponentView, u64) {
-        self.view(topology, state, votes);
-        let view = self.view.as_ref().expect("view() just ensured it");
-        (view, self.recomputations)
     }
 
     /// Number of reads that were the first after a partition change.
@@ -381,7 +284,6 @@ mod tests {
         let v = ComponentView::compute(&t, &s, &uniform_votes(5));
         assert_eq!(v.votes_of(2), 0);
         assert_eq!(v.component_of(2), ComponentView::DOWN);
-        assert_eq!(v.size_of(2), 0);
         // Remaining 4 sites still connected around the ring.
         assert_eq!(v.votes_of(0), 4);
     }
@@ -440,12 +342,17 @@ mod tests {
         let mut s = NetworkState::all_up(&t);
         s.set_link(0, false);
         s.set_link(3, false);
-        let v = ComponentView::compute(&t, &s, &uniform_votes(6));
-        let members: Vec<usize> = v.members_of(2).collect();
+        let votes = uniform_votes(6);
+        let mut cache = ComponentCache::new();
+        let p = cache.partition(&t, &s, &votes);
+        let members: Vec<usize> = p.slot_members(p.slot_of(2)).iter_ones().collect();
         assert_eq!(members, vec![1, 2, 3]);
         s.set_site(1, false);
-        let v = ComponentView::compute(&t, &s, &uniform_votes(6));
-        assert_eq!(v.members_of(1).count(), 0, "down site has no members");
+        cache.apply_event(&t, &s, &votes, TopologyEvent::Site { site: 1, up: false });
+        let p = cache.partition(&t, &s, &votes);
+        assert_eq!(p.slot_of(1), ComponentView::DOWN, "down site has no slot");
+        let members: Vec<usize> = p.slot_members(p.slot_of(2)).iter_ones().collect();
+        assert_eq!(members, vec![2, 3]);
     }
 
     #[test]
@@ -455,16 +362,18 @@ mod tests {
         s.set_link(0, false);
         s.set_link(3, false);
         s.set_site(5, false);
-        let v = ComponentView::compute(&t, &s, &uniform_votes(6));
-        let comps = v.all_components();
-        let mut all: Vec<usize> = comps.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4], "every up site in exactly one");
-        for (id, members) in comps.iter().enumerate() {
-            for &m in members {
-                assert_eq!(v.component_of(m), id as u32);
+        let votes = uniform_votes(6);
+        let mut cache = ComponentCache::new();
+        let p = cache.partition(&t, &s, &votes);
+        let mut all = Vec::new();
+        for slot in p.live_slots() {
+            for m in p.slot_members(slot).iter_ones() {
+                assert_eq!(p.slot_of(m), slot);
+                all.push(m);
             }
         }
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2, 3, 4], "every up site in exactly one");
     }
 
     #[test]
@@ -508,30 +417,14 @@ mod tests {
         let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(5);
         let mut cache = ComponentCache::new();
-        assert_eq!(cache.view(&t, &s, &votes).votes_of(0), 5);
-        assert_eq!(cache.view(&t, &s, &votes).votes_of(1), 5);
+        assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 5);
+        assert_eq!(cache.partition(&t, &s, &votes).votes_of(1), 5);
         assert_eq!(cache.recomputations(), 1);
         assert_eq!(cache.hits(), 1);
 
         toggle_site(&mut cache, &t, &mut s, &votes, 0);
-        assert_eq!(cache.view(&t, &s, &votes).votes_of(1), 4);
+        assert_eq!(cache.partition(&t, &s, &votes).votes_of(1), 4);
         assert_eq!(cache.recomputations(), 2);
-    }
-
-    #[test]
-    fn refresh_count_changes_exactly_when_the_view_is_rebuilt() {
-        let t = Topology::ring(5);
-        let mut s = NetworkState::all_up(&t);
-        let votes = uniform_votes(5);
-        let mut cache = ComponentCache::new();
-        let (view, first) = cache.view_and_refreshes(&t, &s, &votes);
-        assert_eq!((view.votes_of(0), first), (5, 1));
-        let (_, again) = cache.view_and_refreshes(&t, &s, &votes);
-        assert_eq!(again, first, "a cache hit serves the same view");
-        toggle_site(&mut cache, &t, &mut s, &votes, 0);
-        let (view, next) = cache.view_and_refreshes(&t, &s, &votes);
-        assert_eq!((view.votes_of(1), next), (4, 2));
-        assert_eq!((cache.hits(), cache.recomputations()), (1, 2));
     }
 
     #[test]
@@ -544,7 +437,7 @@ mod tests {
             if i % 3 == 0 {
                 toggle_site(&mut cache, &t, &mut s, &votes, i % 5);
             }
-            cache.view(&t, &s, &votes);
+            cache.partition(&t, &s, &votes);
         }
         let r = quorum_obs::Registry::new();
         cache.observe_into(&r);
@@ -571,7 +464,7 @@ mod tests {
                 toggle_link(&mut cache, &t, &mut s, &votes, i);
             }
             let cached: Vec<u64> = (0..21)
-                .map(|x| cache.view(&t, &s, &votes).votes_of(x))
+                .map(|x| cache.partition(&t, &s, &votes).votes_of(x))
                 .collect();
             let fresh = ComponentView::compute(&t, &s, &votes);
             let direct: Vec<u64> = (0..21).map(|x| fresh.votes_of(x)).collect();
@@ -594,7 +487,7 @@ mod tests {
             }
             // Two reads per event: the second is always a hit.
             for _ in 0..2 {
-                let got = cache.view(&t, &s, &votes).clone();
+                let got = cache.partition(&t, &s, &votes).to_view();
                 view_calls += 1;
                 assert_eq!(
                     got,
@@ -617,17 +510,17 @@ mod tests {
         let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(7);
         let mut cache = ComponentCache::new();
-        assert_eq!(cache.view(&t, &s, &votes).votes_of(0), 7);
-        // The kernel built by view() absorbs every later event
+        assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 7);
+        // The kernel built by the first read absorbs every later event
         // incrementally: two failures cut the ring, a repair re-joins.
         toggle_site(&mut cache, &t, &mut s, &votes, 2);
         toggle_site(&mut cache, &t, &mut s, &votes, 3);
-        assert_eq!(cache.view(&t, &s, &votes).votes_of(0), 5);
+        assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 5);
         toggle_site(&mut cache, &t, &mut s, &votes, 3);
         let counters = cache.delta_counters();
         assert_eq!((counters.merges, counters.full_recomputes), (1, 0));
         let fresh = ComponentView::compute(&t, &s, &votes);
-        assert_eq!(cache.view(&t, &s, &votes), &fresh);
+        assert_eq!(cache.partition(&t, &s, &votes).to_view(), fresh);
     }
 
     #[test]
@@ -636,19 +529,18 @@ mod tests {
         let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(6);
         let mut cache = ComponentCache::new();
-        cache.view(&t, &s, &votes);
+        cache.partition(&t, &s, &votes);
         // The first cut of an intact ring leaves a path: same partition,
-        // so the next read is a hit and serves the kept view.
+        // so the next read is a hit.
         toggle_link(&mut cache, &t, &mut s, &votes, 0);
-        let (view, refreshes) = cache.view_and_refreshes(&t, &s, &votes);
-        assert_eq!(view, &ComponentView::compute(&t, &s, &votes));
-        assert_eq!((refreshes, cache.hits()), (1, 1));
+        let view = cache.partition(&t, &s, &votes).to_view();
+        assert_eq!(view, ComponentView::compute(&t, &s, &votes));
+        assert_eq!((cache.recomputations(), cache.hits()), (1, 1));
         // The second cut splits it: the next read recomputes.
         toggle_link(&mut cache, &t, &mut s, &votes, 3);
-        let (view, refreshes) = cache.view_and_refreshes(&t, &s, &votes);
+        let view = cache.partition(&t, &s, &votes).to_view();
         assert_eq!(view.num_components(), 2);
-        assert_eq!(refreshes, 2);
-        // Partition reads share the accounting.
+        assert_eq!(cache.recomputations(), 2);
         assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 3);
         assert_eq!(cache.hits() + cache.recomputations(), 4);
     }
@@ -663,7 +555,7 @@ mod tests {
         assert_eq!(cache.delta_counters().full_recomputes, 1);
         assert_eq!(cache.delta_counters().total(), 1);
         let fresh = ComponentView::compute(&t, &s, &votes);
-        assert_eq!(cache.view(&t, &s, &votes), &fresh);
+        assert_eq!(cache.partition(&t, &s, &votes).to_view(), fresh);
     }
 
     #[test]
@@ -673,13 +565,18 @@ mod tests {
         s.set_link(0, false);
         s.set_link(3, false);
         s.set_site(5, false);
-        let v = ComponentView::compute(&t, &s, &uniform_votes(6));
-        for id in 0..v.num_components() as u32 {
-            let via_bits: Vec<usize> = v.member_bits(id).iter_ones().collect();
-            assert_eq!(via_bits.len() as u32, v.component_sizes()[id as usize]);
-            for &m in &via_bits {
-                assert_eq!(v.component_of(m), id);
+        let votes: Vec<u64> = vec![1, 2, 3, 4, 5, 6];
+        let mut cache = ComponentCache::new();
+        let p = cache.partition(&t, &s, &votes);
+        for site in 0..6 {
+            let slot = p.slot_of(site);
+            if slot == ComponentView::DOWN {
+                assert!(!s.site_up(site));
+                continue;
             }
+            let via_bits: u64 = p.slot_members(slot).iter_ones().map(|m| votes[m]).sum();
+            assert_eq!(via_bits, p.votes_of(site));
+            assert_eq!(via_bits, p.slot_votes(slot));
         }
     }
 

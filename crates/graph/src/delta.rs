@@ -31,25 +31,27 @@
 //! OR-ing 64 sites at a time rather than walking `(neighbor, link)`
 //! pairs.
 //!
-//! **Reads.** The engines read the partition straight from the kernel:
-//! [`DeltaConnectivity::slot_of`], [`DeltaConnectivity::slot_votes`],
-//! [`DeltaConnectivity::slot_members`], [`DeltaConnectivity::connected`]
-//! and [`DeltaConnectivity::largest_votes`], which the kernel keeps
-//! current. Every slot carries a *generation* stamp
+//! **Reads.** The kernel is the only partition representation the
+//! engines read: [`DeltaConnectivity::slot_of`],
+//! [`DeltaConnectivity::slot_votes`], [`DeltaConnectivity::slot_members`],
+//! [`DeltaConnectivity::votes_of`], [`DeltaConnectivity::connected`] and
+//! [`DeltaConnectivity::largest_votes`], which the kernel keeps current.
+//! Every slot carries a *generation* stamp
 //! ([`DeltaConnectivity::slot_generation`]) drawn from one counter and
 //! moved whenever the slot's membership moves (allocated, merged, split,
 //! a member removed, freed), so `(slot, generation)` names one member set
 //! for the kernel's lifetime and per-component data keyed on it stays
-//! valid across every event that did not touch that slot.
-//!
-//! [`DeltaConnectivity::to_view`] renumbers the slots in first-site
-//! order, which makes the materialized [`ComponentView`] *bit-identical*
-//! to a fresh [`ComponentView::compute`] — the kernel can never change a
-//! reported number (pinned against that full-BFS oracle by the
-//! event-sequence proptests in `tests/delta_kernel.rs`). The replica,
+//! valid across every event that did not touch that slot. The replica,
 //! cluster and shard engines all reach this kernel through one
 //! `quorum_replica` `FailureWorld`, which feeds it every site and link
 //! transition via `ComponentCache::apply_event`.
+//!
+//! **Oracle bridge.** [`DeltaConnectivity::to_view`] renumbers the slots
+//! in first-site order, which makes the materialized [`ComponentView`]
+//! *bit-identical* to a fresh [`ComponentView::compute`]. Only the tests
+//! and `kernel_replay`'s oracle arms call it: the event-sequence
+//! proptests in `tests/delta_kernel.rs` pin the kernel against that
+//! full-BFS oracle, so the kernel can never change a reported number.
 
 // Hot kernel: it absorbs every topology event of every batch, so a
 // panic or a silently wrapping cast here corrupts a whole run. Indexing

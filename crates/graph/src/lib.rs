@@ -13,11 +13,12 @@
 //!   (ring, ring-plus-chords "Topology *k*", fully connected) plus extras
 //!   (star, grid, path, G(n,p)) used by tests and examples.
 //! * [`NetworkState`] — which sites/links are currently up.
-//! * [`ComponentView`] / [`ComponentCache`] — component labelling over the
-//!   up-subgraph (full BFS in [`ComponentView::compute`], the test
-//!   oracle). The cache serves the engines' partition reads straight
-//!   from the kernel and materializes a view, kept across
-//!   partition-preserving events, for the callers that take one.
+//! * [`ComponentCache`] — the engines' handle on the partition: it feeds
+//!   the kernel every event and serves every partition read straight
+//!   from the kernel's slots, counting hits and recomputations.
+//! * [`ComponentView`] — component labelling over the up-subgraph by a
+//!   full BFS ([`ComponentView::compute`]): the test oracle the kernel is
+//!   pinned against.
 //! * [`DeltaConnectivity`] — the incremental kernel behind
 //!   [`ComponentCache`]: recoveries merge components
 //!   (union-find over member bitsets), a link cut runs a two-sided search

@@ -13,9 +13,7 @@
 //! timeline's per-epoch grants are exact rather than merely statistical.
 
 use quorum_des::{EventQueue, OnOffProcess, SimParams, SimTime};
-use quorum_graph::{
-    ComponentCache, ComponentView, DeltaConnectivity, NetworkState, Topology, TopologyEvent,
-};
+use quorum_graph::{ComponentCache, DeltaConnectivity, NetworkState, Topology, TopologyEvent};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use rand::rngs::StdRng;
 
@@ -204,15 +202,6 @@ impl<'a> FailureWorld<'a> {
         self.cache.partition(self.topology, &self.state, self.votes)
     }
 
-    /// The current canonical component view, paired with the cache's
-    /// recomputation count (see [`ComponentCache::view_and_refreshes`]).
-    /// Each call counts as one cache read.
-    #[inline]
-    pub fn view(&mut self) -> (&ComponentView, u64) {
-        self.cache
-            .view_and_refreshes(self.topology, &self.state, self.votes)
-    }
-
     /// The component cache, for its hit/refresh and kernel counters.
     pub fn cache(&self) -> &ComponentCache {
         &self.cache
@@ -232,6 +221,7 @@ impl<'a> FailureWorld<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quorum_graph::ComponentView;
 
     fn world<'a>(t: &'a Topology, votes: &'a [u64], seed: u64) -> FailureWorld<'a> {
         FailureWorld::new(t, votes, &SimParams::quick(), seed, None, None)
@@ -299,7 +289,7 @@ mod tests {
             let (_, transition) = q.pop().expect("renewal processes never drain");
             w.apply(transition, &mut q);
             let oracle = ComponentView::compute(&t, &w.state, &votes);
-            assert_eq!(w.view().0, &oracle);
+            assert_eq!(w.partition().to_view(), oracle);
         }
         // Transitions alternate, so each one is a real change the kernel
         // classifies exactly once.

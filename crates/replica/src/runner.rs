@@ -86,8 +86,8 @@ pub fn run_static_observed(
 /// Runs an arbitrary [`ConsistencyProtocol`] until the CI converges —
 /// the batch/round/CI machinery of [`run_static_observed`] with the
 /// protocol abstracted out, so general quorum systems (coteries,
-/// expression-algebra systems) ride the same `ComponentView` grant
-/// path, seed derivation, and thread-invariant merging as vote
+/// expression-algebra systems) ride the same kernel-read grant path,
+/// seed derivation, and thread-invariant merging as vote
 /// thresholds. `make_protocol` builds one fresh protocol per batch
 /// (batches are independent by construction); `phase` names the
 /// whole-run wall-clock timer in `registry`.

@@ -20,15 +20,24 @@ pub struct PaperScenario {
 }
 
 impl PaperScenario {
+    /// Checks a chord count against the paper's seven topologies,
+    /// returning the violated rule.
+    pub fn check_chords(chords: usize) -> Result<(), String> {
+        if PAPER_CHORDS.contains(&chords) {
+            Ok(())
+        } else {
+            Err(format!("paper topologies use chords in {PAPER_CHORDS:?}"))
+        }
+    }
+
     /// Scenario for "Topology `chords`".
     ///
     /// # Panics
     /// Panics if `chords` is not one of the paper's seven values.
     pub fn new(chords: usize) -> Self {
-        assert!(
-            PAPER_CHORDS.contains(&chords),
-            "paper topologies use chords in {PAPER_CHORDS:?}, got {chords}"
-        );
+        if let Err(rule) = Self::check_chords(chords) {
+            panic!("{rule}, got {chords}");
+        }
         Self { chords }
     }
 

@@ -5,12 +5,15 @@
 //! fail these links, submit this access, reassign, heal, observe. A
 //! [`Scenario`] replays an explicit step list against the same machinery
 //! the stochastic simulator uses — `NetworkState`, `ComponentCache`, the
-//! 1SR checker, and any [`ConsistencyProtocol`].
+//! 1SR checker, and any [`ConsistencyProtocol`]. Every read of the
+//! partition — [`Scenario::votes_of`], [`Scenario::members_of`] and each
+//! access step, with the member set it hands the 1SR checker — comes
+//! straight from the cache's delta kernel.
 
 use crate::object::{load_members, SerializabilityChecker};
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
-use quorum_graph::{BitSet, ComponentCache, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{BitSet, ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
 
 /// One scripted step.
 #[derive(Debug, Clone)]
@@ -90,16 +93,19 @@ impl<'a> Scenario<'a> {
     /// Votes reachable from `site` right now.
     pub fn votes_of(&mut self, site: usize) -> u64 {
         self.cache
-            .view(self.topology, &self.state, self.votes.as_slice())
+            .partition(self.topology, &self.state, self.votes.as_slice())
             .votes_of(site)
     }
 
-    /// Members of `site`'s component right now.
+    /// Members of `site`'s component right now (empty if it is down).
     pub fn members_of(&mut self, site: usize) -> Vec<usize> {
-        self.cache
-            .view(self.topology, &self.state, self.votes.as_slice())
-            .members_of(site)
-            .collect()
+        let partition = self
+            .cache
+            .partition(self.topology, &self.state, self.votes.as_slice());
+        match partition.slot_of(site) {
+            ComponentView::DOWN => Vec::new(),
+            slot => partition.slot_members(slot).iter_ones().collect(),
+        }
     }
 
     /// Executes one step against `protocol`.
@@ -112,13 +118,17 @@ impl<'a> Scenario<'a> {
             Step::FailLink(link) => self.toggle(TopologyEvent::Link { link, up: false }),
             Step::RepairLink(link) => self.toggle(TopologyEvent::Link { link, up: true }),
             Step::Access(kind, site) => {
-                let view = self
-                    .cache
-                    .view(self.topology, &self.state, self.votes.as_slice());
-                let votes = view.votes_of(site);
+                let partition =
+                    self.cache
+                        .partition(self.topology, &self.state, self.votes.as_slice());
+                let votes = partition.votes_of(site);
+                // A site that is down, or whose component holds no votes,
+                // accesses with no members.
+                let slot_members =
+                    (votes > 0).then(|| partition.slot_members(partition.slot_of(site)));
                 self.members.clear();
-                if votes > 0 {
-                    self.members.extend(view.members_of(site));
+                if let Some(bits) = slot_members {
+                    self.members.extend(bits.iter_ones());
                 }
                 let decision = protocol.decide(kind, &self.members, votes);
                 for refreshed in protocol.drain_refreshes() {
@@ -126,11 +136,12 @@ impl<'a> Scenario<'a> {
                     self.checker.on_refresh(&self.scratch_bits);
                 }
                 let consistent = if decision.is_granted() {
-                    let member_bits = if votes > 0 {
-                        view.member_bits(view.component_of(site))
-                    } else {
-                        self.scratch_bits.fill(false);
-                        &self.scratch_bits
+                    let member_bits = match slot_members {
+                        Some(bits) => bits,
+                        None => {
+                            self.scratch_bits.fill(false);
+                            &self.scratch_bits
+                        }
                     };
                     match kind {
                         Access::Write => self.checker.on_write_granted(member_bits),

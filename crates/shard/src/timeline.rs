@@ -4,13 +4,15 @@
 //! workload, so a run over `N` objects needs the network sample path
 //! exactly once. [`FailureTimeline::build`] replays the failure stream
 //! through the event queue and the incremental component
-//! kernel, cutting simulated time into **epochs** (maximal intervals
-//! with constant partition structure) and precomputing, per epoch, a
-//! per-assignment × per-site grant bitmask: "would a read (bit 0) /
-//! write (bit 1) submitted at site `s` for an object under assignment
-//! profile `a` be granted?". Profiles sharing a vote table share the
-//! per-component vote sums, so adding optimizer-expanded per-object
-//! assignments costs one mask row per *distinct* spec, not per object.
+//! kernel, cutting simulated time into **epochs** (one per transition
+//! instant, so the partition is constant within each) and precomputing,
+//! per epoch, a per-assignment × per-site grant bitmask: "would a read
+//! (bit 0) / write (bit 1) submitted at site `s` for an object under
+//! assignment profile `a` be granted?". The grants are read from the
+//! kernel's slots: each distinct vote table is summed once per slot, and
+//! profiles sharing a table share those sums, so adding
+//! optimizer-expanded per-object assignments costs one mask row per
+//! *distinct* spec, not per object.
 //!
 //! The replay itself is a [`FailureWorld`]: the same process bank,
 //! stream-1 draws and connectivity kernel the replica and cluster
@@ -28,7 +30,7 @@
 use crate::catalog::ObjectCatalog;
 use quorum_core::protocol::Access;
 use quorum_des::{EventQueue, SimParams};
-use quorum_graph::{ComponentView, Topology};
+use quorum_graph::{ComponentView, DeltaConnectivity, Topology};
 use quorum_replica::{FailureWorld, Transition};
 
 /// Read-granted bit in a grant mask.
@@ -115,7 +117,7 @@ impl FailureTimeline {
                 _ => break,
             };
             // The epoch ending at `t` ran under the current state.
-            out.push_epoch(t.as_f64(), catalog, world.view().0);
+            out.push_epoch(t.as_f64(), catalog, world.partition());
             // Apply every event at exactly `t` before cutting the next
             // epoch, so simultaneous transitions produce one epoch, not
             // a stack of zero-length ones.
@@ -125,38 +127,43 @@ impl FailureTimeline {
             }
         }
         // Final epoch: from the last transition to the horizon.
-        out.push_epoch(horizon, catalog, world.view().0);
+        out.push_epoch(horizon, catalog, world.partition());
         out.site_transitions = world.site_transitions();
         out.link_transitions = world.link_transitions();
         out.build_bucket_index();
         out
     }
 
-    /// Records the grant table of the epoch ending at `end`.
-    fn push_epoch(&mut self, end: f64, catalog: &ObjectCatalog, view: &ComponentView) {
+    /// Records the grant table of the epoch ending at `end`, read from
+    /// the kernel's slots.
+    fn push_epoch(&mut self, end: f64, catalog: &ObjectCatalog, partition: &DeltaConnectivity) {
         self.epoch_end.push(end);
-        let comps = view.num_components();
+        // Live slots come in slot order, so the last bounds every slot id.
+        let slots = partition
+            .live_slots()
+            .last()
+            .map_or(0, |slot| slot as usize + 1);
         let tables = catalog.vote_tables();
-        // Per-component vote sums, once per distinct vote table:
-        // `comp_votes[table * comps + component]`.
-        let mut comp_votes = vec![0u64; tables.len() * comps];
+        // Per-slot vote sums, once per distinct vote table:
+        // `slot_votes[table * slots + slot]`.
+        let mut slot_votes = vec![0u64; tables.len() * slots];
         for s in 0..self.sites {
-            let c = view.component_of(s);
-            if c != ComponentView::DOWN {
+            let slot = partition.slot_of(s);
+            if slot != ComponentView::DOWN {
                 for (ti, table) in tables.iter().enumerate() {
-                    comp_votes[ti * comps + c as usize] += table.votes_of(s);
+                    slot_votes[ti * slots + slot as usize] += table.votes_of(s);
                 }
             }
         }
         for profile in catalog.profiles() {
-            let votes = &comp_votes[profile.votes_key * comps..][..comps];
+            let votes = &slot_votes[profile.votes_key * slots..][..slots];
             for s in 0..self.sites {
-                let c = view.component_of(s);
-                // Down sites are exactly the ones without a component.
-                let mask = if c == ComponentView::DOWN {
+                let slot = partition.slot_of(s);
+                // Down sites are exactly the ones without a slot.
+                let mask = if slot == ComponentView::DOWN {
                     0
                 } else {
-                    let v = votes[c as usize];
+                    let v = votes[slot as usize];
                     u8::from(profile.spec.read_granted(v))
                         | (u8::from(profile.spec.write_granted(v)) << 1)
                 };

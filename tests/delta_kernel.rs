@@ -82,14 +82,14 @@ proptest! {
         let (topo, votes) = family(kind, n);
         let mut state = NetworkState::all_up(&topo);
         let mut cache = ComponentCache::new();
-        // Materialize before any event so merges/rescans (not rebuild
+        // Build the kernel before any event so merges/rescans (not rebuild
         // fallbacks) carry the sequence.
-        cache.view(&topo, &state, &votes);
+        cache.partition(&topo, &state, &votes);
         for &pick in &picks {
             let ev = toggle(&mut state, &topo, pick);
             cache.apply_event(&topo, &state, &votes, ev);
             let expected = ComponentView::compute(&topo, &state, &votes);
-            prop_assert_eq!(cache.view(&topo, &state, &votes), &expected);
+            prop_assert_eq!(cache.partition(&topo, &state, &votes).to_view(), expected);
         }
     }
 
@@ -173,7 +173,7 @@ fn all_down_then_all_up_matches_reference() {
     let (topo, votes) = family(1, 12);
     let mut state = NetworkState::all_up(&topo);
     let mut cache = ComponentCache::new();
-    cache.view(&topo, &state, &votes);
+    cache.partition(&topo, &state, &votes);
     let n = topo.num_sites();
     for phase in [false, true] {
         for s in 0..n {
@@ -185,10 +185,16 @@ fn all_down_then_all_up_matches_reference() {
                 TopologyEvent::Site { site: s, up: phase },
             );
             let expected = ComponentView::compute(&topo, &state, &votes);
-            assert_eq!(cache.view(&topo, &state, &votes), &expected);
+            assert_eq!(cache.partition(&topo, &state, &votes).to_view(), expected);
         }
     }
-    assert_eq!(cache.view(&topo, &state, &votes).num_components(), 1);
+    assert_eq!(
+        cache
+            .partition(&topo, &state, &votes)
+            .to_view()
+            .num_components(),
+        1
+    );
 }
 
 /// Hub failure on a star shatters one component into n−1 singletons in a
@@ -198,14 +204,20 @@ fn star_hub_failure_and_recovery_match_reference() {
     let (topo, votes) = family(3, 9);
     let mut state = NetworkState::all_up(&topo);
     let mut cache = ComponentCache::new();
-    cache.view(&topo, &state, &votes);
+    cache.partition(&topo, &state, &votes);
     for up in [false, true] {
         assert!(state.set_site(0, up));
         cache.apply_event(&topo, &state, &votes, TopologyEvent::Site { site: 0, up });
         let expected = ComponentView::compute(&topo, &state, &votes);
-        assert_eq!(cache.view(&topo, &state, &votes), &expected);
+        assert_eq!(cache.partition(&topo, &state, &votes).to_view(), expected);
         let want = if up { 1 } else { topo.num_sites() - 1 };
-        assert_eq!(cache.view(&topo, &state, &votes).num_components(), want);
+        assert_eq!(
+            cache
+                .partition(&topo, &state, &votes)
+                .to_view()
+                .num_components(),
+            want
+        );
     }
     let counters = cache.delta_counters();
     assert_eq!(counters.rescans, 1, "hub failure is one component rescan");

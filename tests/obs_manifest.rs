@@ -35,7 +35,7 @@ fn registry_cache_counters_equal_cache_accounting() {
         if round % 4 == 0 && state.set_site(site, up) {
             cache.apply_event(&topo, &state, &votes, TopologyEvent::Site { site, up });
         }
-        cache.view(&topo, &state, &votes);
+        cache.partition(&topo, &state, &votes);
         queries += 1;
     }
     let registry = Registry::new();
