@@ -309,9 +309,10 @@ impl DeltaConnectivity {
         self.largest
     }
 
-    /// Materializes the canonical [`ComponentView`]: internal slots are
-    /// renumbered in order of their lowest site index, which is exactly
-    /// the id order [`ComponentView::compute`] assigns.
+    /// Materializes the canonical [`ComponentView`] for comparison with
+    /// the full-BFS oracle: internal slots are renumbered in order of
+    /// their lowest site index, which is exactly the id order
+    /// [`ComponentView::compute`] assigns.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "component count <= site count; topologies are tens of sites, so u32 has nine decimal orders of headroom"
