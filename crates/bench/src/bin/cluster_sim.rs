@@ -321,6 +321,7 @@ fn sweep(args: &Args, scale: Scale, seed: u64) {
 
 fn main() {
     let args = Args::parse();
+    manifest::check_requested(&args);
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 11);
     if args.flag("sweep") {

@@ -81,6 +81,7 @@ const DEFAULT_ITERATIONS: usize = 2_000;
 
 fn main() {
     let args = Args::parse();
+    manifest::check_requested(&args);
     let seed: u64 = args.get_or("seed", 7);
     let threads: usize = args.get_or("threads", quorum_bench::default_threads());
     let alpha = args

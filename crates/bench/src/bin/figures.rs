@@ -23,6 +23,7 @@ use quorum_replica::{run_static_observed, CurveSet, RunConfig, RunResults, Workl
 
 fn main() {
     let args = Args::parse();
+    manifest::check_requested(&args);
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 90158);
     let threads = args.get_or("threads", default_threads());
@@ -53,8 +54,7 @@ fn main() {
     );
 
     let registry = Registry::new();
-    let mut last_run: Option<(PaperScenario, RunResults)> = None;
-    let mut per_topo: Vec<(usize, f64)> = Vec::new();
+    let mut runs: Vec<(PaperScenario, RunResults)> = Vec::new();
 
     for sc in scenarios {
         let topo = sc.topology();
@@ -187,13 +187,14 @@ fn main() {
             results.is_one_copy_serializable(),
             "1SR violated — simulator bug"
         );
-        per_topo.push((sc.chords, results.availability()));
-        last_run = Some((sc, results));
+        runs.push((sc, results));
     }
 
-    if let Some((sc, results)) = last_run {
+    if let Some((sc, results)) = runs.last() {
         // Counters/timers aggregate every topology; the structural fields
-        // (topology record, votes, CI trace) describe the last run.
+        // (topology record, votes, CI trace) describe the last run, and
+        // each topology's availability and stopping point are labeled
+        // metrics of their own.
         let mut m = manifest::manifest_for_run(
             "figures",
             seed,
@@ -202,12 +203,14 @@ fn main() {
             sc.chords,
             &sc.topology(),
             &VoteAssignment::uniform(sc.topology().num_sites()),
-            &results,
+            results,
             &registry,
         );
         m.batches = m.counter(keys::RUN_BATCHES);
-        for (chords, a) in &per_topo {
-            m.set_labeled_metric(keys::AVAILABILITY, &format!("topology_{chords}"), *a);
+        for (sc, results) in &runs {
+            let label = format!("topology_{}", sc.chords);
+            m.set_labeled_metric(keys::AVAILABILITY, &label, results.availability());
+            manifest::record_convergence(&mut m, &label, results);
         }
         manifest::write_requested(&args, &m);
     }

@@ -6,10 +6,10 @@
 //!   simulator's hot-loop shape (1 topology event per 8 component
 //!   reads), replayed three ways: queue-based full BFS per event
 //!   ([`ComponentView::compute`], the oracle), word-parallel bitset BFS
-//!   per event, and the incremental delta kernel behind
-//!   [`ComponentCache`] (merge on recovery, two-sided search or
-//!   single-component rescan on failure, no-op filtering), read straight
-//!   from the kernel. The run asserts that all three report
+//!   per event, and the incremental delta kernel driven through a
+//!   [`LiveNetwork`] as the engines drive it (merge on recovery,
+//!   two-sided search or single-component rescan on failure, no-op
+//!   filtering), read straight from the kernel. The run asserts that all three report
 //!   the same numbers and that every event lands in exactly one
 //!   fast-path counter, and reports wall-clock and the full-BFS/delta
 //!   speedup — the headline ratio EXPERIMENTS.md quotes for
@@ -29,7 +29,7 @@
 use quorum_bench::{check_batches, check_events, manifest, print_table, run_jobs, Args, Scale};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_graph::{
-    ComponentCache, ComponentView, DeltaConnectivity, NetworkState, Topology, TopologyEvent,
+    ComponentView, DeltaConnectivity, LiveNetwork, NetworkState, Topology, TopologyEvent,
 };
 use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::simulation::NullObserver;
@@ -132,15 +132,13 @@ fn apply_to_state(state: &mut NetworkState, ev: TopologyEvent) {
     }
 }
 
-/// Replays `trace` through the delta kernel with 8 component reads per
-/// event, each read straight from the kernel as the engines read it.
-/// Returns (wall seconds, vote checksum, final cache).
-fn replay_delta(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64, ComponentCache) {
-    let votes = setup.votes.as_slice();
+/// Replays `trace` through a live network's delta kernel with 8
+/// component reads per event, each read straight from the kernel as the
+/// engines read it. Returns (wall seconds, vote checksum, final network).
+fn replay_delta<'a>(setup: &'a Setup, trace: &[TopologyEvent]) -> (f64, u64, LiveNetwork<'a>) {
     let n = setup.topo.num_sites();
-    let mut state = NetworkState::all_up(&setup.topo);
-    let mut cache = ComponentCache::new();
-    cache.partition(&setup.topo, &state, votes);
+    let mut net = LiveNetwork::new(&setup.topo, setup.votes.as_slice());
+    net.partition();
     #[expect(
         clippy::disallowed_methods,
         reason = "benchmark timer: replay wall time is the result"
@@ -148,15 +146,16 @@ fn replay_delta(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64, ComponentC
     let started = Instant::now();
     let mut acc = 0u64;
     for (i, &ev) in trace.iter().enumerate() {
-        apply_to_state(&mut state, ev);
-        cache.apply_event(&setup.topo, &state, votes, ev);
+        let changed = match ev {
+            TopologyEvent::Site { site, up } => net.set_site(site, up),
+            TopologyEvent::Link { link, up } => net.set_link(link, up),
+        };
+        assert!(changed);
         for k in 0..8usize {
-            acc += cache
-                .partition(&setup.topo, &state, votes)
-                .votes_of((i + k) % n);
+            acc += net.partition().votes_of((i + k) % n);
         }
     }
-    (started.elapsed().as_secs_f64(), acc, cache)
+    (started.elapsed().as_secs_f64(), acc, net)
 }
 
 /// Replays with a from-scratch view per event, built by `rebuild`: the
@@ -229,6 +228,7 @@ fn engine_run(
 
 fn main() {
     let args = Args::parse();
+    manifest::check_requested(&args);
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 11);
     let threads: usize = args.get_or("threads", 2);
@@ -258,10 +258,10 @@ fn main() {
         let (bitset_secs, bitset_acc) = replay_rebuild(setup, &trace, |t, s, v| {
             DeltaConnectivity::new(t, s, v).to_view()
         });
-        let (delta_secs, delta_acc, cache) = replay_delta(setup, &trace);
+        let (delta_secs, delta_acc, net) = replay_delta(setup, &trace);
         assert_eq!(full_acc, delta_acc, "kernel changed a reported number");
         assert_eq!(full_acc, bitset_acc, "bitset BFS changed a reported number");
-        let counters = cache.delta_counters();
+        let counters = net.delta_counters();
         assert_eq!(
             counters.total(),
             events as u64,

@@ -23,6 +23,7 @@ use quorum_obs::{Registry, RunManifest};
 
 fn main() {
     let args = Args::parse();
+    manifest::check_requested(&args);
     let name = args.one_of("universe", &["standard", "symmetric"]);
     let mut universe = match name {
         "standard" => Universe::standard(),

@@ -20,6 +20,7 @@ use quorum_replica::{run_static_observed, CurveSet, RunConfig, RunResults, Workl
 
 fn main() {
     let args = Args::parse();
+    manifest::check_requested(&args);
     let scale = Scale::from_args(&args);
     let seed: u64 = args.get_or("seed", 55);
     let threads = args.get_or("threads", default_threads());

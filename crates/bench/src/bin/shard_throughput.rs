@@ -43,6 +43,7 @@ use std::time::Instant;
 
 fn main() {
     let args = Args::parse();
+    manifest::check_requested(&args);
     let seed: u64 = args.get_or("seed", 11);
     let (label, topology) = match args.get::<usize>("chords") {
         Some(k) => (format!("ring-101-c{k}"), Topology::ring_with_chords(101, k)),

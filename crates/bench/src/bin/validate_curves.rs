@@ -15,6 +15,7 @@ use quorum_bench::{manifest, pct, Args, Scale};
 
 fn main() {
     let args = Args::parse();
+    manifest::check_requested(&args);
     let opts = ValidateOpts::from_cli(&args);
 
     println!(

@@ -4,13 +4,14 @@
 //! the helpers translate simulator-side types ([`SimParams`],
 //! [`Topology`], [`quorum_replica::RunResults`]) into the
 //! dependency-free records `quorum-obs` serialises, and
-//! [`write_requested`] handles the flag itself so the binaries stay thin.
+//! [`check_requested`] (before the run) and [`write_requested`] (after
+//! it) handle the flag itself so the binaries stay thin.
 
 use crate::{or_usage_exit, Args};
 use quorum_core::VoteAssignment;
 use quorum_des::{DurationDist, SimParams};
 use quorum_graph::Topology;
-use quorum_obs::{Registry, RunManifest, SimParamsRecord, TopologyRecord};
+use quorum_obs::{keys, Registry, RunManifest, SimParamsRecord, TopologyRecord};
 use quorum_replica::RunResults;
 use std::path::Path;
 
@@ -72,19 +73,70 @@ pub fn manifest_for_run(
     m.batches = results.batches;
     m.ci_trace = results.ci_trace.clone();
     m.absorb_snapshot(&registry.snapshot());
-    m.set_metric(quorum_obs::keys::AVAILABILITY, results.availability());
+    m.set_metric(keys::AVAILABILITY, results.availability());
     m.set_metric(
-        quorum_obs::keys::READ_AVAILABILITY,
+        keys::READ_AVAILABILITY,
         results.combined.read_availability(),
     );
     m.set_metric(
-        quorum_obs::keys::WRITE_AVAILABILITY,
+        keys::WRITE_AVAILABILITY,
         results.combined.write_availability(),
     );
     if let Some(ci) = results.interval() {
-        m.set_metric(quorum_obs::keys::CI_HALF_WIDTH, ci.half_width);
+        m.set_metric(keys::CI_HALF_WIDTH, ci.half_width);
     }
     m
+}
+
+/// Records one run's stopping point under `label`: its batch count, its
+/// CI half-width (if it ran two batches or more), and `converged`, 1 if
+/// the CI reached the target and 0 if the batch cap stopped the run.
+pub fn record_convergence(m: &mut RunManifest, label: &str, results: &RunResults) {
+    m.set_labeled_metric(keys::BATCHES, label, results.batches as f64);
+    if let Some(ci) = results.interval() {
+        m.set_labeled_metric(keys::CI_HALF_WIDTH, label, ci.half_width);
+    }
+    let converged = results.acc.is_converged();
+    m.set_labeled_metric(keys::CONVERGED, label, f64::from(u8::from(converged)));
+}
+
+/// Checks `--manifest` before the run, so a run whose manifest could not
+/// be written never starts: the flag needs a path, and the path's parent
+/// must be an existing directory. A bad value is a usage error (status
+/// 2, see [`or_usage_exit`]); the manifest-writing binaries call this
+/// before any other work.
+pub fn check_requested(args: &Args) {
+    or_usage_exit(try_check_requested(args));
+}
+
+/// [`check_requested`], returning the usage error instead of exiting.
+fn try_check_requested(args: &Args) -> Result<(), String> {
+    let Some(path) = requested_path(args)? else {
+        return Ok(());
+    };
+    let parent = match Path::new(&path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    if parent.is_dir() {
+        Ok(())
+    } else {
+        Err(format!(
+            "--manifest {path:?}: {} is not an existing directory",
+            parent.display()
+        ))
+    }
+}
+
+/// The path given by `--manifest <path>`, if any; a bare `--manifest` is
+/// the usage error.
+fn requested_path(args: &Args) -> Result<Option<String>, String> {
+    match args.get::<String>("manifest") {
+        None if args.flag("manifest") => {
+            Err("--manifest: needs a path (e.g. --manifest run.json)".to_string())
+        }
+        path => Ok(path),
+    }
 }
 
 /// Writes `manifest` to the path given by `--manifest <path>`, if any.
@@ -99,10 +151,7 @@ pub fn write_requested(args: &Args, manifest: &RunManifest) -> bool {
 
 /// [`write_requested`], returning the usage error instead of exiting.
 fn try_write_requested(args: &Args, manifest: &RunManifest) -> Result<bool, String> {
-    let Some(path) = args.get::<String>("manifest") else {
-        if args.flag("manifest") {
-            return Err("--manifest: needs a path (e.g. --manifest run.json)".to_string());
-        }
+    let Some(path) = requested_path(args)? else {
         return Ok(false);
     };
     manifest
@@ -115,7 +164,6 @@ fn try_write_requested(args: &Args, manifest: &RunManifest) -> Result<bool, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_obs::keys;
 
     #[test]
     fn dist_names_are_stable() {
@@ -151,17 +199,26 @@ mod tests {
             },
             &registry,
         );
-        let m = manifest_for_run(
+        let mut m = manifest_for_run(
             "unit", 3, &params, "ring-9", 0, &topo, &votes, &res, &registry,
         );
+        record_convergence(&mut m, "topology_0", &res);
         assert_eq!(m.batches, res.batches);
         assert_eq!(m.topology.sites, 9);
         assert_eq!(m.votes.len(), 9);
         assert_eq!(m.counter(keys::DES_EVENTS), res.combined.events_processed);
-        assert!(m.phase_secs(quorum_obs::keys::REPLICA_RUN_STATIC) > 0.0);
+        assert!(m.phase_secs(keys::REPLICA_RUN_STATIC) > 0.0);
         let back = RunManifest::parse(&m.to_json().to_string_pretty()).expect("round-trip");
         assert_eq!(back.counters, m.counters);
         assert_eq!(back.params.fail_dist, "exponential");
+        // The run's stopping point reads back under its label: two
+        // batches at the cap, a CI wider than the default 0.5 % target.
+        let metric = |prefix: keys::Key| back.metrics[&format!("{prefix}.topology_0")];
+        assert_eq!(metric(keys::BATCHES), 2.0);
+        let half_width = res.interval().expect("two batches give a CI").half_width;
+        assert_eq!(metric(keys::CI_HALF_WIDTH), half_width);
+        assert!(half_width > params.ci_half_width);
+        assert_eq!(metric(keys::CONVERGED), 0.0);
     }
 
     #[test]
@@ -185,6 +242,43 @@ mod tests {
             err.starts_with(&format!("--manifest {path:?}: cannot write: ")),
             "{err}"
         );
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn bad_manifest_flag_is_rejected_before_the_run() {
+        let args = |a: &[&str]| Args::from_args(a.iter().map(|s| s.to_string()));
+        assert_eq!(try_check_requested(&args(&[])), Ok(()));
+        assert_eq!(
+            try_check_requested(&args(&["--manifest"])),
+            Err("--manifest: needs a path (e.g. --manifest run.json)".to_string())
+        );
+        // A bare file name lands in the working directory.
+        assert_eq!(
+            try_check_requested(&args(&["--manifest", "m.json"])),
+            Ok(())
+        );
+        let dir = std::env::temp_dir();
+        let in_dir = dir.join("m.json").display().to_string();
+        assert_eq!(try_check_requested(&args(&["--manifest", &in_dir])), Ok(()));
+        // A parent that is a regular file, or that does not exist, is not
+        // a directory the manifest could be written into.
+        let file = dir.join(format!(
+            "quorum_bench_manifest_check_not_a_dir_{}",
+            std::process::id()
+        ));
+        std::fs::write(&file, "").unwrap();
+        for parent in [file.clone(), file.join("missing")] {
+            let path = parent.join("m.json").display().to_string();
+            let err = try_check_requested(&args(&["--manifest", &path])).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "--manifest {path:?}: {} is not an existing directory",
+                    parent.display()
+                )
+            );
+        }
         let _ = std::fs::remove_file(&file);
     }
 }

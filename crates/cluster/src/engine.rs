@@ -272,7 +272,6 @@ impl<'a> ClusterEngine<'a> {
             &self.config.params,
             seed,
             None,
-            None,
         );
         let mut queue = Queue::new();
         world.schedule_initial(&mut queue);
@@ -323,7 +322,7 @@ impl<'a> ClusterEngine<'a> {
             }
         }
 
-        let delta = batch.world.cache().delta_counters();
+        let delta = batch.world.network().delta_counters();
         let violations = batch.core.checker().violations();
         let mut stats = batch.core.take_stats();
         stats.site_transitions = batch.world.site_transitions();

@@ -135,22 +135,6 @@ impl BitSet {
         }
     }
 
-    /// The whole set as a single `u64` mask — the interchange format of
-    /// the quorum-algebra layer, whose quorum containment checks are
-    /// one `AND` against such a mask.
-    ///
-    /// # Panics
-    /// Panics if the capacity exceeds 64 bits.
-    #[inline]
-    pub fn as_u64_mask(&self) -> u64 {
-        assert!(
-            self.len <= 64,
-            "set of {} bits exceeds a u64 mask",
-            self.len
-        );
-        self.words.first().copied().unwrap_or(0)
-    }
-
     /// True if no bit is set.
     pub fn is_all_clear(&self) -> bool {
         self.words.iter().all(|&w| w == 0)

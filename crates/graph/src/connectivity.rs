@@ -5,11 +5,12 @@
 //! `v` in the paper's density `f_i(v)`. Down sites are "members of a
 //! component of size zero" (§5.2), represented here by [`ComponentView::DOWN`].
 //!
-//! [`ComponentCache`] is the engines' handle on the incremental
-//! [`DeltaConnectivity`] kernel: it feeds the kernel every failure and
-//! recovery, serves the partition straight from the kernel's slots, and
-//! counts reads as hits or recomputations. The kernel's slot reads are
-//! the only partition representation the engines use.
+//! [`LiveNetwork`] is the one owner of the live network: it holds the
+//! site and link up/down state, hands every change to the incremental
+//! [`DeltaConnectivity`] kernel, serves the partition straight from the
+//! kernel's slots, and counts reads as hits or recomputations. The
+//! kernel's slot reads are the only partition representation the
+//! engines use.
 //!
 //! [`ComponentView`] is the reference: [`ComponentView::compute`] labels
 //! every up site by a full BFS and totals the votes per component. The
@@ -137,21 +138,30 @@ impl ComponentView {
     }
 }
 
-/// The engines' handle on the partition: the incremental
-/// [`DeltaConnectivity`] kernel and its read accounting.
+/// The live network: the up/down state of every site and link, the
+/// incremental [`DeltaConnectivity`] kernel kept in step with it, and
+/// the partition's read accounting.
 ///
-/// The engines call [`ComponentCache::apply_event`] on every topology
-/// event and read the partition straight from the kernel through
-/// [`ComponentCache::partition`]: an access costs a few array reads, and
+/// This is the one owner of the network the engines simulate.
+/// [`LiveNetwork::set_site`] and [`LiveNetwork::set_link`] change the
+/// state and hand every actual change to the kernel, so the kernel can
+/// never miss an event. [`LiveNetwork::partition`] serves the partition
+/// straight from the kernel: an access costs a few array reads, and
 /// nothing is rebuilt between events.
 ///
-/// Every read counts once: as a *recomputation* if it is the first read
-/// after a partition change (or the first read at all), else as a *hit*.
-/// So `hits + recomputations` equals the number of reads. The kernel's
-/// answers are bit-identical to [`ComponentView::compute`], the full-BFS
-/// oracle the tests pin it against.
-#[derive(Debug, Clone, Default)]
-pub struct ComponentCache {
+/// The kernel is built lazily from the state, by the first read or the
+/// first change. A change that builds it counts as a full recompute, so
+/// every change lands in exactly one delta counter. Every read counts
+/// once: as a *recomputation* if it is the first read after a partition
+/// change (or the first read at all), else as a *hit*. So
+/// `hits + recomputations` equals the number of reads. The kernel's
+/// answers are bit-identical to [`ComponentView::compute`], the
+/// full-BFS oracle the tests pin it against.
+#[derive(Debug, Clone)]
+pub struct LiveNetwork<'a> {
+    topology: &'a Topology,
+    votes: Vec<u64>,
+    state: NetworkState,
     kernel: Option<DeltaConnectivity>,
     /// True once a read has been served since the last partition change.
     read_since_change: bool,
@@ -160,27 +170,54 @@ pub struct ComponentCache {
     delta: DeltaCounters,
 }
 
-impl ComponentCache {
-    /// An empty cache; the kernel is built from the state at the first
-    /// event or read.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> LiveNetwork<'a> {
+    /// The all-up network over `topology`, weighting each site by
+    /// `votes[site]`.
+    ///
+    /// # Panics
+    /// Panics if `votes.len()` differs from the site count.
+    pub fn new(topology: &'a Topology, votes: &[u64]) -> Self {
+        assert_eq!(
+            votes.len(),
+            topology.num_sites(),
+            "one vote weight per site"
+        );
+        Self {
+            topology,
+            votes: votes.to_vec(),
+            state: NetworkState::all_up(topology),
+            kernel: None,
+            read_since_change: false,
+            recomputations: 0,
+            hits: 0,
+            delta: DeltaCounters::default(),
+        }
     }
 
-    /// Applies one topology event: the fast path the engines call after
-    /// `NetworkState::set_site`/`set_link` reported an actual change
-    /// (with `state` already reflecting the event).
-    ///
-    /// The kernel absorbs the event incrementally — or, if no kernel is
-    /// built yet, is built from `state` (counted as a full recompute, so
-    /// every event lands in exactly one delta counter).
-    pub fn apply_event(
-        &mut self,
-        topology: &Topology,
-        state: &NetworkState,
-        votes: &[u64],
-        event: TopologyEvent,
-    ) {
+    /// Sets `site` up or down. Returns `true` if its state changed; the
+    /// kernel absorbs exactly those changes.
+    pub fn set_site(&mut self, site: usize, up: bool) -> bool {
+        let changed = self.state.set_site(site, up);
+        if changed {
+            self.absorb(TopologyEvent::Site { site, up });
+        }
+        changed
+    }
+
+    /// Sets `link` up or down. Returns `true` if its state changed; the
+    /// kernel absorbs exactly those changes.
+    pub fn set_link(&mut self, link: usize, up: bool) -> bool {
+        let changed = self.state.set_link(link, up);
+        if changed {
+            self.absorb(TopologyEvent::Link { link, up });
+        }
+        changed
+    }
+
+    /// Hands one actual change, already in `state`, to the kernel — or,
+    /// if no kernel is built yet, builds it from `state`, which absorbs
+    /// the change wholesale (counted as a full recompute).
+    fn absorb(&mut self, event: TopologyEvent) {
         let changed = match &mut self.kernel {
             Some(kernel) => {
                 let applied = kernel.apply(event);
@@ -192,9 +229,11 @@ impl ComponentCache {
                 applied.changed
             }
             None => {
-                // `state` already includes the event, so building from it
-                // absorbs the event wholesale.
-                self.kernel = Some(DeltaConnectivity::new(topology, state, votes));
+                self.kernel = Some(DeltaConnectivity::new(
+                    self.topology,
+                    &self.state,
+                    &self.votes,
+                ));
                 self.delta.full_recomputes += 1;
                 true
             }
@@ -204,25 +243,29 @@ impl ComponentCache {
         }
     }
 
+    /// True if `site` is up.
+    #[inline]
+    pub fn site_up(&self, site: usize) -> bool {
+        self.state.site_up(site)
+    }
+
+    /// The up/down state of every site and link.
+    pub fn state(&self) -> &NetworkState {
+        &self.state
+    }
+
     /// The partition, read straight from the kernel (one counted read);
-    /// the kernel is built from `state` on first use.
-    pub fn partition(
-        &mut self,
-        topology: &Topology,
-        state: &NetworkState,
-        votes: &[u64],
-    ) -> &DeltaConnectivity {
+    /// the kernel is built from the state on first use.
+    pub fn partition(&mut self) -> &DeltaConnectivity {
         if self.read_since_change {
             self.hits += 1;
         } else {
             self.recomputations += 1;
             self.read_since_change = true;
         }
-        let kernel = self
-            .kernel
-            .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes));
-        debug_assert!(kernel.in_sync_with(state), "kernel missed an event");
-        kernel
+        let (topology, state, votes) = (self.topology, &self.state, &self.votes);
+        self.kernel
+            .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes))
     }
 
     /// Number of reads that were the first after a partition change.
@@ -241,7 +284,7 @@ impl ComponentCache {
         self.delta
     }
 
-    /// Records the cache's lifetime hit/recompute totals and the kernel
+    /// Records the lifetime hit/recompute totals and the kernel
     /// fast-path counters into an observability registry under the
     /// [`quorum_obs::keys`] names.
     pub fn observe_into(&self, registry: &quorum_obs::Registry) {
@@ -339,17 +382,15 @@ mod tests {
     #[test]
     fn members_of_lists_component() {
         let t = Topology::ring(6);
-        let mut s = NetworkState::all_up(&t);
-        s.set_link(0, false);
-        s.set_link(3, false);
         let votes = uniform_votes(6);
-        let mut cache = ComponentCache::new();
-        let p = cache.partition(&t, &s, &votes);
+        let mut net = LiveNetwork::new(&t, &votes);
+        net.set_link(0, false);
+        net.set_link(3, false);
+        let p = net.partition();
         let members: Vec<usize> = p.slot_members(p.slot_of(2)).iter_ones().collect();
         assert_eq!(members, vec![1, 2, 3]);
-        s.set_site(1, false);
-        cache.apply_event(&t, &s, &votes, TopologyEvent::Site { site: 1, up: false });
-        let p = cache.partition(&t, &s, &votes);
+        net.set_site(1, false);
+        let p = net.partition();
         assert_eq!(p.slot_of(1), ComponentView::DOWN, "down site has no slot");
         let members: Vec<usize> = p.slot_members(p.slot_of(2)).iter_ones().collect();
         assert_eq!(members, vec![2, 3]);
@@ -358,13 +399,12 @@ mod tests {
     #[test]
     fn all_components_partitions_up_sites() {
         let t = Topology::ring(6);
-        let mut s = NetworkState::all_up(&t);
-        s.set_link(0, false);
-        s.set_link(3, false);
-        s.set_site(5, false);
         let votes = uniform_votes(6);
-        let mut cache = ComponentCache::new();
-        let p = cache.partition(&t, &s, &votes);
+        let mut net = LiveNetwork::new(&t, &votes);
+        net.set_link(0, false);
+        net.set_link(3, false);
+        net.set_site(5, false);
+        let p = net.partition();
         let mut all = Vec::new();
         for slot in p.live_slots() {
             for m in p.slot_members(slot).iter_ones() {
@@ -385,88 +425,88 @@ mod tests {
         assert_eq!(v.largest_component_votes(), 0);
     }
 
-    /// Toggles `site` in `s` and hands the change to `cache`.
-    fn toggle_site(
-        cache: &mut ComponentCache,
-        t: &Topology,
-        s: &mut NetworkState,
-        votes: &[u64],
-        site: usize,
-    ) {
-        let up = !s.site_up(site);
-        s.set_site(site, up);
-        cache.apply_event(t, s, votes, TopologyEvent::Site { site, up });
+    /// Toggles `site`; every toggle is an actual change.
+    fn toggle_site(net: &mut LiveNetwork<'_>, site: usize) {
+        let up = !net.site_up(site);
+        assert!(net.set_site(site, up));
     }
 
-    /// Toggles `link` in `s` and hands the change to `cache`.
-    fn toggle_link(
-        cache: &mut ComponentCache,
-        t: &Topology,
-        s: &mut NetworkState,
-        votes: &[u64],
-        link: usize,
-    ) {
-        let up = !s.link_up(link);
-        s.set_link(link, up);
-        cache.apply_event(t, s, votes, TopologyEvent::Link { link, up });
+    /// Toggles `link`; every toggle is an actual change.
+    fn toggle_link(net: &mut LiveNetwork<'_>, link: usize) {
+        let up = !net.state().link_up(link);
+        assert!(net.set_link(link, up));
+    }
+
+    /// The full-BFS oracle's view of `net`'s current state.
+    fn oracle(net: &LiveNetwork<'_>, t: &Topology, votes: &[u64]) -> ComponentView {
+        ComponentView::compute(t, net.state(), votes)
+    }
+
+    #[test]
+    fn setters_report_only_actual_changes() {
+        let t = Topology::ring(4);
+        let votes = uniform_votes(4);
+        let mut net = LiveNetwork::new(&t, &votes);
+        assert!(!net.set_site(2, true), "an up site is already up");
+        assert!(!net.set_link(1, true));
+        assert_eq!(net.delta_counters().total(), 0, "no change, no event");
+        assert!(net.set_site(2, false));
+        assert!(!net.set_site(2, false), "idempotent set is not a change");
+        assert!(net.set_link(1, false));
+        assert_eq!(net.delta_counters().total(), 2);
     }
 
     #[test]
     fn cache_recomputes_only_when_invalidated() {
         let t = Topology::ring(5);
-        let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(5);
-        let mut cache = ComponentCache::new();
-        assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 5);
-        assert_eq!(cache.partition(&t, &s, &votes).votes_of(1), 5);
-        assert_eq!(cache.recomputations(), 1);
-        assert_eq!(cache.hits(), 1);
+        let mut net = LiveNetwork::new(&t, &votes);
+        assert_eq!(net.partition().votes_of(0), 5);
+        assert_eq!(net.partition().votes_of(1), 5);
+        assert_eq!(net.recomputations(), 1);
+        assert_eq!(net.hits(), 1);
 
-        toggle_site(&mut cache, &t, &mut s, &votes, 0);
-        assert_eq!(cache.partition(&t, &s, &votes).votes_of(1), 4);
-        assert_eq!(cache.recomputations(), 2);
+        toggle_site(&mut net, 0);
+        assert_eq!(net.partition().votes_of(1), 4);
+        assert_eq!(net.recomputations(), 2);
     }
 
     #[test]
     fn cache_observation_matches_its_own_counters() {
         let t = Topology::ring(5);
-        let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(5);
-        let mut cache = ComponentCache::new();
+        let mut net = LiveNetwork::new(&t, &votes);
         for i in 0..6 {
             if i % 3 == 0 {
-                toggle_site(&mut cache, &t, &mut s, &votes, i % 5);
+                toggle_site(&mut net, i % 5);
             }
-            cache.partition(&t, &s, &votes);
+            net.partition();
         }
         let r = quorum_obs::Registry::new();
-        cache.observe_into(&r);
+        net.observe_into(&r);
         let snap = r.snapshot();
-        assert_eq!(snap.counter(quorum_obs::keys::CACHE_HITS), cache.hits());
+        assert_eq!(snap.counter(quorum_obs::keys::CACHE_HITS), net.hits());
         assert_eq!(
             snap.counter(quorum_obs::keys::CACHE_RECOMPUTATIONS),
-            cache.recomputations()
+            net.recomputations()
         );
-        assert_eq!(cache.hits() + cache.recomputations(), 6);
+        assert_eq!(net.hits() + net.recomputations(), 6);
     }
 
     #[test]
     fn view_matches_fresh_compute_after_many_mutations() {
         let t = Topology::ring_with_chords(21, 8);
-        let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(21);
-        let mut cache = ComponentCache::new();
+        let mut net = LiveNetwork::new(&t, &votes);
         for i in 0..10 {
-            if s.site_up(i) != (i % 2 == 0) {
-                toggle_site(&mut cache, &t, &mut s, &votes, i);
+            if net.site_up(i) != (i % 2 == 0) {
+                toggle_site(&mut net, i);
             }
-            if s.link_up(i) != (i % 3 != 0) {
-                toggle_link(&mut cache, &t, &mut s, &votes, i);
+            if net.state().link_up(i) != (i % 3 != 0) {
+                toggle_link(&mut net, i);
             }
-            let cached: Vec<u64> = (0..21)
-                .map(|x| cache.partition(&t, &s, &votes).votes_of(x))
-                .collect();
-            let fresh = ComponentView::compute(&t, &s, &votes);
+            let cached: Vec<u64> = (0..21).map(|x| net.partition().votes_of(x)).collect();
+            let fresh = oracle(&net, &t, &votes);
             let direct: Vec<u64> = (0..21).map(|x| fresh.votes_of(x)).collect();
             assert_eq!(cached, direct);
         }
@@ -475,99 +515,91 @@ mod tests {
     #[test]
     fn incremental_cache_matches_reference_cache() {
         let t = Topology::ring_with_chords(21, 8);
-        let mut s = NetworkState::all_up(&t);
         let votes: Vec<u64> = (0..21).map(|i| (i % 3 + 1) as u64).collect();
-        let mut cache = ComponentCache::new();
+        let mut net = LiveNetwork::new(&t, &votes);
         let mut view_calls = 0u64;
         for i in 0..40usize {
             if i % 2 == 0 {
-                toggle_site(&mut cache, &t, &mut s, &votes, (i * 7) % 21);
+                toggle_site(&mut net, (i * 7) % 21);
             } else {
-                toggle_link(&mut cache, &t, &mut s, &votes, (i * 11) % t.num_links());
+                toggle_link(&mut net, (i * 11) % t.num_links());
             }
             // Two reads per event: the second is always a hit.
             for _ in 0..2 {
-                let got = cache.partition(&t, &s, &votes).to_view();
+                let got = net.partition().to_view();
                 view_calls += 1;
-                assert_eq!(
-                    got,
-                    ComponentView::compute(&t, &s, &votes),
-                    "kernel diverged at step {i}"
-                );
+                assert_eq!(got, oracle(&net, &t, &votes), "kernel diverged at step {i}");
             }
         }
-        assert_eq!(cache.hits() + cache.recomputations(), view_calls);
+        assert_eq!(net.hits() + net.recomputations(), view_calls);
         // Only a read after a partition change recomputes, and every
         // read here follows an event.
-        assert!(cache.recomputations() <= 40);
+        assert!(net.recomputations() <= 40);
         // Every event classified exactly once.
-        assert_eq!(cache.delta_counters().total(), 40);
+        assert_eq!(net.delta_counters().total(), 40);
     }
 
     #[test]
     fn incremental_cache_survives_invalidate() {
         let t = Topology::ring(7);
-        let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(7);
-        let mut cache = ComponentCache::new();
-        assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 7);
+        let mut net = LiveNetwork::new(&t, &votes);
+        assert_eq!(net.partition().votes_of(0), 7);
         // The kernel built by the first read absorbs every later event
         // incrementally: two failures cut the ring, a repair re-joins.
-        toggle_site(&mut cache, &t, &mut s, &votes, 2);
-        toggle_site(&mut cache, &t, &mut s, &votes, 3);
-        assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 5);
-        toggle_site(&mut cache, &t, &mut s, &votes, 3);
-        let counters = cache.delta_counters();
+        toggle_site(&mut net, 2);
+        toggle_site(&mut net, 3);
+        assert_eq!(net.partition().votes_of(0), 5);
+        toggle_site(&mut net, 3);
+        let counters = net.delta_counters();
         assert_eq!((counters.merges, counters.full_recomputes), (1, 0));
-        let fresh = ComponentView::compute(&t, &s, &votes);
-        assert_eq!(cache.partition(&t, &s, &votes).to_view(), fresh);
+        let fresh = oracle(&net, &t, &votes);
+        assert_eq!(net.partition().to_view(), fresh);
     }
 
     #[test]
     fn view_survives_a_partition_preserving_cut() {
         let t = Topology::ring(6);
-        let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(6);
-        let mut cache = ComponentCache::new();
-        cache.partition(&t, &s, &votes);
+        let mut net = LiveNetwork::new(&t, &votes);
+        net.partition();
         // The first cut of an intact ring leaves a path: same partition,
         // so the next read is a hit.
-        toggle_link(&mut cache, &t, &mut s, &votes, 0);
-        let view = cache.partition(&t, &s, &votes).to_view();
-        assert_eq!(view, ComponentView::compute(&t, &s, &votes));
-        assert_eq!((cache.recomputations(), cache.hits()), (1, 1));
+        toggle_link(&mut net, 0);
+        let view = net.partition().to_view();
+        assert_eq!(view, oracle(&net, &t, &votes));
+        assert_eq!((net.recomputations(), net.hits()), (1, 1));
         // The second cut splits it: the next read recomputes.
-        toggle_link(&mut cache, &t, &mut s, &votes, 3);
-        let view = cache.partition(&t, &s, &votes).to_view();
+        toggle_link(&mut net, 3);
+        let view = net.partition().to_view();
         assert_eq!(view.num_components(), 2);
-        assert_eq!(cache.recomputations(), 2);
-        assert_eq!(cache.partition(&t, &s, &votes).votes_of(0), 3);
-        assert_eq!(cache.hits() + cache.recomputations(), 4);
+        assert_eq!(net.recomputations(), 2);
+        assert_eq!(net.partition().votes_of(0), 3);
+        assert_eq!(net.hits() + net.recomputations(), 4);
     }
 
     #[test]
     fn event_before_first_view_counts_full_recompute() {
         let t = Topology::ring(5);
-        let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(5);
-        let mut cache = ComponentCache::new();
-        toggle_site(&mut cache, &t, &mut s, &votes, 1);
-        assert_eq!(cache.delta_counters().full_recomputes, 1);
-        assert_eq!(cache.delta_counters().total(), 1);
-        let fresh = ComponentView::compute(&t, &s, &votes);
-        assert_eq!(cache.partition(&t, &s, &votes).to_view(), fresh);
+        let mut net = LiveNetwork::new(&t, &votes);
+        toggle_site(&mut net, 1);
+        assert_eq!(net.delta_counters().full_recomputes, 1);
+        assert_eq!(net.delta_counters().total(), 1);
+        let fresh = oracle(&net, &t, &votes);
+        assert_eq!(net.partition().to_view(), fresh);
     }
 
     #[test]
     fn member_index_reads_match_scan() {
         let t = Topology::ring(6);
-        let mut s = NetworkState::all_up(&t);
-        s.set_link(0, false);
-        s.set_link(3, false);
-        s.set_site(5, false);
         let votes: Vec<u64> = vec![1, 2, 3, 4, 5, 6];
-        let mut cache = ComponentCache::new();
-        let p = cache.partition(&t, &s, &votes);
+        let mut net = LiveNetwork::new(&t, &votes);
+        net.set_link(0, false);
+        net.set_link(3, false);
+        net.set_site(5, false);
+        let s = net.state().clone();
+        let p = net.partition();
         for site in 0..6 {
             let slot = p.slot_of(site);
             if slot == ComponentView::DOWN {

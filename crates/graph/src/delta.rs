@@ -41,10 +41,14 @@
 //! moved whenever the slot's membership moves (allocated, merged, split,
 //! a member removed, freed), so `(slot, generation)` names one member set
 //! for the kernel's lifetime and per-component data keyed on it stays
-//! valid across every event that did not touch that slot. The replica,
-//! cluster and shard engines all reach this kernel through one
-//! `quorum_replica` `FailureWorld`, which feeds it every site and link
-//! transition via `ComponentCache::apply_event`.
+//! valid across every event that did not touch that slot. Every engine
+//! reaches this kernel through a [`LiveNetwork`](crate::LiveNetwork),
+//! the one owner of the up/down state: its `set_site` and `set_link`
+//! hand each actual change to [`DeltaConnectivity::apply`], so no caller
+//! can change the state without the kernel seeing it. The replica,
+//! cluster and shard engines share one `quorum_replica` `FailureWorld`,
+//! which drives its `LiveNetwork`; the scripted scenarios drive one
+//! directly.
 //!
 //! **Oracle bridge.** [`DeltaConnectivity::to_view`] renumbers the slots
 //! in first-site order, which makes the materialized [`ComponentView`]
@@ -75,8 +79,8 @@ use crate::connectivity::ComponentView;
 use crate::state::NetworkState;
 use crate::topology::Topology;
 
-/// One site/link up-down transition, as applied by the simulation
-/// engines after `NetworkState::set_site`/`set_link` reported a change.
+/// One site/link up-down transition, as [`LiveNetwork`](crate::LiveNetwork)
+/// hands it to the kernel after its state reported a change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologyEvent {
     /// Site `site` transitioned to `up`.
@@ -157,10 +161,10 @@ struct CompSlot {
 
 /// Incrementally-maintained partition of the up-subgraph.
 ///
-/// Mirrors the site/link state it was built from; callers must feed it
-/// every subsequent state change through [`DeltaConnectivity::apply`]
-/// (the engines' shared failure world routes this via
-/// `ComponentCache::apply_event`).
+/// Mirrors the site/link state it was built from; every subsequent state
+/// change must reach it through [`DeltaConnectivity::apply`].
+/// [`LiveNetwork`](crate::LiveNetwork) owns the state and the kernel
+/// together, so its setters are the only way the engines change either.
 #[derive(Debug, Clone)]
 pub struct DeltaConnectivity {
     n: usize,
@@ -232,8 +236,7 @@ impl DeltaConnectivity {
 
     /// Applies one state transition and reports which fast path handled
     /// it and whether the partition changed. The event must describe an
-    /// actual change (the engines guard with
-    /// `NetworkState::set_site`/`set_link` returning `true`).
+    /// actual change (`LiveNetwork`'s setters pass on only those).
     pub fn apply(&mut self, event: TopologyEvent) -> Applied {
         let applied = match event {
             TopologyEvent::Site { site, up: true } => self.site_recovered(site),
@@ -338,12 +341,6 @@ impl DeltaConnectivity {
             *id = remap[s];
         }
         ComponentView::from_parts(comp_id, comp_votes, comp_sizes, members)
-    }
-
-    /// True if the mirrored site bits match `state` (cheap sync check
-    /// for debug assertions — a mismatch means a missed event).
-    pub fn in_sync_with(&self, state: &NetworkState) -> bool {
-        &self.site_up == state.site_bits()
     }
 
     #[expect(
@@ -833,7 +830,6 @@ mod tests {
             check_matches_fresh(&t, &s, &votes, &k);
         }
         assert_eq!(k.to_view().num_components(), 1);
-        assert!(k.in_sync_with(&s));
     }
 
     #[test]

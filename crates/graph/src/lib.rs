@@ -13,14 +13,17 @@
 //!   (ring, ring-plus-chords "Topology *k*", fully connected) plus extras
 //!   (star, grid, path, G(n,p)) used by tests and examples.
 //! * [`NetworkState`] — which sites/links are currently up.
-//! * [`ComponentCache`] — the engines' handle on the partition: it feeds
-//!   the kernel every event and serves every partition read straight
-//!   from the kernel's slots, counting hits and recomputations.
+//! * [`LiveNetwork`] — the one owner of the live network the engines
+//!   simulate: its up/down state, set only through
+//!   [`LiveNetwork::set_site`] and [`LiveNetwork::set_link`], which hand
+//!   every actual change to the kernel, and every partition read,
+//!   served straight from the kernel's slots and counted as a hit or a
+//!   recomputation.
 //! * [`ComponentView`] — component labelling over the up-subgraph by a
 //!   full BFS ([`ComponentView::compute`]): the test oracle the kernel is
 //!   pinned against.
 //! * [`DeltaConnectivity`] — the incremental kernel behind
-//!   [`ComponentCache`]: recoveries merge components
+//!   [`LiveNetwork`]: recoveries merge components
 //!   (union-find over member bitsets), a link cut runs a two-sided search
 //!   that relabels nothing unless the component split, site failures
 //!   search or re-scan only the affected component, provable no-ops are
@@ -46,7 +49,7 @@ pub mod unionfind;
 pub use articulation::{articulation_points, articulation_weighted_votes};
 pub use bitset::BitSet;
 pub use bus::{BusFailureMode, BusNetwork};
-pub use connectivity::{ComponentCache, ComponentView};
+pub use connectivity::{ComponentView, LiveNetwork};
 pub use delta::{Applied, DeltaConnectivity, DeltaCounters, DeltaOutcome, TopologyEvent};
 pub use state::NetworkState;
 pub use topology::Topology;

@@ -62,11 +62,6 @@ impl NetworkState {
         &self.site_up
     }
 
-    /// The link up/down bits (read-only).
-    pub fn link_bits(&self) -> &BitSet {
-        &self.link_up
-    }
-
     /// Number of operational sites.
     pub fn sites_up(&self) -> usize {
         self.site_up.count_ones()
@@ -85,13 +80,6 @@ impl NetworkState {
     /// Number of links tracked.
     pub fn num_links(&self) -> usize {
         self.link_up.len()
-    }
-
-    /// Resets every component to up (start of a fresh simulation batch —
-    /// §5.2: "the network is reset to the initial state before each batch").
-    pub fn reset_all_up(&mut self) {
-        self.site_up.fill(true);
-        self.link_up.fill(true);
     }
 }
 
@@ -129,16 +117,5 @@ mod tests {
         assert!(s.set_link(0, false));
         assert!(!s.link_up(0));
         assert_eq!(s.links_up(), 3);
-    }
-
-    #[test]
-    fn reset_restores_everything() {
-        let t = Topology::ring(5);
-        let mut s = NetworkState::all_up(&t);
-        s.set_site(1, false);
-        s.set_link(3, false);
-        s.reset_all_up();
-        assert_eq!(s.sites_up(), 5);
-        assert_eq!(s.links_up(), 5);
     }
 }

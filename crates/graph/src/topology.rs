@@ -328,15 +328,6 @@ impl Topology {
         Self::from_links(n, links, format!("ring-{n}+{k}chords"))
     }
 
-    /// The paper's seven evaluation topologies for `n = 101`:
-    /// `k ∈ {0, 1, 2, 4, 16, 256, 4949}`.
-    pub fn paper_topologies() -> Vec<Topology> {
-        [0usize, 1, 2, 4, 16, 256, 4949]
-            .iter()
-            .map(|&k| Topology::ring_with_chords(101, k))
-            .collect()
-    }
-
     /// Number of sites.
     pub fn num_sites(&self) -> usize {
         self.n

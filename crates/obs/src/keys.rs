@@ -217,7 +217,8 @@ keys! {
     READ_AVAILABILITY = "read_availability";
     /// Manifest metric: write availability of the run.
     WRITE_AVAILABILITY = "write_availability";
-    /// Manifest metric: CI half-width of the availability estimate.
+    /// Manifest metric: CI half-width of the availability estimate; also
+    /// a metric prefix, per run (label: the run).
     CI_HALF_WIDTH = "ci_half_width";
     /// Manifest metric: simulated horizon of the throughput run.
     HORIZON = "horizon";
@@ -268,6 +269,12 @@ keys! {
 
     /// Timer prefix: one `figures` topology run (label `topology_{chords}`).
     FIGURES = "figures";
+    /// Metric prefix: batches one run executed (label: the run, e.g.
+    /// `topology_{chords}`).
+    BATCHES = "batches";
+    /// Metric prefix: 1 if a run's CI reached its target, 0 if the batch
+    /// cap stopped it (label: the run).
+    CONVERGED = "converged";
     /// Metric prefix: a quorum system's simulated availability (label
     /// `{topology}.{system}`).
     ACC = "acc";

@@ -3,11 +3,12 @@
 //! The graph simulator models point-to-point links; a bus is a shared
 //! medium, so it gets its own small event loop over
 //! [`quorum_graph::BusNetwork`]: one on/off process for the bus, one per
-//! site, Poisson accesses. Validates the §4.2 bus densities (both
-//! architectural variants) end-to-end and lets examples explore bus-backed
-//! replication.
+//! site, Poisson accesses. Each access goes through the replica engines'
+//! one checked access step, [`SerializabilityChecker::access`]. Validates
+//! the §4.2 bus densities (both architectural variants) end-to-end and
+//! lets examples explore bus-backed replication.
 
-use crate::object::{load_members, SerializabilityChecker};
+use crate::object::SerializabilityChecker;
 use crate::results::BatchStats;
 use crate::workload::Workload;
 use quorum_core::protocol::ConsistencyProtocol;
@@ -104,7 +105,6 @@ impl BusSimulation {
         let mut seen = 0u64;
         let mut members: Vec<usize> = Vec::with_capacity(n);
         let mut member_bits = BitSet::new(n);
-        let mut refresh_bits = BitSet::new(n);
         while seen < target {
             let (_t, ev) = queue.pop().expect("streams never drain");
             match ev {
@@ -123,19 +123,22 @@ impl BusSimulation {
                     queue.schedule_in(access_proc.next_gap(&mut access_rng), Event::Access);
                     let (kind, site) = self.workload.sample(&mut workload_rng);
                     let votes = net.votes_of(site, self.votes.as_slice());
-                    members.clear();
+                    // The bus component is every up site; a site cut off
+                    // by a bus failure is alone.
+                    member_bits.fill(false);
                     if votes > 0 {
                         if net.bus_up() {
-                            members.extend((0..n).filter(|&s| net.site_up(s)));
+                            for s in 0..n {
+                                member_bits.set(s, net.site_up(s));
+                            }
                         } else {
-                            members.push(site);
+                            member_bits.set(site, true);
                         }
                     }
-                    let decision = protocol.decide(kind, &members, votes);
-                    for refreshed in protocol.drain_refreshes() {
-                        load_members(&mut refresh_bits, &refreshed);
-                        checker.on_refresh(&refresh_bits);
-                    }
+                    members.clear();
+                    members.extend(member_bits.iter_ones());
+                    let (decision, consistent) =
+                        checker.access(protocol, kind, &members, &member_bits, votes);
                     let measured = seen > warmup;
                     if measured {
                         match kind {
@@ -169,19 +172,10 @@ impl BusSimulation {
                         };
                         stats.largest_votes.record(largest as usize);
                         stats.per_site_votes[site].record(votes as usize);
-                    }
-                    if decision.is_granted() {
-                        load_members(&mut member_bits, &members);
-                        match kind {
-                            Access::Write => {
-                                if !checker.on_write_granted(&member_bits) && measured {
-                                    stats.write_conflicts += 1;
-                                }
-                            }
-                            Access::Read => {
-                                if !checker.on_read_granted(&member_bits) && measured {
-                                    stats.stale_reads += 1;
-                                }
+                        if !consistent {
+                            match kind {
+                                Access::Write => stats.write_conflicts += 1,
+                                Access::Read => stats.stale_reads += 1,
                             }
                         }
                     }

@@ -90,16 +90,6 @@ impl CurveSet {
         }
     }
 
-    /// Wraps analytically-derived models (e.g. ring/FC closed forms).
-    pub fn from_models(acc_model: AvailabilityModel, surv_model: AvailabilityModel) -> Self {
-        let total = acc_model.total_votes();
-        Self {
-            acc_model,
-            surv_model,
-            total,
-        }
-    }
-
     /// Total votes `T`.
     pub fn total_votes(&self) -> u64 {
         self.total

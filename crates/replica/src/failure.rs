@@ -1,19 +1,20 @@
 //! The §5.2 failure world, shared by every engine that replays it.
 //!
 //! The paper's model gives every site and every link one alternating
-//! up/down renewal process, with optional per-component reliability
-//! overrides. Three engines replay that model: the instantaneous
+//! up/down renewal process, with an optional per-link reliability
+//! override. Three engines replay that model: the instantaneous
 //! simulator ([`crate::Simulation`]), the message-level cluster engine
 //! (`quorum-cluster`) and the shard crate's per-run failure timeline
 //! (`quorum-shard`). All three run it through one [`FailureWorld`]: the
-//! process bank, the failure RNG stream, the network state and the
-//! component cache, with one scheduling order and one transition arm.
-//! That is what makes the engines consume the failure stream
-//! identically, so the cluster engine's zero-latency degeneracy and the
-//! timeline's per-epoch grants are exact rather than merely statistical.
+//! process bank, the failure RNG stream and the [`LiveNetwork`] (the
+//! up/down state together with its connectivity kernel), with one
+//! scheduling order and one transition arm. That is what makes the
+//! engines consume the failure stream identically, so the cluster
+//! engine's zero-latency degeneracy and the timeline's per-epoch grants
+//! are exact rather than merely statistical.
 
 use quorum_des::{EventQueue, OnOffProcess, SimParams, SimTime};
-use quorum_graph::{ComponentCache, DeltaConnectivity, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{DeltaConnectivity, LiveNetwork, Topology};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use rand::rngs::StdRng;
 
@@ -33,39 +34,28 @@ struct FailureProcesses {
     links: Vec<OnOffProcess>,
 }
 
-fn build_bank(params: &SimParams, n: usize, rels: Option<&[f64]>) -> Vec<OnOffProcess> {
-    let default = OnOffProcess::from_reliability(params.reliability, params.mu_fail())
-        .with_distributions(params.fail_dist, params.repair_dist);
-    match rels {
-        None => vec![default; n],
-        Some(rels) => {
-            assert_eq!(rels.len(), n, "one reliability per component");
-            rels.iter()
-                .map(|&p| {
-                    OnOffProcess::from_reliability(p, params.mu_fail())
-                        .with_distributions(params.fail_dist, params.repair_dist)
-                })
-                .collect()
-        }
-    }
-}
-
 impl FailureProcesses {
-    /// Creates the process bank: every component starts up, homogeneous
-    /// parameters unless per-site / per-link reliabilities are supplied.
+    /// Creates the process bank: every component starts up, with the
+    /// homogeneous parameters, except links with a supplied per-link
+    /// reliability.
     ///
     /// # Panics
-    /// Panics on reliability-list length mismatch.
-    fn new(
-        params: &SimParams,
-        n_sites: usize,
-        n_links: usize,
-        site_rels: Option<&[f64]>,
-        link_rels: Option<&[f64]>,
-    ) -> Self {
+    /// Panics if `link_rels` does not hold one reliability per link.
+    fn new(params: &SimParams, n_sites: usize, n_links: usize, link_rels: Option<&[f64]>) -> Self {
+        let process = |p: f64| {
+            OnOffProcess::from_reliability(p, params.mu_fail())
+                .with_distributions(params.fail_dist, params.repair_dist)
+        };
+        let links = match link_rels {
+            None => vec![process(params.reliability); n_links],
+            Some(rels) => {
+                assert_eq!(rels.len(), n_links, "one reliability per component");
+                rels.iter().map(|&p| process(p)).collect()
+            }
+        };
         Self {
-            sites: build_bank(params, n_sites, site_rels),
-            links: build_bank(params, n_links, link_rels),
+            sites: vec![process(params.reliability); n_sites],
+            links,
         }
     }
 
@@ -81,58 +71,44 @@ impl FailureProcesses {
 /// One batch's replay of the §5.2 failure model over a topology.
 ///
 /// Owns the process bank, the stream-1 failure RNG
-/// (`derive_seed(batch_seed, 1)`), the [`NetworkState`] and the
-/// [`ComponentCache`], and counts the site and link transitions it
-/// applies. The caller owns the event queue, so failure transitions
-/// interleave with whatever else the engine schedules (accesses,
-/// messages, timers) without changing the failure path: the world draws
-/// from its own stream, in the same order, whatever else is queued.
+/// (`derive_seed(batch_seed, 1)`) and the [`LiveNetwork`], and counts the
+/// site and link transitions it applies. The caller owns the event
+/// queue, so failure transitions interleave with whatever else the
+/// engine schedules (accesses, messages, timers) without changing the
+/// failure path: the world draws from its own stream, in the same order,
+/// whatever else is queued.
 #[derive(Debug)]
 pub struct FailureWorld<'a> {
-    topology: &'a Topology,
-    votes: &'a [u64],
     procs: FailureProcesses,
     rng: StdRng,
-    state: NetworkState,
-    cache: ComponentCache,
+    network: LiveNetwork<'a>,
     site_transitions: u64,
     link_transitions: u64,
 }
 
 impl<'a> FailureWorld<'a> {
     /// The all-up world of batch seed `batch_seed`, weighting components
-    /// by `votes`. Reliabilities are homogeneous
-    /// (`params.reliability`) unless per-site / per-link lists are given.
+    /// by `votes`. Reliabilities are homogeneous (`params.reliability`)
+    /// unless a per-link list is given.
     ///
     /// # Panics
-    /// Panics if `votes` or a reliability list does not cover the
-    /// topology.
+    /// Panics if `votes` or the link list does not cover the topology.
     pub fn new(
         topology: &'a Topology,
-        votes: &'a [u64],
+        votes: &[u64],
         params: &SimParams,
         batch_seed: u64,
-        site_rels: Option<&[f64]>,
         link_rels: Option<&[f64]>,
     ) -> Self {
-        assert_eq!(
-            votes.len(),
-            topology.num_sites(),
-            "one vote weight per site"
-        );
         Self {
-            topology,
-            votes,
             procs: FailureProcesses::new(
                 params,
                 topology.num_sites(),
                 topology.num_links(),
-                site_rels,
                 link_rels,
             ),
             rng: rng_from_seed(derive_seed(batch_seed, 1)),
-            state: NetworkState::all_up(topology),
-            cache: ComponentCache::new(),
+            network: LiveNetwork::new(topology, votes),
             site_transitions: 0,
             link_transitions: 0,
         }
@@ -154,8 +130,8 @@ impl<'a> FailureWorld<'a> {
         }
     }
 
-    /// Applies one popped transition: flips the component, hands an
-    /// actual change to the connectivity kernel, and schedules the
+    /// Applies one popped transition: flips the component in the live
+    /// network (whose kernel absorbs an actual change) and schedules the
     /// component's next transition into `queue`.
     pub fn apply<E: From<Transition>>(
         &mut self,
@@ -165,23 +141,15 @@ impl<'a> FailureWorld<'a> {
         let process = self.procs.process(transition);
         let up = process.is_up();
         let (gap, _) = process.next_transition(&mut self.rng);
-        let event = match transition {
+        match transition {
             Transition::Site(site) => {
                 self.site_transitions += 1;
-                self.state
-                    .set_site(site, up)
-                    .then_some(TopologyEvent::Site { site, up })
+                self.network.set_site(site, up);
             }
             Transition::Link(link) => {
                 self.link_transitions += 1;
-                self.state
-                    .set_link(link, up)
-                    .then_some(TopologyEvent::Link { link, up })
+                self.network.set_link(link, up);
             }
-        };
-        if let Some(event) = event {
-            self.cache
-                .apply_event(self.topology, &self.state, self.votes, event);
         }
         queue.schedule_in(gap, transition.into());
     }
@@ -189,22 +157,22 @@ impl<'a> FailureWorld<'a> {
     /// True if `site` is up.
     #[inline]
     pub fn site_up(&self, site: usize) -> bool {
-        self.state.site_up(site)
+        self.network.site_up(site)
     }
 
     /// The current partition, read straight from the connectivity
     /// kernel: slot of a site, slot votes, members and generation, the
     /// largest vote total and `connected(a, b)`. Each call counts as one
-    /// cache read (a hit, or a recomputation if the partition changed
-    /// since the last read).
+    /// read (a hit, or a recomputation if the partition changed since
+    /// the last read).
     #[inline]
     pub fn partition(&mut self) -> &DeltaConnectivity {
-        self.cache.partition(self.topology, &self.state, self.votes)
+        self.network.partition()
     }
 
-    /// The component cache, for its hit/refresh and kernel counters.
-    pub fn cache(&self) -> &ComponentCache {
-        &self.cache
+    /// The live network, for its state and its read and kernel counters.
+    pub fn network(&self) -> &LiveNetwork<'a> {
+        &self.network
     }
 
     /// Site transitions applied so far.
@@ -223,14 +191,14 @@ mod tests {
     use super::*;
     use quorum_graph::ComponentView;
 
-    fn world<'a>(t: &'a Topology, votes: &'a [u64], seed: u64) -> FailureWorld<'a> {
-        FailureWorld::new(t, votes, &SimParams::quick(), seed, None, None)
+    fn world<'a>(t: &'a Topology, votes: &[u64], seed: u64) -> FailureWorld<'a> {
+        FailureWorld::new(t, votes, &SimParams::quick(), seed, None)
     }
 
     #[test]
     fn bank_sizes_and_defaults() {
         let p = SimParams::quick();
-        let f = FailureProcesses::new(&p, 5, 7, None, None);
+        let f = FailureProcesses::new(&p, 5, 7, None);
         assert_eq!((f.sites.len(), f.links.len()), (5, 7));
         assert!(f.sites.iter().all(|s| s.reliability() == p.reliability));
     }
@@ -288,23 +256,23 @@ mod tests {
         for _ in 0..200 {
             let (_, transition) = q.pop().expect("renewal processes never drain");
             w.apply(transition, &mut q);
-            let oracle = ComponentView::compute(&t, &w.state, &votes);
+            let oracle = ComponentView::compute(&t, w.network().state(), &votes);
             assert_eq!(w.partition().to_view(), oracle);
         }
         // Transitions alternate, so each one is a real change the kernel
         // classifies exactly once.
-        let delta = w.cache().delta_counters();
+        let delta = w.network().delta_counters();
         assert_eq!(delta.total(), w.site_transitions() + w.link_transitions());
-        assert_eq!(w.cache().hits() + w.cache().recomputations(), 200);
+        assert_eq!(w.network().hits() + w.network().recomputations(), 200);
     }
 
     #[test]
     fn heterogeneous_reliabilities_apply() {
         let p = SimParams::quick();
-        let f = FailureProcesses::new(&p, 2, 1, Some(&[0.5, 0.99]), None);
-        assert_eq!(f.sites[0].reliability(), 0.5);
-        assert!((f.sites[1].reliability() - 0.99).abs() < 1e-12);
-        assert_eq!(f.links[0].reliability(), p.reliability);
+        let f = FailureProcesses::new(&p, 1, 2, Some(&[0.5, 0.99]));
+        assert_eq!(f.links[0].reliability(), 0.5);
+        assert!((f.links[1].reliability() - 0.99).abs() < 1e-12);
+        assert_eq!(f.sites[0].reliability(), p.reliability);
     }
 
     #[test]
@@ -312,6 +280,6 @@ mod tests {
     fn wrong_override_length_rejected() {
         let t = Topology::ring(3);
         let votes = vec![1; 3];
-        FailureWorld::new(&t, &votes, &SimParams::quick(), 1, Some(&[0.9]), None);
+        FailureWorld::new(&t, &votes, &SimParams::quick(), 1, Some(&[0.9]));
     }
 }

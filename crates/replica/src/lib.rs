@@ -17,7 +17,9 @@
 //!   on-line density estimates (§4.3) under a shifting workload.
 //! * [`object::SerializabilityChecker`] — validates one-copy
 //!   serializability of every granted access (and exposes violations when
-//!   deliberately-invalid quorums are simulated).
+//!   deliberately-invalid quorums are simulated); its
+//!   [`access`](object::SerializabilityChecker::access) is the one
+//!   checked access step of [`Simulation`], [`bus_sim`] and [`script`].
 //! * [`bus_sim::BusSimulation`] — the single-bus architecture of §4.2,
 //!   validated against its closed-form densities.
 //! * [`script::Scenario`] — deterministic scripted walkthroughs (the §2.2

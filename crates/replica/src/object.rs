@@ -13,7 +13,16 @@
 //! per copy: every check is one word-parallel intersection with the
 //! component's member bits. The version-vector formulation survives as
 //! the test oracle below.
+//!
+//! [`SerializabilityChecker::access`] is the one checked access step of
+//! the replica engines ([`crate::Simulation`], [`crate::bus_sim`] and
+//! [`crate::script`]): the protocol decides, the copy refreshes of any
+//! reassignment it performed are applied, and a granted access is
+//! checked. The engines differ only in where the component comes from
+//! and what they count.
 
+use quorum_core::protocol::{ConsistencyProtocol, Decision};
+use quorum_core::Access;
 use quorum_graph::BitSet;
 
 /// Tracks copy currency and counts 1SR violations.
@@ -26,6 +35,8 @@ pub struct SerializabilityChecker {
     reads_checked: u64,
     stale_reads: u64,
     concurrent_write_epochs: u64,
+    /// Member set of the refresh being applied, reused across refreshes.
+    refresh_bits: BitSet,
 }
 
 impl SerializabilityChecker {
@@ -37,7 +48,47 @@ impl SerializabilityChecker {
             reads_checked: 0,
             stale_reads: 0,
             concurrent_write_epochs: 0,
+            refresh_bits: BitSet::new(n_sites),
         }
+    }
+
+    /// One checked access: `protocol` decides on a `kind` access from a
+    /// component with members `members` (ascending; `member_bits` is the
+    /// same set) holding `votes` votes, the copy refreshes of any
+    /// reassignment it performed inside `decide` are applied, and a
+    /// granted access is checked. Returns the decision and whether the
+    /// access was consistent (a fresh read or an aware write); a denied
+    /// access is consistent.
+    ///
+    /// # Panics
+    /// Panics if `member_bits` is not sized to the checker's site count.
+    pub fn access<P: ConsistencyProtocol + ?Sized>(
+        &mut self,
+        protocol: &mut P,
+        kind: Access,
+        members: &[usize],
+        member_bits: &BitSet,
+        votes: u64,
+    ) -> (Decision, bool) {
+        let decision = protocol.decide(kind, members, votes);
+        for refreshed in protocol.drain_refreshes() {
+            self.refresh(&refreshed);
+        }
+        let consistent = match (decision.is_granted(), kind) {
+            (false, _) => true,
+            (true, Access::Write) => self.on_write_granted(member_bits),
+            (true, Access::Read) => self.on_read_granted(member_bits),
+        };
+        (decision, consistent)
+    }
+
+    /// [`Self::on_refresh`] for a member list, such as one of a
+    /// protocol's refreshes.
+    pub(crate) fn refresh(&mut self, members: &[usize]) {
+        let mut bits = std::mem::take(&mut self.refresh_bits);
+        load_members(&mut bits, members);
+        self.on_refresh(&bits);
+        self.refresh_bits = bits;
     }
 
     /// True if a component with these members holds the latest value.
@@ -137,10 +188,9 @@ impl SerializabilityChecker {
     }
 }
 
-/// Overwrites `bits` with the sites in `members`: how a member list — a
-/// protocol's refresh list, a bus component — becomes the checker's
-/// member set without allocating.
-pub(crate) fn load_members(bits: &mut BitSet, members: &[usize]) {
+/// Overwrites `bits` with the sites in `members`: how a protocol's
+/// refresh list becomes the checker's member set without allocating.
+fn load_members(bits: &mut BitSet, members: &[usize]) {
     bits.fill(false);
     for &site in members {
         bits.set(site, true);

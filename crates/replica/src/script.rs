@@ -4,16 +4,18 @@
 //! *walkthroughs* (like the §2.2 safety narrative) want exact control:
 //! fail these links, submit this access, reassign, heal, observe. A
 //! [`Scenario`] replays an explicit step list against the same machinery
-//! the stochastic simulator uses — `NetworkState`, `ComponentCache`, the
-//! 1SR checker, and any [`ConsistencyProtocol`]. Every read of the
-//! partition — [`Scenario::votes_of`], [`Scenario::members_of`] and each
-//! access step, with the member set it hands the 1SR checker — comes
-//! straight from the cache's delta kernel.
+//! the stochastic simulator uses — a [`LiveNetwork`], the replica
+//! engines' checked access step ([`SerializabilityChecker::access`]), and
+//! any [`ConsistencyProtocol`]. A failure or repair step sets the
+//! network, whose kernel absorbs the change; every read of the partition
+//! — [`Scenario::votes_of`], [`Scenario::members_of`] and each access
+//! step, with the member set it hands the 1SR checker — comes straight
+//! from that kernel.
 
-use crate::object::{load_members, SerializabilityChecker};
+use crate::object::SerializabilityChecker;
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
-use quorum_graph::{BitSet, ComponentCache, ComponentView, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{BitSet, ComponentView, LiveNetwork, Topology};
 
 /// One scripted step.
 #[derive(Debug, Clone)]
@@ -50,15 +52,12 @@ pub struct AccessOutcome {
 
 /// A deterministic scenario executor.
 pub struct Scenario<'a> {
-    topology: &'a Topology,
-    votes: VoteAssignment,
-    state: NetworkState,
-    cache: ComponentCache,
+    network: LiveNetwork<'a>,
     checker: SerializabilityChecker,
     /// The submitting site's component members, reused across accesses.
     members: Vec<usize>,
-    /// Scratch member set for refreshes and components without votes.
-    scratch_bits: BitSet,
+    /// The member set of an access from a component without votes.
+    no_members: BitSet,
     outcomes: Vec<AccessOutcome>,
     steps_run: usize,
 }
@@ -70,38 +69,29 @@ impl<'a> Scenario<'a> {
     }
 
     /// Starts with an explicit vote assignment.
+    ///
+    /// # Panics
+    /// Panics if `votes` does not cover every site.
     pub fn with_votes(topology: &'a Topology, votes: VoteAssignment) -> Self {
-        assert_eq!(votes.num_sites(), topology.num_sites());
+        let n = topology.num_sites();
         Self {
-            topology,
-            state: NetworkState::all_up(topology),
-            cache: ComponentCache::new(),
-            checker: SerializabilityChecker::new(topology.num_sites()),
-            members: Vec::with_capacity(topology.num_sites()),
-            scratch_bits: BitSet::new(topology.num_sites()),
-            votes,
+            network: LiveNetwork::new(topology, votes.as_slice()),
+            checker: SerializabilityChecker::new(n),
+            members: Vec::with_capacity(n),
+            no_members: BitSet::new(n),
             outcomes: Vec::new(),
             steps_run: 0,
         }
     }
 
-    /// Current network state (for assertions).
-    pub fn state(&self) -> &NetworkState {
-        &self.state
-    }
-
     /// Votes reachable from `site` right now.
     pub fn votes_of(&mut self, site: usize) -> u64 {
-        self.cache
-            .partition(self.topology, &self.state, self.votes.as_slice())
-            .votes_of(site)
+        self.network.partition().votes_of(site)
     }
 
     /// Members of `site`'s component right now (empty if it is down).
     pub fn members_of(&mut self, site: usize) -> Vec<usize> {
-        let partition = self
-            .cache
-            .partition(self.topology, &self.state, self.votes.as_slice());
+        let partition = self.network.partition();
         match partition.slot_of(site) {
             ComponentView::DOWN => Vec::new(),
             slot => partition.slot_members(slot).iter_ones().collect(),
@@ -113,43 +103,33 @@ impl<'a> Scenario<'a> {
         let idx = self.steps_run;
         self.steps_run += 1;
         match step {
-            Step::FailSite(site) => self.toggle(TopologyEvent::Site { site, up: false }),
-            Step::RepairSite(site) => self.toggle(TopologyEvent::Site { site, up: true }),
-            Step::FailLink(link) => self.toggle(TopologyEvent::Link { link, up: false }),
-            Step::RepairLink(link) => self.toggle(TopologyEvent::Link { link, up: true }),
+            Step::FailSite(site) => {
+                self.network.set_site(site, false);
+            }
+            Step::RepairSite(site) => {
+                self.network.set_site(site, true);
+            }
+            Step::FailLink(link) => {
+                self.network.set_link(link, false);
+            }
+            Step::RepairLink(link) => {
+                self.network.set_link(link, true);
+            }
             Step::Access(kind, site) => {
-                let partition =
-                    self.cache
-                        .partition(self.topology, &self.state, self.votes.as_slice());
+                let partition = self.network.partition();
                 let votes = partition.votes_of(site);
                 // A site that is down, or whose component holds no votes,
                 // accesses with no members.
-                let slot_members =
-                    (votes > 0).then(|| partition.slot_members(partition.slot_of(site)));
-                self.members.clear();
-                if let Some(bits) = slot_members {
-                    self.members.extend(bits.iter_ones());
-                }
-                let decision = protocol.decide(kind, &self.members, votes);
-                for refreshed in protocol.drain_refreshes() {
-                    load_members(&mut self.scratch_bits, &refreshed);
-                    self.checker.on_refresh(&self.scratch_bits);
-                }
-                let consistent = if decision.is_granted() {
-                    let member_bits = match slot_members {
-                        Some(bits) => bits,
-                        None => {
-                            self.scratch_bits.fill(false);
-                            &self.scratch_bits
-                        }
-                    };
-                    match kind {
-                        Access::Write => self.checker.on_write_granted(member_bits),
-                        Access::Read => self.checker.on_read_granted(member_bits),
-                    }
+                let member_bits = if votes > 0 {
+                    partition.slot_members(partition.slot_of(site))
                 } else {
-                    true
+                    &self.no_members
                 };
+                self.members.clear();
+                self.members.extend(member_bits.iter_ones());
+                let (decision, consistent) =
+                    self.checker
+                        .access(protocol, kind, &self.members, member_bits, votes);
                 self.outcomes.push(AccessOutcome {
                     step: idx,
                     kind,
@@ -159,18 +139,6 @@ impl<'a> Scenario<'a> {
                     consistent,
                 });
             }
-        }
-    }
-
-    /// Sets one site or link, handing an actual change to the cache.
-    fn toggle(&mut self, event: TopologyEvent) {
-        let changed = match event {
-            TopologyEvent::Site { site, up } => self.state.set_site(site, up),
-            TopologyEvent::Link { link, up } => self.state.set_link(link, up),
-        };
-        if changed {
-            self.cache
-                .apply_event(self.topology, &self.state, self.votes.as_slice(), event);
         }
     }
 
@@ -202,8 +170,7 @@ impl<'a> Scenario<'a> {
     /// Applies a protocol-driven data refresh directly (used when a test
     /// drives the protocol outside [`Scenario::step`]).
     pub fn apply_refresh(&mut self, members: &[usize]) {
-        load_members(&mut self.scratch_bits, members);
-        self.checker.on_refresh(&self.scratch_bits);
+        self.checker.refresh(members);
     }
 }
 

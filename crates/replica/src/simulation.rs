@@ -15,7 +15,7 @@
 //! discarded; the next `batch_accesses` are measured.
 
 use crate::failure::{FailureWorld, Transition};
-use crate::object::{load_members, SerializabilityChecker};
+use crate::object::SerializabilityChecker;
 use crate::results::BatchStats;
 use crate::workload::Workload;
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
@@ -120,7 +120,6 @@ pub struct Simulation<'a> {
     batches_run: u64,
     probe_survivability: bool,
     time_weighted: bool,
-    site_reliabilities: Option<Vec<f64>>,
     link_reliabilities: Option<Vec<f64>>,
 }
 
@@ -209,33 +208,13 @@ impl<'a> Simulation<'a> {
             batches_run: 0,
             probe_survivability: false,
             time_weighted: false,
-            site_reliabilities: None,
             link_reliabilities: None,
         }
     }
 
-    /// Overrides the per-site reliabilities (links keep the global
-    /// parameter). The paper's model is homogeneous (§5.2); heterogeneous
-    /// fleets are the norm in practice and the estimator/optimizer stack
-    /// handles them — this knob lets tests and examples exercise that.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or probabilities outside `(0, 1)`.
-    pub fn with_site_reliabilities(mut self, reliabilities: Vec<f64>) -> Self {
-        assert_eq!(
-            reliabilities.len(),
-            self.topology.num_sites(),
-            "one reliability per site"
-        );
-        for &p in &reliabilities {
-            assert!(p > 0.0 && p < 1.0, "site reliability must lie in (0,1)");
-        }
-        self.site_reliabilities = Some(reliabilities);
-        self
-    }
-
-    /// Overrides the per-link reliabilities (sites keep their settings).
-    /// Lets scenarios distinguish flaky WAN links from solid LAN links.
+    /// Overrides the per-link reliabilities (sites keep the global
+    /// parameter). Lets scenarios distinguish flaky WAN links from solid
+    /// LAN links.
     ///
     /// # Panics
     /// Panics on length mismatch or probabilities outside `(0, 1)`.
@@ -276,11 +255,6 @@ impl<'a> Simulation<'a> {
         &self.votes
     }
 
-    /// The workload (mutable, so callers can shift `α` between batches).
-    pub fn workload_mut(&mut self) -> &mut Workload {
-        &mut self.workload
-    }
-
     /// Runs one warm-up + measurement batch under `protocol`, invoking
     /// `observer` on every access. Each batch uses an independent seed
     /// derived from the master seed and the batch index.
@@ -316,7 +290,6 @@ impl<'a> Simulation<'a> {
             self.votes.as_slice(),
             &self.params,
             seed,
-            self.site_reliabilities.as_deref(),
             self.link_reliabilities.as_deref(),
         );
         let mut checker = SerializabilityChecker::new(n);
@@ -337,7 +310,6 @@ impl<'a> Simulation<'a> {
         let mut accesses_seen = 0u64;
         let mut memo = ComponentMemo::default();
         let no_members = BitSet::new(n);
-        let mut refresh_bits = BitSet::new(n);
 
         let mut last_time = SimTime::ZERO;
         while accesses_seen < target {
@@ -379,14 +351,10 @@ impl<'a> Simulation<'a> {
                     } else {
                         (&[][..], &[][..], &no_members)
                     };
-                    let decision = protocol.decide(kind, members, votes);
-                    // Reassignments performed inside decide() copy the
-                    // current value across the installing component;
-                    // apply those refreshes before accounting the access.
-                    for refreshed in protocol.drain_refreshes() {
-                        load_members(&mut refresh_bits, &refreshed);
-                        checker.on_refresh(&refresh_bits);
-                    }
+                    // The 1SR checker tracks *all* granted accesses —
+                    // consistency must hold during warm-up too.
+                    let (decision, consistent) =
+                        checker.access(protocol, kind, members, member_bits, votes);
 
                     let measured = accesses_seen > warmup;
                     if measured {
@@ -422,22 +390,10 @@ impl<'a> Simulation<'a> {
                         stats.access_votes.record(votes as usize);
                         stats.largest_votes.record(largest as usize);
                         stats.per_site_votes[site].record(votes as usize);
-                    }
-                    // The 1SR checker tracks *all* granted accesses —
-                    // consistency must hold during warm-up too.
-                    if decision.is_granted() {
-                        match kind {
-                            Access::Write => {
-                                let aware = checker.on_write_granted(member_bits);
-                                if !aware && measured {
-                                    stats.write_conflicts += 1;
-                                }
-                            }
-                            Access::Read => {
-                                let fresh = checker.on_read_granted(member_bits);
-                                if !fresh && measured {
-                                    stats.stale_reads += 1;
-                                }
+                        if !consistent {
+                            match kind {
+                                Access::Write => stats.write_conflicts += 1,
+                                Access::Read => stats.stale_reads += 1,
                             }
                         }
                     }
@@ -454,10 +410,10 @@ impl<'a> Simulation<'a> {
         }
         stats.site_transitions = world.site_transitions();
         stats.link_transitions = world.link_transitions();
-        let cache = world.cache();
-        stats.cache_recomputations = cache.recomputations();
-        stats.cache_hits = cache.hits();
-        let delta = cache.delta_counters();
+        let network = world.network();
+        stats.cache_recomputations = network.recomputations();
+        stats.cache_hits = network.hits();
+        let delta = network.delta_counters();
         stats.delta_merges = delta.merges;
         stats.delta_rescans = delta.rescans;
         stats.delta_noops = delta.noops;
@@ -656,35 +612,6 @@ mod tests {
             degraded < base - 0.03,
             "flaky links should hurt: {degraded} vs {base}"
         );
-    }
-
-    #[test]
-    fn heterogeneous_site_reliabilities_show_in_per_site_histograms() {
-        // Site 0 is flaky (70%), the rest are solid (98%): site 0's
-        // estimated density must carry far more zero-vote mass.
-        let topo = Topology::fully_connected(7);
-        let mut rels = vec![0.98; 7];
-        rels[0] = 0.70;
-        let params = SimParams {
-            warmup_accesses: 2_000,
-            batch_accesses: 40_000,
-            ..SimParams::paper()
-        };
-        let mut sim = Simulation::new(&topo, params, Workload::uniform(7, 0.5), 31)
-            .with_site_reliabilities(rels);
-        let mut proto = QuorumConsensus::majority(7);
-        let stats = sim.run_batch(&mut proto, &mut NullObserver);
-        let flaky_zero = stats.per_site_votes[0].estimate().pmf(0);
-        let solid_zero = stats.per_site_votes[1].estimate().pmf(0);
-        assert!(
-            (flaky_zero - 0.30).abs() < 0.03,
-            "flaky site down mass {flaky_zero}"
-        );
-        assert!(
-            (solid_zero - 0.02).abs() < 0.01,
-            "solid site down mass {solid_zero}"
-        );
-        assert_eq!(stats.stale_reads, 0);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Parameter-sweep utilities.
 //!
-//! The experiment binaries all share the same shape: fix a topology, vary
-//! one knob (read quorum, read ratio, reliability), simulate each setting,
-//! tabulate. This module productizes that loop — one simulation per
-//! setting, batches parallelized inside each run, deterministic seeds per
-//! setting — so studies stay three lines instead of thirty.
+//! Fix a topology, vary the read quorum, simulate each setting, tabulate:
+//! one simulation per setting, batches parallelized inside each run,
+//! deterministic seeds per setting.
 
 use crate::results::RunResults;
 use crate::runner::{run_static, RunConfig};
@@ -64,67 +62,6 @@ pub fn sweep_read_quorum(
         .collect()
 }
 
-/// Sweeps the read ratio over `alphas` at a fixed assignment.
-pub fn sweep_alpha(
-    topology: &Topology,
-    votes: &VoteAssignment,
-    spec: QuorumSpec,
-    alphas: &[f64],
-    cfg: RunConfig,
-) -> Vec<SweepRow> {
-    let n = topology.num_sites();
-    alphas
-        .iter()
-        .enumerate()
-        .map(|(i, &alpha)| {
-            let results = run_static(
-                topology,
-                votes.clone(),
-                spec,
-                Workload::uniform(n, alpha),
-                RunConfig {
-                    seed: cfg.seed.wrapping_add(i as u64),
-                    ..cfg
-                },
-            );
-            SweepRow { x: alpha, results }
-        })
-        .collect()
-}
-
-/// Sweeps component reliability over `reliabilities` at a fixed
-/// assignment and ratio.
-pub fn sweep_reliability(
-    topology: &Topology,
-    votes: &VoteAssignment,
-    spec: QuorumSpec,
-    alpha: f64,
-    reliabilities: &[f64],
-    cfg: RunConfig,
-) -> Vec<SweepRow> {
-    let n = topology.num_sites();
-    reliabilities
-        .iter()
-        .enumerate()
-        .map(|(i, &rel)| {
-            let mut params = cfg.params;
-            params.reliability = rel;
-            let results = run_static(
-                topology,
-                votes.clone(),
-                spec,
-                Workload::uniform(n, alpha),
-                RunConfig {
-                    params,
-                    seed: cfg.seed.wrapping_add(i as u64),
-                    threads: cfg.threads,
-                },
-            );
-            SweepRow { x: rel, results }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,29 +93,6 @@ mod tests {
         for r in &rows {
             assert!(r.results.is_one_copy_serializable());
         }
-    }
-
-    #[test]
-    fn alpha_sweep_is_monotone_at_loose_reads() {
-        // q_r = 1: A(α) = α·R(1) + (1−α)·W(T) is increasing in α on a
-        // partition-prone ring (reads easy, writes nearly impossible).
-        let topo = Topology::ring(15);
-        let votes = VoteAssignment::uniform(15);
-        let spec = QuorumSpec::read_one_write_all(15);
-        let rows = sweep_alpha(&topo, &votes, spec, &[0.0, 0.5, 1.0], cfg(2));
-        assert!(rows[0].availability() < rows[1].availability());
-        assert!(rows[1].availability() < rows[2].availability());
-    }
-
-    #[test]
-    fn reliability_sweep_is_monotone() {
-        let topo = Topology::ring_with_chords(11, 3);
-        let votes = VoteAssignment::uniform(11);
-        let spec = QuorumSpec::majority(11);
-        let rows = sweep_reliability(&topo, &votes, spec, 0.5, &[0.80, 0.90, 0.98], cfg(3));
-        assert!(rows[0].availability() < rows[1].availability());
-        assert!(rows[1].availability() < rows[2].availability());
-        assert!((rows[2].x - 0.98).abs() < 1e-12);
     }
 
     #[test]

@@ -368,12 +368,6 @@ impl ObjectCatalog {
         let u = (derive_seed(RATE_SALT, object) >> 11) as f64 / (1u64 << 53) as f64;
         self.classes[self.class_of(object)].base_rate * (0.5 + u)
     }
-
-    /// Mean access rate over the whole population (exact sum of
-    /// [`Self::rate_of`]; used for load reporting, not for sampling).
-    pub fn total_rate(&self) -> f64 {
-        (0..self.objects).map(|o| self.rate_of(o)).sum()
-    }
 }
 
 /// Index of `votes` in `tables`, interning it if new.

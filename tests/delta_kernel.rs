@@ -1,7 +1,7 @@
 //! Equivalence pinning for the incremental connectivity kernel.
 //!
 //! The contract under test: the kernel must never change a reported
-//! number. [`ComponentCache`] (merge on recovery, single-component
+//! number. [`LiveNetwork`]'s kernel (merge on recovery, single-component
 //! rescan on failure, no-op filtering) must produce component views
 //! bit-identical to the full-BFS oracle [`ComponentView::compute`] after
 //! *every* event of *any* event sequence, and must classify every event
@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use quorum_graph::{
-    BitSet, ComponentCache, ComponentView, DeltaConnectivity, NetworkState, Topology, TopologyEvent,
+    BitSet, ComponentView, DeltaConnectivity, LiveNetwork, NetworkState, Topology, TopologyEvent,
 };
 
 /// The topology families named by the paper's §5 experiments plus the
@@ -67,6 +67,16 @@ fn toggle(state: &mut NetworkState, topo: &Topology, pick: usize) -> TopologyEve
     }
 }
 
+/// [`toggle`] applied to a live network through its setters.
+fn toggle_live(net: &mut LiveNetwork<'_>, topo: &Topology, pick: usize) {
+    let mut state = net.state().clone();
+    let changed = match toggle(&mut state, topo, pick) {
+        TopologyEvent::Site { site, up } => net.set_site(site, up),
+        TopologyEvent::Link { link, up } => net.set_link(link, up),
+    };
+    assert!(changed);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -80,16 +90,14 @@ proptest! {
         picks in proptest::collection::vec(0usize..10_000, 1..70),
     ) {
         let (topo, votes) = family(kind, n);
-        let mut state = NetworkState::all_up(&topo);
-        let mut cache = ComponentCache::new();
+        let mut net = LiveNetwork::new(&topo, &votes);
         // Build the kernel before any event so merges/rescans (not rebuild
         // fallbacks) carry the sequence.
-        cache.partition(&topo, &state, &votes);
+        net.partition();
         for &pick in &picks {
-            let ev = toggle(&mut state, &topo, pick);
-            cache.apply_event(&topo, &state, &votes, ev);
-            let expected = ComponentView::compute(&topo, &state, &votes);
-            prop_assert_eq!(cache.partition(&topo, &state, &votes).to_view(), expected);
+            toggle_live(&mut net, &topo, pick);
+            let expected = ComponentView::compute(&topo, net.state(), &votes);
+            prop_assert_eq!(net.partition().to_view(), expected);
         }
     }
 
@@ -156,13 +164,11 @@ proptest! {
         picks in proptest::collection::vec(0usize..10_000, 1..70),
     ) {
         let (topo, votes) = family(kind, n);
-        let mut state = NetworkState::all_up(&topo);
-        let mut cache = ComponentCache::new();
+        let mut net = LiveNetwork::new(&topo, &votes);
         for &pick in &picks {
-            let ev = toggle(&mut state, &topo, pick);
-            cache.apply_event(&topo, &state, &votes, ev);
+            toggle_live(&mut net, &topo, pick);
         }
-        prop_assert_eq!(cache.delta_counters().total(), picks.len() as u64);
+        prop_assert_eq!(net.delta_counters().total(), picks.len() as u64);
     }
 }
 
@@ -171,30 +177,17 @@ proptest! {
 #[test]
 fn all_down_then_all_up_matches_reference() {
     let (topo, votes) = family(1, 12);
-    let mut state = NetworkState::all_up(&topo);
-    let mut cache = ComponentCache::new();
-    cache.partition(&topo, &state, &votes);
+    let mut net = LiveNetwork::new(&topo, &votes);
+    net.partition();
     let n = topo.num_sites();
     for phase in [false, true] {
         for s in 0..n {
-            assert!(state.set_site(s, phase));
-            cache.apply_event(
-                &topo,
-                &state,
-                &votes,
-                TopologyEvent::Site { site: s, up: phase },
-            );
-            let expected = ComponentView::compute(&topo, &state, &votes);
-            assert_eq!(cache.partition(&topo, &state, &votes).to_view(), expected);
+            assert!(net.set_site(s, phase));
+            let expected = ComponentView::compute(&topo, net.state(), &votes);
+            assert_eq!(net.partition().to_view(), expected);
         }
     }
-    assert_eq!(
-        cache
-            .partition(&topo, &state, &votes)
-            .to_view()
-            .num_components(),
-        1
-    );
+    assert_eq!(net.partition().to_view().num_components(), 1);
 }
 
 /// Hub failure on a star shatters one component into n−1 singletons in a
@@ -202,24 +195,16 @@ fn all_down_then_all_up_matches_reference() {
 #[test]
 fn star_hub_failure_and_recovery_match_reference() {
     let (topo, votes) = family(3, 9);
-    let mut state = NetworkState::all_up(&topo);
-    let mut cache = ComponentCache::new();
-    cache.partition(&topo, &state, &votes);
+    let mut net = LiveNetwork::new(&topo, &votes);
+    net.partition();
     for up in [false, true] {
-        assert!(state.set_site(0, up));
-        cache.apply_event(&topo, &state, &votes, TopologyEvent::Site { site: 0, up });
-        let expected = ComponentView::compute(&topo, &state, &votes);
-        assert_eq!(cache.partition(&topo, &state, &votes).to_view(), expected);
+        assert!(net.set_site(0, up));
+        let expected = ComponentView::compute(&topo, net.state(), &votes);
+        assert_eq!(net.partition().to_view(), expected);
         let want = if up { 1 } else { topo.num_sites() - 1 };
-        assert_eq!(
-            cache
-                .partition(&topo, &state, &votes)
-                .to_view()
-                .num_components(),
-            want
-        );
+        assert_eq!(net.partition().to_view().num_components(), want);
     }
-    let counters = cache.delta_counters();
+    let counters = net.delta_counters();
     assert_eq!(counters.rescans, 1, "hub failure is one component rescan");
     assert_eq!(counters.merges, 1, "hub recovery is one merge cascade");
 }

@@ -1,12 +1,12 @@
 //! Cross-crate observability checks: the numbers flowing into a
 //! `quorum_obs::Registry` must agree with the instrumented components'
-//! own accounting, end to end — from a raw [`ComponentCache`] up through
+//! own accounting, end to end — from a raw [`LiveNetwork`] up through
 //! the `validate_curves` sweep and its written manifest.
 
 use quorum_bench::validate::{run, ValidateOpts};
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
-use quorum_graph::{ComponentCache, NetworkState, Topology, TopologyEvent};
+use quorum_graph::{LiveNetwork, Topology};
 use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::{run_static_observed, RunConfig, Workload};
 
@@ -23,30 +23,29 @@ fn tiny_params() -> SimParams {
 
 #[test]
 fn registry_cache_counters_equal_cache_accounting() {
-    // Drive a ComponentCache by hand: the counts it reports into a
+    // Drive a LiveNetwork by hand: the counts it reports into a
     // registry must equal its own hits()/recomputations() exactly.
     let topo = Topology::ring_with_chords(11, 2);
     let votes = vec![1u64; 11];
-    let mut state = NetworkState::all_up(&topo);
-    let mut cache = ComponentCache::new();
+    let mut net = LiveNetwork::new(&topo, &votes);
     let mut queries = 0u64;
     for round in 0..25 {
         let (site, up) = (round % 11, round % 8 != 0);
-        if round % 4 == 0 && state.set_site(site, up) {
-            cache.apply_event(&topo, &state, &votes, TopologyEvent::Site { site, up });
+        if round % 4 == 0 {
+            net.set_site(site, up);
         }
-        cache.partition(&topo, &state, &votes);
+        net.partition();
         queries += 1;
     }
     let registry = Registry::new();
-    cache.observe_into(&registry);
+    net.observe_into(&registry);
     let snap = registry.snapshot();
-    assert_eq!(snap.counter(keys::CACHE_HITS), cache.hits());
+    assert_eq!(snap.counter(keys::CACHE_HITS), net.hits());
     assert_eq!(
         snap.counter(keys::CACHE_RECOMPUTATIONS),
-        cache.recomputations()
+        net.recomputations()
     );
-    assert_eq!(cache.hits() + cache.recomputations(), queries);
+    assert_eq!(net.hits() + net.recomputations(), queries);
 }
 
 #[test]
