@@ -830,6 +830,7 @@ mod tests {
             check_matches_fresh(&t, &s, &votes, &k);
         }
         assert_eq!(k.to_view().num_components(), 1);
+        assert_eq!(&k.site_up, s.site_bits(), "the kernel saw every event");
     }
 
     #[test]
