@@ -9,11 +9,11 @@
 //!   per event, and the incremental delta kernel driven through a
 //!   [`LiveNetwork`] as the engines drive it (merge on recovery,
 //!   two-sided search or single-component rescan on failure, no-op
-//!   filtering), read straight from the kernel. The run asserts that all three report
-//!   the same numbers and that every event lands in exactly one
-//!   fast-path counter, and reports wall-clock and the full-BFS/delta
-//!   speedup — the headline ratio EXPERIMENTS.md quotes for
-//!   chords ≥ 256.
+//!   filtering), read straight from the kernel. The run asserts that
+//!   all three report the same numbers and that every event lands in
+//!   exactly one fast-path counter, and reports wall-clock and the
+//!   full-BFS/delta speedup — the headline ratio EXPERIMENTS.md quotes
+//!   for chords ≥ 256.
 //! * **Engine batches** — full replica-simulator batches (ring, full,
 //!   bus) at 1 and `--threads` worker threads.
 //!
@@ -29,7 +29,8 @@
 use quorum_bench::{check_batches, check_events, manifest, print_table, run_jobs, Args, Scale};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_graph::{
-    ComponentView, DeltaConnectivity, LiveNetwork, NetworkState, Topology, TopologyEvent,
+    ComponentView, DeltaConnectivity, DeltaCounters, LiveNetwork, NetworkState, Topology,
+    TopologyEvent,
 };
 use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::simulation::NullObserver;
@@ -134,8 +135,9 @@ fn apply_to_state(state: &mut NetworkState, ev: TopologyEvent) {
 
 /// Replays `trace` through a live network's delta kernel with 8
 /// component reads per event, each read straight from the kernel as the
-/// engines read it. Returns (wall seconds, vote checksum, final network).
-fn replay_delta<'a>(setup: &'a Setup, trace: &[TopologyEvent]) -> (f64, u64, LiveNetwork<'a>) {
+/// engines read it. Returns (wall seconds, vote checksum, fast-path
+/// counters).
+fn replay_delta(setup: &Setup, trace: &[TopologyEvent]) -> (f64, u64, DeltaCounters) {
     let n = setup.topo.num_sites();
     let mut net = LiveNetwork::new(&setup.topo, setup.votes.as_slice());
     net.partition();
@@ -155,7 +157,7 @@ fn replay_delta<'a>(setup: &'a Setup, trace: &[TopologyEvent]) -> (f64, u64, Liv
             acc += net.partition().votes_of((i + k) % n);
         }
     }
-    (started.elapsed().as_secs_f64(), acc, net)
+    (started.elapsed().as_secs_f64(), acc, net.delta_counters())
 }
 
 /// Replays with a from-scratch view per event, built by `rebuild`: the
@@ -258,10 +260,9 @@ fn main() {
         let (bitset_secs, bitset_acc) = replay_rebuild(setup, &trace, |t, s, v| {
             DeltaConnectivity::new(t, s, v).to_view()
         });
-        let (delta_secs, delta_acc, net) = replay_delta(setup, &trace);
+        let (delta_secs, delta_acc, counters) = replay_delta(setup, &trace);
         assert_eq!(full_acc, delta_acc, "kernel changed a reported number");
         assert_eq!(full_acc, bitset_acc, "bitset BFS changed a reported number");
-        let counters = net.delta_counters();
         assert_eq!(
             counters.total(),
             events as u64,
