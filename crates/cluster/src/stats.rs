@@ -66,6 +66,11 @@ impl LatencyHistogram {
         }
     }
 
+    /// Sum of every recorded latency.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
     /// Per-bucket counts (last entry is the overflow bucket).
     pub fn counts(&self) -> &[u64] {
         &self.counts
