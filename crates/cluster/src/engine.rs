@@ -75,13 +75,8 @@ use rand::Rng;
 type Queue = quorum_des::EventQueue<Event>;
 
 /// One scheduled event of the cluster event loop.
-///
-/// Public so alternative drivers (e.g. the demonstration
-/// [`Scheduler`] impl on `EventQueue<Event>`) can name the queue's
-/// payload type; the engine itself constructs and consumes these
-/// internally.
 #[derive(Debug, Clone, Copy)]
-pub enum Event {
+enum Event {
     /// A site or link flips up/down (failure renewal process).
     Failure(Transition),
     /// The next Poisson access arrives.
@@ -100,42 +95,15 @@ impl From<Transition> for Event {
     }
 }
 
-/// The trivial ideal-network driver: an `EventQueue` over [`Event`]
-/// *is* a scheduler — sends become zero-latency, loss-free deliveries
-/// and timers become plain cancellable entries.
-///
-/// The engine itself layers loss and latency on top via `NetScheduler`;
-/// this impl exists so a [`ProtocolCore`] can be driven directly off a
-/// bare queue (unit tests, examples) with no stochastic machinery at all.
-impl Scheduler for Queue {
-    fn now(&self) -> SimTime {
-        Queue::now(self)
-    }
-
-    fn send(&mut self, msg: Message) -> bool {
-        self.schedule_in(0.0, Event::Deliver(msg));
-        true
-    }
-
-    fn arm_timer(&mut self, id: SessionId, timeout: f64) -> TimerToken {
-        TimerToken::new(
-            self.schedule_cancellable_in(timeout, Event::SessionTimeout(id))
-                .raw(),
-        )
-    }
-
-    fn cancel_timer(&mut self, token: TimerToken) -> bool {
-        self.cancel(EventKey::from_raw(token.raw()))
-    }
-}
-
 /// The stochastic transport: Bernoulli loss at the sender, sampled
 /// latency otherwise, timers as cancellable queue entries. Borrows the
-/// batch's queue and network RNG for the duration of one protocol step.
+/// batch's queue, network RNG and statistics for the duration of one
+/// protocol step.
 struct NetScheduler<'q> {
     queue: &'q mut Queue,
     net: &'q NetConfig,
     rng: &'q mut StdRng,
+    stats: &'q mut ClusterStats,
 }
 
 impl Scheduler for NetScheduler<'_> {
@@ -162,6 +130,10 @@ impl Scheduler for NetScheduler<'_> {
 
     fn cancel_timer(&mut self, token: TimerToken) -> bool {
         self.queue.cancel(EventKey::from_raw(token.raw()))
+    }
+
+    fn stats(&mut self) -> &mut ClusterStats {
+        self.stats
     }
 }
 
@@ -285,9 +257,9 @@ impl<'a> ClusterEngine<'a> {
             queue.schedule(SimTime::new(step.at), Event::Install(i));
         }
 
-        let mut core = ProtocolCore::new(&self.config, &self.votes, self.initial_spec);
+        let mut stats = ClusterStats::new(&self.config.latency_bounds);
         if self.config.record_outcomes {
-            core.stats_mut().outcomes = vec![None; self.config.params.batch_accesses as usize];
+            stats.outcomes = vec![None; self.config.params.batch_accesses as usize];
         }
 
         let warmup = self.config.params.warmup_accesses;
@@ -302,7 +274,8 @@ impl<'a> ClusterEngine<'a> {
             net_rng,
             access_proc,
             workload: self.workload.clone(),
-            core,
+            core: ProtocolCore::new(&self.config, &self.votes, self.initial_spec),
+            stats,
             warmup,
             target,
             accesses_seen: 0,
@@ -323,8 +296,7 @@ impl<'a> ClusterEngine<'a> {
         }
 
         let delta = batch.world.network().delta_counters();
-        let violations = batch.core.checker().violations();
-        let mut stats = batch.core.take_stats();
+        let mut stats = batch.stats;
         stats.site_transitions = batch.world.site_transitions();
         stats.link_transitions = batch.world.link_transitions();
         stats.delta_merges = delta.merges;
@@ -333,7 +305,7 @@ impl<'a> ClusterEngine<'a> {
         stats.full_recomputes = delta.full_recomputes;
         stats.events_processed = batch.queue.popped();
         stats.timers_cancelled = batch.queue.cancelled();
-        stats.freshness_violations = violations;
+        stats.freshness_violations = batch.core.checker().violations();
         if let Some(start) = batch.measured_start {
             stats.measured_duration = batch.now - start;
         }
@@ -343,7 +315,8 @@ impl<'a> ClusterEngine<'a> {
 
 /// All mutable state of one running batch: the stochastic environment
 /// (failure processes, access stream, transport RNG) wrapped around the
-/// scheduler-agnostic [`ProtocolCore`].
+/// scheduler-agnostic [`ProtocolCore`], and the batch's statistics,
+/// which the core tallies into through `NetScheduler`.
 struct Batch<'a> {
     config: &'a ClusterConfig,
     queue: Queue,
@@ -354,6 +327,7 @@ struct Batch<'a> {
     access_proc: PoissonProcess,
     workload: Workload,
     core: ProtocolCore<'a>,
+    stats: ClusterStats,
     warmup: u64,
     target: u64,
     accesses_seen: u64,
@@ -379,20 +353,20 @@ impl Batch<'_> {
                 self.measured_start = Some(self.now);
             }
             match kind {
-                Access::Read => self.core.stats_mut().reads_submitted += 1,
-                Access::Write => self.core.stats_mut().writes_submitted += 1,
+                Access::Read => self.stats.reads_submitted += 1,
+                Access::Write => self.stats.writes_submitted += 1,
             }
         }
         if !self.world.site_up(origin) {
             if measured {
                 match kind {
-                    Access::Read => self.core.stats_mut().reads_unavailable += 1,
-                    Access::Write => self.core.stats_mut().writes_unavailable += 1,
+                    Access::Read => self.stats.reads_unavailable += 1,
+                    Access::Write => self.stats.writes_unavailable += 1,
                 }
             }
             if self.config.record_outcomes {
                 if let Some(i) = measured_index {
-                    self.core.stats_mut().outcomes[i as usize] = Some((kind, Outcome::Unavailable));
+                    self.stats.outcomes[i as usize] = Some((kind, Outcome::Unavailable));
                 }
             }
             return;
@@ -401,6 +375,7 @@ impl Batch<'_> {
             queue: &mut self.queue,
             net: &self.config.net,
             rng: &mut self.net_rng,
+            stats: &mut self.stats,
         };
         self.core
             .open_session(origin, kind, measured_index, &mut sched);
@@ -410,14 +385,15 @@ impl Batch<'_> {
     /// reachable at this instant, else run the receiving actor's step.
     fn deliver(&mut self, msg: Message) {
         if !self.world.partition().connected(msg.from, msg.to) {
-            self.core.stats_mut().messages_dropped += 1;
+            self.stats.messages_dropped += 1;
             return;
         }
-        self.core.stats_mut().messages_delivered += 1;
+        self.stats.messages_delivered += 1;
         let mut sched = NetScheduler {
             queue: &mut self.queue,
             net: &self.config.net,
             rng: &mut self.net_rng,
+            stats: &mut self.stats,
         };
         self.core.handle_message(msg, &mut sched);
     }
@@ -433,6 +409,7 @@ impl Batch<'_> {
             queue: &mut self.queue,
             net: &self.config.net,
             rng: &mut self.net_rng,
+            stats: &mut self.stats,
         };
         self.core.session_timeout(id, origin_up, &mut sched);
     }
@@ -449,6 +426,7 @@ impl Batch<'_> {
             queue: &mut self.queue,
             net: &self.config.net,
             rng: &mut self.net_rng,
+            stats: &mut self.stats,
         };
         self.core
             .apply_install(step.origin, epoch, step.spec, &mut sched);
@@ -704,28 +682,5 @@ mod tests {
             (a.reads_committed, a.writes_committed),
             (b.reads_committed, b.writes_committed)
         );
-    }
-
-    #[test]
-    fn bare_event_queue_is_an_ideal_scheduler() {
-        // The demonstration impl: drive the protocol core directly off
-        // an EventQueue with no loss/latency machinery.
-        let cfg = ClusterConfig::ideal(SimParams::quick());
-        let votes = VoteAssignment::uniform(3);
-        let mut core = ProtocolCore::new(&cfg, &votes, QuorumSpec::majority(3));
-        let mut queue = Queue::new();
-        let id = core.open_session(0, Access::Write, Some(0), &mut queue);
-        // Drain deliveries until the session resolves: request → grant →
-        // commit → ack, all at time zero.
-        while core.session_view(id).is_some() {
-            let (_, ev) = queue.pop().expect("protocol must make progress");
-            match ev {
-                Event::Deliver(msg) => core.handle_message(msg, &mut queue),
-                Event::SessionTimeout(_) => unreachable!("timer was cancelled"),
-                _ => unreachable!("no other events scheduled"),
-            }
-        }
-        assert_eq!(core.stats().writes_committed, 1);
-        assert_eq!(core.checker().violations(), 0);
     }
 }

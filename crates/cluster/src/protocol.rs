@@ -82,7 +82,9 @@ impl TimerToken {
 /// the bounded-retry machinery. Implementations decide *when* (or
 /// *whether*) sent messages come back via
 /// [`ProtocolCore::handle_message`] and when armed timers come back via
-/// [`ProtocolCore::session_timeout`].
+/// [`ProtocolCore::session_timeout`]. The environment also says where
+/// the core tallies: [`Scheduler::stats`] is the driver's
+/// [`ClusterStats`], which the core writes and never reads.
 pub trait Scheduler {
     /// Current simulated time; labels session latencies. A model checker
     /// with no clock may return [`SimTime::ZERO`] everywhere.
@@ -101,6 +103,11 @@ pub trait Scheduler {
     /// Cancels a previously armed timer; `true` iff it was still
     /// pending.
     fn cancel_timer(&mut self, token: TimerToken) -> bool;
+
+    /// The statistics the core tallies into: sends and send-time drops,
+    /// sessions opened, retries, adoptions, epoch resets and ignored
+    /// stale pledges, and each measured session's outcome and latency.
+    fn stats(&mut self) -> &mut ClusterStats;
 }
 
 /// Which part of a session is gathering votes.
@@ -199,12 +206,13 @@ pub struct SiteView {
 /// session state, independent of any particular scheduler.
 ///
 /// The engine's event loop owns one per batch; the model checker clones
-/// one per explored transition. A clone is not free: it allocates the
-/// site table, the session table, each open session's per-site
-/// `contributed` flags, and the statistics' latency histograms, so its
-/// cost grows with the site count and the number of open sessions. All
-/// statistics accumulate into [`ProtocolCore::stats`]; violation
-/// counting lives in the embedded [`FreshnessChecker`].
+/// one per explored transition. The core holds protocol state only: its
+/// statistics go to the driver through [`Scheduler::stats`], so a clone
+/// allocates just the site table, the session table and each open
+/// session's per-site `contributed` flags, and its cost grows with the
+/// site count and the number of open sessions. Violation counting lives
+/// in the embedded [`FreshnessChecker`], which is protocol state: the
+/// freshness floor feeds every later read's check.
 #[derive(Debug, Clone)]
 pub struct ProtocolCore<'a> {
     config: &'a ClusterConfig,
@@ -219,7 +227,6 @@ pub struct ProtocolCore<'a> {
     sessions: Vec<Session>,
     next_session: SessionId,
     checker: FreshnessChecker,
-    stats: ClusterStats,
 }
 
 impl<'a> ProtocolCore<'a> {
@@ -248,33 +255,12 @@ impl<'a> ProtocolCore<'a> {
             sessions: Vec::new(),
             next_session: NO_SESSION + 1,
             checker: FreshnessChecker::new(),
-            stats: ClusterStats::new(&config.latency_bounds),
         }
     }
 
     /// Number of sites.
     pub fn num_sites(&self) -> usize {
         self.num_sites
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &ClusterStats {
-        &self.stats
-    }
-
-    /// Mutable statistics — the driving loop owns submission accounting
-    /// (measured reads/writes, unavailability), which depends on
-    /// batch-level warm-up state the core does not know about.
-    pub fn stats_mut(&mut self) -> &mut ClusterStats {
-        &mut self.stats
-    }
-
-    /// Moves the accumulated statistics out, leaving empty ones.
-    pub fn take_stats(&mut self) -> ClusterStats {
-        std::mem::replace(
-            &mut self.stats,
-            ClusterStats::new(&self.config.latency_bounds),
-        )
     }
 
     /// The freshness checker (floor and violation counts).
@@ -327,17 +313,25 @@ impl<'a> ProtocolCore<'a> {
 
     /// Sends a message, counting the send and an immediate transport
     /// drop.
-    fn send(&mut self, sched: &mut impl Scheduler, msg: Message) {
-        self.stats.messages_sent += 1;
-        if !sched.send(msg) {
-            self.stats.messages_dropped += 1;
+    fn send(sched: &mut impl Scheduler, msg: Message) {
+        let delivered = sched.send(msg);
+        let stats = sched.stats();
+        stats.messages_sent += 1;
+        if !delivered {
+            stats.messages_dropped += 1;
         }
     }
 
-    fn record_outcome(&mut self, index: Option<u64>, kind: Access, outcome: Outcome) {
+    fn record_outcome(
+        &self,
+        sched: &mut impl Scheduler,
+        index: Option<u64>,
+        kind: Access,
+        outcome: Outcome,
+    ) {
         if self.config.record_outcomes {
             if let Some(i) = index {
-                self.stats.outcomes[i as usize] = Some((kind, outcome));
+                sched.stats().outcomes[i as usize] = Some((kind, outcome));
             }
         }
     }
@@ -360,7 +354,7 @@ impl<'a> ProtocolCore<'a> {
     ) -> SessionId {
         let id = self.next_session;
         self.next_session += 1;
-        self.stats.sessions_opened += 1;
+        sched.stats().sessions_opened += 1;
         let assignment = self.sites[origin].assignment;
         let own = self.votes.votes_of(origin);
         let n = self.num_sites;
@@ -387,7 +381,7 @@ impl<'a> ProtocolCore<'a> {
             timer,
         });
         for peer in (0..n).filter(|&p| p != origin) {
-            self.send(
+            Self::send(
                 sched,
                 Message {
                     from: origin,
@@ -428,10 +422,10 @@ impl<'a> ProtocolCore<'a> {
                         version: epoch,
                         spec: epoch_spec,
                     };
-                    self.stats.installs_applied += 1;
+                    sched.stats().installs_applied += 1;
                 } else if known > epoch {
                     let a = self.sites[site].assignment;
-                    self.send(
+                    Self::send(
                         sched,
                         Message {
                             from: site,
@@ -462,7 +456,7 @@ impl<'a> ProtocolCore<'a> {
                         epoch,
                     },
                 };
-                self.send(
+                Self::send(
                     sched,
                     Message {
                         from: site,
@@ -490,7 +484,7 @@ impl<'a> ProtocolCore<'a> {
                         version: epoch,
                         spec: epoch_spec,
                     };
-                    self.stats.installs_applied += 1;
+                    sched.stats().installs_applied += 1;
                 }
             }
             Payload::WriteCommit { version } => {
@@ -498,7 +492,7 @@ impl<'a> ProtocolCore<'a> {
                     self.sites[site].version = version;
                 }
                 let votes = self.votes.votes_of(site);
-                self.send(
+                Self::send(
                     sched,
                     Message {
                         from: site,
@@ -517,7 +511,7 @@ impl<'a> ProtocolCore<'a> {
                         version: epoch,
                         spec: epoch_spec,
                     };
-                    self.stats.installs_applied += 1;
+                    sched.stats().installs_applied += 1;
                 }
             }
         }
@@ -547,7 +541,7 @@ impl<'a> ProtocolCore<'a> {
             // arriving after a timeout adopted a newer assignment land
             // here.) The retry machinery re-requests the pledge under
             // the session's current epoch.
-            self.stats.stale_grants_ignored += 1;
+            sched.stats().stale_grants_ignored += 1;
             return;
         }
         s.contributed[from] = true;
@@ -600,7 +594,7 @@ impl<'a> ProtocolCore<'a> {
                 self.sites[origin].version = self.sites[origin].version.max(version);
                 let n = self.num_sites;
                 for peer in (0..n).filter(|&p| p != origin) {
-                    self.send(
+                    Self::send(
                         sched,
                         Message {
                             from: origin,
@@ -627,7 +621,7 @@ impl<'a> ProtocolCore<'a> {
                 self.sites[origin].version = self.sites[origin].version.max(version);
                 let n = self.num_sites;
                 for peer in (0..n).filter(|&p| p != origin) {
-                    self.send(
+                    Self::send(
                         sched,
                         Message {
                             from: origin,
@@ -677,30 +671,31 @@ impl<'a> ProtocolCore<'a> {
             s.contributed.fill(false);
             s.contributed[origin] = true;
             s.max_version = self.sites[origin].version;
-            self.stats.cross_epoch_resets += 1;
+            sched.stats().cross_epoch_resets += 1;
         }
         s.epoch = assignment.version;
         s.spec = assignment.spec;
         s.timer = sched.arm_timer(id, self.config.timeout_for(s.round));
-        let (phase, kind, epoch, spec, version) = (s.phase, s.kind, s.epoch, s.spec, s.new_version);
-        let pending: Vec<usize> = s
+        sched.stats().retries += 1;
+        let payload = match s.phase {
+            SessionPhase::Gather => Payload::VoteRequest {
+                kind: s.kind,
+                epoch: s.epoch,
+                epoch_spec: s.spec,
+            },
+            SessionPhase::Commit => Payload::WriteCommit {
+                version: s.new_version,
+            },
+        };
+        // Retries go to every peer that has not contributed to the
+        // current phase, in ascending site order.
+        for (peer, _) in s
             .contributed
             .iter()
             .enumerate()
             .filter(|&(p, &c)| !c && p != origin)
-            .map(|(p, _)| p)
-            .collect();
-        self.stats.retries += 1;
-        for peer in pending {
-            let payload = match phase {
-                SessionPhase::Gather => Payload::VoteRequest {
-                    kind,
-                    epoch,
-                    epoch_spec: spec,
-                },
-                SessionPhase::Commit => Payload::WriteCommit { version },
-            };
-            self.send(
+        {
+            Self::send(
                 sched,
                 Message {
                     from: origin,
@@ -728,11 +723,11 @@ impl<'a> ProtocolCore<'a> {
                 version: epoch,
                 spec,
             };
-            self.stats.installs_applied += 1;
+            sched.stats().installs_applied += 1;
         }
         let n = self.num_sites;
         for peer in (0..n).filter(|&p| p != origin) {
-            self.send(
+            Self::send(
                 sched,
                 Message {
                     from: origin,
@@ -754,30 +749,32 @@ impl<'a> ProtocolCore<'a> {
             Access::Read => {
                 self.checker.on_read_committed(s.floor, s.max_version);
                 if s.measured_index.is_some() {
-                    self.stats.reads_committed += 1;
-                    self.stats.read_latency.record(latency);
+                    let stats = sched.stats();
+                    stats.reads_committed += 1;
+                    stats.read_latency.record(latency);
                 }
             }
             Access::Write => {
                 self.checker.on_write_committed(s.new_version);
                 if s.measured_index.is_some() {
-                    self.stats.writes_committed += 1;
-                    self.stats.write_latency.record(latency);
+                    let stats = sched.stats();
+                    stats.writes_committed += 1;
+                    stats.write_latency.record(latency);
                 }
             }
         }
-        self.record_outcome(s.measured_index, s.kind, Outcome::Committed);
+        self.record_outcome(sched, s.measured_index, s.kind, Outcome::Committed);
     }
 
     fn resolve_timed_out(&mut self, s: Session, sched: &mut impl Scheduler) {
         sched.cancel_timer(s.timer);
         if s.measured_index.is_some() {
             match s.kind {
-                Access::Read => self.stats.reads_timed_out += 1,
-                Access::Write => self.stats.writes_timed_out += 1,
+                Access::Read => sched.stats().reads_timed_out += 1,
+                Access::Write => sched.stats().writes_timed_out += 1,
             }
         }
-        self.record_outcome(s.measured_index, s.kind, Outcome::TimedOut);
+        self.record_outcome(sched, s.measured_index, s.kind, Outcome::TimedOut);
     }
 }
 
@@ -788,12 +785,25 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// A minimal deterministic scheduler: sent messages pile up in a
-    /// vector, timers in a map. Tests deliver and fire by hand.
-    #[derive(Debug, Default)]
+    /// vector, timers in a map, tallies in `stats`. Tests deliver and
+    /// fire by hand.
+    #[derive(Debug)]
     struct BagScheduler {
         in_flight: Vec<Message>,
         timers: BTreeMap<u64, SessionId>,
         next_token: u64,
+        stats: ClusterStats,
+    }
+
+    impl BagScheduler {
+        fn new(cfg: &ClusterConfig) -> Self {
+            Self {
+                in_flight: Vec::new(),
+                timers: BTreeMap::new(),
+                next_token: 0,
+                stats: ClusterStats::new(&cfg.latency_bounds),
+            }
+        }
     }
 
     impl Scheduler for BagScheduler {
@@ -812,6 +822,9 @@ mod tests {
         }
         fn cancel_timer(&mut self, token: TimerToken) -> bool {
             self.timers.remove(&token.raw()).is_some()
+        }
+        fn stats(&mut self) -> &mut ClusterStats {
+            &mut self.stats
         }
     }
 
@@ -832,7 +845,7 @@ mod tests {
         let votes = VoteAssignment::uniform(3);
         let initial = QuorumSpec::new(2, 3, 3).unwrap();
         let mut core = ProtocolCore::new(&cfg, &votes, initial);
-        let mut sched = BagScheduler::default();
+        let mut sched = BagScheduler::new(&cfg);
 
         let id = core.open_session(0, Access::Write, None, &mut sched);
         // Site 1 pledges under epoch 0: votes 1 (own) + 1 = 2 < q_w 3.
@@ -875,7 +888,7 @@ mod tests {
         assert_eq!(v.spec, new_spec);
         assert_eq!(v.votes, 1, "old-epoch pledge discarded, own vote re-seeded");
         assert_eq!(v.contributed, &[true, false, false]);
-        assert_eq!(core.stats().cross_epoch_resets, 1);
+        assert_eq!(sched.stats.cross_epoch_resets, 1);
     }
 
     /// The ablation restores the pre-fix mixing: the old-epoch pledge
@@ -886,7 +899,7 @@ mod tests {
         let votes = VoteAssignment::uniform(3);
         let initial = QuorumSpec::new(2, 3, 3).unwrap();
         let mut core = ProtocolCore::new(&cfg, &votes, initial);
-        let mut sched = BagScheduler::default();
+        let mut sched = BagScheduler::new(&cfg);
 
         let id = core.open_session(0, Access::Write, None, &mut sched);
         core.handle_message(
@@ -919,7 +932,7 @@ mod tests {
         let v = core.session_view(id).unwrap();
         assert_eq!(v.epoch, 1);
         assert_eq!(v.votes, 2, "ablation keeps the epoch-0 pledge");
-        assert_eq!(core.stats().cross_epoch_resets, 0);
+        assert_eq!(sched.stats.cross_epoch_resets, 0);
     }
 
     /// A pledge granted under an older epoch arriving *after* the
@@ -931,7 +944,7 @@ mod tests {
         let votes = VoteAssignment::uniform(3);
         let initial = QuorumSpec::new(2, 3, 3).unwrap();
         let mut core = ProtocolCore::new(&cfg, &votes, initial);
-        let mut sched = BagScheduler::default();
+        let mut sched = BagScheduler::new(&cfg);
 
         let id = core.open_session(0, Access::Write, None, &mut sched);
         let new_spec = QuorumSpec::new(2, 2, 3).unwrap();
@@ -967,7 +980,7 @@ mod tests {
         let v = core.session_view(id).unwrap();
         assert_eq!(v.votes, 1, "stale-epoch pledge must not count");
         assert!(!v.contributed[1]);
-        assert_eq!(core.stats().stale_grants_ignored, 1);
+        assert_eq!(sched.stats.stale_grants_ignored, 1);
 
         // Re-granted under the current epoch it counts: 2 votes reach
         // q_w = 2 and the write advances to its commit phase.
@@ -996,7 +1009,7 @@ mod tests {
         let votes = VoteAssignment::uniform(3);
         let initial = QuorumSpec::majority(3); // (2, 2)
         let mut core = ProtocolCore::new(&cfg, &votes, initial);
-        let mut sched = BagScheduler::default();
+        let mut sched = BagScheduler::new(&cfg);
 
         let id = core.open_session(0, Access::Read, None, &mut sched);
         core.handle_message(
@@ -1039,7 +1052,7 @@ mod tests {
             );
         }
         assert_eq!(core.open_sessions(), 0);
-        assert_eq!(core.stats().reads_committed, 0, "unmeasured session");
+        assert_eq!(sched.stats.reads_committed, 0, "unmeasured session");
         // Firing a stale timer for the resolved session is also a no-op.
         core.session_timeout(id, true, &mut sched);
         assert_eq!(core.open_sessions(), 0);

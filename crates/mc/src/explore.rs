@@ -26,9 +26,10 @@
 //!
 //! A state is identified by a canonical byte encoding of its semantic
 //! content: the script/mode counters, site versions/epochs, open-session
-//! accumulators, and the in-flight multiset. Timer token values and
-//! statistics counters are deliberately excluded — they never affect
-//! future behavior. With symmetry enabled the key is the minimum
+//! accumulators, and the in-flight multiset. Timer token values are
+//! deliberately excluded — they never affect future behavior — and
+//! statistics are not part of a state at all: the search keeps one
+//! `ClusterStats` for every step to tally into. With symmetry enabled the key is the minimum
 //! encoding over the universe's valid site permutations (those that
 //! preserve votes, fix every scripted origin, and map every mode's
 //! partition onto itself), quotienting away interchangeable-site
@@ -86,17 +87,19 @@
 
 use crate::universe::Universe;
 use quorum_cluster::{
-    Message, Payload, ProtocolCore, Scheduler, SessionId, SessionPhase, TimerToken,
+    ClusterStats, Message, Payload, ProtocolCore, Scheduler, SessionId, SessionPhase, TimerToken,
 };
 use quorum_core::Access;
 use quorum_des::SimTime;
 use quorum_obs::Registry;
 use std::collections::{BTreeSet, VecDeque};
 
-/// The enumerable transport: sent messages pile up in an in-flight bag,
-/// timers in a token-sorted list. The explorer picks which message to
-/// deliver or drop and which timer to fire; nothing ever happens
-/// spontaneously.
+/// The enumerable transport of one explored state: sent messages pile up
+/// in an in-flight bag, timers in a token-sorted list. The explorer picks
+/// which message to deliver or drop and which timer to fire; nothing
+/// ever happens spontaneously. Each protocol step drives the core
+/// through a short-lived [`Tally`] that pairs the bag with the search's
+/// one [`ClusterStats`], so no explored state carries statistics.
 #[derive(Debug, Clone, Default)]
 pub struct BagScheduler {
     in_flight: Vec<Message>,
@@ -124,25 +127,37 @@ impl BagScheduler {
     }
 }
 
-impl Scheduler for BagScheduler {
+/// The [`Scheduler`] of one protocol step: a state's bag, plus the
+/// statistics the core tallies into. The search owns those statistics
+/// and never reads them.
+struct Tally<'s> {
+    bag: &'s mut BagScheduler,
+    stats: &'s mut ClusterStats,
+}
+
+impl Scheduler for Tally<'_> {
     fn now(&self) -> SimTime {
         SimTime::ZERO
     }
 
     fn send(&mut self, msg: Message) -> bool {
-        self.in_flight.push(msg);
+        self.bag.in_flight.push(msg);
         true
     }
 
     fn arm_timer(&mut self, id: SessionId, _timeout: f64) -> TimerToken {
-        let raw = self.next_token;
-        self.next_token += 1;
-        self.timers.push((raw, id));
+        let raw = self.bag.next_token;
+        self.bag.next_token += 1;
+        self.bag.timers.push((raw, id));
         TimerToken::new(raw)
     }
 
     fn cancel_timer(&mut self, token: TimerToken) -> bool {
-        self.take_timer(token.raw()).is_some()
+        self.bag.take_timer(token.raw()).is_some()
+    }
+
+    fn stats(&mut self) -> &mut ClusterStats {
+        self.stats
     }
 }
 
@@ -274,8 +289,9 @@ impl McReport {
     }
 }
 
-/// One node of the search: the protocol core plus everything the core
-/// delegates to the environment.
+/// One node of the search: the protocol core plus the transport state
+/// the core delegates to the environment. Statistics are not part of
+/// it (see [`Tally`]).
 #[derive(Clone)]
 struct McState<'a> {
     core: ProtocolCore<'a>,
@@ -485,8 +501,8 @@ impl KeyEncoder {
     }
 
     /// Writes the state's semantic content under the site renaming
-    /// `perm` into `out`. Timer token values, statistics, and clock are
-    /// excluded: they never affect future protocol behavior.
+    /// `perm` into `out`. Timer token values and clock are excluded:
+    /// they never affect future protocol behavior.
     fn encode(&mut self, st: &McState<'_>, perm: &[usize], out: &mut Vec<u8>) {
         out.clear();
         self.inv.clear();
@@ -745,12 +761,13 @@ fn has_choices(ctx: &Ctx<'_>, st: &McState<'_>) -> bool {
         || (st.net_changes < ctx.universe.max_net_changes && ctx.universe.modes.len() > 1)
 }
 
-/// Executes one transition on a clone of `st`, appending any
-/// transition-level violations to `viols`.
+/// Executes one transition on a clone of `st`, tallying into `stats` and
+/// appending any transition-level violations to `viols`.
 fn step<'a>(
     ctx: &Ctx<'_>,
     st: &McState<'a>,
     choice: Choice,
+    stats: &mut ClusterStats,
     viols: &mut Vec<ViolationKind>,
 ) -> McState<'a> {
     let mut s = st.clone();
@@ -768,11 +785,14 @@ fn step<'a>(
                     .map(|v| (v.epoch, epoch)),
                 _ => None,
             };
-            s.core.stats_mut().messages_delivered += 1;
-            {
-                let McState { core, sched, .. } = &mut s;
-                core.handle_message(msg, sched);
-            }
+            stats.messages_delivered += 1;
+            s.core.handle_message(
+                msg,
+                &mut Tally {
+                    bag: &mut s.sched,
+                    stats,
+                },
+            );
             if let Some((session_epoch, msg_epoch)) = pledge {
                 // Accepted iff the session resolved, advanced to its
                 // commit phase, or marked the sender as contributed —
@@ -788,7 +808,7 @@ fn step<'a>(
         }
         Choice::Drop(i) => {
             s.sched.in_flight.remove(i);
-            s.core.stats_mut().messages_dropped += 1;
+            stats.messages_dropped += 1;
         }
         Choice::Timer(tok) => {
             let id = s
@@ -796,10 +816,14 @@ fn step<'a>(
                 .take_timer(tok)
                 .expect("enumerated timers are pending");
             let pre = s.core.session_view(id).map(|v| (v.epoch, v.origin));
-            {
-                let McState { core, sched, .. } = &mut s;
-                core.session_timeout(id, true, sched);
-            }
+            s.core.session_timeout(
+                id,
+                true,
+                &mut Tally {
+                    bag: &mut s.sched,
+                    stats,
+                },
+            );
             if let Some((epoch_before, origin)) = pre {
                 if let Some(v) = s.core.session_view(id) {
                     // A retry that adopted a different epoch must hold
@@ -821,18 +845,32 @@ fn step<'a>(
             let index = s.next_access as u64;
             s.next_access += 1;
             match kind {
-                Access::Read => s.core.stats_mut().reads_submitted += 1,
-                Access::Write => s.core.stats_mut().writes_submitted += 1,
+                Access::Read => stats.reads_submitted += 1,
+                Access::Write => stats.writes_submitted += 1,
             }
-            let McState { core, sched, .. } = &mut s;
-            core.open_session(origin, kind, Some(index), sched);
+            s.core.open_session(
+                origin,
+                kind,
+                Some(index),
+                &mut Tally {
+                    bag: &mut s.sched,
+                    stats,
+                },
+            );
         }
         Choice::Install => {
             let (origin, spec) = ctx.universe.installs[s.next_install];
             let epoch = (s.next_install + 1) as u64;
             s.next_install += 1;
-            let McState { core, sched, .. } = &mut s;
-            core.apply_install(origin, epoch, spec, sched);
+            s.core.apply_install(
+                origin,
+                epoch,
+                spec,
+                &mut Tally {
+                    bag: &mut s.sched,
+                    stats,
+                },
+            );
         }
     }
     if s.core.checker().violations() > fresh_before {
@@ -896,6 +934,7 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
     frontier.push_back((root, 0));
     let mut cs = Vec::new();
     let mut viols = Vec::new();
+    let mut stats = ClusterStats::new(&cfg.latency_bounds);
 
     'bfs: while let Some((st, depth)) = frontier.pop_front() {
         report.max_depth_seen = report.max_depth_seen.max(depth);
@@ -908,7 +947,7 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
         choices(&ctx, &st, opts.reduction, &mut report, &mut cs);
         for &choice in &cs {
             report.transitions += 1;
-            let next = step(&ctx, &st, choice, &mut viols);
+            let next = step(&ctx, &st, choice, &mut stats, &mut viols);
             for kind in viols.drain(..) {
                 report.record(kind, depth + 1);
             }
@@ -1086,11 +1125,22 @@ mod tests {
             next_access: 1,
             next_install: 0,
         };
-        let McState { core, sched, .. } = &mut st;
-        core.open_session(0, Access::Write, Some(0), sched);
+        let mut stats = ClusterStats::new(&cfg.latency_bounds);
+        st.core.open_session(
+            0,
+            Access::Write,
+            Some(0),
+            &mut Tally {
+                bag: &mut st.sched,
+                stats: &mut stats,
+            },
+        );
         st
     }
 
+    /// Statistics cannot enter the key: a state holds none (the search
+    /// tallies into one `ClusterStats` outside every state). What is left
+    /// to check is that timer token values stay out.
     #[test]
     fn timer_tokens_and_stats_do_not_enter_the_key() {
         let u = Universe::standard();
@@ -1105,15 +1155,17 @@ mod tests {
             sched: BagScheduler::default(),
             ..a.clone()
         };
+        let mut stats = ClusterStats::new(&cfg.latency_bounds);
+        let mut sched = Tally {
+            bag: &mut b.sched,
+            stats: &mut stats,
+        };
         // Burn timer tokens so b's session timer gets a different one.
         for _ in 0..5 {
-            let t = b.sched.arm_timer(99, 1.0);
-            b.sched.cancel_timer(t);
+            let t = sched.arm_timer(99, 1.0);
+            sched.cancel_timer(t);
         }
-        let McState { core, sched, .. } = &mut b;
-        core.open_session(0, Access::Write, Some(0), sched);
-        core.stats_mut().messages_delivered += 7;
-        core.stats_mut().writes_submitted += 1;
+        b.core.open_session(0, Access::Write, Some(0), &mut sched);
         assert_ne!(a.sched.pending_timers(), b.sched.pending_timers());
         assert_eq!(enc.canonical_key(&ctx, &b), key_a.as_slice());
     }
