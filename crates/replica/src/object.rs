@@ -25,16 +25,14 @@ use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::Access;
 use quorum_graph::BitSet;
 
-/// Tracks copy currency and counts 1SR violations.
+/// Tracks copy currency and judges each granted access against it; the
+/// engines count violations from the verdicts.
 #[derive(Debug, Clone)]
 pub struct SerializabilityChecker {
     /// Copies holding the most recent granted write (initially all).
     current: BitSet,
     /// Version of the most recent granted write; 0 = the initial value.
     latest: u64,
-    reads_checked: u64,
-    stale_reads: u64,
-    concurrent_write_epochs: u64,
     /// Member set of the refresh being applied, reused across refreshes.
     refresh_bits: BitSet,
 }
@@ -45,9 +43,6 @@ impl SerializabilityChecker {
         Self {
             current: BitSet::all_set(n_sites),
             latest: 0,
-            reads_checked: 0,
-            stale_reads: 0,
-            concurrent_write_epochs: 0,
             refresh_bits: BitSet::new(n_sites),
         }
     }
@@ -101,18 +96,15 @@ impl SerializabilityChecker {
     /// Records a granted write performed from a component with member
     /// set `members`: all reachable copies receive the new version.
     ///
-    /// Returns `false` — and counts a *write-write conflict* — when the
-    /// writing component could not see the most recent write (a lost
-    /// update). Condition 2 (`q_w > T/2`) exists precisely to make this
+    /// Returns `false` — a *write-write conflict* — when the writing
+    /// component could not see the most recent write (a lost update).
+    /// Condition 2 (`q_w > T/2`) exists precisely to make this
     /// impossible; condition 1 alone only protects reads.
     ///
     /// # Panics
     /// Panics if `members` is not sized to the checker's site count.
     pub fn on_write_granted(&mut self, members: &BitSet) -> bool {
         let aware = self.sees_latest(members);
-        if !aware {
-            self.concurrent_write_epochs += 1;
-        }
         self.latest += 1;
         self.current.copy_from(members);
         aware
@@ -137,54 +129,13 @@ impl SerializabilityChecker {
         }
     }
 
-    /// Records a granted read from a component with member set
+    /// Checks a granted read from a component with member set
     /// `members`; returns `true` if the read saw the most recent write.
     ///
     /// # Panics
     /// Panics if `members` is not sized to the checker's site count.
-    pub fn on_read_granted(&mut self, members: &BitSet) -> bool {
-        self.reads_checked += 1;
-        let fresh = self.sees_latest(members);
-        if !fresh {
-            self.stale_reads += 1;
-        }
-        fresh
-    }
-
-    /// Version of the most recent granted write.
-    pub fn latest_version(&self) -> u64 {
-        self.latest
-    }
-
-    /// Granted reads validated so far.
-    pub fn reads_checked(&self) -> u64 {
-        self.reads_checked
-    }
-
-    /// Reads that missed the most recent write (must be 0 under valid
-    /// quorums).
-    pub fn stale_reads(&self) -> u64 {
-        self.stale_reads
-    }
-
-    /// Writes performed without seeing the most recent write — lost
-    /// updates (must be 0 when `q_w > T/2`).
-    pub fn write_conflicts(&self) -> u64 {
-        self.concurrent_write_epochs
-    }
-
-    /// True iff no violation has been observed.
-    pub fn is_one_copy_serializable(&self) -> bool {
-        self.stale_reads == 0 && self.concurrent_write_epochs == 0
-    }
-
-    /// Resets for a fresh batch.
-    pub fn reset(&mut self) {
-        self.current.fill(true);
-        self.latest = 0;
-        self.reads_checked = 0;
-        self.stale_reads = 0;
-        self.concurrent_write_epochs = 0;
+    pub fn on_read_granted(&self, members: &BitSet) -> bool {
+        self.sees_latest(members)
     }
 }
 
@@ -208,9 +159,6 @@ mod tests {
     struct VersionVectorChecker {
         copy_version: Vec<u64>,
         latest: u64,
-        reads_checked: u64,
-        stale_reads: u64,
-        write_conflicts: u64,
     }
 
     impl VersionVectorChecker {
@@ -218,9 +166,6 @@ mod tests {
             Self {
                 copy_version: vec![0; n_sites],
                 latest: 0,
-                reads_checked: 0,
-                stale_reads: 0,
-                write_conflicts: 0,
             }
         }
 
@@ -234,9 +179,6 @@ mod tests {
 
         fn on_write_granted(&mut self, members: &[usize]) -> bool {
             let aware = self.best(members) == self.latest;
-            if !aware {
-                self.write_conflicts += 1;
-            }
             self.latest += 1;
             for &s in members {
                 self.copy_version[s] = self.latest;
@@ -251,13 +193,8 @@ mod tests {
             }
         }
 
-        fn on_read_granted(&mut self, members: &[usize]) -> bool {
-            self.reads_checked += 1;
-            let fresh = self.best(members) == self.latest;
-            if !fresh {
-                self.stale_reads += 1;
-            }
-            fresh
+        fn on_read_granted(&self, members: &[usize]) -> bool {
+            self.best(members) == self.latest
         }
     }
 
@@ -272,7 +209,6 @@ mod tests {
         let mut c = SerializabilityChecker::new(5);
         assert!(c.on_write_granted(&bits(5, &[0, 1, 2])));
         assert!(c.on_read_granted(&bits(5, &[2, 3])));
-        assert!(c.is_one_copy_serializable());
     }
 
     #[test]
@@ -283,15 +219,12 @@ mod tests {
             !c.on_read_granted(&bits(5, &[3, 4])),
             "no current copy reachable"
         );
-        assert_eq!(c.stale_reads(), 1);
-        assert!(!c.is_one_copy_serializable());
     }
 
     #[test]
     fn initial_reads_are_fresh() {
-        let mut c = SerializabilityChecker::new(3);
+        let c = SerializabilityChecker::new(3);
         assert!(c.on_read_granted(&bits(3, &[1])));
-        assert_eq!(c.latest_version(), 0);
     }
 
     #[test]
@@ -314,8 +247,6 @@ mod tests {
         let mut c = SerializabilityChecker::new(6);
         assert!(c.on_write_granted(&bits(6, &[0, 1, 2])));
         assert!(!c.on_write_granted(&bits(6, &[3, 4, 5])), "blind write");
-        assert_eq!(c.write_conflicts(), 1);
-        assert!(!c.is_one_copy_serializable());
         // A read that reaches the newest epoch is still "fresh" w.r.t. the
         // version counter, but the history is already non-serializable.
         assert!(c.on_read_granted(&bits(6, &[4])));
@@ -332,22 +263,6 @@ mod tests {
         c.on_refresh(&bits(6, &[1, 2, 3]));
         assert!(c.on_read_granted(&bits(6, &[3])));
         assert!(!c.on_read_granted(&bits(6, &[4, 5])));
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut c = SerializabilityChecker::new(3);
-        c.on_write_granted(&bits(3, &[0]));
-        c.on_read_granted(&bits(3, &[1])); // stale
-        assert!(!c.is_one_copy_serializable());
-        c.reset();
-        assert!(c.is_one_copy_serializable());
-        assert_eq!(c.latest_version(), 0);
-        assert_eq!(c.reads_checked(), 0);
-        assert!(
-            c.on_read_granted(&bits(3, &[1])),
-            "all copies current again"
-        );
     }
 
     #[test]
@@ -388,8 +303,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
         /// The bit-set checker and the version-vector reference agree on
-        /// every return value and every counter, after every operation of
-        /// a random write/read/refresh sequence.
+        /// every verdict of a random write/read/refresh sequence: each
+        /// write's awareness, each read's freshness, and after each
+        /// refresh the freshness of a read from the refreshed members.
         #[test]
         fn bitset_checker_matches_version_vectors(
             size in 0usize..5,
@@ -416,12 +332,12 @@ mod tests {
                     _ => {
                         fast.on_refresh(&member_bits);
                         oracle.on_refresh(&members);
+                        prop_assert_eq!(
+                            fast.on_read_granted(&member_bits),
+                            oracle.on_read_granted(&members)
+                        );
                     }
                 }
-                prop_assert_eq!(fast.latest_version(), oracle.latest);
-                prop_assert_eq!(fast.stale_reads(), oracle.stale_reads);
-                prop_assert_eq!(fast.write_conflicts(), oracle.write_conflicts);
-                prop_assert_eq!(fast.reads_checked(), oracle.reads_checked);
             }
         }
     }
