@@ -6,7 +6,7 @@
 //! on the table: controllers that halt when the bus dies ("fail with
 //! bus") versus controllers that keep running isolated ("independent").
 //! We compute the exact §4.2 densities for both, pick optimal quorums for
-//! a 60 %-read workload, and confirm with the discrete-event simulator.
+//! a 90 %-read workload, and confirm with the discrete-event simulator.
 
 use quorum_core::analytic::{bus_density_sites_fail, bus_density_sites_independent};
 use quorum_core::{AvailabilityModel, QuorumConsensus, QuorumSpec, SearchStrategy};
@@ -78,6 +78,10 @@ fn main() {
     }
 
     println!("\ntakeaway: the 'independent' design keeps reads at isolated controllers");
-    println!("alive through bus outages, which pushes the optimal assignment toward");
-    println!("smaller read quorums than the fail-with-bus design tolerates.");
+    println!("alive through bus outages, which raises the availability of small read");
+    println!(
+        "quorums (A(q_r=1) above); at {:.0}% reads that does not move the optimum,",
+        alpha * 100.0
+    );
+    println!("and both designs pick the same assignment.");
 }
