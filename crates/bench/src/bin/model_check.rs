@@ -19,7 +19,6 @@
 
 use quorum_bench::{manifest, or_usage_exit, print_table, Args};
 use quorum_mc::{explore, ExploreOptions, Universe};
-use quorum_obs::{Registry, RunManifest};
 
 fn main() {
     let args = Args::parse();
@@ -56,7 +55,7 @@ fn main() {
 
     #[expect(
         clippy::disallowed_methods,
-        reason = "exploration wall time for the printout; the state counts never read it"
+        reason = "exploration wall time for the printout and the manifest's mc.explore phase; the state counts never read it"
     )]
     let started = std::time::Instant::now();
     let report = explore(&universe, &opts);
@@ -124,11 +123,6 @@ fn main() {
         println!("# certified: every reachable state within bounds satisfies all invariants");
     }
 
-    let registry = Registry::new();
-    report.observe_into(&registry);
-    let mut m = RunManifest::new("model_check", 0);
-    m.votes = universe.votes.as_slice().to_vec();
-    m.set_metric(quorum_obs::keys::MC_ABLATE, f64::from(opts.mix_epoch_votes));
-    m.absorb_snapshot(&registry.snapshot());
+    let m = manifest::model_check_manifest(&universe.votes, opts.mix_epoch_votes, &report, wall);
     manifest::write_requested(&args, &m);
 }

@@ -11,9 +11,11 @@ use crate::{or_usage_exit, Args};
 use quorum_core::VoteAssignment;
 use quorum_des::{DurationDist, SimParams};
 use quorum_graph::Topology;
+use quorum_mc::McReport;
 use quorum_obs::{keys, Registry, RunManifest, SimParamsRecord, TopologyRecord};
 use quorum_replica::RunResults;
 use std::path::Path;
+use std::time::Duration;
 
 /// Manifest name of a duration-distribution shape.
 pub fn dist_name(d: DurationDist) -> String {
@@ -100,6 +102,47 @@ pub fn record_convergence(m: &mut RunManifest, label: &str, results: &RunResults
     m.set_labeled_metric(keys::CONVERGED, label, f64::from(u8::from(converged)));
 }
 
+/// The `model_check` manifest of one exploration: the report's `mc.*`
+/// counters and gauges, the universe's votes, whether the ablation ran,
+/// the exploration's wall time `explore_wall` as phase `mc.explore`, and
+/// the process's peak resident set as metric `mc.peak_rss_mb` where
+/// `/proc/self/status` reports it.
+pub fn model_check_manifest(
+    votes: &VoteAssignment,
+    ablate: bool,
+    report: &McReport,
+    explore_wall: Duration,
+) -> RunManifest {
+    let registry = Registry::new();
+    report.observe_into(&registry);
+    registry.record_duration(keys::MC_EXPLORE, explore_wall);
+    let mut m = RunManifest::new("model_check", 0);
+    m.votes = votes.as_slice().to_vec();
+    m.set_metric(keys::MC_ABLATE, f64::from(ablate));
+    m.absorb_snapshot(&registry.snapshot());
+    if let Some(mb) = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| vm_hwm_mib(&status))
+    {
+        m.set_metric(keys::MC_PEAK_RSS_MB, mb);
+    }
+    m
+}
+
+/// The `VmHWM` (peak resident set) line of a `/proc/<pid>/status` text,
+/// in MiB; `None` if the line is missing or malformed.
+fn vm_hwm_mib(status: &str) -> Option<f64> {
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib as f64 / 1024.0)
+}
+
 /// Checks `--manifest` before the run, so a run whose manifest could not
 /// be written never starts: the flag needs a path, and the path's parent
 /// must be an existing directory. A bad value is a usage error (status
@@ -164,6 +207,15 @@ fn try_write_requested(args: &Args, manifest: &RunManifest) -> Result<bool, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vm_hwm_is_read_in_mib_and_absent_without_its_line() {
+        let status =
+            "Name:\tmodel_check\nVmPeak:\t  2048 kB\nVmHWM:\t  1536 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(vm_hwm_mib(status), Some(1.5));
+        assert_eq!(vm_hwm_mib("Name:\tmodel_check\nVmRSS:\t 1024 kB\n"), None);
+        assert_eq!(vm_hwm_mib("VmHWM:\t  lots\n"), None);
+    }
 
     #[test]
     fn dist_names_are_stable() {

@@ -171,6 +171,11 @@ keys! {
     MC_FIRST_CROSS_EPOCH_DEPTH = "mc.first_cross_epoch_depth";
     /// Timer over a model-check ablation sweep.
     MC_ABLATE = "mc.ablate";
+    /// Timer over one model-check exploration (`model_check`'s phase).
+    MC_EXPLORE = "mc.explore";
+    /// Manifest metric: peak resident set of the model-check process in
+    /// MiB (`VmHWM`; absent where `/proc/self/status` is).
+    MC_PEAK_RSS_MB = "mc.peak_rss_mb";
     /// Phase label for a static-assignment replica run.
     REPLICA_RUN_STATIC = "replica.run_static";
     /// Per-batch duration histogramming in the replica runner.

@@ -170,3 +170,29 @@ fn report_counters_flow_into_the_registry() {
     assert_eq!(snap.counter(quorum_obs::keys::MC_TRUNCATED), 0);
     assert_eq!(snap.counter(quorum_obs::keys::MC_CAPPED), 0);
 }
+
+#[test]
+fn model_check_manifest_records_time_and_memory() {
+    let u = Universe::symmetric();
+    let report = explore(&u, &ExploreOptions::default());
+    let wall = std::time::Duration::from_millis(250);
+    let m = quorum_bench::manifest::model_check_manifest(&u.votes, false, &report, wall);
+    let explore_phase: Vec<_> = m
+        .phases
+        .iter()
+        .filter(|p| p.phase == quorum_obs::keys::MC_EXPLORE.as_str())
+        .collect();
+    assert_eq!(explore_phase.len(), 1);
+    assert_eq!(explore_phase[0].activations, 1);
+    assert!((explore_phase[0].seconds - 0.25).abs() < 1e-9);
+    assert_eq!(
+        m.counter(quorum_obs::keys::MC_STATES_EXPLORED),
+        report.states_explored
+    );
+    let peak = m.metrics.get(quorum_obs::keys::MC_PEAK_RSS_MB.as_str());
+    if std::path::Path::new("/proc/self/status").exists() {
+        assert!(peak.is_some_and(|&mb| mb > 0.0), "{peak:?}");
+    } else {
+        assert!(peak.is_none());
+    }
+}
