@@ -314,10 +314,10 @@ impl<'a> ProtocolCore<'a> {
     /// Sends a message, counting the send and an immediate transport
     /// drop.
     fn send(sched: &mut impl Scheduler, msg: Message) {
-        let delivered = sched.send(msg);
+        let accepted = sched.send(msg);
         let stats = sched.stats();
         stats.messages_sent += 1;
-        if !delivered {
+        if !accepted {
             stats.messages_dropped += 1;
         }
     }
