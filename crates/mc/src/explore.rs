@@ -29,11 +29,11 @@
 //! accumulators, and the in-flight multiset. Timer token values are
 //! deliberately excluded — they never affect future behavior — and
 //! statistics are not part of a state at all: the search keeps one
-//! `ClusterStats` for every step to tally into. With symmetry enabled the key is the minimum
-//! encoding over the universe's valid site permutations (those that
-//! preserve votes, fix every scripted origin, and map every mode's
-//! partition onto itself), quotienting away interchangeable-site
-//! symmetry.
+//! `ClusterStats` for every step to tally into. With symmetry enabled
+//! the key is the minimum encoding over the universe's valid site
+//! permutations (those that preserve votes, fix every scripted origin,
+//! and map every mode's partition onto itself), quotienting away
+//! interchangeable-site symmetry.
 //!
 //! The key is written in place by a `KeyEncoder` whose buffers live
 //! for the whole search. Every field has a fixed width, the session
@@ -98,7 +98,7 @@ use std::collections::{BTreeSet, VecDeque};
 /// in an in-flight bag, timers in a token-sorted list. The explorer picks
 /// which message to deliver or drop and which timer to fire; nothing
 /// ever happens spontaneously. Each protocol step drives the core
-/// through a short-lived [`Tally`] that pairs the bag with the search's
+/// through a short-lived adapter that pairs the bag with the search's
 /// one [`ClusterStats`], so no explored state carries statistics.
 #[derive(Debug, Clone, Default)]
 pub struct BagScheduler {
@@ -761,8 +761,9 @@ fn has_choices(ctx: &Ctx<'_>, st: &McState<'_>) -> bool {
         || (st.net_changes < ctx.universe.max_net_changes && ctx.universe.modes.len() > 1)
 }
 
-/// Executes one transition on a clone of `st`, tallying into `stats` and
-/// appending any transition-level violations to `viols`.
+/// Executes one transition on a clone of `st`, appending any
+/// transition-level violations to `viols`. The core tallies into
+/// `stats`, which nothing reads.
 fn step<'a>(
     ctx: &Ctx<'_>,
     st: &McState<'a>,
@@ -785,7 +786,6 @@ fn step<'a>(
                     .map(|v| (v.epoch, epoch)),
                 _ => None,
             };
-            stats.messages_delivered += 1;
             s.core.handle_message(
                 msg,
                 &mut Tally {
@@ -808,7 +808,6 @@ fn step<'a>(
         }
         Choice::Drop(i) => {
             s.sched.in_flight.remove(i);
-            stats.messages_dropped += 1;
         }
         Choice::Timer(tok) => {
             let id = s
@@ -844,10 +843,6 @@ fn step<'a>(
             let (origin, kind) = ctx.universe.accesses[s.next_access];
             let index = s.next_access as u64;
             s.next_access += 1;
-            match kind {
-                Access::Read => stats.reads_submitted += 1,
-                Access::Write => stats.writes_submitted += 1,
-            }
             s.core.open_session(
                 origin,
                 kind,
