@@ -83,8 +83,8 @@ impl TimerToken {
 /// *whether*) sent messages come back via
 /// [`ProtocolCore::handle_message`] and when armed timers come back via
 /// [`ProtocolCore::session_timeout`]. The environment also says where
-/// the core tallies: [`Scheduler::stats`] is the driver's
-/// [`ClusterStats`], which the core writes and never reads.
+/// the core tallies: [`Scheduler::stats`] is a [`ClusterStats`] the
+/// environment owns, which the core writes and never reads.
 pub trait Scheduler {
     /// Current simulated time; labels session latencies. A model checker
     /// with no clock may return [`SimTime::ZERO`] everywhere.
@@ -207,8 +207,8 @@ pub struct SiteView {
 ///
 /// The engine's event loop owns one per batch; the model checker clones
 /// one per explored transition. The core holds protocol state only: its
-/// statistics go to the driver through [`Scheduler::stats`], so a clone
-/// allocates just the site table, the session table and each open
+/// statistics go to its environment through [`Scheduler::stats`], so a
+/// clone allocates just the site table, the session table and each open
 /// session's per-site `contributed` flags, and its cost grows with the
 /// site count and the number of open sessions. Violation counting lives
 /// in the embedded [`FreshnessChecker`], which is protocol state: the
