@@ -36,22 +36,30 @@
 //! interchangeable-site symmetry.
 //!
 //! The key is written in place by a `KeyEncoder` whose buffers live
-//! for the whole search. Every field has a fixed width, the session
+//! for the whole search. Every field is one byte wide, the session
 //! count is written before the sessions, and each in-flight message
-//! becomes one fixed-width 35-byte record (from, to, session, a payload
-//! tag that also carries a request's access kind, and up to three
-//! payload words, zero-padded). The records are sorted as plain byte
-//! arrays, so a message held twice contributes two equal records and
-//! the multiset keeps its multiplicity. Fixed widths make the encoding
-//! injective, and the minimum over the group of an injective encoding
-//! identifies exactly the symmetry orbit. Byte fields (mode, counters,
-//! site indices, retry round) fit because [`Universe::validate`]
-//! bounds every one of them by 255.
+//! becomes one 7-byte record (from, to, session, a payload tag that
+//! also carries a request's access kind, and up to three payload words,
+//! zero-padded). The records are sorted as plain byte arrays, so a
+//! message held twice contributes two equal records and the multiset
+//! keeps its multiplicity. Fixed widths make the encoding injective,
+//! and the minimum over the group of an injective encoding identifies
+//! exactly the symmetry orbit.
+//!
+//! One byte holds every field because [`Universe::check_key_widths`]
+//! bounds each by 255: site indices, the script positions, the mode,
+//! the switch count and the retry round directly; versions and session
+//! ids through the access count (each access opens one session and
+//! commits at most one version); epochs through the install count; and
+//! votes, `q_r` and `q_w` through the vote total and the scripted
+//! specs. Each value goes through one checked conversion that panics,
+//! naming the field, if it is ever past 255: a truncated field would
+//! give two states one key and silently drop one from the search.
 //!
 //! ## Visited set
 //!
 //! Keys are interned in a `VisitedSet`: one byte arena holding every
-//! key back to back, a `usize` offset per key, and an open-addressing
+//! key back to back, a `u32` offset per key, and an open-addressing
 //! index of `u32` key ids under a fixed hash. A probe compares the
 //! stored hash and then the stored bytes, so a key is new exactly when
 //! no byte-equal key is stored — a hash match alone never drops a state
@@ -89,7 +97,7 @@ use crate::universe::Universe;
 use quorum_cluster::{
     ClusterStats, Message, Payload, ProtocolCore, Scheduler, SessionId, SessionPhase, TimerToken,
 };
-use quorum_core::Access;
+use quorum_core::{Access, QuorumSpec};
 use quorum_des::SimTime;
 use quorum_obs::Registry;
 use std::collections::{BTreeSet, VecDeque};
@@ -419,43 +427,71 @@ fn permute(p: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
 /// Width of one in-flight message record in a state key: from, to,
 /// session id, a payload tag (a `VoteRequest`'s tag also carries its
 /// access kind), and up to three payload words, zero-padded.
-const MSG_RECORD: usize = 35;
+const MSG_RECORD: usize = 7;
+
+/// `value` as the one byte the state key holds it in. A universe that
+/// passes [`Universe::check_key_widths`] keeps every such value at or
+/// below 255; past that, truncation would give two states one key and
+/// the search would skip one, so this panics, naming `field`.
+fn key_byte(field: &str, value: u64) -> u8 {
+    u8::try_from(value).unwrap_or_else(|_| {
+        panic!("state key field {field} = {value} exceeds 255, the largest value a key byte holds")
+    })
+}
 
 /// The fixed-width record of `m` under the site renaming `perm`.
 fn message_record(m: &Message, perm: &[usize]) -> [u8; MSG_RECORD] {
+    const PAD: (&str, u64) = ("padding", 0);
+    let spec_words = |epoch, spec: QuorumSpec| {
+        [
+            ("message epoch", epoch),
+            ("message q_r", spec.q_r()),
+            ("message q_w", spec.q_w()),
+        ]
+    };
+    let pledge_words = |votes, version, epoch| {
+        [
+            ("message votes", votes),
+            ("message version", version),
+            ("message epoch", epoch),
+        ]
+    };
     let (tag, words) = match m.payload {
         Payload::VoteRequest {
             kind,
             epoch,
             epoch_spec,
-        } => (
-            access_byte(kind),
-            [epoch, epoch_spec.q_r(), epoch_spec.q_w()],
-        ),
+        } => (access_byte(kind), spec_words(epoch, epoch_spec)),
         Payload::ReadValue {
             votes,
             version,
             epoch,
-        } => (2, [votes, version, epoch]),
+        } => (2, pledge_words(votes, version, epoch)),
         Payload::VoteGrant {
             votes,
             version,
             epoch,
-        } => (3, [votes, version, epoch]),
-        Payload::VoteDeny { epoch, epoch_spec } => (4, [epoch, epoch_spec.q_r(), epoch_spec.q_w()]),
-        Payload::WriteCommit { version } => (5, [version, 0, 0]),
-        Payload::CommitAck { votes } => (6, [votes, 0, 0]),
-        Payload::Install { epoch, epoch_spec } => (7, [epoch, epoch_spec.q_r(), epoch_spec.q_w()]),
+        } => (3, pledge_words(votes, version, epoch)),
+        Payload::VoteDeny { epoch, epoch_spec } => (4, spec_words(epoch, epoch_spec)),
+        Payload::WriteCommit { version } => (5, [("message version", version), PAD, PAD]),
+        Payload::CommitAck { votes } => (6, [("message votes", votes), PAD, PAD]),
+        Payload::Install { epoch, epoch_spec } => (7, spec_words(epoch, epoch_spec)),
     };
-    let mut rec = [0u8; MSG_RECORD];
-    rec[0] = perm[m.from] as u8;
-    rec[1] = perm[m.to] as u8;
-    rec[2..10].copy_from_slice(&m.session.to_le_bytes());
-    rec[10] = tag;
-    for (field, w) in rec[11..].chunks_exact_mut(8).zip(words) {
-        field.copy_from_slice(&w.to_le_bytes());
-    }
-    rec
+    let [w0, w1, w2] = words.map(|(field, w)| key_byte(field, w));
+    [
+        site_byte(perm[m.from]),
+        site_byte(perm[m.to]),
+        key_byte("message session", m.session),
+        tag,
+        w0,
+        w1,
+        w2,
+    ]
+}
+
+/// A site index as its key byte.
+fn site_byte(site: usize) -> u8 {
+    key_byte("site index", site as u64)
 }
 
 fn access_byte(kind: Access) -> u8 {
@@ -511,36 +547,40 @@ impl KeyEncoder {
             self.inv[p] = i;
         }
         out.extend_from_slice(&[
-            st.mode as u8,
-            st.net_changes as u8,
-            st.next_access as u8,
-            st.next_install as u8,
+            key_byte("mode", st.mode as u64),
+            key_byte("net_changes", u64::from(st.net_changes)),
+            key_byte("next_access", st.next_access as u64),
+            key_byte("next_install", st.next_install as u64),
         ]);
         for &orig in &self.inv {
             let v = st.core.site_view(orig);
-            out.extend_from_slice(&v.version.to_le_bytes());
-            out.extend_from_slice(&v.epoch.to_le_bytes());
+            out.extend_from_slice(&[
+                key_byte("site version", v.version),
+                key_byte("site epoch", v.epoch),
+            ]);
         }
         // Sessions are fixed-width records after their count; every
         // scripted access opens at most one, so the count fits a byte.
-        out.push(st.core.open_sessions() as u8);
+        out.push(key_byte("open sessions", st.core.open_sessions() as u64));
         for (id, v) in st.core.sessions() {
-            out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&[
-                perm[v.origin] as u8,
+                key_byte("session id", id),
+                site_byte(perm[v.origin]),
                 access_byte(v.kind),
                 match v.phase {
                     SessionPhase::Gather => 0,
                     SessionPhase::Commit => 1,
                 },
-                v.round as u8,
+                key_byte("session round", u64::from(v.round)),
+                key_byte("session votes", v.votes),
             ]);
-            out.extend_from_slice(&v.votes.to_le_bytes());
             out.extend(self.inv.iter().map(|&orig| u8::from(v.contributed[orig])));
-            out.extend_from_slice(&v.epoch.to_le_bytes());
-            out.extend_from_slice(&v.max_version.to_le_bytes());
-            out.extend_from_slice(&v.new_version.to_le_bytes());
-            out.push(u8::from(st.sched.timers.iter().any(|&(_, s)| s == id)));
+            out.extend_from_slice(&[
+                key_byte("session epoch", v.epoch),
+                key_byte("session max_version", v.max_version),
+                key_byte("session new_version", v.new_version),
+                u8::from(st.sched.timers.iter().any(|&(_, s)| s == id)),
+            ]);
         }
         // The in-flight multiset: what remains after the sessions is a
         // whole number of records.
@@ -582,7 +622,7 @@ struct VisitedSet {
     /// Every key, back to back, in insertion order.
     arena: Vec<u8>,
     /// Key `id` occupies `arena[offsets[id]..offsets[id + 1]]`.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// `key_hash` of key `id`: rejects most non-matching probes without
     /// touching the arena, and lets the index grow without rehashing.
     hashes: Vec<u64>,
@@ -610,7 +650,7 @@ impl VisitedSet {
 
     /// Stored key `id`.
     fn key(&self, id: usize) -> &[u8] {
-        &self.arena[self.offsets[id]..self.offsets[id + 1]]
+        &self.arena[self.offsets[id] as usize..self.offsets[id + 1] as usize]
     }
 
     /// Stores `key` unless a byte-equal key is already stored. Returns
@@ -636,7 +676,9 @@ impl VisitedSet {
             .expect("visited set holds fewer than 2^32 - 1 keys");
         self.slots[i] = id;
         self.arena.extend_from_slice(key);
-        self.offsets.push(self.arena.len());
+        let end =
+            u32::try_from(self.arena.len()).expect("visited arena holds fewer than 2^32 bytes");
+        self.offsets.push(end);
         self.hashes.push(hash);
         if 2 * self.len() > self.slots.len() {
             self.grow();
@@ -1184,6 +1226,32 @@ mod tests {
         let key_twice = enc.canonical_key(&ctx, &twice).to_vec();
         assert_ne!(key_twice, key_once);
         assert_eq!(key_twice.len(), key_once.len() + MSG_RECORD);
+    }
+
+    #[test]
+    #[should_panic(expected = "site version = 256 exceeds 255")]
+    fn key_field_past_255_panics_instead_of_truncating() {
+        let u = Universe::standard();
+        let cfg = u.config(false);
+        let ctx = Ctx::new(&u, &ExploreOptions::default());
+        let mut st = state_with_a_session(&cfg, &u);
+        let mut stats = ClusterStats::new(&cfg.latency_bounds);
+        // Site 1 adopts version 256, which a truncated key byte would
+        // store as version 0, the version of a site no write reached.
+        st.core.handle_message(
+            Message {
+                from: 0,
+                to: 1,
+                session: 1,
+                payload: Payload::WriteCommit { version: 256 },
+            },
+            &mut Tally {
+                bag: &mut st.sched,
+                stats: &mut stats,
+            },
+        );
+        assert_eq!(st.core.site_view(1).version, 256);
+        KeyEncoder::default().canonical_key(&ctx, &st);
     }
 
     #[test]

@@ -119,11 +119,20 @@ impl Universe {
     }
 
     /// Checks that every value the explorer's canonical state key stores
-    /// in one byte fits in it: site indices, the access and install
+    /// in one byte fits in it. Site indices, the access and install
     /// script positions, the mode index, the mode-switch count and the
-    /// retry round. Past 255 two distinct states would share a key and
-    /// the search would skip one of them. The error names the field.
+    /// retry round are bounded here directly. So are the vote total,
+    /// which bounds every vote count a session or message carries, and
+    /// the largest `q_r` and `q_w` of the initial spec and of every
+    /// install. The other key fields follow: versions and session ids
+    /// are at most the access count (each access opens one session and
+    /// commits at most one version), and epochs at most the install
+    /// count. Past 255 two distinct states would share a key and the
+    /// search would skip one of them. The error names the field.
     pub fn check_key_widths(&self) -> Result<(), String> {
+        let specs = || {
+            std::iter::once(self.initial_spec).chain(self.installs.iter().map(|&(_, spec)| spec))
+        };
         let fields = [
             ("sites", self.num_sites() as u64),
             ("accesses", self.accesses.len() as u64),
@@ -131,11 +140,14 @@ impl Universe {
             ("modes", self.modes.len() as u64),
             ("max_net_changes", u64::from(self.max_net_changes)),
             ("max_retries", u64::from(self.max_retries)),
+            ("votes", self.votes.total()),
+            ("q_r", specs().map(|spec| spec.q_r()).max().unwrap_or(0)),
+            ("q_w", specs().map(|spec| spec.q_w()).max().unwrap_or(0)),
         ];
         for (field, value) in fields {
             if value > 255 {
                 return Err(format!(
-                    "universe {:?}: {field} = {value} exceeds 255, the largest value a model-checker state key holds in one byte",
+                    "universe {:?}: {field} = {value} exceeds 255, the largest value a model-checker state key holds in one byte (accesses also bound versions and session ids, installs bound epochs, and votes bound every vote count)",
                     self.name
                 ));
             }
@@ -219,6 +231,8 @@ mod tests {
         let mut edge = u.clone();
         edge.max_net_changes = 255;
         edge.max_retries = 255;
+        edge.votes = VoteAssignment::weighted(vec![85, 85, 85]);
+        edge.installs = vec![(2, QuorumSpec::new(255, 255, 255).unwrap())];
         assert_eq!(edge.check_key_widths(), Ok(()));
 
         let mut nc = u.clone();
@@ -231,6 +245,12 @@ mod tests {
         installs.installs = vec![(2, QuorumSpec::new(2, 2, 3).unwrap()); 256];
         let mut modes = u.clone();
         modes.modes = vec![vec![vec![0, 1, 2]]; 256];
+        let mut votes = u.clone();
+        votes.votes = VoteAssignment::weighted(vec![100, 100, 100]);
+        let mut q_w = u.clone();
+        q_w.installs = vec![(2, QuorumSpec::new(2, 300, 300).unwrap())];
+        let mut q_r = u.clone();
+        q_r.initial_spec = QuorumSpec::new(260, 200, 300).unwrap();
         let mut sites = u;
         sites.votes = VoteAssignment::uniform(256);
         for (bad, field) in [
@@ -240,6 +260,9 @@ mod tests {
             (installs, "installs = 256"),
             (modes, "modes = 256"),
             (sites, "sites = 256"),
+            (votes, "votes = 300"),
+            (q_w, "q_w = 300"),
+            (q_r, "q_r = 260"),
         ] {
             let err = bad.check_key_widths().unwrap_err();
             assert!(err.contains(field), "{err:?} should name {field:?}");

@@ -169,7 +169,8 @@ keys! {
     MC_FIRST_VIOLATION_DEPTH = "mc.first_violation_depth";
     /// BFS depth of the first cross-epoch violation (gauge).
     MC_FIRST_CROSS_EPOCH_DEPTH = "mc.first_cross_epoch_depth";
-    /// Timer over a model-check ablation sweep.
+    /// Manifest metric: 1 if `model_check` ran under the
+    /// `mix_epoch_votes` ablation (`--ablate`), 0 otherwise.
     MC_ABLATE = "mc.ablate";
     /// Timer over one model-check exploration (`model_check`'s phase).
     MC_EXPLORE = "mc.explore";
