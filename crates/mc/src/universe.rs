@@ -141,8 +141,8 @@ impl Universe {
             ("max_net_changes", u64::from(self.max_net_changes)),
             ("max_retries", u64::from(self.max_retries)),
             ("votes", self.votes.total()),
-            ("q_r", specs().map(|spec| spec.q_r()).max().unwrap_or(0)),
-            ("q_w", specs().map(|spec| spec.q_w()).max().unwrap_or(0)),
+            ("q_r", specs().map(|spec| spec.q_r()).fold(0, u64::max)),
+            ("q_w", specs().map(|spec| spec.q_w()).fold(0, u64::max)),
         ];
         for (field, value) in fields {
             if value > 255 {
