@@ -119,7 +119,10 @@ mod tests {
 
     #[test]
     fn messages_are_small_and_copyable() {
-        // The event queue stores messages by value; keep them compact.
+        // Messages pass by value: into the event queue's payload slab
+        // once per send, out of it once per delivery, and into
+        // `ProtocolCore::handle_message`. The queue's heap sifts 32-byte
+        // keys, never messages. Keep them compact.
         assert!(std::mem::size_of::<Message>() <= 64);
         let m = Message {
             from: 0,

@@ -4,33 +4,61 @@ use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// One scheduled entry, ordered by the total `(time, insertion seq)` key.
+/// The total `(time, insertion seq)` order packed into one integer: the
+/// time's bit pattern in the high 64 bits, the seq in the low 64. Bit
+/// patterns of [`SimTime`]s sort as the times do, so integer order is
+/// the `(time, seq)` order.
+fn pack(time: SimTime, seq: u64) -> u128 {
+    (u128::from(time.to_bits()) << 64) | u128::from(seq)
+}
+
+/// The time half of a [`pack`]ed key.
+fn time_of(key: u128) -> SimTime {
+    SimTime::from_bits((key >> 64) as u64)
+}
+
+/// The seq half of a [`pack`]ed key.
+fn seq_of(key: u128) -> u64 {
+    key as u64
+}
+
+/// An entry with its payload: the front slot's, or one leaving the
+/// queue.
 #[derive(Debug, Clone)]
 struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
+    /// [`pack`]ed `(time, seq)`.
+    key: u128,
     /// Scheduled through [`EventQueue::schedule_cancellable`], so it has a
     /// [`Timer`] record.
     cancellable: bool,
     payload: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
+/// A heap entry: 32 bytes whatever the payload, which waits in the
+/// queue's slab at `slot`.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// [`pack`]ed `(time, seq)`; the heap orders entries by it alone.
+    key: u128,
+    slot: u32,
+    /// As [`Scheduled::cancellable`].
+    cancellable: bool,
+}
+
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Scheduled<E> {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -40,6 +68,17 @@ struct Timer {
     seq: u64,
     /// Cancelled: the entry is a tombstone, skipped when its turn comes.
     voided: bool,
+}
+
+/// Index of the record for `seq` in seq-sorted `timers`, if there is one.
+fn timer_index(timers: &[Timer], seq: u64) -> Option<usize> {
+    timers.binary_search_by_key(&seq, |t| t.seq).ok()
+}
+
+/// True if the entry under `key` is a cancelled one awaiting reaping:
+/// it is cancellable and its record in `timers` is voided.
+fn is_voided(timers: &[Timer], key: u128, cancellable: bool) -> bool {
+    cancellable && timer_index(timers, seq_of(key)).is_some_and(|i| timers[i].voided)
 }
 
 /// Handle to a cancellable entry returned by
@@ -73,11 +112,19 @@ impl EventKey {
 /// insertion (FIFO) order, which keeps simulations reproducible across runs
 /// regardless of heap internals.
 ///
+/// Every entry is ordered by one `u128` key, the time's bit pattern above
+/// the insertion seq, so a comparison is one integer compare. The binary
+/// heap holds 32-byte entries of key, slab slot and cancellable flag; the
+/// payloads wait in a slab (`Vec<Option<E>>` with a free list of slots),
+/// written once when their entry enters the heap and taken once when it
+/// leaves. Sifting moves keys, never payloads, and the slab never holds
+/// more slots than the heap's peak length.
+///
 /// A newly scheduled entry that precedes everything pending goes into a
-/// front slot outside the binary heap. A simulation's next event is most
-/// often the one it just scheduled (the next Poisson arrival), so that
-/// entry is scheduled and popped without a heap operation; a still
-/// earlier arrival demotes the front entry into the heap.
+/// front slot outside the heap, payload inline. A simulation's next event
+/// is most often the one it just scheduled (the next Poisson arrival), so
+/// that entry is scheduled and popped without a heap operation or a slab
+/// slot; a still earlier arrival demotes the front entry into the heap.
 ///
 /// Entries scheduled through [`EventQueue::schedule_cancellable`] can be
 /// invalidated later (session timeouts that were beaten by a reply); a
@@ -91,7 +138,12 @@ pub struct EventQueue<E> {
     /// The earliest pending entry, if it is not in the heap: when set,
     /// it precedes every heap entry.
     front: Option<Scheduled<E>>,
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    heap: BinaryHeap<Reverse<Entry>>,
+    /// Payloads of the heap entries, at their [`Entry::slot`]; `None`
+    /// marks a free slot.
+    slab: Vec<Option<E>>,
+    /// The free slots of `slab`, reused before it grows.
+    free: Vec<u32>,
     /// Records of the cancellable entries still queued, sorted by seq.
     timers: Vec<Timer>,
     /// Number of voided records: cancelled entries not yet reaped.
@@ -109,6 +161,8 @@ impl<E> EventQueue<E> {
         Self {
             front: None,
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             timers: Vec::new(),
             tombstones: 0,
             next_seq: 0,
@@ -166,28 +220,47 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let ev = Scheduled {
-            time,
-            seq,
+            key: pack(time, seq),
             cancellable,
             payload,
         };
         let to_heap = match &mut self.front {
-            Some(front) if ev < *front => std::mem::replace(front, ev),
+            Some(front) if ev.key < front.key => std::mem::replace(front, ev),
             Some(_) => ev,
-            None if self.heap.peek().is_some_and(|Reverse(top)| *top < ev) => ev,
+            None if self
+                .heap
+                .peek()
+                .is_some_and(|Reverse(top)| top.key < ev.key) =>
+            {
+                ev
+            }
             None => {
                 self.front = Some(ev);
                 return seq;
             }
         };
-        self.heap.push(Reverse(to_heap));
+        self.push_heap(to_heap);
         seq
     }
 
-    /// Index of the timer record for `seq`, if the entry is cancellable
-    /// and still queued.
-    fn timer(&self, seq: u64) -> Option<usize> {
-        self.timers.binary_search_by_key(&seq, |t| t.seq).ok()
+    /// Moves an entry into the heap, its payload into a free slab slot.
+    fn push_heap(&mut self, ev: Scheduled<E>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(ev.payload);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 queued events");
+                self.slab.push(Some(ev.payload));
+                slot
+            }
+        };
+        self.heap.push(Reverse(Entry {
+            key: ev.key,
+            slot,
+            cancellable: ev.cancellable,
+        }));
     }
 
     /// Voids a cancellable entry. Returns `true` if the entry was still
@@ -199,7 +272,7 @@ impl<E> EventQueue<E> {
     /// entries, so retry-heavy runs (most timers beaten by replies) keep
     /// the heap at O(live) instead of growing monotonically.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        let Some(i) = self.timer(key.0) else {
+        let Some(i) = timer_index(&self.timers, key.0) else {
             return false;
         };
         let timer = &mut self.timers[i];
@@ -215,47 +288,70 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// True if `ev` is a cancelled entry awaiting reaping.
-    fn is_voided(&self, ev: &Scheduled<E>) -> bool {
-        ev.cancellable && self.timer(ev.seq).is_some_and(|i| self.timers[i].voided)
-    }
-
-    /// Drops the voided entries and their records. Pop order is
-    /// unaffected: the heap's internal layout changes, but extraction is
-    /// always by the total `(time, seq)` order.
+    /// Drops the voided entries, their payloads and their records. Pop
+    /// order is unaffected: the heap's internal layout changes, but
+    /// extraction is always by the total `(time, seq)` order.
     fn compact(&mut self) {
-        if self.front.as_ref().is_some_and(|ev| self.is_voided(ev)) {
+        if self
+            .front
+            .as_ref()
+            .is_some_and(|ev| is_voided(&self.timers, ev.key, ev.cancellable))
+        {
             self.front = None;
         }
-        let heap = std::mem::take(&mut self.heap);
-        self.heap = heap
-            .into_iter()
-            .filter(|Reverse(ev)| !self.is_voided(ev))
-            .collect();
+        let Self {
+            heap,
+            slab,
+            free,
+            timers,
+            ..
+        } = self;
+        heap.retain(|Reverse(entry)| {
+            let voided = is_voided(timers, entry.key, entry.cancellable);
+            if voided {
+                slab[entry.slot as usize] = None;
+                free.push(entry.slot);
+            }
+            !voided
+        });
         self.timers.retain(|t| !t.voided);
         self.tombstones = 0;
         self.compactions += 1;
     }
 
-    /// The earliest queued entry, cancelled or not.
-    fn peek_entry(&self) -> Option<&Scheduled<E>> {
-        self.front
-            .as_ref()
-            .or_else(|| self.heap.peek().map(|Reverse(ev)| ev))
+    /// Key and cancellable flag of the earliest queued entry, cancelled
+    /// or not.
+    fn peek_entry(&self) -> Option<(u128, bool)> {
+        match &self.front {
+            Some(ev) => Some((ev.key, ev.cancellable)),
+            None => self
+                .heap
+                .peek()
+                .map(|Reverse(entry)| (entry.key, entry.cancellable)),
+        }
     }
 
     /// Removes the earliest queued entry, cancelled or not.
     fn take_entry(&mut self) -> Option<Scheduled<E>> {
-        match self.front.take() {
-            Some(ev) => Some(ev),
-            None => self.heap.pop().map(|Reverse(ev)| ev),
+        if let Some(ev) = self.front.take() {
+            return Some(ev);
         }
+        let Reverse(entry) = self.heap.pop()?;
+        let payload = self.slab[entry.slot as usize]
+            .take()
+            .expect("a heap entry's slot holds its payload");
+        self.free.push(entry.slot);
+        Some(Scheduled {
+            key: entry.key,
+            cancellable: entry.cancellable,
+            payload,
+        })
     }
 
     /// Drops the timer record of a cancellable entry leaving the queue.
     /// Returns `true` if the entry was cancelled.
     fn reap(&mut self, seq: u64) -> bool {
-        let i = self.timer(seq).expect("a queued timer has a record");
+        let i = timer_index(&self.timers, seq).expect("a queued timer has a record");
         let voided = self.timers.remove(i).voided;
         if voided {
             self.tombstones -= 1;
@@ -269,25 +365,25 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             let ev = self.take_entry()?;
-            if ev.cancellable && self.reap(ev.seq) {
+            if ev.cancellable && self.reap(seq_of(ev.key)) {
                 continue;
             }
-            self.now = ev.time;
+            let time = time_of(ev.key);
+            self.now = time;
             self.popped += 1;
-            return Some((ev.time, ev.payload));
+            return Some((time, ev.payload));
         }
     }
 
     /// Timestamp of the next surviving event without popping.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            let ev = self.peek_entry()?;
-            if !self.is_voided(ev) {
-                return Some(ev.time);
+            let (key, cancellable) = self.peek_entry()?;
+            if !is_voided(&self.timers, key, cancellable) {
+                return Some(time_of(key));
             }
-            let seq = ev.seq;
             self.take_entry();
-            self.reap(seq);
+            self.reap(seq_of(key));
         }
     }
 
@@ -546,7 +642,7 @@ mod tests {
 
     #[test]
     fn front_slot_holds_the_earliest_entry() {
-        let front_seq = |q: &EventQueue<&str>| q.front.as_ref().map(|ev| ev.seq);
+        let front_seq = |q: &EventQueue<&str>| q.front.as_ref().map(|ev| seq_of(ev.key));
 
         // A later entry is demoted into the heap when an earlier one
         // arrives.
@@ -596,6 +692,38 @@ mod tests {
             assert_eq!((q.tombstones(), q.len(), q.popped()), (0, 2, 1));
             assert_eq!(q.now(), SimTime::new(2.0));
         }
+    }
+
+    #[test]
+    fn slab_slots_are_reused_not_leaked() {
+        // Rounds of schedules, cancels (some of which compact) and pops.
+        // The slab never outgrows the most entries the heap has held at
+        // once, its occupied slots are exactly the heap's entries, and
+        // every slot is free again once the queue drains.
+        let mut q = EventQueue::new();
+        let mut peak = 0;
+        for round in 0..50 {
+            let mut keys = Vec::new();
+            for i in 0..20 {
+                let dt = ((i * 7 + round) % 13) as f64 + 0.5;
+                keys.push(q.schedule_cancellable_in(dt, i));
+                q.schedule_in((i % 5) as f64, 100 + i);
+                peak = peak.max(q.heap.len());
+            }
+            for key in keys.iter().step_by(2) {
+                q.cancel(*key);
+            }
+            for _ in 0..28 {
+                q.pop();
+            }
+            assert!(q.slab.len() <= peak, "slab {} > peak {peak}", q.slab.len());
+            assert_eq!(q.slab.len() - q.free.len(), q.heap.len());
+        }
+        assert!(q.compactions() > 0);
+        assert!(q.slab.len() * 10 < q.scheduled() as usize);
+        while q.pop().is_some() {}
+        assert_eq!(q.free.len(), q.slab.len());
+        assert!(q.slab.iter().all(Option::is_none));
     }
 
     #[test]
@@ -788,6 +916,97 @@ mod tests {
 
                 loop {
                     prop_assert_eq!(q.peek_time(), m.peek().map(|(t, _)| t));
+                    let popped = q.pop();
+                    prop_assert_eq!(popped, m.pop());
+                    assert_totals(&q, &m);
+                    if popped.is_none() {
+                        break;
+                    }
+                }
+            }
+        }
+
+        /// As [`op_strategy`], with fractional delays from 1e-12 to 1e6,
+        /// so times spread over many decades and a tiny delay after a
+        /// large time rounds to a tie, and exact zero delays of both
+        /// signs.
+        fn decade_op_strategy() -> impl Strategy<Value = Op> {
+            (
+                0u8..5,
+                0u8..4,
+                1.0f64..10.0,
+                -12i32..7,
+                0usize..8,
+                0u64..320,
+            )
+                .prop_map(|(which, kind, mantissa, exponent, k, r)| {
+                    let dt = match kind {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => mantissa * 10f64.powi(exponent),
+                    };
+                    match which {
+                        0 => Op::Schedule(dt),
+                        1 => Op::ScheduleCancellable(dt),
+                        2 => Op::Pop,
+                        3 => Op::Cancel(k),
+                        _ => Op::CancelRaw(r),
+                    }
+                })
+        }
+
+        proptest! {
+            /// The heap matches the naive model on times spread over many
+            /// decades. It starts with entries at 0.0 and −0.0, which are
+            /// one time and pop FIFO; no popped time is ever −0.0.
+            #[test]
+            fn matches_naive_model_across_decades(
+                zeros in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 0..12),
+                ops in prop::collection::vec(decade_op_strategy(), 1..300),
+            ) {
+                let mut q = EventQueue::new();
+                let mut m = Model::new();
+                let mut keys: Vec<EventKey> = Vec::new();
+                for (negative, cancellable) in zeros {
+                    let t = SimTime::new(if negative { -0.0 } else { 0.0 });
+                    let seq = m.schedule_in(0.0, cancellable);
+                    if cancellable {
+                        keys.push(q.schedule_cancellable(t, seq));
+                    } else {
+                        q.schedule(t, seq);
+                    }
+                }
+                for op in ops {
+                    match op {
+                        Op::Schedule(dt) => {
+                            let seq = m.schedule_in(dt, false);
+                            q.schedule_in(dt, seq);
+                        }
+                        Op::ScheduleCancellable(dt) => {
+                            let seq = m.schedule_in(dt, true);
+                            keys.push(q.schedule_cancellable_in(dt, seq));
+                        }
+                        Op::Pop => {
+                            prop_assert_eq!(q.peek_time(), m.peek().map(|(t, _)| t));
+                            let popped = q.pop();
+                            prop_assert_eq!(popped, m.pop());
+                            if let Some((t, _)) = popped {
+                                prop_assert!(t.as_f64().is_sign_positive());
+                            }
+                        }
+                        Op::Cancel(k) => {
+                            if !keys.is_empty() {
+                                let key = keys[keys.len() - 1 - k % keys.len()];
+                                prop_assert_eq!(q.cancel(key), m.cancel(key.raw()));
+                            }
+                        }
+                        Op::CancelRaw(r) => {
+                            prop_assert_eq!(q.cancel(EventKey::from_raw(r)), m.cancel(r));
+                        }
+                    }
+                    assert_totals(&q, &m);
+                }
+                loop {
                     let popped = q.pop();
                     prop_assert_eq!(popped, m.pop());
                     assert_totals(&q, &m);

@@ -9,14 +9,18 @@
 //!
 //! This crate supplies the engine pieces:
 //!
-//! * [`SimTime`] — totally-ordered simulation timestamps.
+//! * [`SimTime`] — totally-ordered simulation timestamps: non-negative,
+//!   never NaN and never −0.0, so they order by their bit patterns.
 //! * [`EventQueue`] — the deterministic future-event list that every
-//!   simulator runs on: a binary min-heap with FIFO tie-breaking, plus a
-//!   front slot holding the earliest entry, so the common case of
-//!   scheduling and then popping the next arrival skips the heap.
-//!   Cancellable entries (timers) have records in a `Vec` sorted by seq,
-//!   so cancellation is O(log pending timers) and plain entries touch no
-//!   side table.
+//!   simulator runs on: a binary min-heap with FIFO tie-breaking. Each
+//!   entry is ordered by one `u128` key (time bits above the insertion
+//!   seq), the heap sifts 32-byte entries of key and slab slot, and the
+//!   payloads stay put in a slab until popped. A front slot holds the
+//!   earliest entry with its payload inline, so the common case of
+//!   scheduling and then popping the next arrival skips the heap and the
+//!   slab. Cancellable entries (timers) have records in a `Vec` sorted by
+//!   seq, so cancellation is O(log pending timers) and plain entries
+//!   touch no side table.
 //! * [`PoissonProcess`] — exponential inter-arrival sampling.
 //! * [`OnOffProcess`] — the alternating up/down renewal process driving each
 //!   site and link.

@@ -23,12 +23,6 @@ impl PoissonProcess {
         Self { rate }
     }
 
-    /// Creates a process from its mean inter-arrival time.
-    pub fn with_mean(mean: f64) -> Self {
-        assert!(mean > 0.0 && mean.is_finite(), "mean must be positive");
-        Self::new(1.0 / mean)
-    }
-
     /// Arrival rate.
     pub fn rate(&self) -> f64 {
         self.rate
@@ -52,7 +46,7 @@ mod tests {
 
     #[test]
     fn mean_and_rate_are_inverse() {
-        let p = PoissonProcess::with_mean(4.0);
+        let p = PoissonProcess::new(0.25);
         assert!((p.rate() - 0.25).abs() < 1e-12);
         assert!((p.mean() - 4.0).abs() < 1e-12);
     }

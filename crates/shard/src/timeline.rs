@@ -120,8 +120,9 @@ impl FailureTimeline {
             out.push_epoch(t.as_f64(), catalog, world.partition());
             // Apply every event at exactly `t` before cutting the next
             // epoch, so simultaneous transitions produce one epoch, not
-            // a stack of zero-length ones.
-            while queue.peek_time().map(SimTimeBits::bits) == Some(t.bits()) {
+            // a stack of zero-length ones. `SimTime` equality is exact:
+            // it has no NaN and no −0.0.
+            while queue.peek_time() == Some(t) {
                 let (_, transition) = queue.pop().expect("peeked");
                 world.apply(transition, &mut queue);
             }
@@ -268,19 +269,6 @@ impl FailureTimeline {
         );
         registry.add(quorum_obs::keys::SHARD_EPOCHS, self.num_epochs() as u64);
         registry.add(quorum_obs::keys::SHARD_ASSIGNMENTS, self.assignments as u64);
-    }
-}
-
-/// Total-order bit view of a [`quorum_des::SimTime`] for exact
-/// same-timestamp grouping without a float `==` (timestamps compared
-/// here are copies of one another, so bit equality is the intent).
-trait SimTimeBits {
-    fn bits(self) -> u64;
-}
-
-impl SimTimeBits for quorum_des::SimTime {
-    fn bits(self) -> u64 {
-        self.as_f64().to_bits()
     }
 }
 
