@@ -213,7 +213,7 @@ keys! {
     SHARD_THREAD_UTILIZATION = "shard.thread_utilization";
     /// Timer over building the shared failure timeline.
     PHASE_TIMELINE_BUILD = "phase.timeline_build";
-    /// Timer over the batched (SoA stripe) engine run.
+    /// Timer over the sharded engine run (`ShardEngine::run_sharded`).
     PHASE_BATCHED_RUN = "phase.batched_run";
     /// Timer over the naive per-access engine run.
     PHASE_NAIVE_RUN = "phase.naive_run";

@@ -292,21 +292,22 @@ impl ObjectCatalog {
     }
 
     /// Number of objects in the population.
-    pub fn num_objects(&self) -> u64 {
+    pub(crate) fn num_objects(&self) -> u64 {
         self.objects
     }
 
-    /// The classes, index-aligned with [`Self::class_of`].
+    /// The classes, indexed by class id.
     pub fn classes(&self) -> &[ObjectClass] {
         &self.classes
     }
 
     /// The class definition for index `k`.
-    pub fn class(&self, k: usize) -> &ObjectClass {
+    #[cfg(test)]
+    fn class(&self, k: usize) -> &ObjectClass {
         &self.classes[k]
     }
 
-    /// The assignment table, index-aligned with [`Self::assignment_of`].
+    /// The assignment table, indexed by assignment profile id.
     pub fn profiles(&self) -> &[AssignmentProfile] {
         &self.profiles
     }
@@ -323,7 +324,8 @@ impl ObjectCatalog {
     }
 
     /// α-buckets per class (1 = per-class assignments).
-    pub fn alpha_buckets(&self) -> usize {
+    #[cfg(test)]
+    fn alpha_buckets(&self) -> usize {
         self.buckets
     }
 
@@ -334,7 +336,7 @@ impl ObjectCatalog {
     }
 
     /// Class index of one object (pure hash of the id).
-    pub fn class_of(&self, object: u64) -> usize {
+    pub(crate) fn class_of(&self, object: u64) -> usize {
         (derive_seed(CLASS_SALT, object) % self.classes.len() as u64) as usize
     }
 
@@ -350,24 +352,56 @@ impl ObjectCatalog {
 
     /// Assignment-profile index of one object.
     #[inline]
-    pub fn assignment_of(&self, object: u64) -> usize {
+    pub(crate) fn assignment_of(&self, object: u64) -> usize {
         self.slot_profile[self.class_of(object) * self.buckets + self.bucket_of(object)]
     }
 
     /// Read ratio of one object (the class α, or its bucket's α under
     /// per-object assignments).
     #[inline]
-    pub fn alpha_of(&self, object: u64) -> f64 {
+    pub(crate) fn alpha_of(&self, object: u64) -> f64 {
         self.slot_alpha[self.class_of(object) * self.buckets + self.bucket_of(object)]
     }
 
     /// Poisson access rate of one object: the class base rate scaled by
     /// a deterministic jitter uniform in `[0.5, 1.5)`, so arrival gaps
     /// differ across objects of the same class.
-    pub fn rate_of(&self, object: u64) -> f64 {
-        let u = (derive_seed(RATE_SALT, object) >> 11) as f64 / (1u64 << 53) as f64;
-        self.classes[self.class_of(object)].base_rate * (0.5 + u)
+    pub(crate) fn rate_of(&self, object: u64) -> f64 {
+        self.classes[self.class_of(object)].base_rate * rate_jitter(object)
     }
+
+    /// Everything the walk needs of one object, hashing its class and
+    /// α-bucket once: equal, field for field and bit for bit, to
+    /// [`Self::class_of`], [`Self::assignment_of`], [`Self::alpha_of`]
+    /// and [`Self::rate_of`].
+    #[inline]
+    pub(crate) fn params_of(&self, object: u64) -> ObjectParams {
+        let class = self.class_of(object);
+        let slot = class * self.buckets + self.bucket_of(object);
+        ObjectParams {
+            class,
+            assignment: self.slot_profile[slot],
+            alpha: self.slot_alpha[slot],
+            rate: self.classes[class].base_rate * rate_jitter(object),
+        }
+    }
+}
+
+/// One object's class, assignment profile, read ratio and access rate
+/// ([`ObjectCatalog::params_of`]).
+#[derive(Clone, Copy)]
+pub(crate) struct ObjectParams {
+    pub(crate) class: usize,
+    pub(crate) assignment: usize,
+    pub(crate) alpha: f64,
+    pub(crate) rate: f64,
+}
+
+/// Rate multiplier of one object: uniform in `[0.5, 1.5)` (pure hash of
+/// the id).
+fn rate_jitter(object: u64) -> f64 {
+    let u = (derive_seed(RATE_SALT, object) >> 11) as f64 / (1u64 << 53) as f64;
+    0.5 + u
 }
 
 /// Index of `votes` in `tables`, interning it if new.
@@ -562,6 +596,22 @@ mod tests {
             rowa_profiles.iter().all(|&q| q < 7),
             "read-heavy objects must not pay majority reads: {rowa_profiles:?}"
         );
+    }
+
+    #[test]
+    fn params_of_matches_the_per_field_lookups() {
+        for c in [
+            ObjectCatalog::paper_mix(13, 10_000),
+            optimized_fixture(13, 10_000, 4),
+        ] {
+            for o in 0..c.num_objects() {
+                let p = c.params_of(o);
+                assert_eq!(p.class, c.class_of(o), "object {o}");
+                assert_eq!(p.assignment, c.assignment_of(o), "object {o}");
+                assert_eq!(p.alpha.to_bits(), c.alpha_of(o).to_bits(), "object {o}");
+                assert_eq!(p.rate.to_bits(), c.rate_of(o).to_bits(), "object {o}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The throughput engine: batched SoA stripe walks vs the naive heap.
+//! The throughput engine: the per-object shard walk vs the naive heap.
 //!
 //! Both engines simulate the identical system — every object's Poisson
 //! access walk over the shared [`FailureTimeline`] — and consume each
@@ -12,26 +12,27 @@
 //! (`master` = `derive_seed(seed, 2)`). Draw 0 is the gap to the first
 //! access; access `i` (0-based) then consumes draws `1 + 3i` (read/write
 //! kind), `2 + 3i` (submitting site), and `3 + 3i` (gap to the next
-//! access). Because a draw is a pure function of `(seed, counter)`,
-//! the batched kernel can sample a whole stripe's next accesses in one
-//! branchless pass while the heap engine walks the same streams one
-//! draw at a time — and both land on bit-identical values.
+//! access). Because a draw is a pure function of `(seed, counter)`, the
+//! shard walk can take each object to the horizon before the next while
+//! the heap engine interleaves every object's stream in time order —
+//! and both land on bit-identical values.
 //!
 //! ## The two engines
 //!
 //! * [`ShardEngine::run_sharded`] partitions the object space into
 //!   contiguous shards and fans them through [`quorum_stats::converge()`]
-//!   (one shard walks inline). Each shard walks its objects in SoA
-//!   **stripes** of [`STRIPE`] lanes — per-lane seed/counter/clock/rate
-//!   arrays, a batched sampling pass, then a resolve pass against the
-//!   timeline's bucketed epoch index — and returns an all-`u64`
-//!   [`ShardStats`] whose merge is associative and commutative, making
-//!   the aggregate invariant to shard partitioning *and* thread count.
+//!   (one shard walks inline). Each shard walks its objects one at a
+//!   time in one plain loop — three draws, a lookup in the timeline's
+//!   bucketed epoch index and a grant-mask byte per access, counted in a
+//!   per-range `tally[class][is_read][granted]` — and returns an
+//!   all-`u64` [`ShardStats`] whose merge is associative and
+//!   commutative, making the aggregate invariant to shard partitioning
+//!   *and* thread count.
 //! * [`ShardEngine::run_naive`] is the classical formulation: one
 //!   binary-heap future-event list holding every object's next access,
 //!   popped one access at a time (`O(log N)` per access with `N` heap
 //!   entries). It exists as the correctness pin and as the benchmark
-//!   baseline the batched path is measured against.
+//!   baseline the shard walk is measured against.
 
 // Hot kernel: a panic here kills a million-object run half-way, and a
 // narrowing cast that wraps corrupts state silently. The asserts live in
@@ -58,18 +59,12 @@ use quorum_stats::rng::{derive_seed, exponential_from_uniform, CounterRng};
 use quorum_stats::{converge, BatchMeans, ConvergeParams, Convergence};
 use std::time::Duration;
 
-/// Lanes per SoA stripe: object state lives in fixed-width parallel
-/// arrays and the sampling pass runs branchless over the live lanes, so
-/// the compiler can keep the SplitMix64 mixes and float converts in
-/// vector registers.
-pub const STRIPE: usize = 64;
-
 /// Aggregate access tallies of a run (or of one shard of it).
 ///
 /// Every field is an exact integer count, so merging shards is
 /// associative/commutative and aggregates are bit-stable across any
 /// partitioning of the object space — and any walk order within a
-/// shard, which is what lets the stripe kernel interleave objects.
+/// shard, which is what lets the shard walk take one object at a time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Objects walked.
@@ -92,7 +87,7 @@ pub struct ShardStats {
 
 impl ShardStats {
     /// An empty tally over `classes` object classes.
-    pub fn new(classes: usize) -> Self {
+    pub(crate) fn new(classes: usize) -> Self {
         Self {
             class_accesses: vec![0; classes],
             class_granted: vec![0; classes],
@@ -108,7 +103,7 @@ impl ShardStats {
         clippy::disallowed_macros,
         reason = "shape check once per batch tally merge, documented under # Panics"
     )]
-    pub fn merge(&mut self, other: &ShardStats) {
+    pub(crate) fn merge(&mut self, other: &ShardStats) {
         assert_eq!(self.class_accesses.len(), other.class_accesses.len());
         self.objects += other.objects;
         self.accesses += other.accesses;
@@ -252,96 +247,54 @@ impl<'a> PreparedWalk<'a> {
         ((u * self.sites_f) as usize).min(self.sites - 1)
     }
 
-    /// Walks objects `[lo, hi)` in SoA stripes into `stats`.
-    fn walk_range(&self, lo: u64, hi: u64, stats: &mut ShardStats) {
-        let mut start = lo;
-        while start < hi {
-            let end = (start + STRIPE as u64).min(hi);
-            self.walk_stripe(start, end, stats);
-            start = end;
-        }
-    }
-
-    /// Walks one stripe of up to [`STRIPE`] objects to the horizon.
+    /// Walks objects `[lo, hi)` into `stats`, each object to the horizon
+    /// before the next one starts.
     ///
-    /// Per round, every live lane advances by exactly one access in
-    /// three passes: a branchless batch-sampling pass (kind/site/gap
-    /// uniforms straight from the lane's `(seed, counter)`), a resolve
-    /// pass (bucketed epoch lookup + one grant-mask byte load + tally),
-    /// and a compaction pass retiring lanes whose clock passed the
-    /// horizon. Tallies are additive, so the lane interleaving leaves
-    /// the aggregate identical to a one-object-at-a-time walk.
+    /// Accesses are counted in a local `tally[class][is_read][granted]`
+    /// and folded into `stats` once per range; each object keeps its own
+    /// epoch hint, since its accesses arrive in time order.
     #[expect(
         clippy::indexing_slicing,
-        reason = "every lane index is < width <= STRIPE, and live[..len] holds only such lanes, so no [T; STRIPE] access can go out of bounds"
+        reason = "class < num_classes by catalog construction and the tally has num_classes rows; bool indices are 0 or 1 into [_; 2]"
     )]
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "width <= STRIPE; class and assignment ids index catalog tables of a handful of rows, and the epoch index is bounded by the timeline epoch count, so each fits its u32 lane"
-    )]
-    #[expect(
-        clippy::disallowed_macros,
-        reason = "debug_assert! compiles out of release builds"
-    )]
-    fn walk_stripe(&self, lo: u64, hi: u64, stats: &mut ShardStats) {
-        let width = (hi - lo) as usize;
-        debug_assert!(0 < width && width <= STRIPE);
-        let mut seed = [0u64; STRIPE];
-        let mut ctr = [0u64; STRIPE];
-        let mut t = [0.0f64; STRIPE];
-        let mut inv_rate = [0.0f64; STRIPE];
-        let mut alpha = [0.0f64; STRIPE];
-        let mut class = [0u32; STRIPE];
-        let mut assign = [0u32; STRIPE];
-        let mut epoch = [0u32; STRIPE];
-        let mut live = [0usize; STRIPE];
-        let mut len = 0usize;
-        for (i, o) in (lo..hi).enumerate() {
-            let s = derive_seed(self.master, o);
-            let inv = 1.0 / self.catalog.rate_of(o);
-            seed[i] = s;
-            inv_rate[i] = inv;
-            alpha[i] = self.catalog.alpha_of(o);
-            class[i] = self.catalog.class_of(o) as u32;
-            assign[i] = self.catalog.assignment_of(o) as u32;
-            t[i] = exponential_from_uniform(CounterRng::uniform_at(s, 0), inv);
-            ctr[i] = 1;
-            stats.objects += 1;
-            if t[i] < self.horizon {
-                live[len] = i;
-                len += 1;
+    fn walk_range(&self, lo: u64, hi: u64, stats: &mut ShardStats) {
+        let mut tally = vec![[[0u64; 2]; 2]; self.catalog.num_classes()];
+        for o in lo..hi {
+            let seed = derive_seed(self.master, o);
+            let obj = self.catalog.params_of(o);
+            let inv = 1.0 / obj.rate;
+            let row = &mut tally[obj.class];
+            let mut t = exponential_from_uniform(CounterRng::uniform_at(seed, 0), inv);
+            let mut ctr = 1u64;
+            let mut epoch = 0usize;
+            while t < self.horizon {
+                let u_kind = CounterRng::uniform_at(seed, ctr);
+                let u_site = CounterRng::uniform_at(seed, ctr + 1);
+                let gap = exponential_from_uniform(CounterRng::uniform_at(seed, ctr + 2), inv);
+                ctr += 3;
+                epoch = self.timeline.epoch_at(t, epoch);
+                let mask = self
+                    .timeline
+                    .grant_mask(epoch, obj.assignment, self.site_of(u_site));
+                let is_read = u_kind < obj.alpha;
+                let bit = if is_read { READ_BIT } else { WRITE_BIT };
+                row[usize::from(is_read)][usize::from(mask & bit != 0)] += 1;
+                t += gap;
             }
         }
-        let mut u_kind = [0.0f64; STRIPE];
-        let mut u_site = [0.0f64; STRIPE];
-        let mut gap = [0.0f64; STRIPE];
-        while len > 0 {
-            for (i, &l) in live[..len].iter().enumerate() {
-                u_kind[i] = CounterRng::uniform_at(seed[l], ctr[l]);
-                u_site[i] = CounterRng::uniform_at(seed[l], ctr[l] + 1);
-                gap[i] = exponential_from_uniform(
-                    CounterRng::uniform_at(seed[l], ctr[l] + 2),
-                    inv_rate[l],
-                );
-                ctr[l] += 3;
-            }
-            for (i, &l) in live[..len].iter().enumerate() {
-                let site = self.site_of(u_site[i]);
-                let e = self.timeline.epoch_at(t[l], epoch[l] as usize);
-                epoch[l] = e as u32;
-                let mask = self.timeline.grant_mask(e, assign[l] as usize, site);
-                record(stats, class[l] as usize, mask, u_kind[i] < alpha[l]);
-                t[l] += gap[i];
-            }
-            let mut w = 0usize;
-            for i in 0..len {
-                let l = live[i];
-                if t[l] < self.horizon {
-                    live[w] = l;
-                    w += 1;
-                }
-            }
-            len = w;
+        stats.objects += hi - lo;
+        for (class, [[writes_denied, writes_granted], [reads_denied, reads_granted]]) in
+            tally.into_iter().enumerate()
+        {
+            let reads = reads_denied + reads_granted;
+            let writes = writes_denied + writes_granted;
+            stats.accesses += reads + writes;
+            stats.reads_submitted += reads;
+            stats.writes_submitted += writes;
+            stats.reads_granted += reads_granted;
+            stats.writes_granted += writes_granted;
+            stats.class_accesses[class] += reads + writes;
+            stats.class_granted[class] += reads_granted + writes_granted;
         }
     }
 }
@@ -406,7 +359,7 @@ impl<'a> ShardEngine<'a> {
 
     /// Runs the batched engine: `shards` contiguous object ranges fanned
     /// over `threads` workers through [`quorum_stats::converge()`], each
-    /// walked by the SoA stripe kernel.
+    /// walked one object at a time.
     ///
     /// With `shards >= 2`, every shard is dispatched and consumed
     /// (`min_batches == max_batches == shards`, with a vanishing
@@ -486,7 +439,7 @@ impl<'a> ShardEngine<'a> {
     )]
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "object ids fit in memory-sized vectors; class and assignment ids mirror the stripe packing into u32"
+        reason = "object ids fit in memory-sized vectors; class and assignment ids index catalog tables of a handful of rows, so each fits a u32"
     )]
     pub fn run_naive(&self) -> ShardStats {
         let prepared = PreparedWalk::new(self);
@@ -644,14 +597,69 @@ mod tests {
 
     #[test]
     fn stripe_boundaries_do_not_change_tallies() {
-        // Object counts straddling multiples of the stripe width all
-        // agree with the naive engine (partial trailing stripes).
-        for objects in [STRIPE as u64 - 1, STRIPE as u64, STRIPE as u64 + 1, 130] {
+        // Object counts around 64 and 130, where the former 64-lane
+        // stripe walk ended in a partial stripe, all agree with the
+        // naive engine.
+        for objects in [63, 64, 65, 130] {
             let f = fixture(objects, 25.0, 19);
             let engine = f.engine();
             let (batched, _) = engine.run_sharded(3.min(objects), 1);
             assert_eq!(batched, engine.run_naive(), "objects={objects}");
         }
+    }
+
+    /// Compares two tallies field by field; the destructuring breaks the
+    /// build if a field is added without a comparison.
+    fn assert_fields_eq(walk: &ShardStats, naive: &ShardStats, case: &str) {
+        let ShardStats {
+            objects,
+            accesses,
+            reads_submitted,
+            writes_submitted,
+            reads_granted,
+            writes_granted,
+            class_accesses,
+            class_granted,
+        } = walk;
+        assert_eq!(*objects, naive.objects, "{case}: objects");
+        assert_eq!(*accesses, naive.accesses, "{case}: accesses");
+        assert_eq!(*reads_submitted, naive.reads_submitted, "{case}: reads");
+        assert_eq!(*writes_submitted, naive.writes_submitted, "{case}: writes");
+        assert_eq!(*reads_granted, naive.reads_granted, "{case}: reads granted");
+        assert_eq!(
+            *writes_granted, naive.writes_granted,
+            "{case}: writes granted"
+        );
+        assert_eq!(
+            *class_accesses, naive.class_accesses,
+            "{case}: class accesses"
+        );
+        assert_eq!(*class_granted, naive.class_granted, "{case}: class granted");
+    }
+
+    #[test]
+    fn tally_fold_equals_naive_field_for_field() {
+        // A horizon so short that some classes draw no access: their
+        // tally rows fold in as zeros.
+        let f = fixture(12, 0.05, 3);
+        let (walk, _) = f.engine().run_sharded(3, 1);
+        assert!(
+            walk.class_accesses.contains(&0),
+            "want an idle class: {:?}",
+            walk.class_accesses
+        );
+        assert_fields_eq(&walk, &f.engine().run_naive(), "short horizon");
+
+        let f = fixture(1, 200.0, 5);
+        let (walk, _) = f.engine().run_sharded(1, 1);
+        assert!(walk.accesses > 0);
+        assert_fields_eq(&walk, &f.engine().run_naive(), "one object");
+
+        // One object per shard: every range folds a one-row walk.
+        let f = fixture(23, 40.0, 17);
+        let (walk, conv) = f.engine().run_sharded(23, 2);
+        assert_eq!(conv.batches, 23);
+        assert_fields_eq(&walk, &f.engine().run_naive(), "shards == objects");
     }
 
     #[test]

@@ -20,33 +20,32 @@
 //!    index making epoch lookup O(1) amortized.
 //! 2. **Accesses never interact.** Quorum checks are instantaneous reads
 //!    of the current partition structure, so each object's access walk
-//!    can be generated in one batched pass — no global event queue, no
-//!    `O(log N)` heap traffic per access. The walk kernel exploits this
-//!    with structure-of-arrays stripes of [`engine::STRIPE`] objects,
-//!    batch-sampling every live lane's next access per round.
+//!    can be generated on its own — no global event queue, no `O(log N)`
+//!    heap traffic per access. The shard walk takes one object at a time
+//!    to the horizon and counts its accesses in a per-range tally.
 //! 3. **Per-object counter RNG streams.** Every object draws from the
 //!    [`quorum_stats::rng::CounterRng`] stream
 //!    `derive_seed(access_master, object_id)` — draw `k` is a pure
 //!    function of the seed and `k` — so results are invariant to shard
-//!    partitioning, thread count, and walk order within a stripe, and
-//!    bit-identical to the naive engine that interleaves all objects
-//!    through one binary heap.
+//!    partitioning, thread count, and walk order, and bit-identical to
+//!    the naive engine that interleaves all objects through one binary
+//!    heap.
 //!
 //! On top of the classes, [`ObjectCatalog::with_optimized_assignments`]
 //! expands the population to **per-object** quorum assignments chosen by
 //! the paper's optimizer ([`quorum_core::optimal`]) per read-ratio
 //! bucket; the timeline carries one grant row per distinct assignment.
 //!
-//! [`engine::ShardEngine::run_sharded`] fans contiguous object shards
-//! through [`quorum_stats::converge()`]; [`engine::ShardEngine::run_naive`]
-//! is the reference implementation the equality tests pin against.
+//! [`ShardEngine::run_sharded`] fans contiguous object shards through
+//! [`quorum_stats::converge()`]; [`ShardEngine::run_naive`] is the
+//! reference implementation the equality tests pin against.
 
 #![warn(missing_docs)]
 
-pub mod catalog;
-pub mod engine;
-pub mod timeline;
+mod catalog;
+mod engine;
+mod timeline;
 
 pub use catalog::{AssignmentProfile, ObjectCatalog, ObjectClass};
-pub use engine::{ShardEngine, ShardStats, STRIPE};
+pub use engine::{ShardEngine, ShardStats};
 pub use timeline::FailureTimeline;

@@ -34,9 +34,9 @@ use quorum_graph::{ComponentView, DeltaConnectivity, Topology};
 use quorum_replica::{FailureWorld, Transition};
 
 /// Read-granted bit in a grant mask.
-pub const READ_BIT: u8 = 1;
+pub(crate) const READ_BIT: u8 = 1;
 /// Write-granted bit in a grant mask.
-pub const WRITE_BIT: u8 = 2;
+pub(crate) const WRITE_BIT: u8 = 2;
 
 /// Epoch-index buckets per epoch (oversampling factor of the bucket
 /// index; higher = shorter scans, more memory).
@@ -215,24 +215,25 @@ impl FailureTimeline {
     }
 
     /// Exclusive end times of the epochs (last entry = horizon).
-    pub fn epoch_ends(&self) -> &[f64] {
+    #[cfg(test)]
+    fn epoch_ends(&self) -> &[f64] {
         &self.epoch_end
     }
 
     /// Assignment profiles per epoch (grant rows).
-    pub fn num_assignments(&self) -> usize {
+    pub(crate) fn num_assignments(&self) -> usize {
         self.assignments
     }
 
     /// The run horizon the timeline was built for.
-    pub fn horizon(&self) -> f64 {
+    pub(crate) fn horizon(&self) -> f64 {
         self.horizon
     }
 
     /// Raw grant mask for (`epoch`, `assignment`, `site`):
     /// [`READ_BIT`] | [`WRITE_BIT`].
     #[inline]
-    pub fn grant_mask(&self, epoch: usize, assignment: usize, site: usize) -> u8 {
+    pub(crate) fn grant_mask(&self, epoch: usize, assignment: usize, site: usize) -> u8 {
         self.grants[(epoch * self.assignments + assignment) * self.sites + site]
     }
 

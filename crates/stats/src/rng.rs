@@ -39,12 +39,12 @@ pub fn rng_from_seed(seed: u64) -> StdRng {
 /// beyond the counter itself.
 ///
 /// Two properties make this the hot-path generator for the shard walk
-/// kernels (ChaCha12 [`StdRng`] stays the default everywhere else):
+/// (ChaCha12 [`StdRng`] stays the default everywhere else):
 ///
 /// * **Cheap**: one draw is one 64-bit add, two multiplies, and three
 ///   xor-shifts — the SplitMix64 finalizer — versus ~12 ARX rounds per
 ///   ChaCha block. Draws have no sequential dependency on each other,
-///   so a stripe of lanes can sample in parallel.
+///   so one object's draws can be computed in any order.
 /// * **Positional**: a stream can be entered at any counter
 ///   ([`CounterRng::at`]), so batched and one-at-a-time consumers of
 ///   the same `(seed, counter)` contract produce bit-identical draws.
