@@ -1,7 +1,6 @@
 use crate::system::CertFailure;
 use crate::{AlgebraProtocol, Expr, QuorumSystem};
-use quorum_core::protocol::{Access, ConsistencyProtocol, Decision};
-use quorum_core::{QuorumSpec, VoteAssignment};
+use quorum_core::{Access, ConsistencyProtocol, Decision, QuorumSpec, VoteAssignment};
 
 fn from_spec(votes: &VoteAssignment, spec: QuorumSpec) -> QuorumSystem {
     QuorumSystem::from_spec("votes", votes, spec)

@@ -41,7 +41,7 @@ use std::fmt;
 /// scans (powerset reference, non-partitionable availability,
 /// domination witness). Masks are `u64`; expressions themselves may
 /// mention more sites — evaluation and duality never enumerate.
-pub const MAX_ENUM_SITES: usize = 20;
+pub(crate) const MAX_ENUM_SITES: usize = 20;
 
 /// Cap on intermediate quorum-family size during structural
 /// enumeration; exceeding it indicates the caller should switch to the
@@ -131,13 +131,6 @@ impl Expr {
         ids.into_iter().map(Expr::Node).collect()
     }
 
-    /// Simple majority over sites `offset..offset+n`:
-    /// `Choose(⌊n/2⌋+1, nodes)`.
-    pub fn majority(n: usize, offset: usize) -> Expr {
-        assert!(n >= 1, "majority needs at least one site");
-        Expr::choose(n / 2 + 1, Expr::nodes(offset..offset + n))
-    }
-
     /// The exact expression-tree image of a weighted vote threshold:
     /// `Choose(quorum, leaves)` where site `i` contributes
     /// `votes.votes_of(i)` copies of `Node(i)`. A set satisfies the
@@ -198,7 +191,7 @@ impl Expr {
     }
 
     /// Bitmask of every site mentioned by the expression.
-    pub fn support(&self) -> u64 {
+    pub(crate) fn support(&self) -> u64 {
         match self {
             Expr::Node(s) => {
                 assert!(*s < 64, "site {s} exceeds the u64 mask width");
@@ -207,17 +200,6 @@ impl Expr {
             Expr::And(es) | Expr::Or(es) | Expr::Choose(_, es) => {
                 es.iter().fold(0, |acc, e| acc | e.support())
             }
-        }
-    }
-
-    /// Largest site id mentioned, or `None` for an impossible empty
-    /// expression (constructors forbid those).
-    pub fn max_site(&self) -> Option<usize> {
-        let support = self.support();
-        if support == 0 {
-            None
-        } else {
-            Some(63 - support.leading_zeros() as usize)
         }
     }
 
@@ -259,68 +241,6 @@ impl Expr {
                 let mut chosen = Vec::with_capacity(*k);
                 k_subsets(&families, *k, 0, &mut chosen, &mut all);
                 minimalize(all)
-            }
-        }
-    }
-
-    /// Capped structural enumeration — the heuristic path at scale.
-    ///
-    /// Identical recursion to [`Expr::min_quorums`], but every
-    /// intermediate family is truncated to its `cap` canonically
-    /// smallest sets after minimalization, and `Choose` expands
-    /// deterministic sliding windows of `k` subexpressions instead of
-    /// all `C(n, k)` subsets. Every returned mask is a genuine
-    /// satisfying set (a union of satisfying sets of subexpressions),
-    /// so a strategy over them yields an *achievable* load — but the
-    /// family may omit minimal quorums, so it must never substitute for
-    /// [`Expr::min_quorums`] in safety certification.
-    pub fn quorums_capped(&self, cap: usize) -> Vec<u64> {
-        assert!(cap >= 1, "cap must be positive");
-        let trunc = |mut v: Vec<u64>| {
-            v.truncate(cap);
-            v
-        };
-        let combine = |acc: Vec<u64>, fam: &[u64]| {
-            let mut out = Vec::with_capacity(acc.len() * fam.len());
-            for &x in &acc {
-                for &y in fam {
-                    out.push(x | y);
-                }
-            }
-            trunc(minimalize(out))
-        };
-        match self {
-            Expr::Node(s) => {
-                assert!(*s < 64, "site {s} exceeds the u64 mask width");
-                vec![1u64 << s]
-            }
-            Expr::Or(es) => {
-                let mut all = Vec::new();
-                for e in es {
-                    all.extend(e.quorums_capped(cap));
-                }
-                trunc(minimalize(all))
-            }
-            Expr::And(es) => {
-                let mut acc = vec![0u64];
-                for e in es {
-                    acc = combine(acc, &e.quorums_capped(cap));
-                }
-                acc
-            }
-            Expr::Choose(k, es) => {
-                let mut all = Vec::new();
-                for start in 0..=es.len() - k {
-                    let mut acc = vec![0u64];
-                    for e in &es[start..start + k] {
-                        acc = combine(acc, &e.quorums_capped(cap));
-                    }
-                    all.extend(acc);
-                    if all.len() >= cap.saturating_mul(4) {
-                        break;
-                    }
-                }
-                trunc(minimalize(all))
             }
         }
     }
@@ -412,6 +332,89 @@ impl fmt::Display for Expr {
                 write!(f, "choose{k}(")?;
                 join(f, es, ", ")?;
                 write!(f, ")")
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Expr {
+    /// Simple majority over sites `offset..offset+n`:
+    /// `Choose(⌊n/2⌋+1, nodes)`.
+    pub(crate) fn majority(n: usize, offset: usize) -> Expr {
+        assert!(n >= 1, "majority needs at least one site");
+        Expr::choose(n / 2 + 1, Expr::nodes(offset..offset + n))
+    }
+
+    /// Largest site id mentioned, or `None` for an impossible empty
+    /// expression (constructors forbid those).
+    fn max_site(&self) -> Option<usize> {
+        let support = self.support();
+        if support == 0 {
+            None
+        } else {
+            Some(63 - support.leading_zeros() as usize)
+        }
+    }
+
+    /// Capped structural enumeration — the heuristic path at scale.
+    ///
+    /// Identical recursion to [`Expr::min_quorums`], but every
+    /// intermediate family is truncated to its `cap` canonically
+    /// smallest sets after minimalization, and `Choose` expands
+    /// deterministic sliding windows of `k` subexpressions instead of
+    /// all `C(n, k)` subsets. Every returned mask is a genuine
+    /// satisfying set (a union of satisfying sets of subexpressions),
+    /// so a strategy over them yields an *achievable* load — but the
+    /// family may omit minimal quorums, so it must never substitute for
+    /// [`Expr::min_quorums`] in safety certification.
+    pub(crate) fn quorums_capped(&self, cap: usize) -> Vec<u64> {
+        assert!(cap >= 1, "cap must be positive");
+        let trunc = |mut v: Vec<u64>| {
+            v.truncate(cap);
+            v
+        };
+        let combine = |acc: Vec<u64>, fam: &[u64]| {
+            let mut out = Vec::with_capacity(acc.len() * fam.len());
+            for &x in &acc {
+                for &y in fam {
+                    out.push(x | y);
+                }
+            }
+            trunc(minimalize(out))
+        };
+        match self {
+            Expr::Node(s) => {
+                assert!(*s < 64, "site {s} exceeds the u64 mask width");
+                vec![1u64 << s]
+            }
+            Expr::Or(es) => {
+                let mut all = Vec::new();
+                for e in es {
+                    all.extend(e.quorums_capped(cap));
+                }
+                trunc(minimalize(all))
+            }
+            Expr::And(es) => {
+                let mut acc = vec![0u64];
+                for e in es {
+                    acc = combine(acc, &e.quorums_capped(cap));
+                }
+                acc
+            }
+            Expr::Choose(k, es) => {
+                let mut all = Vec::new();
+                for start in 0..=es.len() - k {
+                    let mut acc = vec![0u64];
+                    for e in &es[start..start + k] {
+                        acc = combine(acc, &e.quorums_capped(cap));
+                    }
+                    all.extend(acc);
+                    if all.len() >= cap.saturating_mul(4) {
+                        break;
+                    }
+                }
+                trunc(minimalize(all))
             }
         }
     }

@@ -8,17 +8,16 @@
 //! * [`Expr`] — monotone formulas `Node`/`And`/`Or`/`Choose(k, ...)`
 //!   over site ids, with [`Expr::dual`], exact
 //!   [`Expr::weighted_threshold`] conversion from vote vectors, and
-//!   minimal-quorum enumeration (structural, powerset reference, and a
-//!   capped heuristic for scale);
+//!   minimal-quorum enumeration (structural, with a powerset reference);
 //! * [`QuorumSystem`] — named read/write families with an explicit
-//!   [`IntersectionCertificate`] (checked safety, not assumed), exact
-//!   crash [`QuorumSystem::resilience`], the Garcia-Molina–Barbara
-//!   domination order ([`QuorumSystem::dominates`]), and constructors
-//!   for majority, grid, hierarchical, and vote-derived systems;
-//! * [`strategy`] — LP-free load optimization over quorum
-//!   distributions with certified upper *and* lower bounds, the exact
-//!   closed form for uniform-vote thresholds, and an f-resilience
-//!   constraint gate;
+//!   intersection certificate ([`QuorumSystem::certify`]: checked
+//!   safety, not assumed), exact crash [`QuorumSystem::resilience`], and
+//!   constructors for majority, grid, hierarchical, and vote-derived
+//!   systems;
+//! * [`optimize_load`] — LP-free load optimization over quorum
+//!   distributions with certified upper *and* lower bounds, and the exact
+//!   closed form for uniform-vote thresholds
+//!   ([`uniform_threshold_load`]);
 //! * [`AlgebraProtocol`] — the adapter running any certified system
 //!   through the replica simulator's component machinery, so
 //!   vote-optimal and structurally-optimal systems race on the paper's
@@ -29,10 +28,10 @@
 // compare with an explicit epsilon or write a reasoned `#[expect]`.
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-pub mod expr;
-pub mod protocol;
-pub mod strategy;
-pub mod system;
+mod expr;
+mod protocol;
+mod strategy;
+mod system;
 
 // Unit tests of the Garcia-Molina–Barbara coterie facts on
 // `QuorumSystem`: a coterie is the system whose reads and writes are
@@ -52,8 +51,5 @@ mod bicoterie {
 
 pub use expr::Expr;
 pub use protocol::AlgebraProtocol;
-pub use strategy::{
-    check_iterations, heuristic_load, mixed_load, optimize_load, optimize_load_resilient,
-    uniform_threshold_load, LoadProfile, ResilienceShortfall, Strategy,
-};
-pub use system::{CertFailure, IntersectionCertificate, QuorumSystem};
+pub use strategy::{check_iterations, optimize_load, uniform_threshold_load, Strategy};
+pub use system::QuorumSystem;

@@ -9,8 +9,7 @@
 //! minimal-quorum families.
 
 use crate::system::QuorumSystem;
-use quorum_core::protocol::{Access, ConsistencyProtocol, Decision};
-use quorum_core::QuorumSpec;
+use quorum_core::{Access, ConsistencyProtocol, Decision, QuorumSpec};
 
 /// `ConsistencyProtocol` driven by a general quorum system instead of
 /// vote thresholds. Decisions ignore the vote total and use component
@@ -26,11 +25,6 @@ impl AlgebraProtocol {
     /// first; the protocol trusts the families it is given.
     pub fn new(system: QuorumSystem) -> Self {
         Self { system }
-    }
-
-    /// The underlying system.
-    pub fn system(&self) -> &QuorumSystem {
-        &self.system
     }
 
     fn member_mask(&self, members: &[usize]) -> u64 {

@@ -28,9 +28,7 @@
 //! optimum, so "structural beats votes" claims are sound even with an
 //! approximate solver.
 
-use crate::expr::Expr;
 use crate::system::QuorumSystem;
-use std::fmt;
 
 /// A probability distribution over a family of quorums.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,21 +38,11 @@ pub struct Strategy {
 }
 
 impl Strategy {
-    /// The uniform distribution over a non-empty family.
-    pub fn uniform(quorums: &[u64]) -> Self {
-        assert!(!quorums.is_empty(), "family must be non-empty");
-        let p = 1.0 / quorums.len() as f64;
-        Self {
-            quorums: quorums.to_vec(),
-            probs: vec![p; quorums.len()],
-        }
-    }
-
     /// A distribution from per-quorum weights (normalized here).
     ///
     /// # Panics
     /// Panics on length mismatch, negative weights, or zero total.
-    pub fn from_weights(quorums: &[u64], weights: &[f64]) -> Self {
+    pub(crate) fn from_weights(quorums: &[u64], weights: &[f64]) -> Self {
         assert_eq!(quorums.len(), weights.len(), "one weight per quorum");
         let total: f64 = weights.iter().sum();
         assert!(
@@ -68,17 +56,12 @@ impl Strategy {
     }
 
     /// The quorums the strategy ranges over.
-    pub fn quorums(&self) -> &[u64] {
+    pub(crate) fn quorums(&self) -> &[u64] {
         &self.quorums
     }
 
-    /// The probability of each quorum, aligned with [`Self::quorums`].
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
     /// Probability that an access under this strategy touches `site`.
-    pub fn site_load(&self, site: usize) -> f64 {
+    pub(crate) fn site_load(&self, site: usize) -> f64 {
         self.quorums
             .iter()
             .zip(&self.probs)
@@ -90,7 +73,7 @@ impl Strategy {
 
 /// Worst-site load of a read/write strategy pair at read fraction
 /// `read_fraction`, maximized over the union support of both families.
-pub fn mixed_load(read: &Strategy, write: &Strategy, read_fraction: f64) -> f64 {
+pub(crate) fn mixed_load(read: &Strategy, write: &Strategy, read_fraction: f64) -> f64 {
     let support = read
         .quorums()
         .iter()
@@ -110,7 +93,7 @@ pub fn mixed_load(read: &Strategy, write: &Strategy, read_fraction: f64) -> f64 
 /// The outcome of a load optimization.
 #[derive(Debug, Clone)]
 pub struct LoadProfile {
-    /// Achieved worst-site load of the returned strategies — an upper
+    /// Achieved worst-site load of the averaged strategies — an upper
     /// bound on the system's optimal load, and itself achievable.
     pub load: f64,
     /// Certified lower bound on the optimal load (best adversary
@@ -118,32 +101,7 @@ pub struct LoadProfile {
     pub lower_bound: f64,
     /// Solver iterations performed.
     pub iterations: u64,
-    /// The read-quorum distribution achieving `load`.
-    pub read_strategy: Strategy,
-    /// The write-quorum distribution achieving `load`.
-    pub write_strategy: Strategy,
 }
-
-/// A system failed the resilience floor required of an optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResilienceShortfall {
-    /// The floor the caller demanded.
-    pub required: u32,
-    /// What the system actually tolerates.
-    pub actual: u32,
-}
-
-impl fmt::Display for ResilienceShortfall {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "system tolerates {} failures but {} were required",
-            self.actual, self.required
-        )
-    }
-}
-
-impl std::error::Error for ResilienceShortfall {}
 
 /// Minimizes worst-site load by deterministic multiplicative weights.
 ///
@@ -235,8 +193,6 @@ pub fn optimize_load(system: &QuorumSystem, read_fraction: f64, iterations: usiz
         load,
         lower_bound: lower,
         iterations: iterations as u64,
-        read_strategy,
-        write_strategy,
     }
 }
 
@@ -248,27 +204,6 @@ pub fn check_iterations(iterations: usize) -> Result<(), String> {
     } else {
         Err("need at least one iteration".to_string())
     }
-}
-
-/// [`optimize_load`] gated on a resilience floor: errs (without
-/// optimizing) unless the system tolerates at least `min_resilience`
-/// site failures — the f-resilience constraint of the comparison
-/// protocol, which only pits systems of equal fault tolerance against
-/// each other.
-pub fn optimize_load_resilient(
-    system: &QuorumSystem,
-    read_fraction: f64,
-    min_resilience: u32,
-    iterations: usize,
-) -> Result<LoadProfile, ResilienceShortfall> {
-    let actual = system.resilience();
-    if actual < min_resilience {
-        return Err(ResilienceShortfall {
-            required: min_resilience,
-            actual,
-        });
-    }
-    Ok(optimize_load(system, read_fraction, iterations))
 }
 
 /// Exact optimal load of a *uniform-vote* threshold system on `n`
@@ -293,20 +228,40 @@ pub fn uniform_threshold_load(n: usize, q_r: u64, q_w: u64, read_fraction: f64) 
     (read_fraction * q_r as f64 + (1.0 - read_fraction) * q_w as f64) / n as f64
 }
 
-/// Heuristic achievable load at scale: uniform strategies over the
-/// capped families of [`Expr::quorums_capped`], whose cost is
-/// polynomial in the expression size instead of exponential in `n`.
-/// Returns an *achievable* load (a valid upper bound on the optimum);
-/// the gap versus [`optimize_load`] is the price of not enumerating.
-pub fn heuristic_load(read: &Expr, write: &Expr, read_fraction: f64, cap: usize) -> f64 {
-    let r = Strategy::uniform(&read.quorums_capped(cap));
-    let w = Strategy::uniform(&write.quorums_capped(cap));
-    mixed_load(&r, &w, read_fraction)
+#[cfg(test)]
+impl Strategy {
+    /// The uniform distribution over a non-empty family.
+    fn uniform(quorums: &[u64]) -> Self {
+        assert!(!quorums.is_empty(), "family must be non-empty");
+        let p = 1.0 / quorums.len() as f64;
+        Self {
+            quorums: quorums.to_vec(),
+            probs: vec![p; quorums.len()],
+        }
+    }
+
+    /// The probability of each quorum, aligned with [`Self::quorums`].
+    fn probs(&self) -> &[f64] {
+        &self.probs
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
+
+    /// Heuristic achievable load at scale: uniform strategies over the
+    /// capped families of [`Expr::quorums_capped`], whose cost is
+    /// polynomial in the expression size instead of exponential in `n`.
+    /// Returns an *achievable* load (a valid upper bound on the optimum);
+    /// the gap versus [`optimize_load`] is the price of not enumerating.
+    /// The tests hold [`optimize_load`]'s lower bound against it.
+    fn heuristic_load(read: &Expr, write: &Expr, read_fraction: f64, cap: usize) -> f64 {
+        let r = Strategy::uniform(&read.quorums_capped(cap));
+        let w = Strategy::uniform(&write.quorums_capped(cap));
+        mixed_load(&r, &w, read_fraction)
+    }
 
     const TOL: f64 = 0.02;
 
@@ -376,19 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn resilience_gate_rejects_fragile_systems() {
-        use quorum_core::{QuorumSpec, VoteAssignment};
-        let votes = VoteAssignment::uniform(5);
-        let rowa = QuorumSystem::from_spec("rowa", &votes, QuorumSpec::read_one_write_all(5));
-        let err = optimize_load_resilient(&rowa, 0.5, 1, 500).expect_err("resilience 0 < 1");
-        assert_eq!(err.required, 1);
-        assert_eq!(err.actual, 0);
-        assert!(err.to_string().contains("tolerates 0"));
-        let maj = QuorumSystem::majority(5, 0);
-        assert!(optimize_load_resilient(&maj, 0.5, 2, 500).is_ok());
-    }
-
-    #[test]
     fn heuristic_load_is_achievable_upper_bound() {
         let grid = QuorumSystem::grid(3, 3, 0);
         let exact = optimize_load(&grid, 0.5, 3000);
@@ -406,9 +348,6 @@ mod tests {
         let b = optimize_load(&sys, 0.6, 500);
         assert_eq!(a.load.to_bits(), b.load.to_bits());
         assert_eq!(a.lower_bound.to_bits(), b.lower_bound.to_bits());
-        for (x, y) in a.read_strategy.probs().iter().zip(b.read_strategy.probs()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl fmt::Display for CertFailure {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntersectionCertificate {
     /// Quorum pairs examined (read×write plus write×write).
-    pub pairs_checked: u64,
+    pub(crate) pairs_checked: u64,
     /// First violated pair, if the system is unsafe.
     pub failure: Option<CertFailure>,
 }
@@ -108,22 +108,9 @@ impl QuorumSystem {
     /// so condition 1 (read/write intersection) holds by construction.
     /// Condition 2 (write/write) does *not* follow automatically —
     /// certify before use.
-    pub fn from_read_expr(name: &str, n: usize, read_expr: Expr) -> Self {
+    pub(crate) fn from_read_expr(name: &str, n: usize, read_expr: Expr) -> Self {
         let write_expr = read_expr.dual();
         Self::from_exprs(name, n, read_expr, write_expr)
-    }
-
-    /// Simple majority over sites `offset..offset+count` (read and
-    /// write quorums both `⌊count/2⌋+1`-subsets; self-dual for odd
-    /// `count`).
-    pub fn majority(count: usize, offset: usize) -> Self {
-        let e = Expr::majority(count, offset);
-        Self::from_exprs(
-            &format!("majority-{count}"),
-            offset + count,
-            e.clone(),
-            e.dual(),
-        )
     }
 
     /// The `rows × cols` grid system on sites `offset + r*cols + c`.
@@ -214,18 +201,8 @@ impl QuorumSystem {
     }
 
     /// Universe size.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
-    }
-
-    /// The read expression.
-    pub fn read_expr(&self) -> &Expr {
-        &self.read_expr
-    }
-
-    /// The write expression.
-    pub fn write_expr(&self) -> &Expr {
-        &self.write_expr
     }
 
     /// Minimal read quorums as site masks, canonically ordered.
@@ -239,36 +216,13 @@ impl QuorumSystem {
     }
 
     /// Does the up-site set `mask` contain some read quorum?
-    pub fn read_available(&self, mask: u64) -> bool {
+    pub(crate) fn read_available(&self, mask: u64) -> bool {
         self.reads.iter().any(|&q| q & !mask == 0)
     }
 
     /// Does the up-site set `mask` contain some write quorum?
-    pub fn write_available(&self, mask: u64) -> bool {
+    pub(crate) fn write_available(&self, mask: u64) -> bool {
         self.writes.iter().any(|&q| q & !mask == 0)
-    }
-
-    /// True if `self` dominates `other` (Garcia-Molina & Barbara \[8\]):
-    /// both are over the same sites, their families differ, and every
-    /// read (write) quorum of `other` contains a read (write) quorum of
-    /// `self` — so `self` grants every access `other` grants, and more.
-    pub fn dominates(&self, other: &QuorumSystem) -> bool {
-        self.n == other.n
-            && (self.reads != other.reads || self.writes != other.writes)
-            && other.reads.iter().all(|&q| self.read_available(q))
-            && other.writes.iter().all(|&q| self.write_available(q))
-    }
-
-    /// True if some coterie dominates the write family, by the
-    /// Garcia-Molina–Barbara witness test: a site set that meets every
-    /// write quorum yet contains none. Exponential in `n`.
-    ///
-    /// # Panics
-    /// Panics if `n > MAX_ENUM_SITES`.
-    pub fn is_dominated(&self) -> bool {
-        assert!(self.n <= crate::expr::MAX_ENUM_SITES, "2^n scan capped");
-        (1u64..1 << self.n)
-            .any(|x| self.writes.iter().all(|&q| q & x != 0) && !self.write_available(x))
     }
 
     /// Exhaustively checks both intersection conditions over the
@@ -396,6 +350,55 @@ fn min_transversal(quorums: &[u64]) -> u32 {
     }
     go(quorums, 0, 0, &mut bound);
     bound
+}
+
+#[cfg(test)]
+impl QuorumSystem {
+    /// Simple majority over sites `offset..offset+count` (read and
+    /// write quorums both `⌊count/2⌋+1`-subsets; self-dual for odd
+    /// `count`).
+    pub(crate) fn majority(count: usize, offset: usize) -> Self {
+        let e = Expr::majority(count, offset);
+        Self::from_exprs(
+            &format!("majority-{count}"),
+            offset + count,
+            e.clone(),
+            e.dual(),
+        )
+    }
+
+    /// The read expression.
+    pub(crate) fn read_expr(&self) -> &Expr {
+        &self.read_expr
+    }
+
+    /// The write expression.
+    pub(crate) fn write_expr(&self) -> &Expr {
+        &self.write_expr
+    }
+
+    /// True if `self` dominates `other` (Garcia-Molina & Barbara \[8\]):
+    /// both are over the same sites, their families differ, and every
+    /// read (write) quorum of `other` contains a read (write) quorum of
+    /// `self` — so `self` grants every access `other` grants, and more.
+    pub(crate) fn dominates(&self, other: &QuorumSystem) -> bool {
+        self.n == other.n
+            && (self.reads != other.reads || self.writes != other.writes)
+            && other.reads.iter().all(|&q| self.read_available(q))
+            && other.writes.iter().all(|&q| self.write_available(q))
+    }
+
+    /// True if some coterie dominates the write family, by the
+    /// Garcia-Molina–Barbara witness test: a site set that meets every
+    /// write quorum yet contains none. Exponential in `n`.
+    ///
+    /// # Panics
+    /// Panics if `n > MAX_ENUM_SITES`.
+    pub(crate) fn is_dominated(&self) -> bool {
+        assert!(self.n <= crate::expr::MAX_ENUM_SITES, "2^n scan capped");
+        (1u64..1 << self.n)
+            .any(|x| self.writes.iter().all(|&q| q & x != 0) && !self.write_available(x))
+    }
 }
 
 #[cfg(test)]

@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{Simulation, Workload};
+use quorum_replica::{NullObserver, Simulation, Workload};
 use std::hint::black_box;
 
 fn bench_batches(c: &mut Criterion) {

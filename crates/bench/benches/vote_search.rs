@@ -2,7 +2,7 @@
 //! behind exact availability, and the two vote-search strategies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use quorum_core::nonpartition::{
+use quorum_core::{
     model_uniform_access, optimal_votes_exhaustive, optimal_votes_hill_climb, site_density,
 };
 use std::hint::black_box;

@@ -13,10 +13,11 @@
 
 use quorum_bench::{default_threads, pct, Args, Scale};
 use quorum_core::{DynamicVoting, QuorumConsensus, QuorumSpec, SearchStrategy, VoteAssignment};
-use quorum_replica::adaptive::{run_adaptive, AdaptiveConfig, Phase};
 use quorum_replica::scenario::PaperScenario;
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{run_static, CurveSet, RunConfig, Simulation, Workload};
+use quorum_replica::{
+    run_adaptive, run_static, AdaptiveConfig, CurveSet, NullObserver, Phase, RunConfig, Simulation,
+    Workload,
+};
 
 fn main() {
     let args = Args::parse();

@@ -13,9 +13,10 @@
 use quorum_bench::{default_threads, pct, Args};
 use quorum_core::{QuorumConsensus, QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;
-use quorum_replica::adaptive::{run_adaptive, run_phased, AdaptiveConfig, Phase};
 use quorum_replica::scenario::PaperScenario;
-use quorum_replica::{run_static, CurveSet, RunConfig, Workload};
+use quorum_replica::{
+    run_adaptive, run_phased, run_static, AdaptiveConfig, CurveSet, Phase, RunConfig, Workload,
+};
 
 fn main() {
     let args = Args::parse();

@@ -33,8 +33,7 @@ use quorum_graph::{
     TopologyEvent,
 };
 use quorum_obs::{keys, Registry, RunManifest};
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{BatchStats, Simulation, Workload};
+use quorum_replica::{BatchStats, NullObserver, Simulation, Workload};
 use std::time::Instant;
 
 /// One replayed configuration: label, topology, votes, workload.

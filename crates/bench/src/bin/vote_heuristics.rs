@@ -18,8 +18,7 @@
 use quorum_bench::{default_threads, pct, run_jobs, Args, Scale};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_graph::{articulation_weighted_votes, Topology};
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{Simulation, Workload};
+use quorum_replica::{NullObserver, Simulation, Workload};
 
 fn barbell(k: usize) -> Topology {
     // Two complete graphs of k sites joined by one bridge edge.

@@ -9,14 +9,13 @@
 //!        [-- --alpha 0.5 --max-votes 3]
 
 use quorum_bench::{pct, Args};
-use quorum_core::nonpartition::{
-    check_max_votes, optimal_votes_exhaustive, optimal_votes_hill_climb,
+use quorum_core::{
+    check_max_votes, optimal_votes_exhaustive, optimal_votes_hill_climb, QuorumConsensus,
+    QuorumSpec, VoteAssignment,
 };
-use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{Simulation, Workload};
+use quorum_replica::{NullObserver, Simulation, Workload};
 
 fn simulate_assignment(
     topo: &Topology,
@@ -66,7 +65,7 @@ fn main() {
         let opt = optimal_votes_exhaustive(rel, alpha, max_votes);
         // Best uniform-vote assignment for comparison.
         let uni_votes = vec![1u64; rel.len()];
-        let uni_model = quorum_core::nonpartition::model_uniform_access(&uni_votes, rel);
+        let uni_model = quorum_core::model_uniform_access(&uni_votes, rel);
         let hi = (rel.len() as u64 / 2).max(1);
         let uni_best = (1..=hi)
             .map(|q| uni_model.availability(alpha, q))

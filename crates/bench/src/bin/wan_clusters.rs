@@ -19,8 +19,7 @@ use quorum_bench::{default_threads, pct, Args, Scale};
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_graph::Topology;
-use quorum_replica::sweep::sweep_read_quorum;
-use quorum_replica::{run_static, CurveSet, RunConfig, Workload};
+use quorum_replica::{run_static, sweep_read_quorum, CurveSet, RunConfig, Workload};
 
 fn main() {
     let args = Args::parse();
@@ -139,10 +138,9 @@ fn main() {
         VoteAssignment::uniform(n),
         QuorumSpec::from_read_quorum(total / 2, total).expect("valid"),
     );
-    let mut flaky_stats =
-        flaky_sim.run_batch(&mut proto, &mut quorum_replica::simulation::NullObserver);
+    let mut flaky_stats = flaky_sim.run_batch(&mut proto, &mut quorum_replica::NullObserver);
     for _ in 1..3 {
-        let s = flaky_sim.run_batch(&mut proto, &mut quorum_replica::simulation::NullObserver);
+        let s = flaky_sim.run_batch(&mut proto, &mut quorum_replica::NullObserver);
         flaky_stats.merge(&s);
     }
     let flaky_results = quorum_replica::RunResults {

@@ -25,7 +25,7 @@ pub mod validate;
 /// state that later grows a "dump all options into the manifest" loop,
 /// and that loop must be ordered from day one.
 ///
-/// Bad input is a usage error, not a panic: [`Args::from_args`],
+/// Bad input is a usage error, not a panic: `Args::from_args`,
 /// [`Args::get`], [`Args::get_checked`] and [`Args::one_of`] print
 /// `error: …` and exit with status 2 (see [`or_usage_exit`]).
 #[derive(Debug, Clone, Default)]
@@ -42,7 +42,7 @@ impl Args {
 
     /// Parses an explicit argument list; exits with status 2 on a
     /// positional argument.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    pub(crate) fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         or_usage_exit(Self::try_from_args(args))
     }
 
@@ -301,7 +301,7 @@ mod tests {
     use quorum_algebra::check_iterations;
     use quorum_cluster::{ClusterConfig, LatencyDist, NetConfig};
     use quorum_core::analytic::{check_reliability, check_ring_sites, check_sites};
-    use quorum_core::nonpartition::check_max_votes;
+    use quorum_core::check_max_votes;
     use quorum_graph::Topology;
     use quorum_replica::scenario::PaperScenario;
     use quorum_replica::Workload;

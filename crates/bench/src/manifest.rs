@@ -18,7 +18,7 @@ use std::path::Path;
 use std::time::Duration;
 
 /// Manifest name of a duration-distribution shape.
-pub fn dist_name(d: DurationDist) -> String {
+pub(crate) fn dist_name(d: DurationDist) -> String {
     match d {
         DurationDist::Exponential => "exponential".into(),
         DurationDist::Fixed => "fixed".into(),

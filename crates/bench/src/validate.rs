@@ -49,7 +49,7 @@ impl ValidateOpts {
 
 /// The binary's default 15-cell grid: the α extremes plus the midpoint,
 /// crossed with `q_r` from 1 to the majority end.
-pub fn default_grid() -> Vec<(f64, u64)> {
+pub(crate) fn default_grid() -> Vec<(f64, u64)> {
     [0.0, 0.5, 1.0]
         .iter()
         .flat_map(|&a| [1u64, 10, 25, 40, 50].map(|q| (a, q)))

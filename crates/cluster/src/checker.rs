@@ -31,18 +31,18 @@ pub struct FreshnessChecker {
 
 impl FreshnessChecker {
     /// Creates a checker with no committed writes (version 0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The freshness floor for a read submitted *now*: the newest version
     /// any client has been told is committed.
-    pub fn floor(&self) -> Version {
+    pub(crate) fn floor(&self) -> Version {
         self.latest_committed
     }
 
     /// Records a client-visible write commit of `version`.
-    pub fn on_write_committed(&mut self, version: Version) {
+    pub(crate) fn on_write_committed(&mut self, version: Version) {
         self.latest_committed = self.latest_committed.max(version);
     }
 
@@ -50,7 +50,7 @@ impl FreshnessChecker {
     /// [`FreshnessChecker::floor`] captured when the session opened, and
     /// `result` is the highest version among the read quorum's replies.
     /// Returns `true` iff the read is fresh.
-    pub fn on_read_committed(&mut self, floor: Version, result: Version) -> bool {
+    pub(crate) fn on_read_committed(&mut self, floor: Version, result: Version) -> bool {
         self.reads_checked += 1;
         let fresh = result >= floor;
         if !fresh {
@@ -59,14 +59,17 @@ impl FreshnessChecker {
         fresh
     }
 
-    /// Committed reads validated so far.
-    pub fn reads_checked(&self) -> u64 {
-        self.reads_checked
-    }
-
     /// Stale reads detected so far.
     pub fn violations(&self) -> u64 {
         self.violations
+    }
+}
+
+#[cfg(test)]
+impl FreshnessChecker {
+    /// Committed reads validated so far.
+    fn reads_checked(&self) -> u64 {
+        self.reads_checked
     }
 }
 

@@ -74,7 +74,7 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Default latency histogram bucket edges (simulated time units).
-    pub fn default_latency_bounds() -> Vec<f64> {
+    pub(crate) fn default_latency_bounds() -> Vec<f64> {
         vec![0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
     }
 
@@ -110,7 +110,7 @@ impl ClusterConfig {
     }
 
     /// The timeout of retry round `round` (0 = first attempt).
-    pub fn timeout_for(&self, round: u32) -> f64 {
+    pub(crate) fn timeout_for(&self, round: u32) -> f64 {
         let factor = self
             .retry_backoff
             .powi(round.min(64) as i32)

@@ -58,8 +58,7 @@ use crate::stats::{ClusterStats, Outcome};
 use quorum_core::{Access, QuorumSpec, VoteAssignment};
 use quorum_des::{EventKey, PoissonProcess, SimTime};
 use quorum_graph::Topology;
-use quorum_replica::failure::{FailureWorld, Transition};
-use quorum_replica::Workload;
+use quorum_replica::{FailureWorld, Transition, Workload};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -209,11 +208,6 @@ impl<'a> ClusterEngine<'a> {
             master_seed,
             batches_run: 0,
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
     }
 
     /// Runs the next batch (auto-incrementing batch index).

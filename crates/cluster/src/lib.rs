@@ -6,18 +6,18 @@
 //! into an actor-style, deterministic message-passing cluster layered on
 //! the same DES substrate:
 //!
-//! * every site is a small state machine ([`engine`]) exchanging typed
-//!   messages ([`message`]) — vote requests/grants/denies, versioned
+//! * every site is a small state machine ([`ClusterEngine`]) exchanging typed
+//!   messages ([`Message`]) — vote requests/grants/denies, versioned
 //!   read values and write commits, and §2.2 `Install` propagation;
 //! * links carry configurable per-message latency distributions and a
-//!   loss probability ([`net`]); delivery additionally requires the
+//!   loss probability ([`NetConfig`]); delivery additionally requires the
 //!   endpoints to be mutually reachable at the delivery instant, driven
 //!   by the same `Topology`/`NetworkState` failure processes as the
 //!   instantaneous simulator;
 //! * reads and writes become multi-message quorum-gathering sessions
 //!   with per-session timeouts and bounded exponential-backoff retries,
-//!   resolving to client-visible [`stats::Outcome`]s;
-//! * a version-based freshness checker ([`checker`]) asserts that no
+//!   resolving to client-visible [`Outcome`]s;
+//! * a version-based freshness checker ([`FreshnessChecker`]) asserts that no
 //!   committed read returns a stale version, even with message loss and
 //!   quorum reassignments in flight.
 //!
@@ -31,20 +31,20 @@
 
 #![warn(missing_docs)]
 
-pub mod checker;
-pub mod config;
-pub mod engine;
-pub mod message;
-pub mod net;
-pub mod protocol;
-pub mod runner;
-pub mod stats;
+mod checker;
+mod config;
+mod engine;
+mod message;
+mod net;
+mod protocol;
+mod runner;
+mod stats;
 
 pub use checker::FreshnessChecker;
 pub use config::{jointly_safe, ClusterConfig, InstallStep};
 pub use engine::ClusterEngine;
-pub use message::{Message, Payload, SessionId, Version, NO_SESSION};
+pub use message::{Message, Payload, SessionId, Version};
 pub use net::{LatencyDist, NetConfig};
-pub use protocol::{ProtocolCore, Scheduler, SessionPhase, SessionView, SiteView, TimerToken};
-pub use runner::{run_cluster, run_cluster_observed, ClusterRunResults, RunOptions};
+pub use protocol::{ProtocolCore, Scheduler, SessionPhase, TimerToken};
+pub use runner::{run_cluster, run_cluster_observed, RunOptions};
 pub use stats::{ClusterStats, LatencyHistogram, Outcome};

@@ -29,7 +29,7 @@ pub type SessionId = u64;
 pub type Version = u64;
 
 /// Session id used by messages that belong to no session (installs).
-pub const NO_SESSION: SessionId = 0;
+pub(crate) const NO_SESSION: SessionId = 0;
 
 /// The protocol-level content of a message.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,7 +107,7 @@ pub struct Message {
     pub from: usize,
     /// Destination site.
     pub to: usize,
-    /// Session the message belongs to ([`NO_SESSION`] for installs).
+    /// Session the message belongs to (`NO_SESSION`, 0, for installs).
     pub session: SessionId,
     /// Protocol content.
     pub payload: Payload,

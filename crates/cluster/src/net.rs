@@ -32,7 +32,7 @@ pub enum LatencyDist {
 impl LatencyDist {
     /// Draws one latency. Constant latencies consume no randomness, so an
     /// ideal network leaves the network RNG stream untouched.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
             LatencyDist::Constant(c) => c,
             LatencyDist::Uniform { min, max } => min + rng.random::<f64>() * (max - min),
@@ -40,15 +40,6 @@ impl LatencyDist {
                 let u: f64 = rng.random();
                 -mean * (1.0 - u).ln()
             }
-        }
-    }
-
-    /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            LatencyDist::Constant(c) => c,
-            LatencyDist::Uniform { min, max } => 0.5 * (min + max),
-            LatencyDist::Exponential { mean } => mean,
         }
     }
 
@@ -67,16 +58,6 @@ impl LatencyDist {
             Ok(())
         } else {
             Err(rule.to_string())
-        }
-    }
-
-    /// Validates parameters (see [`LatencyDist::check`]).
-    ///
-    /// # Panics
-    /// Panics on negative or inverted parameters.
-    pub fn validate(&self) {
-        if let Err(rule) = self.check() {
-            panic!("{rule}");
         }
     }
 }
@@ -110,21 +91,36 @@ impl NetConfig {
             Err("loss probability must lie in [0, 1)".to_string())
         }
     }
-
-    /// Validates parameters (see [`NetConfig::check`]).
-    ///
-    /// # Panics
-    /// Panics if `loss` is outside `[0, 1)` or the latency is invalid.
-    pub fn validate(&self) {
-        if let Err(rule) = self.check() {
-            panic!("{rule}");
-        }
-    }
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         Self::ideal()
+    }
+}
+
+#[cfg(test)]
+impl LatencyDist {
+    /// Mean of the distribution.
+    fn mean(&self) -> f64 {
+        match *self {
+            LatencyDist::Constant(c) => c,
+            LatencyDist::Uniform { min, max } => 0.5 * (min + max),
+            LatencyDist::Exponential { mean } => mean,
+        }
+    }
+}
+
+#[cfg(test)]
+impl NetConfig {
+    /// Validates parameters (see [`NetConfig::check`]).
+    ///
+    /// # Panics
+    /// Panics if `loss` is outside `[0, 1)` or the latency is invalid.
+    fn validate(&self) {
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
+        }
     }
 }
 

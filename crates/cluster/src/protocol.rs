@@ -51,8 +51,7 @@ use crate::checker::FreshnessChecker;
 use crate::config::ClusterConfig;
 use crate::message::{Message, Payload, SessionId, Version, NO_SESSION};
 use crate::stats::{ClusterStats, Outcome};
-use quorum_core::reassign::SiteAssignment;
-use quorum_core::{Access, QuorumSpec, VoteAssignment};
+use quorum_core::{Access, QuorumSpec, SiteAssignment, VoteAssignment};
 use quorum_des::SimTime;
 
 /// Opaque handle to a pending session timer, issued by a [`Scheduler`].
@@ -149,7 +148,6 @@ impl Session {
             votes: self.votes,
             contributed: &self.contributed,
             epoch: self.epoch,
-            spec: self.spec,
             max_version: self.max_version,
             new_version: self.new_version,
         }
@@ -183,8 +181,6 @@ pub struct SessionView<'s> {
     pub contributed: &'s [bool],
     /// Assignment epoch the session is gathering under.
     pub epoch: u64,
-    /// Quorum spec of that epoch.
-    pub spec: QuorumSpec,
     /// Highest version among phase-1 replies.
     pub max_version: Version,
     /// Version a write will install (0 until phase 2).
@@ -258,11 +254,6 @@ impl<'a> ProtocolCore<'a> {
         }
     }
 
-    /// Number of sites.
-    pub fn num_sites(&self) -> usize {
-        self.num_sites
-    }
-
     /// The freshness checker (floor and violation counts).
     pub fn checker(&self) -> &FreshnessChecker {
         &self.checker
@@ -289,7 +280,7 @@ impl<'a> ProtocolCore<'a> {
     }
 
     /// Coordinator of session `id`, if the session is still open.
-    pub fn session_origin(&self, id: SessionId) -> Option<usize> {
+    pub(crate) fn session_origin(&self, id: SessionId) -> Option<usize> {
         self.session(id).map(|s| s.origin)
     }
 
@@ -885,7 +876,6 @@ mod tests {
             .session_view(id)
             .expect("session retries, not resolves");
         assert_eq!(v.epoch, 1, "retry adopts the new epoch");
-        assert_eq!(v.spec, new_spec);
         assert_eq!(v.votes, 1, "old-epoch pledge discarded, own vote re-seeded");
         assert_eq!(v.contributed, &[true, false, false]);
         assert_eq!(sched.stats.cross_epoch_resets, 1);

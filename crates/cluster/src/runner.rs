@@ -15,9 +15,7 @@ use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_graph::Topology;
 use quorum_obs::{keys, CiPoint, Registry, RunManifest};
 use quorum_replica::Workload;
-use quorum_stats::converge;
-use quorum_stats::BatchMeans;
-use quorum_stats::ConfidenceInterval;
+use quorum_stats::{converge, BatchMeans, ConfidenceInterval};
 
 /// Execution options of a multi-batch cluster run (the simulation
 /// parameters live in [`ClusterConfig::params`]).
@@ -48,13 +46,13 @@ pub struct ClusterRunResults {
     /// Batches executed.
     pub batches: u64,
     /// Batch-means accumulator over per-batch ACC.
-    pub acc: BatchMeans,
+    pub(crate) acc: BatchMeans,
     /// Merged raw statistics over all batches.
     pub combined: ClusterStats,
     /// CI-convergence trace (one point per counted batch from the
     /// second on — same granularity as the replica runner's, since both
     /// come from [`quorum_stats::converge()`]).
-    pub ci_trace: Vec<CiPoint>,
+    pub(crate) ci_trace: Vec<CiPoint>,
 }
 
 impl ClusterRunResults {

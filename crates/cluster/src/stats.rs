@@ -27,7 +27,7 @@ pub struct LatencyHistogram {
 
 impl LatencyHistogram {
     /// Creates a histogram with the given ascending bucket upper edges.
-    pub fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         Self {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
@@ -40,7 +40,7 @@ impl LatencyHistogram {
     /// Latencies are differences of simulation timestamps, so a NaN or
     /// infinity here means an upstream arithmetic bug — it would poison
     /// `sum` (and every mean derived from it) silently.
-    pub fn record(&mut self, x: f64) {
+    pub(crate) fn record(&mut self, x: f64) {
         debug_assert!(x.is_finite(), "non-finite latency recorded: {x}");
         let idx = self
             .bounds
@@ -52,7 +52,7 @@ impl LatencyHistogram {
     }
 
     /// Total observations.
-    pub fn observations(&self) -> u64 {
+    pub(crate) fn observations(&self) -> u64 {
         self.counts.iter().sum()
     }
 
@@ -77,7 +77,7 @@ impl LatencyHistogram {
     }
 
     /// Converts to a manifest record under `key`.
-    pub fn to_record(&self, key: quorum_obs::Key) -> HistogramRecord {
+    pub(crate) fn to_record(&self, key: quorum_obs::Key) -> HistogramRecord {
         HistogramRecord {
             name: key.as_str().to_string(),
             bounds: self.bounds.clone(),
@@ -86,7 +86,7 @@ impl LatencyHistogram {
     }
 
     /// Accumulates another histogram (bounds must match).
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         assert_eq!(self.bounds, other.bounds, "histogram bounds must match");
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
@@ -214,7 +214,7 @@ impl ClusterStats {
     }
 
     /// ACC: fraction of measured sessions that committed.
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         if self.submitted() == 0 {
             0.0
         } else {
@@ -252,7 +252,7 @@ impl ClusterStats {
 
     /// Accumulates another batch (outcome sequences are not merged —
     /// they are a single-batch debugging/validation artifact).
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         self.reads_submitted += other.reads_submitted;
         self.writes_submitted += other.writes_submitted;
         self.reads_committed += other.reads_committed;
@@ -285,7 +285,7 @@ impl ClusterStats {
 
     /// Publishes the counters into a registry under the
     /// [`quorum_obs::keys`] names.
-    pub fn observe_into(&self, registry: &Registry) {
+    pub(crate) fn observe_into(&self, registry: &Registry) {
         registry.add(keys::CLUSTER_READS_SUBMITTED, self.reads_submitted);
         registry.add(keys::CLUSTER_WRITES_SUBMITTED, self.writes_submitted);
         registry.add(keys::CLUSTER_MESSAGES_SENT, self.messages_sent);

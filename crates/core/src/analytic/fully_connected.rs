@@ -26,7 +26,7 @@ use quorum_stats::DiscreteDist;
 /// Computes `Rel(1..=m, r)` in one O(m²) pass; `out[k] = Rel(k, r)`.
 /// Index 0 is unused (`Rel(0)` set to 1 by convention).
 #[allow(clippy::needless_range_loop)] // rel[i] indexing mirrors Gilbert's recursion
-pub fn gilbert_rel_table(m: usize, r: f64) -> Vec<f64> {
+pub(crate) fn gilbert_rel_table(m: usize, r: f64) -> Vec<f64> {
     check_prob("link reliability r", r);
     let q = 1.0 - r;
     let mut rel = vec![1.0; m + 1];

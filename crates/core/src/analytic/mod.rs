@@ -5,24 +5,22 @@
 //! probability that site `i` lies in a component holding exactly `v` votes
 //! (one vote per site, so `v` is also the component's site count) — has a
 //! closed form. For general graphs the computation is #P-complete (the
-//! paper, citing its companion \[14\]); the [`crate::estimator`] module
+//! paper, citing its companion \[14\]); [`crate::SiteEstimators`]
 //! provides the on-line approximation used instead.
 //!
 //! All functions here assume uniform one-vote-per-site assignments and
 //! i.i.d. site reliability `p` and link reliability `r`, matching the
 //! paper's formulas.
 
-pub mod bus;
-pub mod fully_connected;
-pub mod path;
-pub mod ring;
-pub mod star;
+mod bus;
+mod fully_connected;
+mod ring;
+mod star;
 
 pub use bus::{bus_density_sites_fail, bus_density_sites_independent};
 pub use fully_connected::{fully_connected_density, gilbert_rel};
-pub use path::{path_densities, path_density};
 pub use ring::{check_ring_sites, ring_density};
-pub use star::{star_densities, star_hub_density, star_leaf_density};
+pub use star::star_densities;
 
 /// Checks a site or link reliability, returning the violated rule.
 pub fn check_reliability(x: f64) -> Result<(), String> {
@@ -86,6 +84,10 @@ pub(crate) fn choose(n: usize, k: usize) -> f64 {
         ln_choose(n, k).exp()
     }
 }
+
+// Exact path-network densities; only the tests use them.
+#[cfg(test)]
+mod path;
 
 #[cfg(test)]
 mod tests {

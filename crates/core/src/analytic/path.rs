@@ -17,7 +17,7 @@ use super::check_prob;
 use quorum_stats::DiscreteDist;
 
 /// Exact `f_i(v)` for site `site` of an `n`-site path.
-pub fn path_density(n: usize, p: f64, r: f64, site: usize) -> DiscreteDist {
+pub(crate) fn path_density(n: usize, p: f64, r: f64, site: usize) -> DiscreteDist {
     assert!(n >= 2, "a path needs at least 2 sites");
     assert!(site < n, "site {site} out of range");
     check_prob("site reliability p", p);
@@ -39,11 +39,6 @@ pub fn path_density(n: usize, p: f64, r: f64, site: usize) -> DiscreteDist {
         }
     }
     DiscreteDist::from_pmf(pmf)
-}
-
-/// All per-site densities of the path, ready for the Figure-1 mixture.
-pub fn path_densities(n: usize, p: f64, r: f64) -> Vec<DiscreteDist> {
-    (0..n).map(|i| path_density(n, p, r, i)).collect()
 }
 
 #[cfg(test)]

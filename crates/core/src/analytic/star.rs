@@ -20,7 +20,7 @@ fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
 }
 
 /// Exact `f_hub(v)` for the hub of an `n`-site star.
-pub fn star_hub_density(n: usize, p: f64, r: f64) -> DiscreteDist {
+pub(crate) fn star_hub_density(n: usize, p: f64, r: f64) -> DiscreteDist {
     assert!(n >= 2, "a star needs at least 2 sites");
     check_prob("site reliability p", p);
     check_prob("link reliability r", r);
@@ -35,7 +35,7 @@ pub fn star_hub_density(n: usize, p: f64, r: f64) -> DiscreteDist {
 }
 
 /// Exact `f_leaf(v)` for any leaf of an `n`-site star.
-pub fn star_leaf_density(n: usize, p: f64, r: f64) -> DiscreteDist {
+pub(crate) fn star_leaf_density(n: usize, p: f64, r: f64) -> DiscreteDist {
     assert!(n >= 2, "a star needs at least 2 sites");
     check_prob("site reliability p", p);
     check_prob("link reliability r", r);

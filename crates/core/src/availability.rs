@@ -90,7 +90,7 @@ impl AvailabilityModel {
 
     /// Uniform access distribution (`r_i = w_i = 1/n`): `r(v) = w(v)`
     /// (noted in §4.1), so one mixture suffices.
-    pub fn uniform_access(densities: &[DiscreteDist]) -> Self {
+    pub(crate) fn uniform_access(densities: &[DiscreteDist]) -> Self {
         let n = densities.len();
         let w = vec![1.0 / n as f64; n];
         Self::from_site_densities(densities, &w, &w)
@@ -131,28 +131,6 @@ impl AvailabilityModel {
         alpha * self.read_availability(q_r) + omega * (1.0 - alpha) * self.write_availability(q_w)
     }
 
-    /// Discrete forward difference `A(α, q_r+1) − A(α, q_r)` in closed
-    /// form: `−α·r(q_r) + (1−α)·w(T−q_r+1)` — the derivative §4.1 says
-    /// Brent's method can exploit (we expose it for diagnostics and for
-    /// derivative-guided searches).
-    pub fn availability_delta(&self, alpha: f64, q_r: u64) -> f64 {
-        self.check_args(alpha, q_r);
-        let q_w = self.total - q_r + 1;
-        // r(q_r) = R(q_r) − R(q_r+1); w(q_w−1) = W(q_w−1) − W(q_w).
-        let r_mass = self.read_availability(q_r) - self.read_availability(q_r + 1);
-        let w_mass = self.write_availability(q_w - 1) - self.write_availability(q_w);
-        -alpha * r_mass + (1.0 - alpha) * w_mass
-    }
-
-    /// Footnote 4: densities estimated on-line by operational sites yield
-    /// `A'` (availability conditioned on the submitting site being up);
-    /// `A = p·A'` where `p` is site reliability, so argmaxes coincide.
-    /// This helper applies the scaling when absolute numbers are wanted.
-    pub fn scale_conditional(availability_prime: f64, site_reliability: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&site_reliability));
-        site_reliability * availability_prime
-    }
-
     fn tail(&self, table: &[f64], v: u64) -> f64 {
         if v as usize >= table.len() {
             0.0
@@ -172,6 +150,31 @@ impl AvailabilityModel {
             "q_r = {q_r} outside 1..={hi} (T = {})",
             self.total
         );
+    }
+}
+
+#[cfg(test)]
+impl AvailabilityModel {
+    /// Discrete forward difference `A(α, q_r+1) − A(α, q_r)` in closed
+    /// form: `−α·r(q_r) + (1−α)·w(T−q_r+1)` — the derivative §4.1 says
+    /// Brent's method can exploit (we expose it for diagnostics and for
+    /// derivative-guided searches).
+    fn availability_delta(&self, alpha: f64, q_r: u64) -> f64 {
+        self.check_args(alpha, q_r);
+        let q_w = self.total - q_r + 1;
+        // r(q_r) = R(q_r) − R(q_r+1); w(q_w−1) = W(q_w−1) − W(q_w).
+        let r_mass = self.read_availability(q_r) - self.read_availability(q_r + 1);
+        let w_mass = self.write_availability(q_w - 1) - self.write_availability(q_w);
+        -alpha * r_mass + (1.0 - alpha) * w_mass
+    }
+
+    /// Footnote 4: densities estimated on-line by operational sites yield
+    /// `A'` (availability conditioned on the submitting site being up);
+    /// `A = p·A'` where `p` is site reliability, so argmaxes coincide.
+    /// This helper applies the scaling when absolute numbers are wanted.
+    fn scale_conditional(availability_prime: f64, site_reliability: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&site_reliability));
+        site_reliability * availability_prime
     }
 }
 

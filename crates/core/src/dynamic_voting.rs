@@ -55,11 +55,6 @@ impl DynamicVoting {
         self.updates
     }
 
-    /// `(vn, sc)` of one site.
-    pub fn site(&self, site: usize) -> (u64, u32) {
-        (self.vn[site], self.sc[site])
-    }
-
     /// Evaluates the majority-of-last-electorate condition for a
     /// component, returning `(granted, max_vn)`.
     fn evaluate(&self, members: &[usize]) -> (bool, u64) {
@@ -75,11 +70,6 @@ impl DynamicVoting {
         // Strict majority of the last update's participants.
         let granted = 2 * holders.len() as u32 > electorate;
         (granted, max_vn)
-    }
-
-    /// Can this component currently access the item?
-    pub fn can_access(&self, members: &[usize]) -> bool {
-        self.evaluate(members).0
     }
 }
 
@@ -114,6 +104,19 @@ impl ConsistencyProtocol for DynamicVoting {
 
     fn total_votes(&self) -> u64 {
         self.vn.len() as u64
+    }
+}
+
+#[cfg(test)]
+impl DynamicVoting {
+    /// `(vn, sc)` of one site.
+    fn site(&self, site: usize) -> (u64, u32) {
+        (self.vn[site], self.sc[site])
+    }
+
+    /// Can this component currently access the item?
+    fn can_access(&self, members: &[usize]) -> bool {
+        self.evaluate(members).0
     }
 }
 

@@ -5,28 +5,28 @@
 //! PCS-TR90-158 / ICPP 1991) together with the protocol substrate it rests
 //! on:
 //!
-//! * [`votes`] / [`quorum`] — Gifford's weighted-voting model: vote
+//! * [`VoteAssignment`] / [`QuorumSpec`] — Gifford's weighted-voting model: vote
 //!   assignments, read/write quorums `q_r`, `q_w`, and the two consistency
 //!   conditions `q_r + q_w > T` and `q_w > T/2` (§2.1).
-//! * [`protocol`] — the quorum consensus protocol and its named special
+//! * [`QuorumConsensus`] — the quorum consensus protocol and its named special
 //!   cases: majority consensus, read-one/write-all, primary copy.
-//! * [`reassign`] — the dynamic quorum reassignment (QR) protocol of §2.2:
+//! * [`QrProtocol`] — the dynamic quorum reassignment (QR) protocol of §2.2:
 //!   version-numbered assignments installable only in a component holding a
 //!   write quorum under the *old* assignment.
-//! * [`availability`] / [`optimal`] — the Figure-1 algorithm: build
+//! * [`AvailabilityModel`] / [`optimal`] — the Figure-1 algorithm: build
 //!   `r(v)`, `w(v)` from per-site densities `f_i(v)`, evaluate
 //!   `A(α, q_r)`, and maximize over `q_r` (exhaustively, or with the
 //!   endpoint-aware golden-section search §4.1 suggests), including the
 //!   §5.4 write-floor and write-weight variants.
 //! * [`analytic`] — closed-form `f_i(v)` for ring, fully-connected
 //!   (Gilbert's `Rel(m, r)` recursion) and single-bus networks (§4.2).
-//! * [`estimator`] — the on-line `f_i` approximation that sidesteps the
+//! * [`SiteEstimators`] — the on-line `f_i` approximation that sidesteps the
 //!   #P-completeness of exact computation (§4.2).
 //! * [`metrics`] — the ACC and SURV availability metrics (§3).
-//! * [`nonpartition`] — the Ahamad–Ammar non-partitionable model \[1\] and
+//! * [`optimal_votes_exhaustive`] / [`optimal_votes_hill_climb`] — the Ahamad–Ammar non-partitionable model \[1\] and
 //!   Cheung–Ahamad–Ammar joint vote/quorum optimization \[7\] the paper
 //!   positions against (§1), with exact DP availability.
-//! * [`dynamic_voting`] — Jajodia–Mutchler dynamic voting \[12, 13\], the
+//! * [`DynamicVoting`] — Jajodia–Mutchler dynamic voting \[12, 13\], the
 //!   electorate-shrinking dynamic protocol family the paper contrasts its
 //!   quorum-reassignment approach with.
 //!
@@ -40,16 +40,16 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod analytic;
-pub mod availability;
-pub mod dynamic_voting;
-pub mod estimator;
+mod availability;
+mod dynamic_voting;
+mod estimator;
 pub mod metrics;
-pub mod nonpartition;
+mod nonpartition;
 pub mod optimal;
-pub mod protocol;
-pub mod quorum;
-pub mod reassign;
-pub mod votes;
+mod protocol;
+mod quorum;
+mod reassign;
+mod votes;
 
 /// One-line import for the common workflow: build a model, optimize,
 /// run a protocol.
@@ -77,8 +77,12 @@ pub use availability::AvailabilityModel;
 pub use dynamic_voting::DynamicVoting;
 pub use estimator::SiteEstimators;
 pub use metrics::AvailabilityMetric;
+pub use nonpartition::{
+    check_max_votes, model_uniform_access, optimal_votes_exhaustive, optimal_votes_hill_climb,
+    site_density, up_vote_distribution,
+};
 pub use optimal::{OptimalAssignment, SearchStrategy};
-pub use protocol::{Access, QuorumConsensus};
+pub use protocol::{Access, ConsistencyProtocol, Decision, QuorumConsensus};
 pub use quorum::{QuorumError, QuorumSpec};
-pub use reassign::QrProtocol;
+pub use reassign::{QrProtocol, SiteAssignment};
 pub use votes::VoteAssignment;

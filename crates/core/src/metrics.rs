@@ -25,7 +25,7 @@ pub enum AvailabilityMetric {
 
 impl AvailabilityMetric {
     /// Short display label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AvailabilityMetric::Accessibility => "ACC",
             AvailabilityMetric::Survivability => "SURV",

@@ -95,11 +95,6 @@ pub fn model_uniform_access(votes: &[u64], reliabilities: &[f64]) -> Availabilit
     AvailabilityModel::uniform_access(&densities)
 }
 
-/// `A(α, q_r)` for a given vote assignment in the non-partitionable model.
-pub fn availability(votes: &[u64], reliabilities: &[f64], alpha: f64, q_r: u64) -> f64 {
-    model_uniform_access(votes, reliabilities).availability(alpha, q_r)
-}
-
 /// Result of a joint vote/quorum search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VoteOptimum {
@@ -262,6 +257,12 @@ pub fn optimal_votes_hill_climb(
         availability: best_a,
         evaluations: evals,
     }
+}
+
+/// `A(α, q_r)` for a given vote assignment in the non-partitionable model.
+#[cfg(test)]
+fn availability(votes: &[u64], reliabilities: &[f64], alpha: f64, q_r: u64) -> f64 {
+    model_uniform_access(votes, reliabilities).availability(alpha, q_r)
 }
 
 #[cfg(test)]

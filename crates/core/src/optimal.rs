@@ -3,7 +3,7 @@
 
 use crate::availability::AvailabilityModel;
 use crate::quorum::QuorumSpec;
-use quorum_stats::optimize::{brent_max, exhaustive_max, golden_section_max};
+use quorum_stats::{brent_max, exhaustive_max, golden_section_max};
 
 /// How to search the `q_r` domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,18 +33,6 @@ pub struct OptimalAssignment {
     pub write_availability: f64,
     /// Number of availability evaluations the search spent.
     pub evaluations: usize,
-}
-
-impl OptimalAssignment {
-    /// Adds the search's objective-evaluation count to a registry under
-    /// [`quorum_obs::keys::OPTIMIZER_EVALUATIONS`], so argmax sweeps can
-    /// report total optimizer work alongside their wall-clock.
-    pub fn observe_into(&self, registry: &quorum_obs::Registry) {
-        registry.add(
-            quorum_obs::keys::OPTIMIZER_EVALUATIONS,
-            self.evaluations as u64,
-        );
-    }
 }
 
 fn assemble(model: &AvailabilityModel, alpha: f64, q_r: u64, evals: usize) -> OptimalAssignment {
@@ -229,6 +217,19 @@ fn brent_in_range(model: &AvailabilityModel, alpha: f64, lo: u64, hi: u64) -> Op
         }
     }
     assemble(model, alpha, best.0, evals)
+}
+
+#[cfg(test)]
+impl OptimalAssignment {
+    /// Adds the search's objective-evaluation count to a registry under
+    /// [`quorum_obs::keys::OPTIMIZER_EVALUATIONS`], so argmax sweeps can
+    /// report total optimizer work alongside their wall-clock.
+    fn observe_into(&self, registry: &quorum_obs::Registry) {
+        registry.add(
+            quorum_obs::keys::OPTIMIZER_EVALUATIONS,
+            self.evaluations as u64,
+        );
+    }
 }
 
 #[cfg(test)]

@@ -113,28 +113,8 @@ impl QuorumConsensus {
         Self::new(votes, spec)
     }
 
-    /// The vote assignment.
-    pub fn votes(&self) -> &VoteAssignment {
-        &self.votes
-    }
-
-    /// The quorum specification.
-    pub fn spec(&self) -> QuorumSpec {
-        self.spec
-    }
-
-    /// Replaces the quorum specification (used by off-line re-optimization;
-    /// the *on-line* path goes through [`crate::reassign::QrProtocol`]).
-    ///
-    /// # Panics
-    /// Panics if the totals disagree.
-    pub fn set_spec(&mut self, spec: QuorumSpec) {
-        assert_eq!(spec.total(), self.votes.total(), "total votes mismatch");
-        self.spec = spec;
-    }
-
     /// Pure decision function on a vote total.
-    pub fn decide_votes(&self, kind: Access, votes: u64) -> Decision {
+    pub(crate) fn decide_votes(&self, kind: Access, votes: u64) -> Decision {
         let granted = match kind {
             Access::Read => self.spec.read_granted(votes),
             Access::Write => self.spec.write_granted(votes),
@@ -162,6 +142,24 @@ impl ConsistencyProtocol for QuorumConsensus {
 
     fn total_votes(&self) -> u64 {
         self.votes.total()
+    }
+}
+
+#[cfg(test)]
+impl QuorumConsensus {
+    /// The vote assignment.
+    fn votes(&self) -> &VoteAssignment {
+        &self.votes
+    }
+
+    /// Replaces the quorum specification (used by off-line re-optimization;
+    /// the *on-line* path goes through [`crate::reassign::QrProtocol`]).
+    ///
+    /// # Panics
+    /// Panics if the totals disagree.
+    fn set_spec(&mut self, spec: QuorumSpec) {
+        assert_eq!(spec.total(), self.votes.total(), "total votes mismatch");
+        self.spec = spec;
     }
 }
 

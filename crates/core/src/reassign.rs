@@ -138,19 +138,9 @@ impl QrProtocol {
         }
     }
 
-    /// The vote assignment.
-    pub fn votes(&self) -> &VoteAssignment {
-        &self.votes
-    }
-
     /// State of one site.
     pub fn site(&self, site: usize) -> SiteAssignment {
         self.sites[site]
-    }
-
-    /// Number of successful reassignments so far.
-    pub fn reassignments(&self) -> u64 {
-        self.reassignments
     }
 
     /// Highest version across all sites (the authoritative assignment).
@@ -292,6 +282,14 @@ impl ConsistencyProtocol for QrProtocol {
 
     fn total_votes(&self) -> u64 {
         self.votes.total()
+    }
+}
+
+#[cfg(test)]
+impl QrProtocol {
+    /// Number of successful reassignments so far.
+    fn reassignments(&self) -> u64 {
+        self.reassignments
     }
 }
 

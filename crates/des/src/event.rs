@@ -82,7 +82,7 @@ fn is_voided(timers: &[Timer], key: u128, cancellable: bool) -> bool {
 }
 
 /// Handle to a cancellable entry returned by
-/// [`EventQueue::schedule_cancellable`]. Passing it to
+/// [`EventQueue::schedule_cancellable_in`]. Passing it to
 /// [`EventQueue::cancel`] voids the entry: it stays queued but is
 /// silently skipped when its turn comes (void-on-pop), so cancellation
 /// never perturbs the order of surviving events.
@@ -126,7 +126,7 @@ impl EventKey {
 /// that entry is scheduled and popped without a heap operation or a slab
 /// slot; a still earlier arrival demotes the front entry into the heap.
 ///
-/// Entries scheduled through [`EventQueue::schedule_cancellable`] can be
+/// Entries scheduled through [`EventQueue::schedule_cancellable_in`] can be
 /// invalidated later (session timeouts that were beaten by a reply); a
 /// cancelled entry is skipped on pop without advancing the clock or
 /// counting as a processed event. Each pending cancellable entry has a
@@ -193,7 +193,7 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// Panics if `time` precedes the current simulation time (causality).
-    pub fn schedule_cancellable(&mut self, time: SimTime, payload: E) -> EventKey {
+    pub(crate) fn schedule_cancellable(&mut self, time: SimTime, payload: E) -> EventKey {
         let seq = self.insert(time, true, payload);
         // Seqs are issued in increasing order, so the push keeps the
         // records sorted.
@@ -407,31 +407,40 @@ impl<E> EventQueue<E> {
         self.cancelled
     }
 
-    /// Cancelled entries currently awaiting reaping (queued entries minus
-    /// live entries). Bounded by half the live entries plus one — the
-    /// compaction threshold.
-    pub fn tombstones(&self) -> u64 {
-        self.tombstones as u64
-    }
-
-    /// Tombstone compaction sweeps performed over the queue's lifetime.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Total events scheduled over the queue's lifetime.
-    pub fn scheduled(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Total events popped (processed) over the queue's lifetime.
     pub fn popped(&self) -> u64 {
         self.popped
     }
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+#[cfg(test)]
+impl<E> EventQueue<E> {
+    /// Cancelled entries currently awaiting reaping (queued entries minus
+    /// live entries). Bounded by half the live entries plus one — the
+    /// compaction threshold.
+    fn tombstones(&self) -> u64 {
+        self.tombstones as u64
+    }
+
+    /// Tombstone compaction sweeps performed over the queue's lifetime.
+    fn compactions(&self) -> u64 {
+        self.compactions
+    }
+
+    /// Total events scheduled over the queue's lifetime.
+    fn scheduled(&self) -> u64 {
+        self.next_seq
+    }
 
     /// Records the queue's lifetime totals into an observability
     /// registry under the [`quorum_obs::keys`] DES names.
-    pub fn observe_into(&self, registry: &quorum_obs::Registry) {
+    fn observe_into(&self, registry: &quorum_obs::Registry) {
         registry.add(quorum_obs::keys::DES_EVENTS, self.popped);
         registry.add(quorum_obs::keys::DES_EVENTS_SCHEDULED, self.next_seq);
         registry.add(quorum_obs::keys::DES_QUEUE_COMPACTIONS, self.compactions);
@@ -439,12 +448,6 @@ impl<E> EventQueue<E> {
             quorum_obs::keys::DES_QUEUE_TOMBSTONES,
             self.tombstones as f64,
         );
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -56,7 +56,7 @@ impl OnOffProcess {
     ///
     /// # Panics
     /// Panics unless both means are positive and finite.
-    pub fn new(mu_fail: f64, mu_repair: f64) -> Self {
+    pub(crate) fn new(mu_fail: f64, mu_repair: f64) -> Self {
         assert!(mu_fail > 0.0 && mu_fail.is_finite(), "μ_f must be positive");
         assert!(
             mu_repair > 0.0 && mu_repair.is_finite(),
@@ -104,16 +104,6 @@ impl OnOffProcess {
         self.mu_fail / (self.mu_fail + self.mu_repair)
     }
 
-    /// Mean time-to-failure.
-    pub fn mu_fail(&self) -> f64 {
-        self.mu_fail
-    }
-
-    /// Mean time-to-repair.
-    pub fn mu_repair(&self) -> f64 {
-        self.mu_repair
-    }
-
     /// Samples the time until the next transition from the current state,
     /// then toggles the state. Returns `(gap, new_state_is_up)`.
     pub fn next_transition<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (f64, bool) {
@@ -125,9 +115,17 @@ impl OnOffProcess {
         self.up = !self.up;
         (gap, self.up)
     }
+}
+
+#[cfg(test)]
+impl OnOffProcess {
+    /// Mean time-to-repair.
+    fn mu_repair(&self) -> f64 {
+        self.mu_repair
+    }
 
     /// Resets to the up state (start of a fresh batch).
-    pub fn reset_up(&mut self) {
+    fn reset_up(&mut self) {
         self.up = true;
     }
 }

@@ -28,11 +28,11 @@
 
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod failure;
-pub mod params;
-pub mod poisson;
-pub mod time;
+mod event;
+mod failure;
+mod params;
+mod poisson;
+mod time;
 
 pub use event::{EventKey, EventQueue};
 pub use failure::{DurationDist, OnOffProcess};

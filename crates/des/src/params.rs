@@ -71,11 +71,6 @@ impl SimParams {
         self.mu_access / self.rho
     }
 
-    /// Mean time-to-repair `μ_r = μ_f (1 − rel) / rel`.
-    pub fn mu_repair(&self) -> f64 {
-        self.mu_fail() * (1.0 - self.reliability) / self.reliability
-    }
-
     /// The shared batch-orchestrator configuration these parameters
     /// imply: same stopping rule (§5.2), `threads` workers.
     pub fn converge_params(&self, threads: usize) -> quorum_stats::ConvergeParams {
@@ -138,6 +133,14 @@ pub fn ci_points(trace: &[quorum_stats::TracePoint]) -> Vec<quorum_obs::CiPoint>
             half_width: p.half_width,
         })
         .collect()
+}
+
+#[cfg(test)]
+impl SimParams {
+    /// Mean time-to-repair `μ_r = μ_f (1 − rel) / rel`.
+    fn mu_repair(&self) -> f64 {
+        self.mu_fail() * (1.0 - self.reliability) / self.reliability
+    }
 }
 
 #[cfg(test)]

@@ -23,19 +23,22 @@ impl PoissonProcess {
         Self { rate }
     }
 
+    /// Samples the next inter-arrival gap.
+    pub fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        exponential(rng, self.rate)
+    }
+}
+
+#[cfg(test)]
+impl PoissonProcess {
     /// Arrival rate.
-    pub fn rate(&self) -> f64 {
+    fn rate(&self) -> f64 {
         self.rate
     }
 
     /// Mean inter-arrival time.
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         1.0 / self.rate
-    }
-
-    /// Samples the next inter-arrival gap.
-    pub fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        exponential(rng, self.rate)
     }
 }
 

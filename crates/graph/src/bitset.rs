@@ -30,13 +30,8 @@ impl BitSet {
     }
 
     /// Capacity in bits.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if the capacity is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Reads bit `i`.
@@ -65,7 +60,7 @@ impl BitSet {
     }
 
     /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
+    pub(crate) fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
@@ -86,13 +81,8 @@ impl BitSet {
         }
     }
 
-    /// The backing words (the tail bits beyond `len` are always clear).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Index of the lowest set bit, if any.
-    pub fn first_one(&self) -> Option<usize> {
+    pub(crate) fn first_one(&self) -> Option<usize> {
         self.words.iter().enumerate().find_map(|(wi, &w)| {
             if w == 0 {
                 None
@@ -117,7 +107,7 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics if the capacities differ.
-    pub fn and_assign(&mut self, other: &BitSet) {
+    pub(crate) fn and_assign(&mut self, other: &BitSet) {
         assert_eq!(self.len, other.len, "bit set capacities must match");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= b;
@@ -128,7 +118,7 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics if the capacities differ.
-    pub fn and_not_assign(&mut self, other: &BitSet) {
+    pub(crate) fn and_not_assign(&mut self, other: &BitSet) {
         assert_eq!(self.len, other.len, "bit set capacities must match");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
@@ -136,7 +126,7 @@ impl BitSet {
     }
 
     /// True if no bit is set.
-    pub fn is_all_clear(&self) -> bool {
+    pub(crate) fn is_all_clear(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 

@@ -283,21 +283,6 @@ impl<'a> LiveNetwork<'a> {
     pub fn delta_counters(&self) -> DeltaCounters {
         self.delta
     }
-
-    /// Records the lifetime hit/recompute totals and the kernel
-    /// fast-path counters into an observability registry under the
-    /// [`quorum_obs::keys`] names.
-    pub fn observe_into(&self, registry: &quorum_obs::Registry) {
-        registry.add(quorum_obs::keys::CACHE_HITS, self.hits);
-        registry.add(quorum_obs::keys::CACHE_RECOMPUTATIONS, self.recomputations);
-        registry.add(quorum_obs::keys::DELTA_MERGES, self.delta.merges);
-        registry.add(quorum_obs::keys::DELTA_RESCANS, self.delta.rescans);
-        registry.add(quorum_obs::keys::DELTA_NOOPS, self.delta.noops);
-        registry.add(
-            quorum_obs::keys::FULL_RECOMPUTES,
-            self.delta.full_recomputes,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -482,14 +467,6 @@ mod tests {
             }
             net.partition();
         }
-        let r = quorum_obs::Registry::new();
-        net.observe_into(&r);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter(quorum_obs::keys::CACHE_HITS), net.hits());
-        assert_eq!(
-            snap.counter(quorum_obs::keys::CACHE_RECOMPUTATIONS),
-            net.recomputations()
-        );
         assert_eq!(net.hits() + net.recomputations(), 6);
     }
 

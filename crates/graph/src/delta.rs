@@ -102,7 +102,7 @@ pub enum TopologyEvent {
 /// How the kernel disposed of one event (drives the `graph.delta_*`
 /// observability counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaOutcome {
+pub(crate) enum DeltaOutcome {
     /// Recovery handled by component merging (no BFS).
     Merge,
     /// A site failure in a component of two or more sites, or a link
@@ -118,7 +118,7 @@ pub enum DeltaOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Applied {
     /// The fast path that handled the event.
-    pub outcome: DeltaOutcome,
+    pub(crate) outcome: DeltaOutcome,
     /// Whether the partition changed: an up site appeared or vanished,
     /// or components merged or split. Only a link event can leave it
     /// unchanged.

@@ -31,26 +31,23 @@
 //!   bitsets. Slots carry generation stamps so per-component data can
 //!   outlive unrelated events.
 //! * [`BusNetwork`] — the single-bus architecture of §4.2 (both variants).
-//! * [`UnionFind`] — static connectivity helper used in tests/benches.
 //! * [`articulation_points`] — cut-vertex detection (Tarjan) feeding the
 //!   structural vote-weighting heuristic.
 
 #![warn(missing_docs)]
 
-pub mod articulation;
-pub mod bitset;
-pub mod bus;
-pub mod connectivity;
-pub mod delta;
-pub mod state;
-pub mod topology;
-pub mod unionfind;
+mod articulation;
+mod bitset;
+mod bus;
+mod connectivity;
+mod delta;
+mod state;
+mod topology;
 
 pub use articulation::{articulation_points, articulation_weighted_votes};
 pub use bitset::BitSet;
 pub use bus::{BusFailureMode, BusNetwork};
 pub use connectivity::{ComponentView, LiveNetwork};
-pub use delta::{Applied, DeltaConnectivity, DeltaCounters, DeltaOutcome, TopologyEvent};
+pub use delta::{DeltaConnectivity, DeltaCounters, TopologyEvent};
 pub use state::NetworkState;
 pub use topology::Topology;
-pub use unionfind::UnionFind;

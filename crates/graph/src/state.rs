@@ -22,14 +22,6 @@ impl NetworkState {
         }
     }
 
-    /// All sites and links down.
-    pub fn all_down(topology: &Topology) -> Self {
-        Self {
-            site_up: BitSet::new(topology.num_sites()),
-            link_up: BitSet::new(topology.num_links()),
-        }
-    }
-
     /// Is `site` operational?
     #[inline]
     pub fn site_up(&self, site: usize) -> bool {
@@ -58,7 +50,7 @@ impl NetworkState {
 
     /// The site up/down bits (read-only; word-level consumers like the
     /// incremental connectivity kernel mask against this directly).
-    pub fn site_bits(&self) -> &BitSet {
+    pub(crate) fn site_bits(&self) -> &BitSet {
         &self.site_up
     }
 
@@ -66,20 +58,21 @@ impl NetworkState {
     pub fn sites_up(&self) -> usize {
         self.site_up.count_ones()
     }
+}
+
+#[cfg(test)]
+impl NetworkState {
+    /// All sites and links down.
+    pub(crate) fn all_down(topology: &Topology) -> Self {
+        Self {
+            site_up: BitSet::new(topology.num_sites()),
+            link_up: BitSet::new(topology.num_links()),
+        }
+    }
 
     /// Number of operational links.
-    pub fn links_up(&self) -> usize {
+    fn links_up(&self) -> usize {
         self.link_up.count_ones()
-    }
-
-    /// Number of sites tracked.
-    pub fn num_sites(&self) -> usize {
-        self.site_up.len()
-    }
-
-    /// Number of links tracked.
-    pub fn num_links(&self) -> usize {
-        self.link_up.len()
     }
 }
 

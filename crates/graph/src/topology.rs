@@ -343,11 +343,6 @@ impl Topology {
         &self.links
     }
 
-    /// Endpoints of link `idx`.
-    pub fn link(&self, idx: usize) -> (usize, usize) {
-        self.links[idx]
-    }
-
     /// Neighbors of `site` as `(neighbor, link index)` pairs.
     pub fn neighbors(&self, site: usize) -> &[(usize, usize)] {
         &self.adjacency[site]

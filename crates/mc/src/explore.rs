@@ -118,16 +118,6 @@ pub struct BagScheduler {
 }
 
 impl BagScheduler {
-    /// The in-flight message bag.
-    pub fn in_flight(&self) -> &[Message] {
-        &self.in_flight
-    }
-
-    /// Sessions with a pending timer, ordered by token age.
-    pub fn pending_timers(&self) -> &[(u64, SessionId)] {
-        &self.timers
-    }
-
     /// Removes the pending timer `token`, returning its session.
     fn take_timer(&mut self, token: u64) -> Option<SessionId> {
         let i = self.timers.binary_search_by_key(&token, |&(t, _)| t).ok()?;
@@ -171,7 +161,7 @@ impl Scheduler for Tally<'_> {
 
 /// Which invariant a violation broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ViolationKind {
+pub(crate) enum ViolationKind {
     /// A pledge from a different epoch was accepted, or a retry kept
     /// accumulators across an epoch change.
     CrossEpochMixing,
@@ -1002,6 +992,19 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
         }
     }
     report
+}
+
+#[cfg(test)]
+impl BagScheduler {
+    /// The in-flight message bag.
+    fn in_flight(&self) -> &[Message] {
+        &self.in_flight
+    }
+
+    /// Sessions with a pending timer, ordered by token age.
+    fn pending_timers(&self) -> &[(u64, SessionId)] {
+        &self.timers
+    }
 }
 
 #[cfg(test)]

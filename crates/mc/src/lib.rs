@@ -8,16 +8,17 @@
 //! reduction keep the search exhaustive within bounds, and the report
 //! says so explicitly (`truncated == 0`, `capped == false`).
 //!
-//! See [`explore`](mod@explore) for the checked invariants and the soundness
-//! arguments, and [`Universe`] for how worlds are scripted.
+//! See [`explore()`] for the search, the `explore` module's source docs
+//! for the checked invariants and the soundness arguments, and
+//! [`Universe`] for how worlds are scripted.
 
 #![warn(missing_docs)]
 // Exact `==`/`!=` on floats encodes an accidental bit-pattern property;
 // compare with an explicit epsilon or write a reasoned `#[expect]`.
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-pub mod explore;
-pub mod universe;
+mod explore;
+mod universe;
 
-pub use explore::{explore, BagScheduler, ExploreOptions, McReport, ViolationKind};
+pub use explore::{explore, BagScheduler, ExploreOptions, McReport};
 pub use universe::Universe;

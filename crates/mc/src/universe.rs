@@ -38,9 +38,9 @@ pub struct Universe {
     /// Retry rounds per session (mirrors [`ClusterConfig::max_retries`]).
     pub max_retries: u32,
     /// Default BFS depth bound (overridable per exploration).
-    pub max_depth: u32,
+    pub(crate) max_depth: u32,
     /// Default explored-state cap (overridable per exploration).
-    pub max_states: u64,
+    pub(crate) max_states: u64,
 }
 
 impl Universe {

@@ -32,12 +32,12 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// An empty object.
-    pub fn object() -> Self {
+    pub(crate) fn object() -> Self {
         JsonValue::Object(BTreeMap::new())
     }
 
     /// Inserts `key → value` into an object; panics if `self` is not one.
-    pub fn insert(&mut self, key: &str, value: JsonValue) {
+    pub(crate) fn insert(&mut self, key: &str, value: JsonValue) {
         match self {
             JsonValue::Object(map) => {
                 map.insert(key.to_string(), value);
@@ -47,7 +47,7 @@ impl JsonValue {
     }
 
     /// Member lookup on objects; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+    pub(crate) fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Object(map) => map.get(key),
             _ => None,
@@ -55,7 +55,7 @@ impl JsonValue {
     }
 
     /// The value as a u64 if it is an integer (or an integral `Num`).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Int(v) => Some(*v),
             JsonValue::Num(v) if v.fract() == 0.0 && *v >= 0.0 && *v <= u64::MAX as f64 => {
@@ -66,7 +66,7 @@ impl JsonValue {
     }
 
     /// The value as an f64 for either numeric variant.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Int(v) => Some(*v as f64),
             JsonValue::Num(v) => Some(*v),
@@ -75,7 +75,7 @@ impl JsonValue {
     }
 
     /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
             _ => None,
@@ -83,7 +83,7 @@ impl JsonValue {
     }
 
     /// The value as an array slice.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
+    pub(crate) fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(items) => Some(items),
             _ => None,
@@ -91,7 +91,7 @@ impl JsonValue {
     }
 
     /// Serializes compactly (no whitespace).
-    pub fn to_string_compact(&self) -> String {
+    pub(crate) fn to_string_compact(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out, None, 0);
         out
@@ -156,7 +156,7 @@ impl JsonValue {
     }
 
     /// Parses a JSON document. Errors carry a byte offset and message.
-    pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
+    pub(crate) fn parse(input: &str) -> Result<JsonValue, ParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
@@ -211,11 +211,11 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// A parse failure: byte offset plus a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
+pub(crate) struct ParseError {
     /// Byte offset into the input where parsing failed.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for ParseError {
@@ -431,7 +431,7 @@ impl Parser<'_> {
 /// Scalar leaves become one row each; the header row is `key,value`.
 /// Strings containing commas or quotes are double-quote escaped per
 /// RFC 4180.
-pub fn to_csv(value: &JsonValue) -> String {
+pub(crate) fn to_csv(value: &JsonValue) -> String {
     let mut rows = vec!["key,value".to_string()];
     flatten(value, String::new(), &mut rows);
     let mut out = rows.join("\n");

@@ -10,28 +10,26 @@
 //! * [`Registry`] — a thread-safe bank of named atomic counters, gauges,
 //!   and monotonic timers. Counter increments are a single relaxed atomic
 //!   add on the hot path; creation/lookup cost is paid once per handle.
-//! * [`ScopedTimer`] — an RAII guard accumulating wall-clock into a
-//!   registry timer.
+//! * [`Registry::scoped_timer`] — an RAII guard accumulating wall-clock
+//!   into a registry timer.
 //! * [`RunManifest`] — everything needed to reproduce and compare a run:
 //!   seed, simulation parameters, topology descriptor, vote assignment,
 //!   batch count, CI half-width trace, per-phase wall-clock, component
 //!   cache hit/recompute rates, and DES event counts.
-//! * [`json`] — a hand-rolled JSON value model, writer, and parser (no
+//! * [`RunManifest::to_json`] / [`RunManifest::parse`] — a hand-rolled
+//!   JSON value model, writer, and parser (no
 //!   third-party dependencies, so offline builds keep working), plus CSV
 //!   flattening for spreadsheet-side diffing.
 
 #![warn(missing_docs)]
 
-pub mod json;
-pub mod manifest;
-pub mod registry;
+mod json;
+mod manifest;
+mod registry;
 
-pub use json::JsonValue;
 pub use keys::Key;
-pub use manifest::{
-    CiPoint, HistogramRecord, PhaseTiming, RunManifest, SimParamsRecord, TopologyRecord,
-};
-pub use registry::{Counter, Registry, ScopedTimer, Snapshot};
+pub use manifest::{CiPoint, HistogramRecord, RunManifest, SimParamsRecord, TopologyRecord};
+pub use registry::{Counter, Registry, Snapshot};
 
 /// The declared metric keys: every name a registry or manifest method
 /// accepts is a [`keys::Key`] constant from this module.

@@ -18,7 +18,7 @@ use crate::registry::Snapshot;
 
 /// Version stamp written into every manifest; bump on breaking schema
 /// changes so downstream tooling can dispatch.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// Flat mirror of the simulator's `SimParams` (§5.2 of the paper).
 ///
@@ -160,7 +160,7 @@ impl RunManifest {
 
     /// Copies every counter and timer out of a registry snapshot:
     /// counters land in [`RunManifest::counters`], timers become
-    /// [`PhaseTiming`] entries (appended in name order).
+    /// `PhaseTiming` entries (appended in name order).
     pub fn absorb_snapshot(&mut self, snap: &Snapshot) {
         for (name, value) in &snap.counters {
             *self.counters.entry(name.clone()).or_insert(0) += value;
@@ -312,7 +312,7 @@ impl RunManifest {
     }
 
     /// Reconstructs a manifest from its JSON form.
-    pub fn from_json(doc: &JsonValue) -> Result<Self, String> {
+    pub(crate) fn from_json(doc: &JsonValue) -> Result<Self, String> {
         let get = |key: &str| doc.get(key).ok_or_else(|| format!("missing '{key}'"));
         let version = get("schema_version")?
             .as_u64()

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::keys::Key;
@@ -23,18 +23,12 @@ pub struct Counter {
 impl Counter {
     /// Adds `n` to the counter.
     #[inline]
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
 }
@@ -48,7 +42,7 @@ struct TimerCell {
 
 /// Thread-safe bank of named counters, timers, and gauges.
 ///
-/// Handle acquisition ([`Registry::counter`]) takes a lock once; the
+/// Handle acquisition (`Registry::counter`) takes a lock once; the
 /// returned [`Counter`] is lock-free thereafter. All maps are `BTreeMap`s
 /// so snapshots and serialized output are deterministically ordered.
 #[derive(Debug, Default)]
@@ -65,7 +59,7 @@ impl Registry {
     }
 
     /// Returns (creating on first use) the counter for `key`.
-    pub fn counter(&self, key: Key) -> Counter {
+    pub(crate) fn counter(&self, key: Key) -> Counter {
         self.counter_named(key.as_str())
     }
 
@@ -108,23 +102,6 @@ impl Registry {
         cell.nanos
             .fetch_add(duration.as_nanos() as u64, Ordering::Relaxed);
         cell.activations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Merges another registry into this one: counters and timers add;
-    /// gauges take `other`'s value (last writer wins).
-    pub fn merge(&self, other: &Registry) {
-        let snap = other.snapshot();
-        for (name, v) in &snap.counters {
-            self.counter_named(name).add(*v);
-        }
-        for (name, (nanos, activations)) in &snap.timers {
-            let cell = self.timer_named(name);
-            cell.nanos.fetch_add(*nanos, Ordering::Relaxed);
-            cell.activations.fetch_add(*activations, Ordering::Relaxed);
-        }
-        for (name, v) in &snap.gauges {
-            self.set_gauge_named(name, *v);
-        }
     }
 
     // The by-name paths below serve `merge`, which copies names that were
@@ -198,7 +175,7 @@ impl Drop for ScopedTimer {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
+    pub(crate) counters: BTreeMap<String, u64>,
     /// `(accumulated nanoseconds, activations)` by timer name.
     pub timers: BTreeMap<String, (u64, u64)>,
     /// Gauge values by name.
@@ -220,11 +197,41 @@ impl Snapshot {
     }
 }
 
+#[cfg(test)]
+impl Counter {
+    /// Adds one.
+    #[inline]
+    fn inc(&self) {
+        self.add(1);
+    }
+}
+
+#[cfg(test)]
+impl Registry {
+    /// Merges another registry into this one: counters and timers add;
+    /// gauges take `other`'s value (last writer wins).
+    fn merge(&self, other: &Registry) {
+        let snap = other.snapshot();
+        for (name, v) in &snap.counters {
+            self.counter_named(name).add(*v);
+        }
+        for (name, (nanos, activations)) in &snap.timers {
+            let cell = self.timer_named(name);
+            cell.nanos.fetch_add(*nanos, Ordering::Relaxed);
+            cell.activations.fetch_add(*activations, Ordering::Relaxed);
+        }
+        for (name, v) in &snap.gauges {
+            self.set_gauge_named(name, *v);
+        }
+    }
+}
+
 /// Process-wide registry for call sites with no natural place to thread a
 /// handle (one-shot examples, ad-hoc probes). Library code should prefer
 /// an explicitly-passed [`Registry`].
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
+#[cfg(test)]
+fn global() -> &'static Registry {
+    static GLOBAL: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
 }
 

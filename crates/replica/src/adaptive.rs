@@ -16,8 +16,10 @@ use crate::results::BatchStats;
 use crate::simulation::{NullObserver, Simulation};
 use crate::workload::Workload;
 use quorum_core::optimal::optimal_quorum;
-use quorum_core::protocol::{Access, ConsistencyProtocol, Decision};
-use quorum_core::{AvailabilityModel, QrProtocol, QuorumSpec, SearchStrategy, VoteAssignment};
+use quorum_core::{
+    Access, AvailabilityModel, ConsistencyProtocol, Decision, QrProtocol, QuorumSpec,
+    SearchStrategy, VoteAssignment,
+};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
 use quorum_stats::{DecayedHistogram, VoteHistogram};
@@ -95,24 +97,9 @@ impl AdaptiveQr {
         }
     }
 
-    /// Reassignment attempts so far.
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-
     /// Successful reassignments so far.
     pub fn successes(&self) -> u64 {
         self.successes
-    }
-
-    /// Current read-ratio estimate `α̂`.
-    pub fn alpha_estimate(&self) -> f64 {
-        self.alpha_est
-    }
-
-    /// The underlying QR protocol.
-    pub fn qr(&self) -> &QrProtocol {
-        &self.qr
     }
 
     fn maybe_reassign(&mut self, members: &[usize]) {
@@ -192,12 +179,12 @@ pub struct Phase {
     /// Read ratio during the phase.
     pub alpha: f64,
     /// Measured accesses in the phase.
-    pub accesses: u64,
+    pub(crate) accesses: u64,
     /// Optional component-reliability override for the phase — models the
     /// "periodic component failure" regime changes §4.3 motivates dynamic
     /// reassignment with (e.g. a nightly maintenance window dropping
     /// reliability from 96 % to 85 %).
-    pub reliability: Option<f64>,
+    pub(crate) reliability: Option<f64>,
 }
 
 impl Phase {
@@ -207,15 +194,6 @@ impl Phase {
             alpha,
             accesses,
             reliability: None,
-        }
-    }
-
-    /// A phase with degraded (or improved) component reliability.
-    pub fn with_reliability(alpha: f64, accesses: u64, reliability: f64) -> Self {
-        Self {
-            alpha,
-            accesses,
-            reliability: Some(reliability),
         }
     }
 }
@@ -280,6 +258,26 @@ pub fn run_adaptive(
         });
     }
     results
+}
+
+#[cfg(test)]
+impl AdaptiveQr {
+    /// Current read-ratio estimate `α̂`.
+    fn alpha_estimate(&self) -> f64 {
+        self.alpha_est
+    }
+}
+
+#[cfg(test)]
+impl Phase {
+    /// A phase with degraded (or improved) component reliability.
+    fn with_reliability(alpha: f64, accesses: u64, reliability: f64) -> Self {
+        Self {
+            alpha,
+            accesses,
+            reliability: Some(reliability),
+        }
+    }
 }
 
 #[cfg(test)]

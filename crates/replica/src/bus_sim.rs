@@ -4,15 +4,14 @@
 //! medium, so it gets its own small event loop over
 //! [`quorum_graph::BusNetwork`]: one on/off process for the bus, one per
 //! site, Poisson accesses. Each access goes through the replica engines'
-//! one checked access step, [`SerializabilityChecker::access`]. Validates
+//! one checked access step, `SerializabilityChecker::access`. Validates
 //! the §4.2 bus densities (both architectural variants) end-to-end and
 //! lets examples explore bus-backed replication.
 
 use crate::object::SerializabilityChecker;
 use crate::results::BatchStats;
 use crate::workload::Workload;
-use quorum_core::protocol::ConsistencyProtocol;
-use quorum_core::{Access, VoteAssignment};
+use quorum_core::{Access, ConsistencyProtocol, VoteAssignment};
 use quorum_des::{EventQueue, OnOffProcess, PoissonProcess, SimParams, SimTime};
 use quorum_graph::{BitSet, BusFailureMode, BusNetwork};
 use quorum_stats::rng::{derive_seed, rng_from_seed};

@@ -9,16 +9,16 @@
 //! Key entry points:
 //!
 //! * [`Simulation`] — one warmed-up measurement batch over one topology.
-//! * [`runner::run_static`] — multi-batch (parallel) run with
+//! * [`run_static`] — multi-batch (parallel) run with
 //!   batch-means confidence intervals, reproducing the §5.2 methodology.
-//! * [`curves::CurveSet`] — turns the measured component-vote histograms
+//! * [`CurveSet`] — turns the measured component-vote histograms
 //!   into full `A(α, q_r)` curves (Figures 2–7) via the Figure-1 model.
-//! * [`adaptive::run_adaptive`] — the dynamic QR protocol driven by
+//! * [`run_adaptive`] — the dynamic QR protocol driven by
 //!   on-line density estimates (§4.3) under a shifting workload.
-//! * [`object::SerializabilityChecker`] — validates one-copy
+//! * [`SerializabilityChecker`] — validates one-copy
 //!   serializability of every granted access (and exposes violations when
 //!   deliberately-invalid quorums are simulated); its
-//!   [`access`](object::SerializabilityChecker::access) is the one
+//!   `access` is the one
 //!   checked access step of [`Simulation`], [`bus_sim`] and [`script`].
 //! * [`bus_sim::BusSimulation`] — the single-bus architecture of §4.2,
 //!   validated against its closed-form densities.
@@ -27,24 +27,26 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
+mod adaptive;
 pub mod bus_sim;
-pub mod curves;
-pub mod failure;
-pub mod object;
-pub mod results;
-pub mod runner;
+mod curves;
+mod failure;
+mod object;
+mod results;
+mod runner;
 pub mod scenario;
 pub mod script;
-pub mod simulation;
-pub mod sweep;
-pub mod workload;
+mod simulation;
+mod sweep;
+mod workload;
 
+pub use adaptive::{run_adaptive, run_phased, AdaptiveConfig, AdaptiveQr, Phase};
 pub use curves::CurveSet;
 pub use failure::{FailureWorld, Transition};
 pub use object::SerializabilityChecker;
 pub use results::{BatchStats, RunResults};
 pub use runner::{run_protocol_observed, run_static, run_static_observed, RunConfig};
 pub use scenario::PaperScenario;
-pub use simulation::Simulation;
+pub use simulation::{AccessObserver, NullObserver, Simulation};
+pub use sweep::sweep_read_quorum;
 pub use workload::Workload;

@@ -21,8 +21,7 @@
 //! checked. The engines differ only in where the component comes from
 //! and what they count.
 
-use quorum_core::protocol::{ConsistencyProtocol, Decision};
-use quorum_core::Access;
+use quorum_core::{Access, ConsistencyProtocol, Decision};
 use quorum_graph::BitSet;
 
 /// Tracks copy currency and judges each granted access against it; the
@@ -39,7 +38,7 @@ pub struct SerializabilityChecker {
 
 impl SerializabilityChecker {
     /// All copies start current (version 0).
-    pub fn new(n_sites: usize) -> Self {
+    pub(crate) fn new(n_sites: usize) -> Self {
         Self {
             current: BitSet::all_set(n_sites),
             latest: 0,
@@ -57,7 +56,7 @@ impl SerializabilityChecker {
     ///
     /// # Panics
     /// Panics if `member_bits` is not sized to the checker's site count.
-    pub fn access<P: ConsistencyProtocol + ?Sized>(
+    pub(crate) fn access<P: ConsistencyProtocol + ?Sized>(
         &mut self,
         protocol: &mut P,
         kind: Access,
@@ -103,7 +102,7 @@ impl SerializabilityChecker {
     ///
     /// # Panics
     /// Panics if `members` is not sized to the checker's site count.
-    pub fn on_write_granted(&mut self, members: &BitSet) -> bool {
+    pub(crate) fn on_write_granted(&mut self, members: &BitSet) -> bool {
         let aware = self.sees_latest(members);
         self.latest += 1;
         self.current.copy_from(members);
@@ -121,7 +120,7 @@ impl SerializabilityChecker {
     ///
     /// # Panics
     /// Panics if `members` is not sized to the checker's site count.
-    pub fn on_refresh(&mut self, members: &BitSet) {
+    pub(crate) fn on_refresh(&mut self, members: &BitSet) {
         // A refresh without a current copy moves only older versions,
         // which no check ever compares against.
         if self.current.intersects(members) {
@@ -134,7 +133,7 @@ impl SerializabilityChecker {
     ///
     /// # Panics
     /// Panics if `members` is not sized to the checker's site count.
-    pub fn on_read_granted(&self, members: &BitSet) -> bool {
+    pub(crate) fn on_read_granted(&self, members: &BitSet) -> bool {
         self.sees_latest(members)
     }
 }

@@ -20,9 +20,9 @@ pub struct BatchStats {
     pub access_votes: CountingHistogram,
     /// Same observation split by access kind: the sample of `r(v)`.
     /// Differs from `write_votes` exactly when `r_i ≠ w_i`.
-    pub read_votes: CountingHistogram,
+    pub(crate) read_votes: CountingHistogram,
     /// The sample of `w(v)`.
-    pub write_votes: CountingHistogram,
+    pub(crate) write_votes: CountingHistogram,
     /// Histogram of the *largest* component's votes at each access
     /// instant — drives the SURV variant (§3, footnote 3).
     pub largest_votes: CountingHistogram,
@@ -32,9 +32,9 @@ pub struct BatchStats {
     /// averaged over sites), populated only when the simulation enables
     /// time weighting. Lets tests verify PASTA: Poisson access instants
     /// see time averages, so this must match `access_votes`.
-    pub time_weighted_votes: Vec<f64>,
+    pub(crate) time_weighted_votes: Vec<f64>,
     /// Total measured simulated time backing `time_weighted_votes`.
-    pub measured_time: f64,
+    pub(crate) measured_time: f64,
     /// Measured accesses for which *some* component could have granted the
     /// access — the SURV numerator (§3). Only counted when the run enables
     /// survivability probing.
@@ -64,7 +64,7 @@ pub struct BatchStats {
     /// Topology events that needed no re-partitioning.
     pub delta_noops: u64,
     /// Topology events absorbed by a from-scratch kernel rebuild.
-    pub full_recomputes: u64,
+    pub(crate) full_recomputes: u64,
     /// DES events popped from the future-event list (all kinds,
     /// including warm-up).
     pub events_processed: u64,
@@ -80,7 +80,7 @@ pub struct BatchStats {
 impl BatchStats {
     /// Creates empty stats for a system of `n_sites` sites and `total`
     /// votes.
-    pub fn new(n_sites: usize, total_votes: usize) -> Self {
+    pub(crate) fn new(n_sites: usize, total_votes: usize) -> Self {
         Self {
             reads_submitted: 0,
             reads_granted: 0,
@@ -113,7 +113,7 @@ impl BatchStats {
     }
 
     /// Total accesses submitted.
-    pub fn submitted(&self) -> u64 {
+    pub(crate) fn submitted(&self) -> u64 {
         self.reads_submitted + self.writes_submitted
     }
 
@@ -138,21 +138,6 @@ impl BatchStats {
         } else {
             self.reads_granted as f64 / self.reads_submitted as f64
         }
-    }
-
-    /// Time-weighted density of component votes (PASTA cross-check).
-    ///
-    /// # Panics
-    /// Panics if time weighting was not enabled (no measured time).
-    pub fn time_weighted_density(&self) -> quorum_stats::DiscreteDist {
-        assert!(
-            self.measured_time > 0.0,
-            "time weighting was not enabled on this run"
-        );
-        let norm = self.measured_time * self.per_site_votes.len() as f64;
-        quorum_stats::DiscreteDist::from_pmf(
-            self.time_weighted_votes.iter().map(|&m| m / norm).collect(),
-        )
     }
 
     /// SURV estimate: fraction of accesses some component could serve
@@ -276,6 +261,24 @@ impl RunResults {
     /// (no stale reads, no lost updates).
     pub fn is_one_copy_serializable(&self) -> bool {
         self.combined.stale_reads == 0 && self.combined.write_conflicts == 0
+    }
+}
+
+#[cfg(test)]
+impl BatchStats {
+    /// Time-weighted density of component votes (PASTA cross-check).
+    ///
+    /// # Panics
+    /// Panics if time weighting was not enabled (no measured time).
+    pub(crate) fn time_weighted_density(&self) -> quorum_stats::DiscreteDist {
+        assert!(
+            self.measured_time > 0.0,
+            "time weighting was not enabled on this run"
+        );
+        let norm = self.measured_time * self.per_site_votes.len() as f64;
+        quorum_stats::DiscreteDist::from_pmf(
+            self.time_weighted_votes.iter().map(|&m| m / norm).collect(),
+        )
     }
 }
 

@@ -12,8 +12,7 @@
 use crate::results::{BatchStats, RunResults};
 use crate::simulation::{NullObserver, Simulation};
 use crate::workload::Workload;
-use quorum_core::protocol::ConsistencyProtocol;
-use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
+use quorum_core::{ConsistencyProtocol, QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
 use quorum_obs::{keys, Key, Registry};
@@ -29,19 +28,6 @@ pub struct RunConfig {
     /// Worker threads (1 = sequential). Batches beyond `min_batches` are
     /// added in rounds of `threads` until the CI converges.
     pub threads: usize,
-}
-
-impl RunConfig {
-    /// Quick-scale config for tests and examples.
-    pub fn quick(seed: u64) -> Self {
-        Self {
-            params: SimParams::quick(),
-            seed,
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get().min(8))
-                .unwrap_or(1),
-        }
-    }
 }
 
 /// Runs the static quorum consensus protocol until the CI converges.

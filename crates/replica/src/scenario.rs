@@ -4,13 +4,13 @@ use quorum_graph::Topology;
 
 /// Chord counts of the paper's seven topologies (101-site ring + k chords;
 /// 4949 chords = fully connected).
-pub const PAPER_CHORDS: [usize; 7] = [0, 1, 2, 4, 16, 256, 4949];
+pub(crate) const PAPER_CHORDS: [usize; 7] = [0, 1, 2, 4, 16, 256, 4949];
 
 /// Read ratios plotted in Figures 2–7.
 pub const PAPER_ALPHAS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 /// Number of sites in every paper topology.
-pub const PAPER_SITES: usize = 101;
+pub(crate) const PAPER_SITES: usize = 101;
 
 /// One of the paper's evaluation configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,7 +5,7 @@
 //! fail these links, submit this access, reassign, heal, observe. A
 //! [`Scenario`] replays an explicit step list against the same machinery
 //! the stochastic simulator uses — a [`LiveNetwork`], the replica
-//! engines' checked access step ([`SerializabilityChecker::access`]), and
+//! engines' checked access step (`SerializabilityChecker::access`), and
 //! any [`ConsistencyProtocol`]. A failure or repair step sets the
 //! network, whose kernel absorbs the change; every read of the partition
 //! — [`Scenario::votes_of`], [`Scenario::members_of`] and each access
@@ -13,8 +13,7 @@
 //! from that kernel.
 
 use crate::object::SerializabilityChecker;
-use quorum_core::protocol::{ConsistencyProtocol, Decision};
-use quorum_core::{Access, VoteAssignment};
+use quorum_core::{Access, ConsistencyProtocol, Decision, VoteAssignment};
 use quorum_graph::{BitSet, ComponentView, LiveNetwork, Topology};
 
 /// One scripted step.
@@ -284,7 +283,7 @@ mod tests {
         let members = sc.members_of(3);
         qr.try_reassign_paper_rule(&members, QuorumSpec::read_one_write_all(5))
             .expect("paper rule needs only old q_w = 3");
-        for refreshed in quorum_core::protocol::ConsistencyProtocol::drain_refreshes(&mut qr) {
+        for refreshed in quorum_core::ConsistencyProtocol::drain_refreshes(&mut qr) {
             sc.apply_refresh(&refreshed);
         }
 

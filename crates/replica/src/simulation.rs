@@ -18,8 +18,7 @@ use crate::failure::{FailureWorld, Transition};
 use crate::object::SerializabilityChecker;
 use crate::results::BatchStats;
 use crate::workload::Workload;
-use quorum_core::protocol::{ConsistencyProtocol, Decision};
-use quorum_core::{Access, VoteAssignment};
+use quorum_core::{Access, ConsistencyProtocol, Decision, VoteAssignment};
 use quorum_des::{EventQueue, PoissonProcess, SimParams, SimTime};
 use quorum_graph::{BitSet, DeltaConnectivity, Topology};
 use quorum_stats::rng::{derive_seed, rng_from_seed};

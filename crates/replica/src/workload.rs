@@ -157,14 +157,6 @@ impl Workload {
         self.alpha
     }
 
-    /// Changes `α` (used by shifting-workload experiments).
-    pub fn set_alpha(&mut self, alpha: f64) {
-        if let Err(rule) = Self::check_alpha(alpha) {
-            panic!("{rule}");
-        }
-        self.alpha = alpha;
-    }
-
     /// Number of sites.
     pub fn num_sites(&self) -> usize {
         self.read_sites.cdf.len()
@@ -180,14 +172,6 @@ impl Workload {
         &self.write_sites.frac
     }
 
-    /// True if `r_i = w_i` for all sites (then `r(v) = w(v)`, §4.1).
-    pub fn is_symmetric(&self) -> bool {
-        self.read_frac()
-            .iter()
-            .zip(self.write_frac())
-            .all(|(a, b)| (a - b).abs() < 1e-12)
-    }
-
     /// Samples the next access: one `f64` from `rng` picks the kind (a
     /// read with probability `α`), a second picks the submitting site by
     /// inverting that kind's CDF through the guide table. A site with zero
@@ -199,6 +183,25 @@ impl Workload {
         } else {
             (Access::Write, self.write_sites.draw(rng.random()))
         }
+    }
+}
+
+#[cfg(test)]
+impl Workload {
+    /// Changes `α` (used by shifting-workload experiments).
+    fn set_alpha(&mut self, alpha: f64) {
+        if let Err(rule) = Self::check_alpha(alpha) {
+            panic!("{rule}");
+        }
+        self.alpha = alpha;
+    }
+
+    /// True if `r_i = w_i` for all sites (then `r(v) = w(v)`, §4.1).
+    fn is_symmetric(&self) -> bool {
+        self.read_frac()
+            .iter()
+            .zip(self.write_frac())
+            .all(|(a, b)| (a - b).abs() < 1e-12)
     }
 }
 

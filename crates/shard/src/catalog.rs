@@ -21,9 +21,7 @@
 //! optimization exists for.
 
 use quorum_core::optimal::{optimal_quorum, SearchStrategy};
-use quorum_core::quorum::QuorumSpec;
-use quorum_core::votes::VoteAssignment;
-use quorum_core::AvailabilityModel;
+use quorum_core::{AvailabilityModel, QuorumSpec, VoteAssignment};
 use quorum_stats::rng::derive_seed;
 use quorum_stats::DiscreteDist;
 
@@ -430,7 +428,7 @@ fn bucket_alpha(class_alpha: f64, b: usize, buckets: usize, spread: f64) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_core::protocol::Access;
+    use quorum_core::Access;
 
     #[test]
     fn paper_mix_has_five_classes_and_all_are_hit() {

@@ -28,7 +28,7 @@
 //! walk over every epoch boundary since the object's previous access.
 
 use crate::catalog::ObjectCatalog;
-use quorum_core::protocol::Access;
+use quorum_core::Access;
 use quorum_des::{EventQueue, SimParams};
 use quorum_graph::{ComponentView, DeltaConnectivity, Topology};
 use quorum_replica::{FailureWorld, Transition};

@@ -11,7 +11,7 @@ use crate::ci::ConfidenceInterval;
 
 /// Numerically-stable running mean/variance accumulator (Welford's method).
 #[derive(Debug, Clone, Default)]
-pub struct RunningStats {
+pub(crate) struct RunningStats {
     n: u64,
     mean: f64,
     m2: f64,
@@ -19,12 +19,12 @@ pub struct RunningStats {
 
 impl RunningStats {
     /// Creates an empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
@@ -32,17 +32,17 @@ impl RunningStats {
     }
 
     /// Number of samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
     /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.mean
     }
 
     /// Unbiased sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -51,35 +51,17 @@ impl RunningStats {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
             self.std_dev() / (self.n as f64).sqrt()
         }
-    }
-
-    /// Merges another accumulator (parallel Welford combination).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
     }
 }
 
@@ -148,7 +130,7 @@ impl BatchMeans {
     }
 
     /// Number of batches recorded.
-    pub fn batches(&self) -> u64 {
+    pub(crate) fn batches(&self) -> u64 {
         self.stats.count()
     }
 
@@ -172,10 +154,26 @@ impl BatchMeans {
             None => false,
         }
     }
+}
 
-    /// Underlying accumulator.
-    pub fn stats(&self) -> &RunningStats {
-        &self.stats
+#[cfg(test)]
+impl RunningStats {
+    /// Merges another accumulator (parallel Welford combination).
+    fn merge(&mut self, other: &RunningStats) {
+        if other.n == 0 {
+            return;
+        }
+        if self.n == 0 {
+            *self = other.clone();
+            return;
+        }
+        let n1 = self.n as f64;
+        let n2 = other.n as f64;
+        let delta = other.mean - self.mean;
+        let total = n1 + n2;
+        self.mean += delta * n2 / total;
+        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.n += other.n;
     }
 }
 

@@ -10,18 +10,18 @@ use crate::batch::RunningStats;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Half-width of the interval.
     pub half_width: f64,
     /// Confidence level, e.g. `0.95`.
-    pub confidence: f64,
+    pub(crate) confidence: f64,
 }
 
 impl ConfidenceInterval {
     /// Builds the interval from an accumulator of batch means.
     ///
     /// Returns `None` with fewer than two samples (no variance estimate).
-    pub fn from_stats(stats: &RunningStats, confidence: f64) -> Option<Self> {
+    pub(crate) fn from_stats(stats: &RunningStats, confidence: f64) -> Option<Self> {
         let n = stats.count();
         if n < 2 {
             return None;
@@ -35,12 +35,12 @@ impl ConfidenceInterval {
     }
 
     /// Lower endpoint.
-    pub fn lo(&self) -> f64 {
+    pub(crate) fn lo(&self) -> f64 {
         self.mean - self.half_width
     }
 
     /// Upper endpoint.
-    pub fn hi(&self) -> f64 {
+    pub(crate) fn hi(&self) -> f64 {
         self.mean + self.half_width
     }
 
@@ -57,7 +57,7 @@ impl ConfidenceInterval {
 ///
 /// # Panics
 /// Panics if `df == 0` or `confidence` is outside `(0, 1)`.
-pub fn t_critical(confidence: f64, df: u64) -> f64 {
+pub(crate) fn t_critical(confidence: f64, df: u64) -> f64 {
     assert!(df > 0, "degrees of freedom must be positive");
     assert!(
         confidence > 0.0 && confidence < 1.0,
@@ -103,7 +103,7 @@ pub fn t_critical(confidence: f64, df: u64) -> f64 {
 
 /// Standard normal quantile via the Acklam rational approximation
 /// (|relative error| < 1.15e-9 on (0,1)).
-pub fn normal_quantile(p: f64) -> f64 {
+pub(crate) fn normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "p must lie in (0,1), got {p}");
     const A: [f64; 6] = [
         -3.969683028665376e+01,

@@ -89,12 +89,6 @@ impl DiscreteDist {
         self.pmf[v..].iter().sum()
     }
 
-    /// Cumulative `P[V ≤ v]`.
-    pub fn cdf(&self, v: usize) -> f64 {
-        let end = (v + 1).min(self.pmf.len());
-        self.pmf[..end].iter().sum()
-    }
-
     /// Precomputes every upper tail sum; `tails[v] = P[V ≥ v]` for
     /// `v ∈ 0..=T+1` (the final entry is zero). Evaluating availability for
     /// all `q_r` then costs O(1) per query instead of O(T).
@@ -113,39 +107,6 @@ impl DiscreteDist {
             .enumerate()
             .map(|(v, &m)| v as f64 * m)
             .sum()
-    }
-
-    /// Variance of the vote count.
-    pub fn variance(&self) -> f64 {
-        let mu = self.mean();
-        self.pmf
-            .iter()
-            .enumerate()
-            .map(|(v, &m)| (v as f64 - mu).powi(2) * m)
-            .sum()
-    }
-
-    /// Smallest `v` with `P[V ≤ v] ≥ p` (generalized inverse CDF).
-    ///
-    /// # Panics
-    /// Panics unless `0 < p <= 1` (and the distribution has positive
-    /// mass).
-    pub fn quantile(&self, p: f64) -> usize {
-        assert!(p > 0.0 && p <= 1.0, "p must lie in (0,1], got {p}");
-        let target = p * self.total_mass();
-        let mut acc = 0.0;
-        for (v, &m) in self.pmf.iter().enumerate() {
-            acc += m;
-            if acc >= target - 1e-15 {
-                return v;
-            }
-        }
-        self.pmf.len() - 1
-    }
-
-    /// Median vote count.
-    pub fn median(&self) -> usize {
-        self.quantile(0.5)
     }
 
     /// Pointwise convex mixture `Σ weights[i] · dists[i]`.
@@ -182,8 +143,61 @@ impl DiscreteDist {
             .fold(0.0, f64::max)
     }
 
+    /// Total-variation distance `½ Σ |p − q|`.
+    pub fn total_variation(&self, other: &DiscreteDist) -> f64 {
+        assert_eq!(self.pmf.len(), other.pmf.len(), "supports must match");
+        0.5 * self
+            .pmf
+            .iter()
+            .zip(&other.pmf)
+            .map(|(a, b)| (a - b).abs())
+            .sum::<f64>()
+    }
+}
+
+#[cfg(test)]
+impl DiscreteDist {
+    /// Cumulative `P[V ≤ v]`.
+    fn cdf(&self, v: usize) -> f64 {
+        let end = (v + 1).min(self.pmf.len());
+        self.pmf[..end].iter().sum()
+    }
+
+    /// Variance of the vote count.
+    fn variance(&self) -> f64 {
+        let mu = self.mean();
+        self.pmf
+            .iter()
+            .enumerate()
+            .map(|(v, &m)| (v as f64 - mu).powi(2) * m)
+            .sum()
+    }
+
+    /// Smallest `v` with `P[V ≤ v] ≥ p` (generalized inverse CDF).
+    ///
+    /// # Panics
+    /// Panics unless `0 < p <= 1` (and the distribution has positive
+    /// mass).
+    fn quantile(&self, p: f64) -> usize {
+        assert!(p > 0.0 && p <= 1.0, "p must lie in (0,1], got {p}");
+        let target = p * self.total_mass();
+        let mut acc = 0.0;
+        for (v, &m) in self.pmf.iter().enumerate() {
+            acc += m;
+            if acc >= target - 1e-15 {
+                return v;
+            }
+        }
+        self.pmf.len() - 1
+    }
+
+    /// Median vote count.
+    fn median(&self) -> usize {
+        self.quantile(0.5)
+    }
+
     /// Kolmogorov–Smirnov distance `max_v |CDF_p(v) − CDF_q(v)|`.
-    pub fn ks_distance(&self, other: &DiscreteDist) -> f64 {
+    fn ks_distance(&self, other: &DiscreteDist) -> f64 {
         assert_eq!(self.pmf.len(), other.pmf.len(), "supports must match");
         let mut acc_a = 0.0;
         let mut acc_b = 0.0;
@@ -194,17 +208,6 @@ impl DiscreteDist {
             worst = worst.max((acc_a - acc_b).abs());
         }
         worst
-    }
-
-    /// Total-variation distance `½ Σ |p − q|`.
-    pub fn total_variation(&self, other: &DiscreteDist) -> f64 {
-        assert_eq!(self.pmf.len(), other.pmf.len(), "supports must match");
-        0.5 * self
-            .pmf
-            .iter()
-            .zip(&other.pmf)
-            .map(|(a, b)| (a - b).abs())
-            .sum::<f64>()
     }
 }
 

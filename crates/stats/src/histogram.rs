@@ -48,11 +48,6 @@ impl CountingHistogram {
         }
     }
 
-    /// Raw counts per vote value.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Number of observations.
     pub fn observations(&self) -> u64 {
         self.observations
@@ -129,20 +124,6 @@ impl DecayedHistogram {
             decay,
         }
     }
-
-    /// The decay factor λ.
-    pub fn decay(&self) -> f64 {
-        self.decay
-    }
-
-    /// Effective number of remembered observations, `1/(1−λ)` in the limit.
-    pub fn effective_window(&self) -> f64 {
-        if self.decay >= 1.0 {
-            f64::INFINITY
-        } else {
-            1.0 / (1.0 - self.decay)
-        }
-    }
 }
 
 impl VoteHistogram for DecayedHistogram {
@@ -169,6 +150,26 @@ impl VoteHistogram for DecayedHistogram {
     fn estimate(&self) -> DiscreteDist {
         assert!(self.total > 0.0, "no observations recorded");
         DiscreteDist::from_pmf(self.mass.iter().map(|&m| m / self.total).collect())
+    }
+}
+
+#[cfg(test)]
+impl CountingHistogram {
+    /// Raw counts per vote value.
+    fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+}
+
+#[cfg(test)]
+impl DecayedHistogram {
+    /// Effective number of remembered observations, `1/(1−λ)` in the limit.
+    fn effective_window(&self) -> f64 {
+        if self.decay >= 1.0 {
+            f64::INFINITY
+        } else {
+            1.0 / (1.0 - self.decay)
+        }
     }
 }
 

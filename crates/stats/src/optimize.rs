@@ -152,7 +152,7 @@ pub struct FloatMax {
     /// Argmax.
     pub x: f64,
     /// Maximum value.
-    pub value: f64,
+    pub(crate) value: f64,
     /// Function evaluations performed.
     pub evals: usize,
 }

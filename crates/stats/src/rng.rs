@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 ///
 /// Used to derive independent seeds for sub-streams (one per site, link,
 /// and batch) from a single master seed.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -35,7 +35,7 @@ pub fn rng_from_seed(seed: u64) -> StdRng {
 }
 
 /// A counter-based SplitMix64 stream: draw `k` of stream `seed` is the
-/// pure function [`CounterRng::value_at`]`(seed, k)` — no hidden state
+/// pure function `CounterRng::value_at(seed, k)` — no hidden state
 /// beyond the counter itself.
 ///
 /// Two properties make this the hot-path generator for the shard walk
@@ -46,10 +46,10 @@ pub fn rng_from_seed(seed: u64) -> StdRng {
 ///   ChaCha block. Draws have no sequential dependency on each other,
 ///   so one object's draws can be computed in any order.
 /// * **Positional**: a stream can be entered at any counter
-///   ([`CounterRng::at`]), so batched and one-at-a-time consumers of
+///   ([`CounterRng::uniform_at`] takes it as an argument), so batched and one-at-a-time consumers of
 ///   the same `(seed, counter)` contract produce bit-identical draws.
 ///
-/// The sequence is exactly what repeated [`splitmix64`] calls starting
+/// The sequence is exactly what repeated `splitmix64` calls starting
 /// from `seed` produce (pinned by a test), so `derive_seed`-style
 /// decorrelation arguments carry over unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,26 +59,11 @@ pub struct CounterRng {
 }
 
 impl CounterRng {
-    /// Stream `seed` positioned at its first draw.
-    pub fn new(seed: u64) -> Self {
-        Self { seed, counter: 0 }
-    }
-
-    /// Stream `seed` positioned so the next draw is draw `counter`.
-    pub fn at(seed: u64, counter: u64) -> Self {
-        Self { seed, counter }
-    }
-
-    /// Number of draws consumed so far (the index of the next draw).
-    pub fn position(&self) -> u64 {
-        self.counter
-    }
-
     /// Draw `counter` of stream `seed`: the SplitMix64 finalizer applied
     /// to the counter-advanced state. Stateless, so batched samplers can
     /// compute many draws of one stream without threading a borrow.
     #[inline]
-    pub fn value_at(seed: u64, counter: u64) -> u64 {
+    pub(crate) fn value_at(seed: u64, counter: u64) -> u64 {
         let mut z = seed.wrapping_add(counter.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -90,22 +75,6 @@ impl CounterRng {
     #[inline]
     pub fn uniform_at(seed: u64, counter: u64) -> f64 {
         (Self::value_at(seed, counter) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Next 64-bit draw.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        let v = Self::value_at(self.seed, self.counter);
-        self.counter += 1;
-        v
-    }
-
-    /// Next uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        let v = Self::uniform_at(self.seed, self.counter);
-        self.counter += 1;
-        v
     }
 }
 
@@ -139,6 +108,40 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     assert!((0.0..=1.0).contains(&p), "p must lie in [0,1]");
     rng.random::<f64>() < p
+}
+
+#[cfg(test)]
+impl CounterRng {
+    /// Stream `seed` positioned at its first draw.
+    fn new(seed: u64) -> Self {
+        Self { seed, counter: 0 }
+    }
+
+    /// Stream `seed` positioned so the next draw is draw `counter`.
+    fn at(seed: u64, counter: u64) -> Self {
+        Self { seed, counter }
+    }
+
+    /// Number of draws consumed so far (the index of the next draw).
+    fn position(&self) -> u64 {
+        self.counter
+    }
+
+    /// Next 64-bit draw.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let v = Self::value_at(self.seed, self.counter);
+        self.counter += 1;
+        v
+    }
+
+    /// Next uniform `f64` in `[0, 1)`.
+    #[inline]
+    fn next_f64(&mut self) -> f64 {
+        let v = Self::uniform_at(self.seed, self.counter);
+        self.counter += 1;
+        v
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use quorum_core::{QuorumConsensus, QuorumSpec};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::adaptive::{run_adaptive, run_phased, AdaptiveConfig, Phase};
+use quorum_replica::{run_adaptive, run_phased, AdaptiveConfig, Phase};
 
 fn main() {
     let n = 31;

@@ -10,10 +10,10 @@
 //! Cheung–Ahamad–Ammar joint vote/quorum search, then shows the marginal
 //! value of each extra replica.
 
-use quorum_core::nonpartition::{
+use quorum_core::optimal::{optimal_quorum, SearchStrategy};
+use quorum_core::{
     model_uniform_access, optimal_votes_exhaustive, optimal_votes_hill_climb, up_vote_distribution,
 };
-use quorum_core::optimal::{optimal_quorum, SearchStrategy};
 
 fn main() {
     let alpha = 0.70;

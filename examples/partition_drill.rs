@@ -9,8 +9,7 @@
 //! the majority side, and the heal — with one-copy-serializability
 //! checked at every access.
 
-use quorum_core::protocol::Decision;
-use quorum_core::{Access, QrProtocol, QuorumSpec, VoteAssignment};
+use quorum_core::{Access, Decision, QrProtocol, QuorumSpec, VoteAssignment};
 use quorum_graph::Topology;
 use quorum_replica::script::{Scenario, Step};
 

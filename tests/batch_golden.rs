@@ -17,14 +17,13 @@
 
 #![forbid(unsafe_code)]
 
-use quorum_core::dynamic_voting::DynamicVoting;
-use quorum_core::protocol::{Access, ConsistencyProtocol, Decision};
-use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
+use quorum_core::{
+    Access, ConsistencyProtocol, Decision, DynamicVoting, QuorumConsensus, QuorumSpec,
+    VoteAssignment,
+};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::adaptive::{AdaptiveConfig, AdaptiveQr};
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{BatchStats, Simulation, Workload};
+use quorum_replica::{AdaptiveConfig, AdaptiveQr, BatchStats, NullObserver, Simulation, Workload};
 
 fn params() -> SimParams {
     SimParams {

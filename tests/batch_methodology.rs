@@ -4,9 +4,8 @@
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{run_static, RunConfig, Simulation, Workload};
-use quorum_stats::batch::lag1_autocorrelation;
+use quorum_replica::{run_static, NullObserver, RunConfig, Simulation, Workload};
+use quorum_stats::lag1_autocorrelation;
 
 fn batch_params(accesses: u64) -> SimParams {
     SimParams {

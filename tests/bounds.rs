@@ -10,12 +10,12 @@
 //! and seed.
 
 use quorum_algebra::{AlgebraProtocol, QuorumSystem};
-use quorum_core::protocol::ConsistencyProtocol;
-use quorum_core::{DynamicVoting, QrProtocol, QuorumConsensus, QuorumSpec, VoteAssignment};
+use quorum_core::{
+    ConsistencyProtocol, DynamicVoting, QrProtocol, QuorumConsensus, QuorumSpec, VoteAssignment,
+};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{Simulation, Workload};
+use quorum_replica::{NullObserver, Simulation, Workload};
 
 fn params() -> SimParams {
     SimParams {

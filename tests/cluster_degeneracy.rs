@@ -7,13 +7,11 @@
 //! results extend the paper's §5 numbers instead of contradicting them.
 
 use quorum_cluster::{run_cluster, ClusterConfig, ClusterEngine, Outcome};
-use quorum_core::protocol::{Access, Decision};
-use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
+use quorum_core::{Access, Decision, QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
 use quorum_obs::Registry;
-use quorum_replica::simulation::AccessObserver;
-use quorum_replica::{run_static_observed, RunConfig, Simulation, Workload};
+use quorum_replica::{run_static_observed, AccessObserver, RunConfig, Simulation, Workload};
 
 fn quick_params() -> SimParams {
     SimParams {

@@ -6,8 +6,7 @@ use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumConsensus, QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{run_static, CurveSet, RunConfig, Simulation, Workload};
+use quorum_replica::{run_static, CurveSet, NullObserver, RunConfig, Simulation, Workload};
 
 fn params() -> SimParams {
     SimParams {

@@ -6,8 +6,7 @@ use quorum_core::analytic::{fully_connected_density, ring_density};
 use quorum_core::{AvailabilityModel, QuorumSpec, SearchStrategy, SiteEstimators, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{run_static, CurveSet, RunConfig, Simulation, Workload};
+use quorum_replica::{run_static, CurveSet, NullObserver, RunConfig, Simulation, Workload};
 use quorum_stats::VoteHistogram;
 
 #[test]
@@ -49,14 +48,14 @@ fn estimator_driven_optimizer_matches_analytic_decision() {
     struct Recorder {
         est: SiteEstimators<quorum_stats::CountingHistogram>,
     }
-    impl quorum_replica::simulation::AccessObserver for Recorder {
+    impl quorum_replica::AccessObserver for Recorder {
         fn on_access(
             &mut self,
             site: usize,
             _members: &[usize],
             votes: u64,
             _kind: quorum_core::Access,
-            _decision: quorum_core::protocol::Decision,
+            _decision: quorum_core::Decision,
             measured: Option<u64>,
         ) {
             if measured.is_some() {
@@ -149,14 +148,14 @@ fn decayed_estimator_tracks_topology_change() {
     struct Feed<'a> {
         est: &'a mut SiteEstimators<quorum_stats::DecayedHistogram>,
     }
-    impl quorum_replica::simulation::AccessObserver for Feed<'_> {
+    impl quorum_replica::AccessObserver for Feed<'_> {
         fn on_access(
             &mut self,
             site: usize,
             _m: &[usize],
             votes: u64,
             _k: quorum_core::Access,
-            _d: quorum_core::protocol::Decision,
+            _d: quorum_core::Decision,
             measured: Option<u64>,
         ) {
             if measured.is_some() {

@@ -3,8 +3,9 @@
 //! topology constructors maintain their structural invariants.
 
 use proptest::prelude::*;
-use quorum_graph::{ComponentView, NetworkState, Topology, UnionFind};
+use quorum_graph::{ComponentView, NetworkState, Topology};
 use rand::SeedableRng;
+use union_find::UnionFind;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -153,6 +154,131 @@ fn hypercube_is_d_connected() {
                     1,
                     "removing {{{a},{b},{c}}} disconnected the 4-cube"
                 );
+            }
+        }
+    }
+}
+
+/// Union-find (disjoint set union) with path halving and union by size:
+/// the reference the BFS component labelling is checked against.
+mod union_find {
+    /// Disjoint-set forest over `0..n`.
+    #[derive(Debug, Clone)]
+    pub(super) struct UnionFind {
+        parent: Vec<usize>,
+        size: Vec<usize>,
+        components: usize,
+    }
+
+    impl UnionFind {
+        /// `n` singleton sets.
+        pub(super) fn new(n: usize) -> Self {
+            Self {
+                parent: (0..n).collect(),
+                size: vec![1; n],
+                components: n,
+            }
+        }
+
+        /// Representative of `x`'s set (path halving).
+        fn find(&mut self, mut x: usize) -> usize {
+            while self.parent[x] != x {
+                self.parent[x] = self.parent[self.parent[x]];
+                x = self.parent[x];
+            }
+            x
+        }
+
+        /// Merges the sets of `a` and `b`; returns `true` if they were distinct.
+        pub(super) fn union(&mut self, a: usize, b: usize) -> bool {
+            let (ra, rb) = (self.find(a), self.find(b));
+            if ra == rb {
+                return false;
+            }
+            let (big, small) = if self.size[ra] >= self.size[rb] {
+                (ra, rb)
+            } else {
+                (rb, ra)
+            };
+            self.parent[small] = big;
+            self.size[big] += self.size[small];
+            self.components -= 1;
+            true
+        }
+
+        /// True if `a` and `b` share a set.
+        pub(super) fn same(&mut self, a: usize, b: usize) -> bool {
+            self.find(a) == self.find(b)
+        }
+
+        /// Size of the set containing `x`.
+        pub(super) fn size_of(&mut self, x: usize) -> usize {
+            let r = self.find(x);
+            self.size[r]
+        }
+
+        /// Number of disjoint sets.
+        pub(super) fn num_components(&self) -> usize {
+            self.components
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use quorum_graph::{ComponentView, NetworkState, Topology};
+
+        #[test]
+        fn starts_as_singletons() {
+            let mut uf = UnionFind::new(5);
+            assert_eq!(uf.num_components(), 5);
+            assert!(!uf.same(0, 1));
+            assert_eq!(uf.size_of(3), 1);
+        }
+
+        #[test]
+        fn union_merges() {
+            let mut uf = UnionFind::new(5);
+            assert!(uf.union(0, 1));
+            assert!(uf.union(1, 2));
+            assert!(!uf.union(0, 2), "already same set");
+            assert!(uf.same(0, 2));
+            assert_eq!(uf.size_of(1), 3);
+            assert_eq!(uf.num_components(), 3);
+        }
+
+        #[test]
+        fn chain_union_all() {
+            let n = 100;
+            let mut uf = UnionFind::new(n);
+            for i in 0..n - 1 {
+                uf.union(i, i + 1);
+            }
+            assert_eq!(uf.num_components(), 1);
+            assert_eq!(uf.size_of(0), n);
+            assert!(uf.same(0, n - 1));
+        }
+
+        #[test]
+        fn matches_bfs_components() {
+            let t = Topology::ring_with_chords(15, 5);
+            let mut s = NetworkState::all_up(&t);
+            s.set_site(3, false);
+            s.set_link(0, false);
+            s.set_link(7, false);
+            let view = ComponentView::compute(&t, &s, &[1; 15]);
+            let mut uf = UnionFind::new(15);
+            for (idx, &(a, b)) in t.links().iter().enumerate() {
+                if s.link_up(idx) && s.site_up(a) && s.site_up(b) {
+                    uf.union(a, b);
+                }
+            }
+            for a in 0..15 {
+                for b in 0..15 {
+                    if s.site_up(a) && s.site_up(b) {
+                        assert_eq!(view.connected(a, b), uf.same(a, b), "({a},{b})");
+                    }
+                }
             }
         }
     }

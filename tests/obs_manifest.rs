@@ -1,14 +1,14 @@
 //! Cross-crate observability checks: the numbers flowing into a
 //! `quorum_obs::Registry` must agree with the instrumented components'
-//! own accounting, end to end — from a raw [`LiveNetwork`] up through
+//! own accounting, end to end — from one simulated batch up through
 //! the `validate_curves` sweep and its written manifest.
 
 use quorum_bench::validate::{run, ValidateOpts};
-use quorum_core::{QuorumSpec, VoteAssignment};
+use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
-use quorum_graph::{LiveNetwork, Topology};
+use quorum_graph::Topology;
 use quorum_obs::{keys, Registry, RunManifest};
-use quorum_replica::{run_static_observed, RunConfig, Workload};
+use quorum_replica::{run_static_observed, NullObserver, RunConfig, Simulation, Workload};
 
 fn tiny_params() -> SimParams {
     SimParams {
@@ -23,29 +23,25 @@ fn tiny_params() -> SimParams {
 
 #[test]
 fn registry_cache_counters_equal_cache_accounting() {
-    // Drive a LiveNetwork by hand: the counts it reports into a
-    // registry must equal its own hits()/recomputations() exactly.
+    // One batch by hand: the cache counts its BatchStats publishes into
+    // a registry must equal the batch's own accounting, and the cache is
+    // queried exactly once per dispatched access.
     let topo = Topology::ring_with_chords(11, 2);
-    let votes = vec![1u64; 11];
-    let mut net = LiveNetwork::new(&topo, &votes);
-    let mut queries = 0u64;
-    for round in 0..25 {
-        let (site, up) = (round % 11, round % 8 != 0);
-        if round % 4 == 0 {
-            net.set_site(site, up);
-        }
-        net.partition();
-        queries += 1;
-    }
+    let mut sim = Simulation::new(&topo, tiny_params(), Workload::uniform(11, 0.5), 25);
+    let mut proto = QuorumConsensus::majority(11);
+    let stats = sim.run_batch(&mut proto, &mut NullObserver);
     let registry = Registry::new();
-    net.observe_into(&registry);
+    stats.observe_into(&registry);
     let snap = registry.snapshot();
-    assert_eq!(snap.counter(keys::CACHE_HITS), net.hits());
+    assert_eq!(snap.counter(keys::CACHE_HITS), stats.cache_hits);
     assert_eq!(
         snap.counter(keys::CACHE_RECOMPUTATIONS),
-        net.recomputations()
+        stats.cache_recomputations
     );
-    assert_eq!(net.hits() + net.recomputations(), queries);
+    assert_eq!(
+        stats.cache_hits + stats.cache_recomputations,
+        stats.accesses_dispatched
+    );
 }
 
 #[test]

@@ -3,12 +3,12 @@
 //! the negative direction (invalid assignments do fail).
 
 use proptest::prelude::*;
-use quorum_core::protocol::{Access, ConsistencyProtocol, Decision};
-use quorum_core::{QrProtocol, QuorumConsensus, QuorumSpec, VoteAssignment};
+use quorum_core::{
+    Access, ConsistencyProtocol, Decision, QrProtocol, QuorumConsensus, QuorumSpec, VoteAssignment,
+};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::simulation::NullObserver;
-use quorum_replica::{Simulation, Workload};
+use quorum_replica::{NullObserver, Simulation, Workload};
 
 fn quick_params() -> SimParams {
     SimParams {
