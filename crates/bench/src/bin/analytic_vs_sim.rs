@@ -29,11 +29,12 @@ fn compare(name: &str, topo: &Topology, analytic: &quorum_stats::DiscreteDist, c
         Workload::uniform(n, 0.5),
         cfg,
     );
-    let empirical = results.combined.access_votes.estimate();
+    let access_votes = results.combined.access_votes();
+    let empirical = access_votes.estimate();
     let tv = empirical.total_variation(analytic);
     println!(
         "{name}: n={n} observations={} TV(analytic, simulated)={tv:.4} mean_analytic={:.2} mean_sim={:.2}",
-        results.combined.access_votes.observations(),
+        access_votes.observations(),
         analytic.mean(),
         empirical.mean()
     );

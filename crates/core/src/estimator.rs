@@ -8,16 +8,15 @@
 //! performs for consistency control. [`SiteEstimators`] is that bank of
 //! per-site histograms, generic over the forgetting policy
 //! ([`quorum_stats::CountingHistogram`] or
-//! [`quorum_stats::DecayedHistogram`]).
+//! [`quorum_stats::DecayedHistogram`]). The replica simulators feed it
+//! through their access observer.
 //!
 //! Footnote 4 of the paper: because a *down* site records nothing,
 //! densities estimated this way condition on the submitting site being up,
 //! yielding `A' = A / p`. The argmax over `q_r` is unchanged, so the
-//! optimizer can run directly on these estimates; absolute availabilities
-//! are recovered with [`crate::availability::AvailabilityModel::scale_conditional`].
-//! Alternatively, [`SiteEstimators::record_down`] lets a simulator (which,
-//! unlike a real site, *can* observe its own down state) account the
-//! zero-vote mass explicitly, estimating `A` directly.
+//! optimizer can run directly on these estimates. A simulator, unlike a
+//! real site, *can* observe its own down state: it records a down site as
+//! a zero-vote observation, and the bank then estimates `A` directly.
 
 use crate::availability::AvailabilityModel;
 use quorum_stats::{CountingHistogram, DecayedHistogram, DiscreteDist, VoteHistogram};
@@ -41,8 +40,6 @@ use quorum_stats::{CountingHistogram, DecayedHistogram, DiscreteDist, VoteHistog
 #[derive(Debug, Clone)]
 pub struct SiteEstimators<H: VoteHistogram> {
     sites: Vec<H>,
-    total_votes: usize,
-    recorded: u64,
 }
 
 impl SiteEstimators<CountingHistogram> {
@@ -53,22 +50,7 @@ impl SiteEstimators<CountingHistogram> {
             sites: (0..n_sites)
                 .map(|_| CountingHistogram::new(total_votes))
                 .collect(),
-            total_votes,
-            recorded: 0,
         }
-    }
-
-    /// Merges another bank's observations (e.g. from a parallel batch).
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn merge(&mut self, other: &SiteEstimators<CountingHistogram>) {
-        assert_eq!(self.sites.len(), other.sites.len(), "site counts differ");
-        assert_eq!(self.total_votes, other.total_votes, "vote totals differ");
-        for (a, b) in self.sites.iter_mut().zip(&other.sites) {
-            a.merge(b);
-        }
-        self.recorded += other.recorded;
     }
 }
 
@@ -80,47 +62,15 @@ impl SiteEstimators<DecayedHistogram> {
             sites: (0..n_sites)
                 .map(|_| DecayedHistogram::new(total_votes, decay))
                 .collect(),
-            total_votes,
-            recorded: 0,
         }
     }
 }
 
 impl<H: VoteHistogram> SiteEstimators<H> {
-    /// Records that `site` observed `votes` reachable votes.
+    /// Records that `site` observed `votes` reachable votes (0 if it is
+    /// down, when the recorder can tell).
     pub fn record(&mut self, site: usize, votes: u64) {
         self.sites[site].record(votes as usize);
-        self.recorded += 1;
-    }
-
-    /// Records that `site` was down (a zero-vote component, §5.2's
-    /// convention). Only a simulator or an external observer can log this;
-    /// see the module docs on `A` vs `A'`.
-    pub fn record_down(&mut self, site: usize) {
-        self.sites[site].record(0);
-        self.recorded += 1;
-    }
-
-    /// Total observations recorded into the bank (across all sites,
-    /// unweighted — decay does not erode this count).
-    pub fn observations(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Records the bank's lifetime observation count into a registry
-    /// under [`quorum_obs::keys::ESTIMATOR_OBSERVATIONS`].
-    pub fn observe_into(&self, registry: &quorum_obs::Registry) {
-        registry.add(quorum_obs::keys::ESTIMATOR_OBSERVATIONS, self.recorded);
-    }
-
-    /// Number of sites.
-    pub fn num_sites(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Total votes `T`.
-    pub fn total_votes(&self) -> usize {
-        self.total_votes
     }
 
     /// (Weighted) observation count at `site`.
@@ -150,6 +100,30 @@ impl<H: VoteHistogram> SiteEstimators<H> {
     /// Model under uniform access (`r_i = w_i = 1/n`).
     pub fn model_uniform(&self) -> AvailabilityModel {
         AvailabilityModel::uniform_access(&self.densities())
+    }
+}
+
+#[cfg(test)]
+impl SiteEstimators<CountingHistogram> {
+    /// Merges another bank's observations (e.g. from a parallel batch).
+    ///
+    /// # Panics
+    /// Panics if dimensions differ.
+    fn merge(&mut self, other: &SiteEstimators<CountingHistogram>) {
+        assert_eq!(self.sites.len(), other.sites.len(), "site counts differ");
+        for (a, b) in self.sites.iter_mut().zip(&other.sites) {
+            a.merge(b);
+        }
+    }
+}
+
+#[cfg(test)]
+impl<H: VoteHistogram> SiteEstimators<H> {
+    /// Records that `site` was down (a zero-vote component, §5.2's
+    /// convention). Only a simulator or an external observer can log this;
+    /// see the module docs on `A` vs `A'`.
+    fn record_down(&mut self, site: usize) {
+        self.record(site, 0);
     }
 }
 
@@ -262,22 +236,6 @@ mod tests {
         assert_eq!(a.weight(0), 2.0);
         assert_eq!(a.weight(1), 1.0);
         assert!((a.density(0).pmf(4) - 0.5).abs() < 1e-12);
-        assert_eq!(a.observations(), 3);
-    }
-
-    #[test]
-    fn observation_count_reaches_registry() {
-        let mut est = SiteEstimators::counting(2, 4);
-        est.record(0, 4);
-        est.record(1, 2);
-        est.record_down(1);
-        let r = quorum_obs::Registry::new();
-        est.observe_into(&r);
-        assert_eq!(
-            r.snapshot()
-                .counter(quorum_obs::keys::ESTIMATOR_OBSERVATIONS),
-            3
-        );
     }
 
     #[test]

@@ -33,6 +33,18 @@
 //! The coterie formalism of Garcia-Molina & Barbara \[8\] (arbitrary
 //! read/write set families, domination) lives in `quorum-algebra`, which
 //! builds on this crate.
+//!
+//! The common workflow: build a model, optimize.
+//!
+//! ```
+//! use quorum_core::optimal::optimal_quorum;
+//! use quorum_core::{analytic, AvailabilityModel, SearchStrategy};
+//!
+//! let f = analytic::ring_density(9, 0.95, 0.95);
+//! let model = AvailabilityModel::from_mixtures(&f, &f);
+//! let opt = optimal_quorum(&model, 0.8, SearchStrategy::EndpointGolden);
+//! assert!(opt.spec.q_r() >= 1 && opt.spec.q_w() <= 9);
+//! ```
 
 #![warn(missing_docs)]
 // Exact `==`/`!=` on floats encodes an accidental bit-pattern property;
@@ -50,28 +62,6 @@ mod protocol;
 mod quorum;
 mod reassign;
 mod votes;
-
-/// One-line import for the common workflow: build a model, optimize,
-/// run a protocol.
-///
-/// ```
-/// use quorum_core::prelude::*;
-///
-/// let f = analytic::ring_density(9, 0.95, 0.95);
-/// let model = AvailabilityModel::from_mixtures(&f, &f);
-/// let opt = optimal_quorum(&model, 0.8, SearchStrategy::EndpointGolden);
-/// assert!(opt.spec.q_r() >= 1 && opt.spec.q_w() <= 9);
-/// ```
-pub mod prelude {
-    pub use crate::analytic;
-    pub use crate::availability::AvailabilityModel;
-    pub use crate::metrics::AvailabilityMetric;
-    pub use crate::optimal::{optimal_quorum, optimal_with_write_floor, SearchStrategy};
-    pub use crate::protocol::{Access, ConsistencyProtocol, Decision, QuorumConsensus};
-    pub use crate::quorum::{QuorumError, QuorumSpec};
-    pub use crate::reassign::QrProtocol;
-    pub use crate::votes::VoteAssignment;
-}
 
 pub use availability::AvailabilityModel;
 pub use dynamic_voting::DynamicVoting;

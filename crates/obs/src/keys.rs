@@ -1,7 +1,7 @@
 //! The metric-key registry: the single declared schema of every metric
 //! key the workspace emits.
 //!
-//! Producers (simulator, cache, estimator, benches) and consumers
+//! Producers (simulator, cache, optimizer, benches) and consumers
 //! (manifest writers, CI jq gates) agree by referencing these constants
 //! instead of spelling strings. The contract is held by types and one
 //! test rather than by a linter:
@@ -97,8 +97,6 @@ keys! {
     RUN_BATCHES = "replica.batches";
     /// Worker threads the runner used.
     RUN_THREADS = "replica.threads";
-    /// Observations recorded into estimator histograms.
-    ESTIMATOR_OBSERVATIONS = "core.estimator.observations";
     /// Objective evaluations spent by optimizer argmax sweeps.
     OPTIMIZER_EVALUATIONS = "core.optimizer.evaluations";
     /// Messages sent by cluster sites (all types, including retries).

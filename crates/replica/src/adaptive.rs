@@ -180,21 +180,12 @@ pub struct Phase {
     pub alpha: f64,
     /// Measured accesses in the phase.
     pub(crate) accesses: u64,
-    /// Optional component-reliability override for the phase — models the
-    /// "periodic component failure" regime changes §4.3 motivates dynamic
-    /// reassignment with (e.g. a nightly maintenance window dropping
-    /// reliability from 96 % to 85 %).
-    pub(crate) reliability: Option<f64>,
 }
 
 impl Phase {
-    /// A phase at the base reliability.
+    /// A phase of `accesses` measured accesses at read ratio `alpha`.
     pub fn new(alpha: f64, accesses: u64) -> Self {
-        Self {
-            alpha,
-            accesses,
-            reliability: None,
-        }
+        Self { alpha, accesses }
     }
 }
 
@@ -226,7 +217,6 @@ pub fn run_phased<P: ConsistencyProtocol>(
     for (i, ph) in phases.iter().enumerate() {
         let params = SimParams {
             batch_accesses: ph.accesses,
-            reliability: ph.reliability.unwrap_or(base_params.reliability),
             ..base_params
         };
         let mut sim = Simulation::new(topology, params, Workload::uniform(n, ph.alpha), seed);
@@ -265,18 +255,6 @@ impl AdaptiveQr {
     /// Current read-ratio estimate `α̂`.
     fn alpha_estimate(&self) -> f64 {
         self.alpha_est
-    }
-}
-
-#[cfg(test)]
-impl Phase {
-    /// A phase with degraded (or improved) component reliability.
-    fn with_reliability(alpha: f64, accesses: u64, reliability: f64) -> Self {
-        Self {
-            alpha,
-            accesses,
-            reliability: Some(reliability),
-        }
     }
 }
 
@@ -400,43 +378,8 @@ mod tests {
                 r.final_spec
             );
             assert_eq!(r.stats.stale_reads, 0);
-        }
-    }
-
-    #[test]
-    fn adaptive_tracks_reliability_degradation() {
-        // §4.3: dynamic reassignment adjusts for "periodic component
-        // failure". Degrade reliability from 96% to 80% mid-run on a
-        // chorded ring: the estimated f̂ shifts toward small components
-        // and the installed assignment's q_w must loosen (or at least the
-        // protocol must keep functioning with zero violations).
-        let topo = Topology::ring_with_chords(15, 6);
-        let phases = [
-            Phase::new(0.8, 12_000),
-            Phase::with_reliability(0.8, 12_000, 0.80),
-        ];
-        let results = run_adaptive(
-            &topo,
-            params(),
-            &phases,
-            QuorumSpec::majority(15),
-            AdaptiveConfig {
-                write_floor: Some(0.05),
-                ..AdaptiveConfig::default()
-            },
-            21,
-        );
-        for r in &results {
-            assert_eq!(r.stats.stale_reads, 0);
             assert_eq!(r.stats.write_conflicts, 0);
         }
-        // The degraded phase really is degraded.
-        assert!(
-            results[1].stats.availability() < results[0].stats.availability(),
-            "phase 1 ({}) should be worse than phase 0 ({})",
-            results[1].stats.availability(),
-            results[0].stats.availability()
-        );
     }
 
     #[test]

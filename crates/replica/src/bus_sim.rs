@@ -11,11 +11,10 @@
 use crate::object::SerializabilityChecker;
 use crate::results::BatchStats;
 use crate::workload::Workload;
-use quorum_core::{Access, ConsistencyProtocol, VoteAssignment};
+use quorum_core::{ConsistencyProtocol, VoteAssignment};
 use quorum_des::{EventQueue, OnOffProcess, PoissonProcess, SimParams, SimTime};
 use quorum_graph::{BitSet, BusFailureMode, BusNetwork};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
-use quorum_stats::VoteHistogram;
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -78,7 +77,7 @@ impl BusSimulation {
 
         let mut net = BusNetwork::new(n, self.mode);
         let mut checker = SerializabilityChecker::new(n);
-        let mut stats = BatchStats::new(n, self.votes.total() as usize);
+        let mut stats = BatchStats::new(self.votes.total() as usize);
 
         let component_process =
             OnOffProcess::from_reliability(self.params.reliability, self.params.mu_fail())
@@ -138,25 +137,7 @@ impl BusSimulation {
                     members.extend(member_bits.iter_ones());
                     let (decision, consistent) =
                         checker.access(protocol, kind, &members, &member_bits, votes);
-                    let measured = seen > warmup;
-                    if measured {
-                        match kind {
-                            Access::Read => {
-                                stats.reads_submitted += 1;
-                                stats.read_votes.record(votes as usize);
-                                if decision.is_granted() {
-                                    stats.reads_granted += 1;
-                                }
-                            }
-                            Access::Write => {
-                                stats.writes_submitted += 1;
-                                stats.write_votes.record(votes as usize);
-                                if decision.is_granted() {
-                                    stats.writes_granted += 1;
-                                }
-                            }
-                        }
-                        stats.access_votes.record(votes as usize);
+                    if seen > warmup {
                         // Largest component: the bus component if up, else
                         // the largest singleton (1 if any site up, 0 else).
                         let largest = if net.bus_up() {
@@ -169,14 +150,13 @@ impl BusSimulation {
                                 }
                             }
                         };
-                        stats.largest_votes.record(largest as usize);
-                        stats.per_site_votes[site].record(votes as usize);
-                        if !consistent {
-                            match kind {
-                                Access::Write => stats.write_conflicts += 1,
-                                Access::Read => stats.stale_reads += 1,
-                            }
-                        }
+                        stats.record_access(
+                            kind,
+                            votes,
+                            largest,
+                            decision.is_granted(),
+                            consistent,
+                        );
                     }
                 }
             }
@@ -190,6 +170,7 @@ mod tests {
     use super::*;
     use quorum_core::analytic::{bus_density_sites_fail, bus_density_sites_independent};
     use quorum_core::{QuorumConsensus, QuorumSpec};
+    use quorum_stats::VoteHistogram;
 
     fn params() -> SimParams {
         SimParams {
@@ -211,7 +192,7 @@ mod tests {
         );
         let mut proto = QuorumConsensus::majority(n);
         let stats = sim.run_batch(&mut proto);
-        let empirical = stats.access_votes.estimate();
+        let empirical = stats.access_votes().estimate();
         let analytic = bus_density_sites_fail(n, 0.96, 0.96);
         let tv = empirical.total_variation(&analytic);
         // One 60k-access batch carries sampling error; with the bus-coupled
@@ -233,7 +214,7 @@ mod tests {
         );
         let mut proto = QuorumConsensus::majority(n);
         let stats = sim.run_batch(&mut proto);
-        let empirical = stats.access_votes.estimate();
+        let empirical = stats.access_votes().estimate();
         let analytic = bus_density_sites_independent(n, 0.96, 0.96);
         let tv = empirical.total_variation(&analytic);
         assert!(tv < 0.03, "TV = {tv}");
@@ -273,6 +254,34 @@ mod tests {
         let stats = sim.run_batch(&mut proto);
         let ra = stats.read_availability();
         assert!((ra - 0.96).abs() < 0.01, "read availability {ra}");
+    }
+
+    #[test]
+    fn access_votes_merge_read_and_write_histograms() {
+        let n = 7;
+        let mut sim = BusSimulation::new(
+            n,
+            BusFailureMode::SitesIndependent,
+            params(),
+            Workload::uniform(n, 0.3),
+            5,
+        );
+        let stats = sim.run_batch(&mut QuorumConsensus::majority(n));
+        let (reads, writes) = (&stats.read_votes, &stats.write_votes);
+        assert!(reads.observations() > 0 && writes.observations() > 0);
+        // Per-level counts, recovered exactly from the integer-count pmf.
+        let counts = |h: &quorum_stats::CountingHistogram| {
+            let d = h.estimate();
+            (0..=n)
+                .map(|v| (d.pmf(v) * h.weight()).round() as u64)
+                .collect::<Vec<_>>()
+        };
+        let merged: Vec<u64> = counts(reads)
+            .iter()
+            .zip(counts(writes))
+            .map(|(r, w)| r + w)
+            .collect();
+        assert_eq!(counts(&stats.access_votes()), merged);
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl CurveSet {
     /// in for its mixture.
     pub fn from_run(results: &RunResults) -> Self {
         let c = &results.combined;
-        let aggregate = c.access_votes.estimate();
+        let aggregate = c.access_votes().estimate();
         let r = if c.read_votes.observations() > 0 {
             c.read_votes.estimate()
         } else {
@@ -49,44 +49,6 @@ impl CurveSet {
             acc_model: AvailabilityModel::from_mixtures(&r, &w),
             surv_model: AvailabilityModel::from_mixtures(&surv, &surv),
             total: aggregate.max_votes() as u64,
-        }
-    }
-
-    /// Builds the ACC model from per-site histograms mixed with explicit
-    /// `r_i`/`w_i` weights (step 2 of Figure 1 with estimated densities).
-    ///
-    /// Sites with no observations are excluded (their weight is
-    /// redistributed by renormalization inside the mixture).
-    pub fn from_per_site(results: &RunResults, read_frac: &[f64], write_frac: &[f64]) -> Self {
-        let per_site = &results.combined.per_site_votes;
-        assert_eq!(per_site.len(), read_frac.len());
-        assert_eq!(per_site.len(), write_frac.len());
-        let mut densities = Vec::new();
-        let mut r_w = Vec::new();
-        let mut w_w = Vec::new();
-        for (i, h) in per_site.iter().enumerate() {
-            if h.weight() > 0.0 {
-                densities.push(h.estimate());
-                r_w.push(read_frac[i]);
-                w_w.push(write_frac[i]);
-            }
-        }
-        assert!(!densities.is_empty(), "no site recorded any observation");
-        let rs: f64 = r_w.iter().sum();
-        let ws: f64 = w_w.iter().sum();
-        for x in &mut r_w {
-            *x /= rs;
-        }
-        for x in &mut w_w {
-            *x /= ws;
-        }
-        let acc_model = AvailabilityModel::from_site_densities(&densities, &r_w, &w_w);
-        let surv = results.combined.largest_votes.estimate();
-        let total = acc_model.total_votes();
-        Self {
-            acc_model,
-            surv_model: AvailabilityModel::from_mixtures(&surv, &surv),
-            total,
         }
     }
 
@@ -138,30 +100,40 @@ impl CurveSet {
 mod tests {
     use super::*;
     use crate::runner::{run_static, RunConfig};
+    use crate::simulation::Simulation;
     use crate::workload::Workload;
-    use quorum_core::{QuorumSpec, VoteAssignment};
+    use quorum_core::{QuorumConsensus, QuorumSpec, SiteEstimators, VoteAssignment};
     use quorum_des::SimParams;
     use quorum_graph::Topology;
 
+    fn small_spec() -> QuorumSpec {
+        QuorumSpec::from_read_quorum(6, 13).unwrap()
+    }
+
+    fn small_config() -> (Topology, RunConfig) {
+        let cfg = RunConfig {
+            params: SimParams {
+                warmup_accesses: 500,
+                batch_accesses: 8_000,
+                min_batches: 3,
+                max_batches: 4,
+                ci_half_width: 0.05,
+                ..SimParams::paper()
+            },
+            seed: 17,
+            threads: 2,
+        };
+        (Topology::ring_with_chords(13, 2), cfg)
+    }
+
     fn small_run() -> RunResults {
-        let topo = Topology::ring_with_chords(13, 2);
+        let (topo, cfg) = small_config();
         run_static(
             &topo,
             VoteAssignment::uniform(13),
-            QuorumSpec::from_read_quorum(6, 13).unwrap(),
+            small_spec(),
             Workload::uniform(13, 0.5),
-            RunConfig {
-                params: SimParams {
-                    warmup_accesses: 500,
-                    batch_accesses: 8_000,
-                    min_batches: 3,
-                    max_batches: 4,
-                    ci_half_width: 0.05,
-                    ..SimParams::paper()
-                },
-                seed: 17,
-                threads: 2,
-            },
+            cfg,
         )
     }
 
@@ -224,14 +196,22 @@ mod tests {
         // The aggregate histogram weights each *observation* equally while
         // the per-site mixture weights each *site* exactly 1/n; the two
         // coincide only in expectation (realized per-site access counts
-        // fluctuate), so compare statistically, not bitwise.
+        // fluctuate), so compare statistically, not bitwise. The per-site
+        // bank sees the same batches as `small_run`.
         let res = small_run();
         let agg = CurveSet::from_run(&res);
+        let (topo, cfg) = small_config();
+        let mut sim = Simulation::new(&topo, cfg.params, Workload::uniform(13, 0.5), cfg.seed);
+        let mut proto = QuorumConsensus::new(VoteAssignment::uniform(13), small_spec());
+        let mut bank = SiteEstimators::counting(13, 13);
+        for _ in 0..res.batches {
+            sim.run_batch(&mut proto, &mut bank);
+        }
         let frac = vec![1.0 / 13.0; 13];
-        let per = CurveSet::from_per_site(&res, &frac, &frac);
+        let per = bank.model(&frac, &frac);
         for q in 1..=6u64 {
             let a = agg.availability(AvailabilityMetric::Accessibility, 0.5, q);
-            let b = per.availability(AvailabilityMetric::Accessibility, 0.5, q);
+            let b = per.availability(0.5, q);
             assert!((a - b).abs() < 0.01, "q = {q}: {a} vs {b}");
         }
     }

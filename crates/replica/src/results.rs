@@ -1,7 +1,8 @@
 //! Result containers for simulation batches and multi-batch runs.
 
+use quorum_core::Access;
 use quorum_obs::CiPoint;
-use quorum_stats::{BatchMeans, ConfidenceInterval, CountingHistogram};
+use quorum_stats::{BatchMeans, ConfidenceInterval, CountingHistogram, VoteHistogram};
 
 /// Everything measured during one batch.
 #[derive(Debug, Clone)]
@@ -15,23 +16,19 @@ pub struct BatchStats {
     /// Write accesses granted.
     pub writes_granted: u64,
     /// Histogram of votes reachable from the submitting site at each
-    /// access instant (0 for a down site) — the on-line sample of the
-    /// mixture `r(v) = w(v)` under uniform access.
-    pub access_votes: CountingHistogram,
-    /// Same observation split by access kind: the sample of `r(v)`.
-    /// Differs from `write_votes` exactly when `r_i ≠ w_i`.
+    /// read instant (0 for a down site): the sample of `r(v)`. Differs
+    /// from `write_votes` exactly when `r_i ≠ w_i`; the two together are
+    /// [`BatchStats::access_votes`].
     pub(crate) read_votes: CountingHistogram,
     /// The sample of `w(v)`.
     pub(crate) write_votes: CountingHistogram,
     /// Histogram of the *largest* component's votes at each access
     /// instant — drives the SURV variant (§3, footnote 3).
     pub largest_votes: CountingHistogram,
-    /// Per-site histograms (the estimator bank each site would keep).
-    pub per_site_votes: Vec<CountingHistogram>,
     /// Time-weighted mass over component votes (one entry per vote count,
     /// averaged over sites), populated only when the simulation enables
     /// time weighting. Lets tests verify PASTA: Poisson access instants
-    /// see time averages, so this must match `access_votes`.
+    /// see time averages, so this must match `access_votes()`.
     pub(crate) time_weighted_votes: Vec<f64>,
     /// Total measured simulated time backing `time_weighted_votes`.
     pub(crate) measured_time: f64,
@@ -78,21 +75,16 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Creates empty stats for a system of `n_sites` sites and `total`
-    /// votes.
-    pub(crate) fn new(n_sites: usize, total_votes: usize) -> Self {
+    /// Creates empty stats for a system of `total_votes` votes.
+    pub(crate) fn new(total_votes: usize) -> Self {
         Self {
             reads_submitted: 0,
             reads_granted: 0,
             writes_submitted: 0,
             writes_granted: 0,
-            access_votes: CountingHistogram::new(total_votes),
             read_votes: CountingHistogram::new(total_votes),
             write_votes: CountingHistogram::new(total_votes),
             largest_votes: CountingHistogram::new(total_votes),
-            per_site_votes: (0..n_sites)
-                .map(|_| CountingHistogram::new(total_votes))
-                .collect(),
             time_weighted_votes: vec![0.0; total_votes + 1],
             measured_time: 0.0,
             surv_possible: 0,
@@ -110,6 +102,45 @@ impl BatchStats {
             link_transitions: 0,
             accesses_dispatched: 0,
         }
+    }
+
+    /// Records one measured access: its kind, the votes reachable from
+    /// the submitting site, the largest component's votes, whether the
+    /// protocol granted it, and whether the 1SR checker found it
+    /// consistent.
+    pub(crate) fn record_access(
+        &mut self,
+        kind: Access,
+        votes: u64,
+        largest: u64,
+        granted: bool,
+        consistent: bool,
+    ) {
+        match kind {
+            Access::Read => {
+                self.reads_submitted += 1;
+                self.reads_granted += u64::from(granted);
+                self.read_votes.record(votes as usize);
+                self.stale_reads += u64::from(!consistent);
+            }
+            Access::Write => {
+                self.writes_submitted += 1;
+                self.writes_granted += u64::from(granted);
+                self.write_votes.record(votes as usize);
+                self.write_conflicts += u64::from(!consistent);
+            }
+        }
+        self.largest_votes.record(largest as usize);
+    }
+
+    /// Histogram of votes reachable from the submitting site at each
+    /// access instant, reads and writes together (0 for a down site):
+    /// the on-line sample of the mixture `r(v) = w(v)` under uniform
+    /// access.
+    pub fn access_votes(&self) -> CountingHistogram {
+        let mut all = self.read_votes.clone();
+        all.merge(&self.write_votes);
+        all
     }
 
     /// Total accesses submitted.
@@ -174,14 +205,9 @@ impl BatchStats {
         self.reads_granted += other.reads_granted;
         self.writes_submitted += other.writes_submitted;
         self.writes_granted += other.writes_granted;
-        self.access_votes.merge(&other.access_votes);
         self.read_votes.merge(&other.read_votes);
         self.write_votes.merge(&other.write_votes);
         self.largest_votes.merge(&other.largest_votes);
-        assert_eq!(self.per_site_votes.len(), other.per_site_votes.len());
-        for (a, b) in self.per_site_votes.iter_mut().zip(&other.per_site_votes) {
-            a.merge(b);
-        }
         assert_eq!(
             self.time_weighted_votes.len(),
             other.time_weighted_votes.len()
@@ -266,16 +292,17 @@ impl RunResults {
 
 #[cfg(test)]
 impl BatchStats {
-    /// Time-weighted density of component votes (PASTA cross-check).
+    /// Time-weighted density of component votes over the `n_sites` sites
+    /// of the run (PASTA cross-check).
     ///
     /// # Panics
     /// Panics if time weighting was not enabled (no measured time).
-    pub(crate) fn time_weighted_density(&self) -> quorum_stats::DiscreteDist {
+    pub(crate) fn time_weighted_density(&self, n_sites: usize) -> quorum_stats::DiscreteDist {
         assert!(
             self.measured_time > 0.0,
             "time weighting was not enabled on this run"
         );
-        let norm = self.measured_time * self.per_site_votes.len() as f64;
+        let norm = self.measured_time * n_sites as f64;
         quorum_stats::DiscreteDist::from_pmf(
             self.time_weighted_votes.iter().map(|&m| m / norm).collect(),
         )
@@ -288,7 +315,7 @@ mod tests {
 
     #[test]
     fn availability_ratios() {
-        let mut b = BatchStats::new(3, 3);
+        let mut b = BatchStats::new(3);
         b.reads_submitted = 80;
         b.reads_granted = 60;
         b.writes_submitted = 20;
@@ -302,7 +329,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let b = BatchStats::new(2, 2);
+        let b = BatchStats::new(2);
         assert_eq!(b.availability(), 0.0);
         assert_eq!(b.read_availability(), 0.0);
         assert_eq!(b.write_availability(), 0.0);
@@ -310,49 +337,46 @@ mod tests {
 
     #[test]
     fn surv_and_contact_accounting() {
-        let mut b = BatchStats::new(2, 3);
+        let mut b = BatchStats::new(3);
         b.reads_submitted = 10;
         b.writes_submitted = 10;
         b.surv_possible = 15;
         b.contact_messages = 60;
         assert!((b.surv_availability() - 0.75).abs() < 1e-12);
         assert!((b.contacts_per_access() - 3.0).abs() < 1e-12);
-        let empty = BatchStats::new(2, 3);
+        let empty = BatchStats::new(3);
         assert_eq!(empty.surv_availability(), 0.0);
         assert_eq!(empty.contacts_per_access(), 0.0);
     }
 
     #[test]
     fn time_weighted_density_requires_enablement() {
-        let b = BatchStats::new(2, 3);
-        let r = std::panic::catch_unwind(|| b.time_weighted_density());
+        let b = BatchStats::new(3);
+        let r = std::panic::catch_unwind(|| b.time_weighted_density(2));
         assert!(r.is_err(), "must panic without measured time");
     }
 
     #[test]
     fn merge_accumulates() {
-        use quorum_stats::VoteHistogram;
-        let mut a = BatchStats::new(2, 4);
-        let mut b = BatchStats::new(2, 4);
+        let mut a = BatchStats::new(4);
+        let mut b = BatchStats::new(4);
         a.reads_submitted = 10;
         a.reads_granted = 5;
-        a.access_votes.record(3);
+        a.read_votes.record(3);
         b.reads_submitted = 10;
         b.reads_granted = 10;
-        b.access_votes.record(3);
-        b.access_votes.record(0);
-        b.per_site_votes[1].record(2);
+        b.read_votes.record(3);
+        b.write_votes.record(0);
         a.merge(&b);
         assert_eq!(a.reads_submitted, 20);
         assert_eq!(a.reads_granted, 15);
-        assert_eq!(a.access_votes.observations(), 3);
-        assert_eq!(a.per_site_votes[1].observations(), 1);
+        assert_eq!(a.access_votes().observations(), 3);
     }
 
     #[test]
     fn event_totals_merge_and_observe() {
-        let mut a = BatchStats::new(1, 2);
-        let mut b = BatchStats::new(1, 2);
+        let mut a = BatchStats::new(2);
+        let mut b = BatchStats::new(2);
         a.events_processed = 100;
         a.site_transitions = 10;
         a.cache_hits = 70;
@@ -375,9 +399,8 @@ mod tests {
 
     #[test]
     fn merge_accumulates_kind_histograms_and_time() {
-        use quorum_stats::VoteHistogram;
-        let mut a = BatchStats::new(1, 2);
-        let mut b = BatchStats::new(1, 2);
+        let mut a = BatchStats::new(2);
+        let mut b = BatchStats::new(2);
         a.read_votes.record(2);
         b.read_votes.record(1);
         b.write_votes.record(0);

@@ -92,7 +92,6 @@ where
 {
     let _run_timer = registry.scoped_timer(phase);
     cfg.params.validate();
-    let n = topology.num_sites();
     let total = votes.total() as usize;
 
     let mut read_acc = BatchMeans::new(
@@ -101,7 +100,7 @@ where
         cfg.params.min_batches,
     );
     let mut write_acc = read_acc.clone();
-    let mut combined = BatchStats::new(n, total);
+    let mut combined = BatchStats::new(total);
 
     let conv = converge(
         &cfg.params.converge_params(cfg.threads),

@@ -8,9 +8,8 @@
 //! engines' checked access step (`SerializabilityChecker::access`), and
 //! any [`ConsistencyProtocol`]. A failure or repair step sets the
 //! network, whose kernel absorbs the change; every read of the partition
-//! — [`Scenario::votes_of`], [`Scenario::members_of`] and each access
-//! step, with the member set it hands the 1SR checker — comes straight
-//! from that kernel.
+//! — [`Scenario::members_of`] and each access step, with the member set
+//! it hands the 1SR checker — comes straight from that kernel.
 
 use crate::object::SerializabilityChecker;
 use quorum_core::{Access, ConsistencyProtocol, Decision, VoteAssignment};
@@ -83,11 +82,6 @@ impl<'a> Scenario<'a> {
         }
     }
 
-    /// Votes reachable from `site` right now.
-    pub fn votes_of(&mut self, site: usize) -> u64 {
-        self.network.partition().votes_of(site)
-    }
-
     /// Members of `site`'s component right now (empty if it is down).
     pub fn members_of(&mut self, site: usize) -> Vec<usize> {
         let partition = self.network.partition();
@@ -141,18 +135,6 @@ impl<'a> Scenario<'a> {
         }
     }
 
-    /// Executes a whole script.
-    pub fn run<P: ConsistencyProtocol>(&mut self, protocol: &mut P, steps: Vec<Step>) {
-        for s in steps {
-            self.step(protocol, s);
-        }
-    }
-
-    /// All access outcomes so far.
-    pub fn outcomes(&self) -> &[AccessOutcome] {
-        &self.outcomes
-    }
-
     /// The last access outcome.
     ///
     /// # Panics
@@ -165,10 +147,30 @@ impl<'a> Scenario<'a> {
     pub fn all_consistent(&self) -> bool {
         self.outcomes.iter().all(|o| o.consistent)
     }
+}
+
+#[cfg(test)]
+impl Scenario<'_> {
+    /// Votes reachable from `site` right now.
+    fn votes_of(&mut self, site: usize) -> u64 {
+        self.network.partition().votes_of(site)
+    }
+
+    /// Executes a whole script.
+    fn run<P: ConsistencyProtocol>(&mut self, protocol: &mut P, steps: Vec<Step>) {
+        for s in steps {
+            self.step(protocol, s);
+        }
+    }
+
+    /// All access outcomes so far.
+    fn outcomes(&self) -> &[AccessOutcome] {
+        &self.outcomes
+    }
 
     /// Applies a protocol-driven data refresh directly (used when a test
     /// drives the protocol outside [`Scenario::step`]).
-    pub fn apply_refresh(&mut self, members: &[usize]) {
+    fn apply_refresh(&mut self, members: &[usize]) {
         self.checker.refresh(members);
     }
 }

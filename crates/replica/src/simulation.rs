@@ -18,7 +18,7 @@ use crate::failure::{FailureWorld, Transition};
 use crate::object::SerializabilityChecker;
 use crate::results::BatchStats;
 use crate::workload::Workload;
-use quorum_core::{Access, ConsistencyProtocol, Decision, VoteAssignment};
+use quorum_core::{Access, ConsistencyProtocol, Decision, SiteEstimators, VoteAssignment};
 use quorum_des::{EventQueue, PoissonProcess, SimParams, SimTime};
 use quorum_graph::{BitSet, DeltaConnectivity, Topology};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
@@ -122,8 +122,8 @@ pub struct Simulation<'a> {
     link_reliabilities: Option<Vec<f64>>,
 }
 
-/// Observer hooks invoked on every measured access; used by the adaptive
-/// (QR) driver. The default no-op observer serves static runs.
+/// Observer hooks invoked on every access. The per-site `f̂` bank
+/// ([`SiteEstimators`]) is one; the no-op observer serves static runs.
 pub trait AccessObserver {
     /// Called for every access *after* the decision, with the submitting
     /// site, its component members (empty if down), the component votes,
@@ -156,6 +156,25 @@ impl AccessObserver for NullObserver {
         _decision: Decision,
         _measured_index: Option<u64>,
     ) {
+    }
+}
+
+/// The §4.2 on-line estimator: each measured access adds the submitting
+/// site's component votes (0 if it is down) to that site's `f̂_i`.
+/// Warm-up accesses are not recorded.
+impl<H: VoteHistogram> AccessObserver for SiteEstimators<H> {
+    fn on_access(
+        &mut self,
+        site: usize,
+        _members: &[usize],
+        votes: u64,
+        _kind: Access,
+        _decision: Decision,
+        measured_index: Option<u64>,
+    ) {
+        if measured_index.is_some() {
+            self.record(site, votes);
+        }
     }
 }
 
@@ -292,7 +311,7 @@ impl<'a> Simulation<'a> {
             self.link_reliabilities.as_deref(),
         );
         let mut checker = SerializabilityChecker::new(n);
-        let mut stats = BatchStats::new(n, total_votes);
+        let mut stats = BatchStats::new(total_votes);
         let mut queue = EventQueue::new();
 
         // Schedule the first transition of every component.
@@ -367,34 +386,16 @@ impl<'a> Simulation<'a> {
                         } else {
                             members.len() as u64
                         };
-                        match kind {
-                            Access::Read => {
-                                stats.reads_submitted += 1;
-                                stats.read_votes.record(votes as usize);
-                                if decision.is_granted() {
-                                    stats.reads_granted += 1;
-                                }
-                            }
-                            Access::Write => {
-                                stats.writes_submitted += 1;
-                                stats.write_votes.record(votes as usize);
-                                if decision.is_granted() {
-                                    stats.writes_granted += 1;
-                                }
-                            }
-                        }
                         if surv {
                             stats.surv_possible += 1;
                         }
-                        stats.access_votes.record(votes as usize);
-                        stats.largest_votes.record(largest as usize);
-                        stats.per_site_votes[site].record(votes as usize);
-                        if !consistent {
-                            match kind {
-                                Access::Write => stats.write_conflicts += 1,
-                                Access::Read => stats.stale_reads += 1,
-                            }
-                        }
+                        stats.record_access(
+                            kind,
+                            votes,
+                            largest,
+                            decision.is_granted(),
+                            consistent,
+                        );
                     }
                     observer.on_access(
                         site,
@@ -441,13 +442,33 @@ mod tests {
         let topo = Topology::ring(11);
         let mut sim = Simulation::new(&topo, quick_params(), Workload::uniform(11, 0.5), 1);
         let mut proto = QuorumConsensus::new(VoteAssignment::uniform(11), QuorumSpec::majority(11));
-        let stats = sim.run_batch(&mut proto, &mut NullObserver);
+        let mut bank = SiteEstimators::counting(11, 11);
+        let stats = sim.run_batch(&mut proto, &mut bank);
         assert_eq!(stats.submitted(), 4_000);
         assert!(stats.granted() <= stats.submitted());
-        assert_eq!(stats.access_votes.observations(), 4_000);
+        assert_eq!(stats.access_votes().observations(), stats.submitted());
         assert_eq!(stats.largest_votes.observations(), 4_000);
-        let per_site: u64 = stats.per_site_votes.iter().map(|h| h.observations()).sum();
-        assert_eq!(per_site, 4_000);
+        let bank_weight: f64 = (0..11).map(|site| bank.weight(site)).sum();
+        assert_eq!(bank_weight, stats.submitted() as f64);
+    }
+
+    #[test]
+    fn site_bank_skips_warm_up_accesses() {
+        // A long warm-up and a short batch: recording warm-up accesses
+        // would more than triple the bank's weight.
+        let topo = Topology::ring(7);
+        let params = SimParams {
+            warmup_accesses: 2_000,
+            batch_accesses: 600,
+            ..SimParams::paper()
+        };
+        let mut sim = Simulation::new(&topo, params, Workload::uniform(7, 0.5), 12);
+        let mut proto = QuorumConsensus::majority(7);
+        let mut bank = SiteEstimators::counting(7, 7);
+        let stats = sim.run_batch(&mut proto, &mut bank);
+        assert_eq!(stats.accesses_dispatched, 2_600);
+        let bank_weight: f64 = (0..7).map(|site| bank.weight(site)).sum();
+        assert_eq!(bank_weight, 600.0);
     }
 
     #[test]
@@ -630,8 +651,8 @@ mod tests {
             Simulation::new(&topo, params, Workload::uniform(15, 0.5), 44).time_weighted(true);
         let mut proto = QuorumConsensus::majority(15);
         let stats = sim.run_batch(&mut proto, &mut NullObserver);
-        let sampled = stats.access_votes.estimate();
-        let time_avg = stats.time_weighted_density();
+        let sampled = stats.access_votes().estimate();
+        let time_avg = stats.time_weighted_density(15);
         let tv = sampled.total_variation(&time_avg);
         assert!(tv < 0.02, "PASTA violated: TV = {tv}");
         assert!((time_avg.total_mass() - 1.0).abs() < 1e-9);

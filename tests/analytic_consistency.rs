@@ -4,40 +4,65 @@
 //! same optimal quorum assignments.
 
 use quorum_core::analytic::{fully_connected_density, ring_density, star_densities};
-use quorum_core::{AvailabilityModel, QuorumSpec, SearchStrategy, VoteAssignment};
+use quorum_core::{
+    AvailabilityModel, QuorumConsensus, QuorumSpec, SearchStrategy, SiteEstimators, VoteAssignment,
+};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::{run_static, CurveSet, RunConfig, Workload};
-use quorum_stats::VoteHistogram;
+use quorum_replica::{run_static, CurveSet, RunConfig, Simulation, Workload};
+use quorum_stats::{CountingHistogram, VoteHistogram};
+
+fn spec(n: usize) -> QuorumSpec {
+    QuorumSpec::from_read_quorum(n as u64 / 2, n as u64)
+        .expect("floor(n/2) reads of n total always satisfy both quorum rules")
+}
+
+fn config(seed: u64) -> RunConfig {
+    RunConfig {
+        params: SimParams {
+            warmup_accesses: 3_000,
+            batch_accesses: 60_000,
+            min_batches: 4,
+            max_batches: 4,
+            ci_half_width: 0.05,
+            ..SimParams::paper()
+        },
+        seed,
+        threads: 4,
+    }
+}
 
 fn simulate(topo: &Topology, seed: u64) -> quorum_replica::RunResults {
     let n = topo.num_sites();
     run_static(
         topo,
         VoteAssignment::uniform(n),
-        QuorumSpec::from_read_quorum(n as u64 / 2, n as u64)
-            .expect("floor(n/2) reads of n total always satisfy both quorum rules"),
+        spec(n),
         Workload::uniform(n, 0.5),
-        RunConfig {
-            params: SimParams {
-                warmup_accesses: 3_000,
-                batch_accesses: 60_000,
-                min_batches: 4,
-                max_batches: 4,
-                ci_half_width: 0.05,
-                ..SimParams::paper()
-            },
-            seed,
-            threads: 4,
-        },
+        config(seed),
     )
+}
+
+/// The per-site `f̂` bank of `simulate(topo, seed)`: batches
+/// `0..batches` replayed in order, each measured access fed through the
+/// bank's `AccessObserver` impl.
+fn site_bank(topo: &Topology, seed: u64, batches: u64) -> SiteEstimators<CountingHistogram> {
+    let n = topo.num_sites();
+    let cfg = config(seed);
+    let mut sim = Simulation::new(topo, cfg.params, Workload::uniform(n, 0.5), seed);
+    let mut proto = QuorumConsensus::new(VoteAssignment::uniform(n), spec(n));
+    let mut bank = SiteEstimators::counting(n, n);
+    for _ in 0..batches {
+        sim.run_batch(&mut proto, &mut bank);
+    }
+    bank
 }
 
 #[test]
 fn simulated_ring_density_matches_closed_form() {
     let n = 21;
     let results = simulate(&Topology::ring(n), 42);
-    let empirical = results.combined.access_votes.estimate();
+    let empirical = results.combined.access_votes().estimate();
     let analytic = ring_density(n, 0.96, 0.96);
     let tv = empirical.total_variation(&analytic);
     assert!(tv < 0.03, "total variation {tv}");
@@ -48,7 +73,7 @@ fn simulated_ring_density_matches_closed_form() {
 fn simulated_fc_density_matches_gilbert_formula() {
     let n = 21;
     let results = simulate(&Topology::fully_connected(n), 43);
-    let empirical = results.combined.access_votes.estimate();
+    let empirical = results.combined.access_votes().estimate();
     let analytic = fully_connected_density(n, 0.96, 0.96);
     let tv = empirical.total_variation(&analytic);
     assert!(tv < 0.03, "total variation {tv}");
@@ -135,10 +160,11 @@ fn star_per_site_densities_match_simulation() {
     let n = 13usize;
     let topo = Topology::star(n);
     let results = simulate(&topo, 48);
+    let bank = site_bank(&topo, 48, results.batches);
     let analytic = star_densities(n, 0.96, 0.96);
     #[allow(clippy::needless_range_loop)]
     for site in 0..n {
-        let empirical = results.combined.per_site_votes[site].estimate();
+        let empirical = bank.density(site);
         let tv = empirical.total_variation(&analytic[site]);
         assert!(tv < 0.05, "site {site}: TV {tv}");
     }
@@ -161,7 +187,7 @@ fn star_per_site_densities_match_simulation() {
 fn largest_component_bounds_access_component() {
     // Internal consistency of the two histograms every run collects.
     let results = simulate(&Topology::ring(15), 46);
-    let acc_mean = results.combined.access_votes.estimate().mean();
+    let acc_mean = results.combined.access_votes().estimate().mean();
     let surv_mean = results.combined.largest_votes.estimate().mean();
     assert!(
         surv_mean >= acc_mean,

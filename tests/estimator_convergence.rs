@@ -3,39 +3,67 @@
 //! decisions.
 
 use quorum_core::analytic::{fully_connected_density, ring_density};
-use quorum_core::{AvailabilityModel, QuorumSpec, SearchStrategy, SiteEstimators, VoteAssignment};
+use quorum_core::{
+    AvailabilityModel, QuorumConsensus, QuorumSpec, SearchStrategy, SiteEstimators, VoteAssignment,
+};
 use quorum_des::SimParams;
 use quorum_graph::Topology;
-use quorum_replica::{run_static, CurveSet, NullObserver, RunConfig, Simulation, Workload};
-use quorum_stats::VoteHistogram;
+use quorum_replica::{run_static, RunConfig, Simulation, Workload};
+use quorum_stats::CountingHistogram;
+
+/// Runs batches `0..batches` of a [`run_static`] configuration in order,
+/// feeding every measured access into a counting per-site bank through
+/// its `AccessObserver` impl. The bank sees exactly the observations that
+/// `run_static` merges over those batches at the same seed.
+fn site_bank(
+    topo: &Topology,
+    spec: QuorumSpec,
+    workload: Workload,
+    cfg: RunConfig,
+    batches: u64,
+) -> SiteEstimators<CountingHistogram> {
+    let n = topo.num_sites();
+    let mut sim = Simulation::new(topo, cfg.params, workload, cfg.seed);
+    let mut proto = QuorumConsensus::new(VoteAssignment::uniform(n), spec);
+    let mut bank = SiteEstimators::counting(n, n);
+    for _ in 0..batches {
+        sim.run_batch(&mut proto, &mut bank);
+    }
+    bank
+}
+
+/// Four batches of 50 000 accesses on `seed`.
+fn four_batches(seed: u64) -> RunConfig {
+    RunConfig {
+        params: SimParams {
+            warmup_accesses: 2_000,
+            batch_accesses: 50_000,
+            min_batches: 4,
+            max_batches: 4,
+            ci_half_width: 0.05,
+            ..SimParams::paper()
+        },
+        seed,
+        threads: 4,
+    }
+}
 
 #[test]
 fn online_estimate_converges_to_analytic_truth_on_ring() {
     let n = 15usize;
     let topo = Topology::ring(n);
-    let results = run_static(
+    let bank = site_bank(
         &topo,
-        VoteAssignment::uniform(n),
         QuorumSpec::majority(n as u64),
         Workload::uniform(n, 0.5),
-        RunConfig {
-            params: SimParams {
-                warmup_accesses: 2_000,
-                batch_accesses: 50_000,
-                min_batches: 4,
-                max_batches: 4,
-                ci_half_width: 0.05,
-                ..SimParams::paper()
-            },
-            seed: 1,
-            threads: 4,
-        },
+        four_batches(1),
+        4,
     );
     let truth = ring_density(n, 0.96, 0.96);
     // Per-site estimates: every site individually converges to f_i (the
     // ring is vertex-transitive, so all f_i coincide).
-    for (site, h) in results.combined.per_site_votes.iter().enumerate() {
-        let est = h.estimate();
+    for site in 0..n {
+        let est = bank.density(site);
         let tv = est.total_variation(&truth);
         assert!(tv < 0.08, "site {site}: TV {tv}");
     }
@@ -45,25 +73,6 @@ fn online_estimate_converges_to_analytic_truth_on_ring() {
 fn estimator_driven_optimizer_matches_analytic_decision() {
     // Feed the SiteEstimators from a live simulation via the observer
     // hook, then compare its optimizer decision with the analytic one.
-    struct Recorder {
-        est: SiteEstimators<quorum_stats::CountingHistogram>,
-    }
-    impl quorum_replica::AccessObserver for Recorder {
-        fn on_access(
-            &mut self,
-            site: usize,
-            _members: &[usize],
-            votes: u64,
-            _kind: quorum_core::Access,
-            _decision: quorum_core::Decision,
-            measured: Option<u64>,
-        ) {
-            if measured.is_some() {
-                self.est.record(site, votes);
-            }
-        }
-    }
-
     let n = 13usize;
     let topo = Topology::fully_connected(n);
     let params = SimParams {
@@ -76,12 +85,10 @@ fn estimator_driven_optimizer_matches_analytic_decision() {
         VoteAssignment::uniform(n),
         QuorumSpec::majority(n as u64),
     );
-    let mut rec = Recorder {
-        est: SiteEstimators::counting(n, n),
-    };
-    sim.run_batch(&mut proto, &mut rec);
+    let mut est = SiteEstimators::counting(n, n);
+    sim.run_batch(&mut proto, &mut est);
 
-    let est_model = rec.est.model_uniform();
+    let est_model = est.model_uniform();
     let truth = fully_connected_density(n, 0.96, 0.96);
     let true_model = AvailabilityModel::from_mixtures(&truth, &truth);
 
@@ -145,33 +152,13 @@ fn decayed_estimator_tracks_topology_change() {
         ..SimParams::paper()
     };
 
-    struct Feed<'a> {
-        est: &'a mut SiteEstimators<quorum_stats::DecayedHistogram>,
-    }
-    impl quorum_replica::AccessObserver for Feed<'_> {
-        fn on_access(
-            &mut self,
-            site: usize,
-            _m: &[usize],
-            votes: u64,
-            _k: quorum_core::Access,
-            _d: quorum_core::Decision,
-            measured: Option<u64>,
-        ) {
-            if measured.is_some() {
-                self.est.record(site, votes);
-            }
-        }
-    }
-
     for (phase, topo) in [Topology::ring(n), Topology::ring_with_chords(n, 12)]
         .iter()
         .enumerate()
     {
         let mut sim = Simulation::new(topo, params, Workload::uniform(n, 0.5), phase as u64);
         let mut proto = quorum_core::QuorumConsensus::majority(n);
-        let mut feed = Feed { est: &mut est };
-        sim.run_batch(&mut proto, &mut feed);
+        sim.run_batch(&mut proto, &mut est);
     }
 
     // After the well-connected phase the estimated mean component size
@@ -192,39 +179,24 @@ fn decayed_estimator_tracks_topology_change() {
 
 #[test]
 fn curves_from_per_site_agree_with_truth() {
-    // Full pipeline: simulate ring → per-site histograms → CurveSet →
+    // Full pipeline: simulate ring → per-site bank → mixture model →
     // availability; compare with analytic A at several points.
     let n = 15usize;
     let topo = Topology::ring(n);
-    let results = run_static(
+    let bank = site_bank(
         &topo,
-        VoteAssignment::uniform(n),
         QuorumSpec::majority(n as u64),
         Workload::uniform(n, 0.5),
-        RunConfig {
-            params: SimParams {
-                warmup_accesses: 2_000,
-                batch_accesses: 50_000,
-                min_batches: 4,
-                max_batches: 4,
-                ci_half_width: 0.05,
-                ..SimParams::paper()
-            },
-            seed: 3,
-            threads: 4,
-        },
+        four_batches(3),
+        4,
     );
     let frac = vec![1.0 / n as f64; n];
-    let curves = CurveSet::from_per_site(&results, &frac, &frac);
+    let curves = bank.model(&frac, &frac);
     let truth = ring_density(n, 0.96, 0.96);
     let model = AvailabilityModel::from_mixtures(&truth, &truth);
     for alpha in [0.0, 0.5, 1.0] {
         for q_r in [1u64, 3, 7] {
-            let a = curves.availability(
-                quorum_core::metrics::AvailabilityMetric::Accessibility,
-                alpha,
-                q_r,
-            );
+            let a = curves.availability(alpha, q_r);
             let b = model.availability(alpha, q_r);
             assert!(
                 (a - b).abs() < 0.02,
@@ -232,7 +204,6 @@ fn curves_from_per_site_agree_with_truth() {
             );
         }
     }
-    let _ = NullObserver; // silence unused-import style drift
 }
 
 #[test]
@@ -281,31 +252,30 @@ fn zipf_workload_simulation_matches_per_site_mixture() {
     let workload = Workload::zipf(n, 0.5, 1.2);
     let read_frac = workload.read_frac().to_vec();
     let write_frac = workload.write_frac().to_vec();
+    let spec = QuorumSpec::from_read_quorum(4, n as u64).unwrap();
+    let cfg = RunConfig {
+        params: SimParams {
+            warmup_accesses: 2_000,
+            batch_accesses: 40_000,
+            min_batches: 4,
+            max_batches: 4,
+            ci_half_width: 0.05,
+            ..SimParams::paper()
+        },
+        seed: 77,
+        threads: 4,
+    };
     let results = run_static(
         &topo,
         VoteAssignment::uniform(n),
-        QuorumSpec::from_read_quorum(4, n as u64).unwrap(),
-        workload,
-        RunConfig {
-            params: SimParams {
-                warmup_accesses: 2_000,
-                batch_accesses: 40_000,
-                min_batches: 4,
-                max_batches: 4,
-                ci_half_width: 0.05,
-                ..SimParams::paper()
-            },
-            seed: 77,
-            threads: 4,
-        },
+        spec,
+        workload.clone(),
+        cfg,
     );
     let direct = results.combined.availability();
-    let per_site = CurveSet::from_per_site(&results, &read_frac, &write_frac);
-    let predicted = per_site.availability(
-        quorum_core::metrics::AvailabilityMetric::Accessibility,
-        0.5,
-        4,
-    );
+    let per_site =
+        site_bank(&topo, spec, workload, cfg, results.batches).model(&read_frac, &write_frac);
+    let predicted = per_site.availability(0.5, 4);
     assert!(
         (direct - predicted).abs() < 0.02,
         "direct {direct} vs per-site mixture {predicted}"

@@ -42,7 +42,7 @@ fn weighted_votes_change_the_vote_distribution_not_the_site_distribution() {
         },
     );
     assert!(results.is_one_copy_serializable());
-    let d = results.combined.access_votes.estimate();
+    let d = results.combined.access_votes().estimate();
     assert_eq!(d.max_votes(), 13);
     // A leaf reaching the hub sees ≥ 6 votes; hub-disconnected leaves see
     // exactly 1. Mass at 2..=5 requires ≥2 leaves w/o the hub — impossible
@@ -153,7 +153,7 @@ fn zero_vote_observers_never_contribute_to_quorums() {
         },
     );
     assert!(results.is_one_copy_serializable());
-    let d = results.combined.access_votes.estimate();
+    let d = results.combined.access_votes().estimate();
     assert_eq!(d.max_votes(), 3, "histogram support is the vote total");
     // An access at an up zero-vote site still sees the voting sites'
     // component: mass at 3 should dominate on a complete graph.
