@@ -26,9 +26,10 @@ pub struct BatchStats {
     /// instant — drives the SURV variant (§3, footnote 3).
     pub largest_votes: CountingHistogram,
     /// Time-weighted mass over component votes (one entry per vote count,
-    /// averaged over sites), populated only when the simulation enables
+    /// summed over sites), populated only when the simulation enables
     /// time weighting. Lets tests verify PASTA: Poisson access instants
-    /// see time averages, so this must match `access_votes()`.
+    /// see time averages, so divided by the measured time and the site
+    /// count this must match `access_votes()`.
     pub(crate) time_weighted_votes: Vec<f64>,
     /// Total measured simulated time backing `time_weighted_votes`.
     pub(crate) measured_time: f64,
