@@ -20,9 +20,10 @@
 //! tested.
 
 use crate::message::Version;
+use crate::record::{read_leb128, write_leb128};
 
 /// Tracks the globally newest committed version and counts stale reads.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FreshnessChecker {
     latest_committed: Version,
     reads_checked: u64,
@@ -62,6 +63,26 @@ impl FreshnessChecker {
     /// Stale reads detected so far.
     pub fn violations(&self) -> u64 {
         self.violations
+    }
+
+    /// Appends the three counters to a protocol-state record.
+    pub(crate) fn write_record(&self, out: &mut Vec<u8>) {
+        let Self {
+            latest_committed,
+            reads_checked,
+            violations,
+        } = *self;
+        write_leb128(out, [latest_committed, reads_checked, violations]);
+    }
+
+    /// Reads the counters written by [`FreshnessChecker::write_record`].
+    pub(crate) fn read_record(bytes: &mut &[u8]) -> Self {
+        let [latest_committed, reads_checked, violations] = read_leb128(bytes);
+        Self {
+            latest_committed,
+            reads_checked,
+            violations,
+        }
     }
 }
 

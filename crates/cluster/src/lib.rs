@@ -37,6 +37,7 @@ mod engine;
 mod message;
 mod net;
 mod protocol;
+mod record;
 mod runner;
 mod stats;
 
@@ -46,5 +47,6 @@ pub use engine::ClusterEngine;
 pub use message::{Message, Payload, SessionId, Version};
 pub use net::{LatencyDist, NetConfig};
 pub use protocol::{ProtocolCore, Scheduler, SessionPhase, TimerToken};
+pub use record::{read_leb128, write_leb128};
 pub use runner::{run_cluster, run_cluster_observed, RunOptions};
 pub use stats::{ClusterStats, LatencyHistogram, Outcome};

@@ -50,6 +50,10 @@
 use crate::checker::FreshnessChecker;
 use crate::config::ClusterConfig;
 use crate::message::{Message, Payload, SessionId, Version, NO_SESSION};
+use crate::record::{
+    access_from, access_word, narrow, read_flags, read_leb128, spec_from, spec_words, write_flags,
+    write_leb128,
+};
 use crate::stats::{ClusterStats, Outcome};
 use quorum_core::{Access, QuorumSpec, SiteAssignment, VoteAssignment};
 use quorum_des::SimTime;
@@ -119,7 +123,7 @@ pub enum SessionPhase {
 }
 
 /// Coordinator-side state of one in-flight session.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Session {
     id: SessionId,
     origin: usize,
@@ -138,7 +142,122 @@ struct Session {
     timer: TimerToken,
 }
 
+/// `contributed` is the one field that owns a buffer; `clone_from`
+/// reuses it. Every other field comes from `..*src`, which compiles only
+/// while those fields are `Copy`, so a new owning field cannot be
+/// forgotten here.
+impl Clone for Session {
+    fn clone(&self) -> Self {
+        Self {
+            contributed: self.contributed.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let mut contributed = std::mem::take(&mut self.contributed);
+        contributed.clone_from(&src.contributed);
+        *self = Self {
+            contributed,
+            ..*src
+        };
+    }
+}
+
 impl Session {
+    /// Appends every field to a protocol-state record: the fields before
+    /// `contributed` as one group of words, the flags, then the fields
+    /// after. The pattern names all fifteen, so a new field does not
+    /// compile until it is written here and read back in
+    /// [`Session::read_record`].
+    fn write_record(&self, out: &mut Vec<u8>) {
+        let Session {
+            id,
+            origin,
+            kind,
+            submitted_at,
+            measured_index,
+            round,
+            phase,
+            votes,
+            ref contributed,
+            max_version,
+            new_version,
+            floor,
+            spec,
+            epoch,
+            timer,
+        } = *self;
+        // `None` is 0 and `Some(i)` is `i + 1`; an access index is far
+        // below `u64::MAX`.
+        let measured = measured_index.map_or(0, |i| {
+            i.checked_add(1).expect("measured index below u64::MAX")
+        });
+        let phase = match phase {
+            SessionPhase::Gather => 0,
+            SessionPhase::Commit => 1,
+        };
+        write_leb128(
+            out,
+            [
+                id,
+                origin as u64,
+                access_word(kind),
+                submitted_at.as_f64().to_bits(),
+                measured,
+                u64::from(round),
+                phase,
+                votes,
+            ],
+        );
+        write_flags(out, contributed);
+        let [q_r, q_w, total] = spec_words(spec);
+        write_leb128(
+            out,
+            [
+                max_version,
+                new_version,
+                floor,
+                q_r,
+                q_w,
+                total,
+                epoch,
+                timer.raw(),
+            ],
+        );
+    }
+
+    /// Reads a session written by [`Session::write_record`] over
+    /// `num_sites` sites, filling `contributed`'s buffer.
+    fn read_record(bytes: &mut &[u8], mut contributed: Vec<bool>, num_sites: usize) -> Self {
+        let [id, origin, kind, submitted_at, measured, round, phase, votes] = read_leb128(bytes);
+        read_flags(bytes, num_sites, &mut contributed);
+        let [max_version, new_version, floor, q_r, q_w, total, epoch, timer] = read_leb128(bytes);
+        Self {
+            id,
+            origin: narrow(origin),
+            kind: access_from(kind),
+            // A `SimTime` is never negative, NaN or −0.0, so its bits
+            // come back as the same timestamp.
+            submitted_at: SimTime::new(f64::from_bits(submitted_at)),
+            measured_index: measured.checked_sub(1),
+            round: narrow(round),
+            phase: match phase {
+                0 => SessionPhase::Gather,
+                1 => SessionPhase::Commit,
+                _ => panic!("record holds session phase {phase}"),
+            },
+            votes,
+            contributed,
+            max_version,
+            new_version,
+            floor,
+            spec: spec_from([q_r, q_w, total]),
+            epoch,
+            timer: TimerToken::new(timer),
+        }
+    }
+
     fn view(&self) -> SessionView<'_> {
         SessionView {
             origin: self.origin,
@@ -201,15 +320,18 @@ pub struct SiteView {
 /// The protocol state machines of every site plus all coordinator-side
 /// session state, independent of any particular scheduler.
 ///
-/// The engine's event loop owns one per batch; the model checker clones
-/// one per explored transition. The core holds protocol state only: its
-/// statistics go to its environment through [`Scheduler::stats`], so a
-/// clone allocates just the site table, the session table and each open
-/// session's per-site `contributed` flags, and its cost grows with the
-/// site count and the number of open sessions. Violation counting lives
-/// in the embedded [`FreshnessChecker`], which is protocol state: the
-/// freshness floor feeds every later read's check.
-#[derive(Debug, Clone)]
+/// The engine's event loop owns one per batch. The model checker keeps
+/// its unexpanded states as byte records
+/// ([`ProtocolCore::write_record`]), reads each one back into a scratch
+/// core ([`ProtocolCore::read_record`]) and steps every transition on a
+/// second scratch core refilled by `clone_from`; both reuse the site
+/// table, the session table and each session's per-site `contributed`
+/// flags, so most transitions allocate nothing. The core holds protocol
+/// state only: its statistics go to its environment through
+/// [`Scheduler::stats`]. Violation counting lives in the embedded
+/// [`FreshnessChecker`], which is protocol state: the freshness floor
+/// feeds every later read's check.
+#[derive(Debug)]
 pub struct ProtocolCore<'a> {
     config: &'a ClusterConfig,
     votes: &'a VoteAssignment,
@@ -223,6 +345,32 @@ pub struct ProtocolCore<'a> {
     sessions: Vec<Session>,
     next_session: SessionId,
     checker: FreshnessChecker,
+}
+
+/// `clone_from` reuses the site and session tables (and, through
+/// `Session::clone_from`, each session's flags). The remaining fields
+/// come from `..*src`, so a new owning field does not compile until it
+/// is handled here.
+impl Clone for ProtocolCore<'_> {
+    fn clone(&self) -> Self {
+        Self {
+            sites: self.sites.clone(),
+            sessions: self.sessions.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let mut sites = std::mem::take(&mut self.sites);
+        let mut sessions = std::mem::take(&mut self.sessions);
+        sites.clone_from(&src.sites);
+        sessions.clone_from(&src.sessions);
+        *self = Self {
+            sites,
+            sessions,
+            ..*src
+        };
+    }
 }
 
 impl<'a> ProtocolCore<'a> {
@@ -252,6 +400,60 @@ impl<'a> ProtocolCore<'a> {
             next_session: NO_SESSION + 1,
             checker: FreshnessChecker::new(),
         }
+    }
+
+    /// Appends this core's protocol state to `out` as a byte record:
+    /// each site's version, epoch and spec, the next session id, the open
+    /// sessions with all their fields, and the freshness checker's
+    /// counters. The shared config and vote assignment are not part of
+    /// it; see the `record` module docs for the encoding.
+    pub fn write_record(&self, out: &mut Vec<u8>) {
+        for site in &self.sites {
+            let [q_r, q_w, total] = spec_words(site.assignment.spec);
+            write_leb128(
+                out,
+                [site.version, site.assignment.version, q_r, q_w, total],
+            );
+        }
+        write_leb128(out, [self.next_session, self.sessions.len() as u64]);
+        for session in &self.sessions {
+            session.write_record(out);
+        }
+        self.checker.write_record(out);
+    }
+
+    /// Overwrites this core with the record at the front of `bytes`, as
+    /// written by [`ProtocolCore::write_record`] from a core over the
+    /// same config and votes, and moves `bytes` past it. The site table,
+    /// the session table and the sessions' flag buffers are reused.
+    ///
+    /// # Panics
+    /// Panics if `bytes` does not start with a whole record.
+    pub fn read_record(&mut self, bytes: &mut &[u8]) {
+        for site in &mut self.sites {
+            let [version, epoch, q_r, q_w, total] = read_leb128(bytes);
+            *site = SiteState {
+                version,
+                assignment: SiteAssignment {
+                    version: epoch,
+                    spec: spec_from([q_r, q_w, total]),
+                },
+            };
+        }
+        let [next_session, open] = read_leb128(bytes);
+        self.next_session = next_session;
+        let open: usize = narrow(open);
+        self.sessions.truncate(open);
+        for i in 0..open {
+            if let Some(session) = self.sessions.get_mut(i) {
+                let contributed = std::mem::take(&mut session.contributed);
+                *session = Session::read_record(bytes, contributed, self.num_sites);
+            } else {
+                self.sessions
+                    .push(Session::read_record(bytes, Vec::new(), self.num_sites));
+            }
+        }
+        self.checker = FreshnessChecker::read_record(bytes);
     }
 
     /// The freshness checker (floor and violation counts).
@@ -784,6 +986,7 @@ mod tests {
         timers: BTreeMap<u64, SessionId>,
         next_token: u64,
         stats: ClusterStats,
+        now: SimTime,
     }
 
     impl BagScheduler {
@@ -793,13 +996,14 @@ mod tests {
                 timers: BTreeMap::new(),
                 next_token: 0,
                 stats: ClusterStats::new(&cfg.latency_bounds),
+                now: SimTime::ZERO,
             }
         }
     }
 
     impl Scheduler for BagScheduler {
         fn now(&self) -> SimTime {
-            SimTime::ZERO
+            self.now
         }
         fn send(&mut self, msg: Message) -> bool {
             self.in_flight.push(msg);
@@ -1046,5 +1250,118 @@ mod tests {
         // Firing a stale timer for the resolved session is also a no-op.
         core.session_timeout(id, true, &mut sched);
         assert_eq!(core.open_sessions(), 0);
+    }
+
+    /// A reply from site `from` to coordinator `to`.
+    fn reply(from: usize, to: usize, session: SessionId, payload: Payload) -> Message {
+        Message {
+            from,
+            to,
+            session,
+            payload,
+        }
+    }
+
+    /// A 10-site core, so each session's flags take two record bytes,
+    /// after one committed write (the freshness floor is 1). It holds:
+    /// a measured write in its commit phase, opened at t = 2.5; an
+    /// unmeasured read at site 9, opened at t = 3.25 with one pledge from
+    /// site 8 (a flag in the second byte) and retried once; and site 3
+    /// on epoch 1.
+    fn busy_core<'a>(cfg: &'a ClusterConfig, votes: &'a VoteAssignment) -> ProtocolCore<'a> {
+        let mut core = ProtocolCore::new(cfg, votes, QuorumSpec::majority(10));
+        let mut sched = BagScheduler::new(cfg);
+        let grant = Payload::VoteGrant {
+            votes: 1,
+            version: 0,
+            epoch: 0,
+        };
+        let committed = core.open_session(0, Access::Write, None, &mut sched);
+        for site in 1..=5 {
+            core.handle_message(reply(site, 0, committed, grant), &mut sched);
+        }
+        for site in 1..=5 {
+            let ack = Payload::CommitAck { votes: 1 };
+            core.handle_message(reply(site, 0, committed, ack), &mut sched);
+        }
+        assert_eq!(core.checker().floor(), 1);
+
+        sched.now = SimTime::new(2.5);
+        let write = core.open_session(0, Access::Write, Some(7), &mut sched);
+        for site in 1..=5 {
+            core.handle_message(reply(site, 0, write, grant), &mut sched);
+        }
+        sched.now = SimTime::new(3.25);
+        let read = core.open_session(9, Access::Read, None, &mut sched);
+        let value = Payload::ReadValue {
+            votes: 1,
+            version: 0,
+            epoch: 0,
+        };
+        core.handle_message(reply(8, 9, read, value), &mut sched);
+        core.session_timeout(read, true, &mut sched);
+        core.apply_install(3, 1, QuorumSpec::new(5, 6, 10).unwrap(), &mut sched);
+
+        let [w, r] = &core.sessions[..] else {
+            panic!("two open sessions")
+        };
+        assert_eq!((w.phase, w.measured_index), (SessionPhase::Commit, Some(7)));
+        assert_eq!((r.round, r.measured_index, r.floor), (1, None, 1));
+        assert!(r.contributed[8] && r.contributed[9]);
+        assert_eq!(core.site_view(3).epoch, 1);
+        core
+    }
+
+    /// A 10-site core with one unanswered read open at each of the first
+    /// `open` sites: its sessions' flags differ from `busy_core`'s.
+    fn core_with_open_reads<'a>(
+        cfg: &'a ClusterConfig,
+        votes: &'a VoteAssignment,
+        open: usize,
+    ) -> ProtocolCore<'a> {
+        let mut core = ProtocolCore::new(cfg, votes, QuorumSpec::majority(10));
+        let mut sched = BagScheduler::new(cfg);
+        for origin in 0..open {
+            core.open_session(origin, Access::Read, Some(origin as u64), &mut sched);
+        }
+        core
+    }
+
+    #[test]
+    fn record_round_trips_every_field() {
+        let cfg = test_config(false);
+        let votes = VoteAssignment::uniform(10);
+        let core = busy_core(&cfg, &votes);
+        let mut record = Vec::new();
+        core.write_record(&mut record);
+        // Read over a core with fewer sessions and over one with more:
+        // the tables shrink or grow in place.
+        for mut target in [
+            core_with_open_reads(&cfg, &votes, 1),
+            core_with_open_reads(&cfg, &votes, 5),
+        ] {
+            let mut bytes = record.as_slice();
+            target.read_record(&mut bytes);
+            assert!(bytes.is_empty(), "the reader consumes the whole record");
+            assert_eq!(format!("{target:?}"), format!("{core:?}"));
+            let mut again = Vec::new();
+            target.write_record(&mut again);
+            assert_eq!(again, record);
+        }
+    }
+
+    #[test]
+    fn clone_from_matches_clone() {
+        let cfg = test_config(false);
+        let votes = VoteAssignment::uniform(10);
+        let core = busy_core(&cfg, &votes);
+        let expected = format!("{:?}", core.clone());
+        for mut target in [
+            core_with_open_reads(&cfg, &votes, 1),
+            core_with_open_reads(&cfg, &votes, 5),
+        ] {
+            target.clone_from(&core);
+            assert_eq!(format!("{target:?}"), expected);
+        }
     }
 }

@@ -66,6 +66,26 @@
 //! and the certificate stays exhaustive. Each new key gets the next
 //! dense id.
 //!
+//! ## Frontier
+//!
+//! The BFS queue holds byte records, not cloned states: a `Frontier`
+//! is one buffer of `(depth, record)` entries, oldest first. A state's
+//! record is its four script and mode counters, the core's
+//! [`ProtocolCore::write_record`], then the bag: the in-flight messages,
+//! the pending timers with their tokens, and the next token. Integers
+//! are LEB128, so nearly every field is one byte. Unlike the key, a
+//! record is lossless — it keeps timer tokens and every session field
+//! the key leaves out — so the popped state is bit for bit the pushed
+//! one and the search does not depend on the representation.
+//!
+//! Two scratch states serve the whole search. Each record is popped
+//! into `st` in place; each choice refills `next` from `st` by
+//! `clone_from`, which reuses every buffer, and steps it; a new state
+//! is appended as a record. Once the read cursor passes half the
+//! buffer, the consumed prefix is drained, so each byte is moved at
+//! most once per byte popped before it and the buffer stays within
+//! about twice the live frontier.
+//!
 //! ## Reduction
 //!
 //! Two sound prunings, both relying on the fact that no checked
@@ -95,12 +115,13 @@
 
 use crate::universe::Universe;
 use quorum_cluster::{
-    ClusterStats, Message, Payload, ProtocolCore, Scheduler, SessionId, SessionPhase, TimerToken,
+    read_leb128, write_leb128, ClusterConfig, ClusterStats, Message, Payload, ProtocolCore,
+    Scheduler, SessionId, SessionPhase, TimerToken,
 };
 use quorum_core::{Access, QuorumSpec};
 use quorum_des::SimTime;
 use quorum_obs::Registry;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// The enumerable transport of one explored state: sent messages pile up
 /// in an in-flight bag, timers in a token-sorted list. The explorer picks
@@ -108,7 +129,7 @@ use std::collections::{BTreeSet, VecDeque};
 /// ever happens spontaneously. Each protocol step drives the core
 /// through a short-lived adapter that pairs the bag with the search's
 /// one [`ClusterStats`], so no explored state carries statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct BagScheduler {
     in_flight: Vec<Message>,
     // Sorted by token. Tokens are minted in ascending order, so arming a
@@ -117,12 +138,76 @@ pub struct BagScheduler {
     next_token: u64,
 }
 
+/// `clone_from` reuses both buffers; `..*src` copies the rest and stops
+/// compiling if a new field is not `Copy`.
+impl Clone for BagScheduler {
+    fn clone(&self) -> Self {
+        Self {
+            in_flight: self.in_flight.clone(),
+            timers: self.timers.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        let mut timers = std::mem::take(&mut self.timers);
+        in_flight.clone_from(&src.in_flight);
+        timers.clone_from(&src.timers);
+        *self = Self {
+            in_flight,
+            timers,
+            ..*src
+        };
+    }
+}
+
 impl BagScheduler {
     /// Removes the pending timer `token`, returning its session.
     fn take_timer(&mut self, token: u64) -> Option<SessionId> {
         let i = self.timers.binary_search_by_key(&token, |&(t, _)| t).ok()?;
         Some(self.timers.remove(i).1)
     }
+
+    /// Appends the bag, the pending timers and the next token to a state
+    /// record.
+    fn write_record(&self, out: &mut Vec<u8>) {
+        let Self {
+            in_flight,
+            timers,
+            next_token,
+        } = self;
+        write_leb128(
+            out,
+            [in_flight.len() as u64, timers.len() as u64, *next_token],
+        );
+        for m in in_flight {
+            m.write_record(out);
+        }
+        for &(token, session) in timers {
+            write_leb128(out, [token, session]);
+        }
+    }
+
+    /// Overwrites the scheduler with the record [`Self::write_record`]
+    /// wrote, keeping its buffers.
+    fn read_record(&mut self, bytes: &mut &[u8]) {
+        let [messages, timers, next_token] = read_leb128(bytes);
+        self.in_flight.clear();
+        self.in_flight
+            .extend((0..messages).map(|_| Message::read_record(bytes)));
+        self.timers.clear();
+        self.timers.extend((0..timers).map(|_| {
+            let [token, session] = read_leb128(bytes);
+            (token, session)
+        }));
+        self.next_token = next_token;
+    }
+}
+
+/// A record word narrowed to a `usize` field.
+fn to_usize(word: u64) -> usize {
+    usize::try_from(word).expect("a record's counts fit a usize")
 }
 
 /// The [`Scheduler`] of one protocol step: a state's bag, plus the
@@ -290,7 +375,7 @@ impl McReport {
 /// One node of the search: the protocol core plus the transport state
 /// the core delegates to the environment. Statistics are not part of
 /// it (see [`Tally`]).
-#[derive(Clone)]
+#[derive(Debug)]
 struct McState<'a> {
     core: ProtocolCore<'a>,
     sched: BagScheduler,
@@ -298,6 +383,122 @@ struct McState<'a> {
     net_changes: u32,
     next_access: usize,
     next_install: usize,
+}
+
+/// `clone_from` refills the core and the bag in their own buffers. Its
+/// pattern names every field, so a new one does not compile until it is
+/// copied here and carried by the record.
+impl Clone for McState<'_> {
+    fn clone(&self) -> Self {
+        Self {
+            core: self.core.clone(),
+            sched: self.sched.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let Self {
+            core,
+            sched,
+            mode,
+            net_changes,
+            next_access,
+            next_install,
+        } = src;
+        self.core.clone_from(core);
+        self.sched.clone_from(sched);
+        self.mode = *mode;
+        self.net_changes = *net_changes;
+        self.next_access = *next_access;
+        self.next_install = *next_install;
+    }
+}
+
+impl<'a> McState<'a> {
+    /// The initial state of `universe` under the engine configuration
+    /// `cfg`: every site at version 0 under the initial spec, nothing in
+    /// flight, no access or install dispatched, network mode 0.
+    fn root(universe: &'a Universe, cfg: &'a ClusterConfig) -> Self {
+        Self {
+            core: ProtocolCore::new(cfg, &universe.votes, universe.initial_spec),
+            sched: BagScheduler::default(),
+            mode: 0,
+            net_changes: 0,
+            next_access: 0,
+            next_install: 0,
+        }
+    }
+
+    /// Appends the state's record: the four script and mode counters,
+    /// the core's record, then the scheduler's.
+    fn write_record(&self, out: &mut Vec<u8>) {
+        let Self {
+            core,
+            sched,
+            mode,
+            net_changes,
+            next_access,
+            next_install,
+        } = self;
+        write_leb128(
+            out,
+            [
+                *mode as u64,
+                u64::from(*net_changes),
+                *next_access as u64,
+                *next_install as u64,
+            ],
+        );
+        core.write_record(out);
+        sched.write_record(out);
+    }
+
+    /// Overwrites the state with the record at the front of `bytes` and
+    /// moves `bytes` past it; every buffer is reused.
+    fn read_record(&mut self, bytes: &mut &[u8]) {
+        let [mode, net_changes, next_access, next_install] = read_leb128(bytes);
+        self.mode = to_usize(mode);
+        self.net_changes = u32::try_from(net_changes).expect("a record's switch count fits a u32");
+        self.next_access = to_usize(next_access);
+        self.next_install = to_usize(next_install);
+        self.core.read_record(bytes);
+        self.sched.read_record(bytes);
+    }
+}
+
+/// The BFS queue: `(depth, state record)` entries back to back in one
+/// buffer, oldest first (module docs, "Frontier").
+#[derive(Default)]
+struct Frontier {
+    buf: Vec<u8>,
+    /// Start of the oldest entry not yet popped.
+    read: usize,
+}
+
+impl Frontier {
+    /// Appends `st` at BFS depth `depth`.
+    fn push(&mut self, depth: u32, st: &McState<'_>) {
+        write_leb128(&mut self.buf, [u64::from(depth)]);
+        st.write_record(&mut self.buf);
+    }
+
+    /// Overwrites `st` with the oldest entry and returns its depth, or
+    /// returns `None` when the frontier is empty.
+    fn pop_into(&mut self, st: &mut McState<'_>) -> Option<u32> {
+        let mut bytes = self.buf.get(self.read..).filter(|b| !b.is_empty())?;
+        let [depth] = read_leb128(&mut bytes);
+        let depth = u32::try_from(depth).expect("depths fit a u32");
+        st.read_record(&mut bytes);
+        self.read = self.buf.len() - bytes.len();
+        // Drop the consumed prefix once it is the larger half: each byte
+        // moves at most once per byte popped before it.
+        if 2 * self.read > self.buf.len() {
+            self.buf.drain(..self.read);
+            self.read = 0;
+        }
+        Some(depth)
+    }
 }
 
 /// One enabled transition.
@@ -793,17 +994,16 @@ fn has_choices(ctx: &Ctx<'_>, st: &McState<'_>) -> bool {
         || (st.net_changes < ctx.universe.max_net_changes && ctx.universe.modes.len() > 1)
 }
 
-/// Executes one transition on a clone of `st`, appending any
+/// Executes one transition on `s` in place, appending any
 /// transition-level violations to `viols`. The core tallies into
 /// `stats`, which nothing reads.
-fn step<'a>(
+fn step(
     ctx: &Ctx<'_>,
-    st: &McState<'a>,
+    s: &mut McState<'_>,
     choice: Choice,
     stats: &mut ClusterStats,
     viols: &mut Vec<ViolationKind>,
-) -> McState<'a> {
-    let mut s = st.clone();
+) {
     let fresh_before = s.core.checker().violations();
     match choice {
         Choice::Deliver(i) => {
@@ -903,7 +1103,6 @@ fn step<'a>(
     if s.core.checker().violations() > fresh_before {
         viols.push(ViolationKind::StaleRead);
     }
-    s
 }
 
 /// Can more than one component of the current mode raise a write quorum
@@ -933,6 +1132,18 @@ fn multi_write_component(ctx: &Ctx<'_>, st: &McState<'_>) -> bool {
 pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
     universe.validate();
     let cfg = universe.config(opts.mix_epoch_votes);
+    search(universe, &cfg, opts, |_| {})
+}
+
+/// The search behind [`explore`], over the engine configuration `cfg`.
+/// `on_new` sees the root and then every newly visited state, in the
+/// order visited, just before it joins the frontier.
+fn search<'a>(
+    universe: &'a Universe,
+    cfg: &'a ClusterConfig,
+    opts: &ExploreOptions,
+    mut on_new: impl FnMut(&McState<'a>),
+) -> McReport {
     let ctx = Ctx::new(universe, opts);
     let max_depth = opts.max_depth.unwrap_or(universe.max_depth);
     let max_states = opts.max_states.unwrap_or(universe.max_states);
@@ -942,28 +1153,26 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
         ..McReport::default()
     };
 
-    let root = McState {
-        core: ProtocolCore::new(&cfg, &universe.votes, universe.initial_spec),
-        sched: BagScheduler::default(),
-        mode: 0,
-        net_changes: 0,
-        next_access: 0,
-        next_install: 0,
-    };
+    let root = McState::root(universe, cfg);
     if multi_write_component(&ctx, &root) {
         report.record(ViolationKind::MultiWriteComponent, 0);
     }
     let mut encoder = KeyEncoder::default();
     let mut visited = VisitedSet::with_slots(1 << 12);
     visited.insert(encoder.canonical_key(&ctx, &root));
+    on_new(&root);
     report.states_explored = 1;
-    let mut frontier: VecDeque<(McState<'_>, u32)> = VecDeque::new();
-    frontier.push_back((root, 0));
+    let mut frontier = Frontier::default();
+    frontier.push(0, &root);
+    // Two scratch states serve the whole search: `st` holds the state
+    // being expanded, `next` each successor in turn.
+    let mut st = root.clone();
+    let mut next = root;
     let mut cs = Vec::new();
     let mut viols = Vec::new();
     let mut stats = ClusterStats::new(&cfg.latency_bounds);
 
-    'bfs: while let Some((st, depth)) = frontier.pop_front() {
+    'bfs: while let Some(depth) = frontier.pop_into(&mut st) {
         report.max_depth_seen = report.max_depth_seen.max(depth);
         if depth >= max_depth {
             if has_choices(&ctx, &st) {
@@ -974,7 +1183,8 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
         choices(&ctx, &st, opts.reduction, &mut report, &mut cs);
         for &choice in &cs {
             report.transitions += 1;
-            let next = step(&ctx, &st, choice, &mut stats, &mut viols);
+            next.clone_from(&st);
+            step(&ctx, &mut next, choice, &mut stats, &mut viols);
             for kind in viols.drain(..) {
                 report.record(kind, depth + 1);
             }
@@ -982,12 +1192,13 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
                 if multi_write_component(&ctx, &next) {
                     report.record(ViolationKind::MultiWriteComponent, depth + 1);
                 }
+                on_new(&next);
                 report.states_explored += 1;
                 if report.states_explored >= max_states {
                     report.capped = true;
                     break 'bfs;
                 }
-                frontier.push_back((next, depth + 1));
+                frontier.push(depth + 1, &next);
             }
         }
     }
@@ -1150,20 +1361,22 @@ mod tests {
         }
     }
 
+    /// `st` after taking `choices` in order.
+    fn dispatched<'a>(ctx: &Ctx<'_>, mut st: McState<'a>, choices: &[Choice]) -> McState<'a> {
+        let mut stats = ClusterStats::new(&ctx.universe.config(false).latency_bounds);
+        for &choice in choices {
+            step(ctx, &mut st, choice, &mut stats, &mut Vec::new());
+        }
+        st
+    }
+
     /// The root state of the standard universe with the write from site
     /// 0 dispatched: one open session, one pending timer, two requests
     /// in flight.
-    fn state_with_a_session<'a>(
-        cfg: &'a quorum_cluster::ClusterConfig,
-        u: &'a Universe,
-    ) -> McState<'a> {
+    fn state_with_a_session<'a>(cfg: &'a ClusterConfig, u: &'a Universe) -> McState<'a> {
         let mut st = McState {
-            core: ProtocolCore::new(cfg, &u.votes, u.initial_spec),
-            sched: BagScheduler::default(),
-            mode: 0,
-            net_changes: 0,
             next_access: 1,
-            next_install: 0,
+            ..McState::root(u, cfg)
         };
         let mut stats = ClusterStats::new(&cfg.latency_bounds);
         st.core.open_session(
@@ -1295,5 +1508,116 @@ mod tests {
         assert!(report.capped);
         assert!(!report.exhaustive());
         assert_eq!(report.states_explored, 5);
+    }
+
+    /// Checks, for every state `u` reaches, that its record reads back
+    /// to the same state and re-writes to the same bytes; returns the
+    /// number of states checked. Each record is read over the state read
+    /// before it, so the reader also shrinks and grows its tables in
+    /// place.
+    fn assert_every_record_round_trips(u: &Universe) -> u64 {
+        let cfg = u.config(false);
+        let mut back = McState::root(u, &cfg);
+        let (mut record, mut again) = (Vec::new(), Vec::new());
+        let mut checked = 0;
+        let report = search(u, &cfg, &ExploreOptions::default(), |st| {
+            record.clear();
+            st.write_record(&mut record);
+            let mut bytes = record.as_slice();
+            back.read_record(&mut bytes);
+            assert!(bytes.is_empty(), "the reader consumes the whole record");
+            assert_eq!(format!("{back:?}"), format!("{st:?}"));
+            again.clear();
+            back.write_record(&mut again);
+            assert_eq!(again, record);
+            checked += 1;
+        });
+        assert_eq!(checked, report.states_explored);
+        checked
+    }
+
+    #[test]
+    fn every_symmetric_state_record_round_trips() {
+        assert_eq!(assert_every_record_round_trips(&Universe::symmetric()), 349);
+    }
+
+    #[test]
+    fn every_one_access_standard_state_record_round_trips() {
+        let mut u = Universe::standard();
+        u.max_net_changes = 1;
+        u.accesses.truncate(1);
+        assert_eq!(assert_every_record_round_trips(&u), 7827);
+    }
+
+    #[test]
+    fn every_standard_nc1_r0_state_record_round_trips() {
+        let mut u = Universe::standard();
+        u.max_net_changes = 1;
+        u.max_retries = 0;
+        assert_eq!(assert_every_record_round_trips(&u), 25_024);
+    }
+
+    /// Three states of the standard universe with zero, one and two
+    /// open sessions (the two accesses and the install dispatched).
+    fn states_by_session_count<'a>(
+        ctx: &Ctx<'_>,
+        cfg: &'a ClusterConfig,
+        u: &'a Universe,
+    ) -> [McState<'a>; 3] {
+        let root = McState::root(u, cfg);
+        let one = dispatched(ctx, root.clone(), &[Choice::Access]);
+        let two = dispatched(
+            ctx,
+            root.clone(),
+            &[Choice::Install, Choice::Access, Choice::Access],
+        );
+        assert_eq!(
+            [&root, &one, &two].map(|st| st.core.open_sessions()),
+            [0, 1, 2]
+        );
+        [root, one, two]
+    }
+
+    #[test]
+    fn clone_from_matches_clone_into_more_and_fewer_sessions() {
+        let u = Universe::standard();
+        let cfg = u.config(false);
+        let ctx = Ctx::new(&u, &ExploreOptions::default());
+        let [root, one, two] = states_by_session_count(&ctx, &cfg, &u);
+        let expected = format!("{:?}", one.clone());
+        let expected_sched = format!("{:?}", one.sched.clone());
+        for mut target in [root, two] {
+            let mut sched = target.sched.clone();
+            sched.clone_from(&one.sched);
+            assert_eq!(format!("{sched:?}"), expected_sched);
+            target.clone_from(&one);
+            assert_eq!(format!("{target:?}"), expected);
+        }
+    }
+
+    #[test]
+    fn frontier_pops_in_push_order_and_drops_what_it_popped() {
+        let u = Universe::standard();
+        let cfg = u.config(false);
+        let ctx = Ctx::new(&u, &ExploreOptions::default());
+        let states = states_by_session_count(&ctx, &cfg, &u);
+        let mut frontier = Frontier::default();
+        // Depths past 127 take two LEB128 bytes.
+        for (depth, st) in (300..).zip(&states) {
+            frontier.push(depth, st);
+        }
+        let mut st = states[2].clone();
+        let mut popped = Vec::new();
+        while let Some(depth) = frontier.pop_into(&mut st) {
+            popped.push((depth, format!("{st:?}")));
+            // The consumed prefix never outgrows what is left.
+            assert!(2 * frontier.read <= frontier.buf.len());
+        }
+        let expected: Vec<_> = (300..)
+            .zip(&states)
+            .map(|(d, s)| (d, format!("{s:?}")))
+            .collect();
+        assert_eq!(popped, expected);
+        assert!(frontier.buf.is_empty());
     }
 }
