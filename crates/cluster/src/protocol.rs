@@ -122,8 +122,10 @@ pub enum SessionPhase {
     Commit,
 }
 
-/// Coordinator-side state of one in-flight session.
-#[derive(Debug)]
+/// Coordinator-side state of one in-flight session. Its per-site
+/// `contributed` flags live in [`ProtocolCore`]'s flag table, so a
+/// session owns no buffer and copies as plain data.
+#[derive(Debug, Clone, Copy)]
 struct Session {
     id: SessionId,
     origin: usize,
@@ -133,7 +135,6 @@ struct Session {
     round: u32,
     phase: SessionPhase,
     votes: u64,
-    contributed: Vec<bool>,
     max_version: Version,
     new_version: Version,
     floor: Version,
@@ -142,35 +143,13 @@ struct Session {
     timer: TimerToken,
 }
 
-/// `contributed` is the one field that owns a buffer; `clone_from`
-/// reuses it. Every other field comes from `..*src`, which compiles only
-/// while those fields are `Copy`, so a new owning field cannot be
-/// forgotten here.
-impl Clone for Session {
-    fn clone(&self) -> Self {
-        Self {
-            contributed: self.contributed.clone(),
-            ..*self
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        let mut contributed = std::mem::take(&mut self.contributed);
-        contributed.clone_from(&src.contributed);
-        *self = Self {
-            contributed,
-            ..*src
-        };
-    }
-}
-
 impl Session {
-    /// Appends every field to a protocol-state record: the fields before
-    /// `contributed` as one group of words, the flags, then the fields
-    /// after. The pattern names all fifteen, so a new field does not
-    /// compile until it is written here and read back in
+    /// Appends the session to a protocol-state record: the fields up to
+    /// `votes` as one group of words, its `contributed` flags, then the
+    /// fields after. The pattern names all fourteen fields, so a new one
+    /// does not compile until it is written here and read back in
     /// [`Session::read_record`].
-    fn write_record(&self, out: &mut Vec<u8>) {
+    fn write_record(&self, contributed: &[bool], out: &mut Vec<u8>) {
         let Session {
             id,
             origin,
@@ -180,7 +159,6 @@ impl Session {
             round,
             phase,
             votes,
-            ref contributed,
             max_version,
             new_version,
             floor,
@@ -228,10 +206,10 @@ impl Session {
     }
 
     /// Reads a session written by [`Session::write_record`] over
-    /// `num_sites` sites, filling `contributed`'s buffer.
-    fn read_record(bytes: &mut &[u8], mut contributed: Vec<bool>, num_sites: usize) -> Self {
+    /// `num_sites` sites, appending its flags to `flags`.
+    fn read_record(bytes: &mut &[u8], flags: &mut Vec<bool>, num_sites: usize) -> Self {
         let [id, origin, kind, submitted_at, measured, round, phase, votes] = read_leb128(bytes);
-        read_flags(bytes, num_sites, &mut contributed);
+        read_flags(bytes, num_sites, flags);
         let [max_version, new_version, floor, q_r, q_w, total, epoch, timer] = read_leb128(bytes);
         Self {
             id,
@@ -248,7 +226,6 @@ impl Session {
                 _ => panic!("record holds session phase {phase}"),
             },
             votes,
-            contributed,
             max_version,
             new_version,
             floor,
@@ -258,14 +235,14 @@ impl Session {
         }
     }
 
-    fn view(&self) -> SessionView<'_> {
+    fn view<'s>(&self, contributed: &'s [bool]) -> SessionView<'s> {
         SessionView {
             origin: self.origin,
             kind: self.kind,
             phase: self.phase,
             round: self.round,
             votes: self.votes,
-            contributed: &self.contributed,
+            contributed,
             epoch: self.epoch,
             max_version: self.max_version,
             new_version: self.new_version,
@@ -323,14 +300,21 @@ pub struct SiteView {
 /// The engine's event loop owns one per batch. The model checker keeps
 /// its unexpanded states as byte records
 /// ([`ProtocolCore::write_record`]), reads each one back into a scratch
-/// core ([`ProtocolCore::read_record`]) and steps every transition on a
-/// second scratch core refilled by `clone_from`; both reuse the site
-/// table, the session table and each session's per-site `contributed`
-/// flags, so most transitions allocate nothing. The core holds protocol
-/// state only: its statistics go to its environment through
-/// [`Scheduler::stats`]. Violation counting lives in the embedded
-/// [`FreshnessChecker`], which is protocol state: the freshness floor
-/// feeds every later read's check.
+/// core ([`ProtocolCore::read_record`]) and steps its transitions on
+/// scratch cores refilled by `clone_from`.
+///
+/// Every open session's per-site `contributed` flags sit in one flag
+/// table: the session at position `i` of the id-sorted session table
+/// owns `flags[i·n..(i+1)·n]` for `n` sites. A session is plain `Copy`
+/// data, so opening a session appends `n` flags to the table,
+/// resolving one removes its `n`, and reading a record or refilling by
+/// `clone_from` reuses the site, session and flag tables: none of them
+/// allocates once the tables have grown to the largest state seen.
+///
+/// The core holds protocol state only: its statistics go to its
+/// environment through [`Scheduler::stats`]. Violation counting lives in
+/// the embedded [`FreshnessChecker`], which is protocol state: the
+/// freshness floor feeds every later read's check.
 #[derive(Debug)]
 pub struct ProtocolCore<'a> {
     config: &'a ClusterConfig,
@@ -343,19 +327,22 @@ pub struct ProtocolCore<'a> {
     // ascending order, so opening a session is a push and a lookup is a
     // binary search.
     sessions: Vec<Session>,
+    /// The flag table: `sessions[i]`'s `contributed` flags are
+    /// `flags[i * num_sites..(i + 1) * num_sites]`.
+    flags: Vec<bool>,
     next_session: SessionId,
     checker: FreshnessChecker,
 }
 
-/// `clone_from` reuses the site and session tables (and, through
-/// `Session::clone_from`, each session's flags). The remaining fields
-/// come from `..*src`, so a new owning field does not compile until it
-/// is handled here.
+/// `clone_from` reuses the site, session and flag tables. The remaining
+/// fields come from `..*src`, so a new owning field does not compile
+/// until it is handled here.
 impl Clone for ProtocolCore<'_> {
     fn clone(&self) -> Self {
         Self {
             sites: self.sites.clone(),
             sessions: self.sessions.clone(),
+            flags: self.flags.clone(),
             ..*self
         }
     }
@@ -363,11 +350,14 @@ impl Clone for ProtocolCore<'_> {
     fn clone_from(&mut self, src: &Self) {
         let mut sites = std::mem::take(&mut self.sites);
         let mut sessions = std::mem::take(&mut self.sessions);
+        let mut flags = std::mem::take(&mut self.flags);
         sites.clone_from(&src.sites);
         sessions.clone_from(&src.sessions);
+        flags.clone_from(&src.flags);
         *self = Self {
             sites,
             sessions,
+            flags,
             ..*src
         };
     }
@@ -397,6 +387,7 @@ impl<'a> ProtocolCore<'a> {
                 num_sites
             ],
             sessions: Vec::new(),
+            flags: Vec::new(),
             next_session: NO_SESSION + 1,
             checker: FreshnessChecker::new(),
         }
@@ -416,16 +407,16 @@ impl<'a> ProtocolCore<'a> {
             );
         }
         write_leb128(out, [self.next_session, self.sessions.len() as u64]);
-        for session in &self.sessions {
-            session.write_record(out);
+        for (i, session) in self.sessions.iter().enumerate() {
+            session.write_record(self.flags_of(i), out);
         }
         self.checker.write_record(out);
     }
 
     /// Overwrites this core with the record at the front of `bytes`, as
     /// written by [`ProtocolCore::write_record`] from a core over the
-    /// same config and votes, and moves `bytes` past it. The site table,
-    /// the session table and the sessions' flag buffers are reused.
+    /// same config and votes, and moves `bytes` past it. The site, session
+    /// and flag tables are reused.
     ///
     /// # Panics
     /// Panics if `bytes` does not start with a whole record.
@@ -443,15 +434,11 @@ impl<'a> ProtocolCore<'a> {
         let [next_session, open] = read_leb128(bytes);
         self.next_session = next_session;
         let open: usize = narrow(open);
-        self.sessions.truncate(open);
-        for i in 0..open {
-            if let Some(session) = self.sessions.get_mut(i) {
-                let contributed = std::mem::take(&mut session.contributed);
-                *session = Session::read_record(bytes, contributed, self.num_sites);
-            } else {
-                self.sessions
-                    .push(Session::read_record(bytes, Vec::new(), self.num_sites));
-            }
+        self.sessions.clear();
+        self.flags.clear();
+        for _ in 0..open {
+            let session = Session::read_record(bytes, &mut self.flags, self.num_sites);
+            self.sessions.push(session);
         }
         self.checker = FreshnessChecker::read_record(bytes);
     }
@@ -468,7 +455,31 @@ impl<'a> ProtocolCore<'a> {
 
     /// Every unresolved session with its snapshot, ascending by id.
     pub fn sessions(&self) -> impl Iterator<Item = (SessionId, SessionView<'_>)> {
-        self.sessions.iter().map(|s| (s.id, s.view()))
+        (0..self.sessions.len()).map(|i| (self.sessions[i].id, self.view(i)))
+    }
+
+    /// The flags of the session at table position `i`.
+    fn flags_of(&self, i: usize) -> &[bool] {
+        &self.flags[i * self.num_sites..(i + 1) * self.num_sites]
+    }
+
+    /// The session at table position `i` and its flags, both mutable.
+    fn session_mut(&mut self, i: usize) -> (&mut Session, &mut [bool]) {
+        let n = self.num_sites;
+        (&mut self.sessions[i], &mut self.flags[i * n..(i + 1) * n])
+    }
+
+    /// Snapshot of the session at table position `i`.
+    fn view(&self, i: usize) -> SessionView<'_> {
+        self.sessions[i].view(self.flags_of(i))
+    }
+
+    /// Takes the session at table position `i` out of the session table
+    /// and its flags out of the flag table.
+    fn remove_session(&mut self, i: usize) -> Session {
+        let n = self.num_sites;
+        self.flags.drain(i * n..(i + 1) * n);
+        self.sessions.remove(i)
     }
 
     /// Position of open session `id` in the id-sorted session table.
@@ -488,7 +499,7 @@ impl<'a> ProtocolCore<'a> {
 
     /// Snapshot of session `id`, if still open.
     pub fn session_view(&self, id: SessionId) -> Option<SessionView<'_>> {
-        self.session(id).map(Session::view)
+        self.session_index(id).map(|i| self.view(i))
     }
 
     /// Snapshot of site `site`'s durable state.
@@ -551,8 +562,9 @@ impl<'a> ProtocolCore<'a> {
         let assignment = self.sites[origin].assignment;
         let own = self.votes.votes_of(origin);
         let n = self.num_sites;
-        let mut contributed = vec![false; n];
-        contributed[origin] = true;
+        let base = self.flags.len();
+        self.flags.resize(base + n, false);
+        self.flags[base + origin] = true;
         let timer = sched.arm_timer(id, self.config.timeout_for(0));
         // `id` exceeds every id handed out before, so pushing keeps the
         // table sorted.
@@ -565,7 +577,6 @@ impl<'a> ProtocolCore<'a> {
             round: 0,
             phase: SessionPhase::Gather,
             votes: own,
-            contributed,
             max_version: self.sites[origin].version,
             new_version: 0,
             floor: self.checker.floor(),
@@ -723,11 +734,12 @@ impl<'a> ProtocolCore<'a> {
         let Some(i) = self.session_index(id) else {
             return; // session already resolved; stale reply
         };
-        let s = &mut self.sessions[i];
-        if s.phase != SessionPhase::Gather || s.contributed[from] {
+        let mix = self.config.mix_epoch_votes;
+        let (s, contributed) = self.session_mut(i);
+        if s.phase != SessionPhase::Gather || contributed[from] {
             return;
         }
-        if epoch != s.epoch && !self.config.mix_epoch_votes {
+        if epoch != s.epoch && !mix {
             // A pledge granted under a different assignment epoch must
             // not count toward this session's quorum: the session's
             // threshold belongs to *its* epoch. (Pre-install pledges
@@ -737,7 +749,7 @@ impl<'a> ProtocolCore<'a> {
             sched.stats().stale_grants_ignored += 1;
             return;
         }
-        s.contributed[from] = true;
+        contributed[from] = true;
         s.votes += votes;
         s.max_version = s.max_version.max(version);
         if s.votes >= s.spec.threshold(s.kind) {
@@ -752,14 +764,14 @@ impl<'a> ProtocolCore<'a> {
         let Some(i) = self.session_index(id) else {
             return;
         };
-        let s = &mut self.sessions[i];
-        if s.phase != SessionPhase::Commit || s.contributed[from] {
+        let (s, contributed) = self.session_mut(i);
+        if s.phase != SessionPhase::Commit || contributed[from] {
             return;
         }
-        s.contributed[from] = true;
+        contributed[from] = true;
         s.votes += votes;
         if s.votes >= s.spec.q_w() {
-            let s = self.sessions.remove(i);
+            let s = self.remove_session(i);
             self.resolve_committed(s, sched);
         }
     }
@@ -773,14 +785,14 @@ impl<'a> ProtocolCore<'a> {
         let kind = self.sessions[i].kind;
         match kind {
             Access::Read => {
-                let s = self.sessions.remove(i);
+                let s = self.remove_session(i);
                 self.resolve_committed(s, sched);
             }
             Access::Write if self.config.commit_on_grant => {
                 // UNSAFE ablation: client told "committed" before any
                 // replica durably holds the new version. The freshness
                 // checker exists to catch exactly this.
-                let mut s = self.sessions.remove(i);
+                let mut s = self.remove_session(i);
                 let id = s.id;
                 s.new_version = s.max_version + 1;
                 let (origin, version) = (s.origin, s.new_version);
@@ -800,14 +812,14 @@ impl<'a> ProtocolCore<'a> {
                 self.resolve_committed(s, sched);
             }
             Access::Write => {
-                let s = &mut self.sessions[i];
+                let own = self.votes.votes_of(self.sessions[i].origin);
+                let (s, contributed) = self.session_mut(i);
                 s.new_version = s.max_version + 1;
                 s.phase = SessionPhase::Commit;
                 let (id, origin) = (s.id, s.origin);
-                let own = self.votes.votes_of(origin);
                 s.votes = own;
-                s.contributed.fill(false);
-                s.contributed[origin] = true;
+                contributed.fill(false);
+                contributed[origin] = true;
                 let version = s.new_version;
                 let q_w = s.spec.q_w();
                 // The coordinator is a replica too: it adopts first.
@@ -825,7 +837,7 @@ impl<'a> ProtocolCore<'a> {
                     );
                 }
                 if own >= q_w {
-                    let s = self.sessions.remove(i);
+                    let s = self.remove_session(i);
                     self.resolve_committed(s, sched);
                 }
             }
@@ -847,13 +859,15 @@ impl<'a> ProtocolCore<'a> {
         let Some(i) = self.session_index(id) else {
             return; // cancelled timers never fire; defensive only
         };
-        let s = &mut self.sessions[i];
-        let origin = s.origin;
-        if s.round >= self.config.max_retries || !origin_up {
-            let s = self.sessions.remove(i);
+        if self.sessions[i].round >= self.config.max_retries || !origin_up {
+            let s = self.remove_session(i);
             self.resolve_timed_out(s, sched);
             return;
         }
+        let n = self.num_sites;
+        let s = &mut self.sessions[i];
+        let contributed = &mut self.flags[i * n..(i + 1) * n];
+        let origin = s.origin;
         s.round += 1;
         // Adopt whatever assignment the coordinator has learned since —
         // VoteDeny replies and Install broadcasts carrying newer epochs
@@ -861,8 +875,8 @@ impl<'a> ProtocolCore<'a> {
         let assignment = self.sites[origin].assignment;
         if assignment.version != s.epoch && !self.config.mix_epoch_votes {
             s.votes = self.votes.votes_of(origin);
-            s.contributed.fill(false);
-            s.contributed[origin] = true;
+            contributed.fill(false);
+            contributed[origin] = true;
             s.max_version = self.sites[origin].version;
             sched.stats().cross_epoch_resets += 1;
         }
@@ -882,8 +896,7 @@ impl<'a> ProtocolCore<'a> {
         };
         // Retries go to every peer that has not contributed to the
         // current phase, in ascending site order.
-        for (peer, _) in s
-            .contributed
+        for (peer, _) in contributed
             .iter()
             .enumerate()
             .filter(|&(p, &c)| !c && p != origin)
@@ -1307,7 +1320,8 @@ mod tests {
         };
         assert_eq!((w.phase, w.measured_index), (SessionPhase::Commit, Some(7)));
         assert_eq!((r.round, r.measured_index, r.floor), (1, None, 1));
-        assert!(r.contributed[8] && r.contributed[9]);
+        let flags = core.session_view(read).unwrap().contributed;
+        assert!(flags[8] && flags[9]);
         assert_eq!(core.site_view(3).epoch, 1);
         core
     }
@@ -1348,6 +1362,59 @@ mod tests {
             target.write_record(&mut again);
             assert_eq!(again, record);
         }
+    }
+
+    /// The sites in `sites` as a 10-site `contributed` row.
+    fn row(sites: &[usize]) -> Vec<bool> {
+        (0..10).map(|site| sites.contains(&site)).collect()
+    }
+
+    #[test]
+    fn flag_table_keeps_each_session_its_own_flags() {
+        let cfg = test_config(false);
+        let votes = VoteAssignment::uniform(10);
+        let mut core = ProtocolCore::new(&cfg, &votes, QuorumSpec::majority(10));
+        let mut sched = BagScheduler::new(&cfg);
+        let value = Payload::ReadValue {
+            votes: 1,
+            version: 0,
+            epoch: 0,
+        };
+        let [a, b, c] =
+            [2, 5, 7].map(|origin| core.open_session(origin, Access::Read, None, &mut sched));
+        core.handle_message(reply(9, 2, a, value), &mut sched);
+        for site in [0, 3] {
+            core.handle_message(reply(site, 7, c, value), &mut sched);
+        }
+        // Four pledges give the middle read its q_r = 5; it resolves and
+        // its flags leave the table from between the other two's. Its
+        // row differs from both neighbours' at each end, so removing a
+        // row shifted by one flag either way shows.
+        for site in [1, 3, 4, 6] {
+            core.handle_message(reply(site, 5, b, value), &mut sched);
+        }
+        assert!(core.session_view(b).is_none(), "the middle read committed");
+        // A pledge after the removal lands in the last session's row.
+        core.handle_message(reply(8, 7, c, value), &mut sched);
+        let model = [(a, row(&[2, 9])), (c, row(&[0, 3, 7, 8]))];
+        let check = |core: &ProtocolCore<'_>, when: &str| {
+            assert_eq!(core.open_sessions(), 2, "{when}");
+            for (id, flags) in &model {
+                let view = core.session_view(*id).expect("still open");
+                assert_eq!(view.contributed, flags.as_slice(), "session {id} {when}");
+            }
+        };
+        check(&core, "after the removal");
+
+        let mut record = Vec::new();
+        core.write_record(&mut record);
+        let mut read = core_with_open_reads(&cfg, &votes, 5);
+        read.read_record(&mut record.as_slice());
+        check(&read, "read back from a record");
+
+        let mut cloned = core_with_open_reads(&cfg, &votes, 1);
+        cloned.clone_from(&read);
+        check(&cloned, "refilled by clone_from");
     }
 
     #[test]

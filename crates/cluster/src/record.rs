@@ -110,13 +110,12 @@ pub(crate) fn write_flags(out: &mut Vec<u8>, flags: &[bool]) {
     }));
 }
 
-/// Reads `len` flags written by [`write_flags`] into `flags`, replacing
-/// its contents and keeping its buffer.
+/// Reads `len` flags written by [`write_flags`] and appends them to
+/// `flags`.
 #[inline]
 pub(crate) fn read_flags(bytes: &mut &[u8], len: usize, flags: &mut Vec<bool>) {
     let (packed, rest) = bytes.split_at(len.div_ceil(8));
     *bytes = rest;
-    flags.clear();
     flags.extend((0..len).map(|i| packed[i / 8] >> (i % 8) & 1 == 1));
 }
 
@@ -314,10 +313,12 @@ mod tests {
         let mut out = Vec::new();
         write_flags(&mut out, &flags);
         assert_eq!(out, [0b0100_1001, 0b0000_0010]);
-        let mut back = vec![true; 20];
+        // The reader appends, keeping what the buffer already holds.
+        let mut back = vec![true; 3];
         let mut bytes = out.as_slice();
         read_flags(&mut bytes, flags.len(), &mut back);
-        assert_eq!(back, flags);
+        assert_eq!(back[..3], [true; 3]);
+        assert_eq!(back[3..], flags);
         assert!(bytes.is_empty());
     }
 

@@ -52,19 +52,27 @@
 //! ids through the access count (each access opens one session and
 //! commits at most one version); epochs through the install count; and
 //! votes, `q_r` and `q_w` through the vote total and the scripted
-//! specs. Each value goes through one checked conversion that panics,
+//! specs. Each value goes through a checked conversion that panics,
 //! naming the field, if it is ever past 255: a truncated field would
-//! give two states one key and silently drop one from the search.
+//! give two states one key and silently drop one from the search. A
+//! message record, written once per in-flight message per permutation,
+//! checks its six values with one compare of their bitwise OR and looks
+//! up the field's name only when that compare fails.
 //!
 //! ## Visited set
 //!
 //! Keys are interned in a `VisitedSet`: one byte arena holding every
-//! key back to back, a `u32` offset per key, and an open-addressing
-//! index of `u32` key ids under a fixed hash. A probe compares the
-//! stored hash and then the stored bytes, so a key is new exactly when
-//! no byte-equal key is stored — a hash match alone never drops a state
-//! and the certificate stays exhaustive. Each new key gets the next
-//! dense id.
+//! key back to back, a `u32` offset per key, and a linear-probing index
+//! whose 8-byte slots each hold a key's 32-bit hash tag beside its `u32`
+//! id. The tag gives the key's home slot and screens a probe without
+//! touching the arena; a growing index re-places every entry from its
+//! slot alone, so nothing else is stored per key. A tag match is only
+//! a candidate: the stored bytes decide, so a key is new exactly when no
+//! byte-equal key is stored — two keys with one tag are both kept, and
+//! the certificate stays exhaustive. Each new key gets the next dense
+//! id. The index doubles once more than three quarters of its slots are
+//! full; on the fixed standard universe that keeps it at 4 Mi slots
+//! (32 MiB) where a half-load bound would need 8 Mi.
 //!
 //! ## Frontier
 //!
@@ -79,8 +87,11 @@
 //! one and the search does not depend on the representation.
 //!
 //! Two scratch states serve the whole search. Each record is popped
-//! into `st` in place; each choice refills `next` from `st` by
-//! `clone_from`, which reuses every buffer, and steps it; a new state
+//! into `st` in place. Every choice but the last refills `next` from
+//! `st` by `clone_from`, which reuses every buffer, and steps it; the
+//! last choice swaps `st` into `next` and steps it without a copy, since
+//! the next pop overwrites `st` anyway. (A state the dead-message
+//! reduction collapses to one drop is never copied at all.) A new state
 //! is appended as a record. Once the read cursor passes half the
 //! buffer, the consumed prefix is drained, so each byte is moved at
 //! most once per byte popped before it and the buffer stays within
@@ -118,7 +129,7 @@ use quorum_cluster::{
     read_leb128, write_leb128, ClusterConfig, ClusterStats, Message, Payload, ProtocolCore,
     Scheduler, SessionId, SessionPhase, TimerToken,
 };
-use quorum_core::{Access, QuorumSpec};
+use quorum_core::Access;
 use quorum_des::SimTime;
 use quorum_obs::Registry;
 use std::collections::BTreeSet;
@@ -630,54 +641,89 @@ fn key_byte(field: &str, value: u64) -> u8 {
     })
 }
 
-/// The fixed-width record of `m` under the site renaming `perm`.
+/// The fixed-width record of `m` under the site renaming `perm`. All
+/// six values are checked against 255 at once; only a record that fails
+/// the check goes on to [`message_field_overflow`] for the field's name.
 fn message_record(m: &Message, perm: &[usize]) -> [u8; MSG_RECORD] {
-    const PAD: (&str, u64) = ("padding", 0);
-    let spec_words = |epoch, spec: QuorumSpec| {
-        [
-            ("message epoch", epoch),
-            ("message q_r", spec.q_r()),
-            ("message q_w", spec.q_w()),
-        ]
-    };
-    let pledge_words = |votes, version, epoch| {
-        [
-            ("message votes", votes),
-            ("message version", version),
-            ("message epoch", epoch),
-        ]
-    };
-    let (tag, words) = match m.payload {
+    let (tag, words) = message_words(&m.payload);
+    let [w0, w1, w2] = words;
+    let (from, to) = (perm[m.from] as u64, perm[m.to] as u64);
+    if (from | to | m.session | w0 | w1 | w2) > u64::from(u8::MAX) {
+        message_field_overflow(&m.payload, words, from, to, m.session);
+    }
+    [
+        from as u8,
+        to as u8,
+        m.session as u8,
+        tag,
+        w0 as u8,
+        w1 as u8,
+        w2 as u8,
+    ]
+}
+
+/// A message's payload tag (a `VoteRequest`'s tag also carries its
+/// access kind) and its three payload words, zero-padded.
+fn message_words(payload: &Payload) -> (u8, [u64; 3]) {
+    match *payload {
         Payload::VoteRequest {
             kind,
             epoch,
             epoch_spec,
-        } => (access_byte(kind), spec_words(epoch, epoch_spec)),
+        } => (
+            access_byte(kind),
+            [epoch, epoch_spec.q_r(), epoch_spec.q_w()],
+        ),
         Payload::ReadValue {
             votes,
             version,
             epoch,
-        } => (2, pledge_words(votes, version, epoch)),
+        } => (2, [votes, version, epoch]),
         Payload::VoteGrant {
             votes,
             version,
             epoch,
-        } => (3, pledge_words(votes, version, epoch)),
-        Payload::VoteDeny { epoch, epoch_spec } => (4, spec_words(epoch, epoch_spec)),
-        Payload::WriteCommit { version } => (5, [("message version", version), PAD, PAD]),
-        Payload::CommitAck { votes } => (6, [("message votes", votes), PAD, PAD]),
-        Payload::Install { epoch, epoch_spec } => (7, spec_words(epoch, epoch_spec)),
+        } => (3, [votes, version, epoch]),
+        Payload::VoteDeny { epoch, epoch_spec } => (4, [epoch, epoch_spec.q_r(), epoch_spec.q_w()]),
+        Payload::WriteCommit { version } => (5, [version, 0, 0]),
+        Payload::CommitAck { votes } => (6, [votes, 0, 0]),
+        Payload::Install { epoch, epoch_spec } => (7, [epoch, epoch_spec.q_r(), epoch_spec.q_w()]),
+    }
+}
+
+/// Panics through [`key_byte`], naming the first of a message record's
+/// values past 255: the payload words in order, then the renamed sender
+/// and receiver, then the session.
+#[cold]
+#[inline(never)]
+fn message_field_overflow(
+    payload: &Payload,
+    words: [u64; 3],
+    from: u64,
+    to: u64,
+    session: u64,
+) -> ! {
+    let names = match payload {
+        Payload::VoteRequest { .. } | Payload::VoteDeny { .. } | Payload::Install { .. } => {
+            ["message epoch", "message q_r", "message q_w"]
+        }
+        Payload::ReadValue { .. } | Payload::VoteGrant { .. } => {
+            ["message votes", "message version", "message epoch"]
+        }
+        Payload::WriteCommit { .. } => ["message version", "padding", "padding"],
+        Payload::CommitAck { .. } => ["message votes", "padding", "padding"],
     };
-    let [w0, w1, w2] = words.map(|(field, w)| key_byte(field, w));
-    [
-        site_byte(perm[m.from]),
-        site_byte(perm[m.to]),
-        key_byte("message session", m.session),
-        tag,
-        w0,
-        w1,
-        w2,
-    ]
+    for (field, word) in names.into_iter().zip(words) {
+        key_byte(field, word);
+    }
+    for (field, value) in [
+        ("site index", from),
+        ("site index", to),
+        ("message session", session),
+    ] {
+        key_byte(field, value);
+    }
+    unreachable!("a message record value exceeds 255")
 }
 
 /// A site index as its key byte.
@@ -785,10 +831,10 @@ impl KeyEncoder {
     }
 }
 
-/// A fixed 64-bit hash of a key: eight bytes at a time, multiply and
+/// A fixed 32-bit hash of a key: eight bytes at a time, multiply and
 /// fold. Deterministic across processes and platforms, unlike `std`'s
 /// randomly keyed hasher.
-fn key_hash(key: &[u8]) -> u64 {
+fn key_tag(key: &[u8]) -> u32 {
     const K: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut h = (key.len() as u64).wrapping_mul(K);
     let mut chunks = key.chunks_exact(8);
@@ -801,11 +847,22 @@ fn key_hash(key: &[u8]) -> u64 {
     let mut tail = [0u8; 8];
     tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
     h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(K);
-    h ^ (h >> 29)
+    (h ^ (h >> 29)) as u32
 }
 
-/// Slot value of an empty index entry.
+/// Id of an empty index slot.
 const EMPTY: u32 = u32::MAX;
+
+/// One entry of the visited index: a key's [`key_tag`] beside its id.
+#[derive(Clone, Copy)]
+struct Slot {
+    tag: u32,
+    id: u32,
+}
+
+impl Slot {
+    const FREE: Slot = Slot { tag: 0, id: EMPTY };
+}
 
 /// The set of visited canonical keys: an append-only byte arena plus an
 /// exact open-addressing index (module docs, "Visited set").
@@ -814,12 +871,10 @@ struct VisitedSet {
     arena: Vec<u8>,
     /// Key `id` occupies `arena[offsets[id]..offsets[id + 1]]`.
     offsets: Vec<u32>,
-    /// `key_hash` of key `id`: rejects most non-matching probes without
-    /// touching the arena, and lets the index grow without rehashing.
-    hashes: Vec<u64>,
-    /// Linear-probing table of key ids ([`EMPTY`] when free); its length
-    /// is a power of two and at most half of it is occupied.
-    slots: Vec<u32>,
+    /// Linear-probing table of tagged key ids ([`Slot::FREE`] when
+    /// free). A key's home slot is its tag modulo the length, a power of
+    /// two, and at most three quarters of the slots are occupied.
+    slots: Vec<Slot>,
 }
 
 impl VisitedSet {
@@ -829,14 +884,13 @@ impl VisitedSet {
         Self {
             arena: Vec::new(),
             offsets: vec![0],
-            hashes: Vec::new(),
-            slots: vec![EMPTY; slots.next_power_of_two().max(2)],
+            slots: vec![Slot::FREE; slots.next_power_of_two().max(2)],
         }
     }
 
     /// Number of keys stored.
     fn len(&self) -> usize {
-        self.hashes.len()
+        self.offsets.len() - 1
     }
 
     /// Stored key `id`.
@@ -848,15 +902,16 @@ impl VisitedSet {
     /// the new key's dense id (0, 1, 2, … in insertion order), or `None`
     /// if the key was already present.
     fn insert(&mut self, key: &[u8]) -> Option<u32> {
-        let hash = key_hash(key);
+        let tag = key_tag(key);
         let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
+        let mut i = tag as usize & mask;
         loop {
-            let id = self.slots[i];
-            if id == EMPTY {
+            let slot = self.slots[i];
+            if slot.id == EMPTY {
                 break;
             }
-            if self.hashes[id as usize] == hash && self.key(id as usize) == key {
+            // The tag only screens: the bytes decide.
+            if slot.tag == tag && self.key(slot.id as usize) == key {
                 return None;
             }
             i = (i + 1) & mask;
@@ -865,29 +920,28 @@ impl VisitedSet {
             .ok()
             .filter(|&id| id != EMPTY)
             .expect("visited set holds fewer than 2^32 - 1 keys");
-        self.slots[i] = id;
+        self.slots[i] = Slot { tag, id };
         self.arena.extend_from_slice(key);
         let end =
             u32::try_from(self.arena.len()).expect("visited arena holds fewer than 2^32 bytes");
         self.offsets.push(end);
-        self.hashes.push(hash);
-        if 2 * self.len() > self.slots.len() {
+        if 4 * self.len() > 3 * self.slots.len() {
             self.grow();
         }
         Some(id)
     }
 
-    /// Doubles the index and re-places every id by its stored hash.
+    /// Doubles the index and re-places every slot by its tag.
     fn grow(&mut self) {
-        let slots = 2 * self.slots.len();
-        let mask = slots - 1;
-        self.slots = vec![EMPTY; slots];
-        for (id, &hash) in self.hashes.iter().enumerate() {
-            let mut i = hash as usize & mask;
-            while self.slots[i] != EMPTY {
+        let len = 2 * self.slots.len();
+        let mask = len - 1;
+        let old = std::mem::replace(&mut self.slots, vec![Slot::FREE; len]);
+        for slot in old.into_iter().filter(|s| s.id != EMPTY) {
+            let mut i = slot.tag as usize & mask;
+            while self.slots[i].id != EMPTY {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = id as u32;
+            self.slots[i] = slot;
         }
     }
 }
@@ -1165,7 +1219,8 @@ fn search<'a>(
     let mut frontier = Frontier::default();
     frontier.push(0, &root);
     // Two scratch states serve the whole search: `st` holds the state
-    // being expanded, `next` each successor in turn.
+    // being expanded, `next` each successor in turn (module docs,
+    // "Frontier").
     let mut st = root.clone();
     let mut next = root;
     let mut cs = Vec::new();
@@ -1181,9 +1236,15 @@ fn search<'a>(
             continue;
         }
         choices(&ctx, &st, opts.reduction, &mut report, &mut cs);
-        for &choice in &cs {
+        for (k, &choice) in cs.iter().enumerate() {
             report.transitions += 1;
-            next.clone_from(&st);
+            if k + 1 == cs.len() {
+                // The last successor steps `st` itself: the next pop
+                // overwrites it anyway, so it is not copied.
+                std::mem::swap(&mut st, &mut next);
+            } else {
+                next.clone_from(&st);
+            }
             step(&ctx, &mut next, choice, &mut stats, &mut viols);
             for kind in viols.drain(..) {
                 report.record(kind, depth + 1);
@@ -1221,6 +1282,7 @@ impl BagScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quorum_core::QuorumSpec;
 
     #[test]
     fn symmetric_universe_has_a_nontrivial_group() {
@@ -1293,12 +1355,12 @@ mod tests {
         assert!(!report.exhaustive());
     }
 
-    /// Keys `0..count`, each eight bytes, whose hash lands on the index
-    /// slot `slot` of a `slots`-entry table.
+    /// The first `count` eight-byte keys whose tag gives them the home
+    /// slot `slot` in a `slots`-entry index.
     fn colliding_keys(count: usize, slots: usize, slot: usize) -> Vec<Vec<u8>> {
         (0u64..)
             .map(|i| i.to_le_bytes().to_vec())
-            .filter(|k| key_hash(k) as usize & (slots - 1) == slot)
+            .filter(|k| key_tag(k) as usize & (slots - 1) == slot)
             .take(count)
             .collect()
     }
@@ -1310,7 +1372,7 @@ mod tests {
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(set.insert(k), Some(i as u32), "ids are dense");
         }
-        assert!(set.slots.len() >= 2 * keys.len(), "the index grew");
+        assert!(4 * keys.len() <= 3 * set.slots.len(), "the index grew");
         for k in &keys {
             assert_eq!(set.insert(k), None, "{k:?} is already stored");
         }
@@ -1338,20 +1400,21 @@ mod tests {
     #[test]
     fn visited_set_resolves_long_probe_chains() {
         // 24 keys on one home slot of a 64-slot index fill 24 slots in
-        // a row before the index grows; a 25th key on the same slot
-        // must probe past all of them.
+        // a row, well below the 48 that make the index grow; a 25th key
+        // on the same slot must probe past all of them.
         let keys = colliding_keys(25, 64, 7);
         let mut set = VisitedSet::with_slots(64);
         for (i, k) in keys[..24].iter().enumerate() {
             assert_eq!(set.insert(k), Some(i as u32));
         }
         assert_eq!(set.slots.len(), 64, "no growth yet");
-        assert!(set.slots[7..31].iter().all(|&id| id != EMPTY));
+        assert!(set.slots[7..31].iter().all(|s| s.id != EMPTY));
         for k in &keys[..24] {
             assert_eq!(set.insert(k), None, "found at the end of its chain");
         }
         assert_eq!(set.insert(&keys[24]), Some(24));
-        // Growing past half load re-places the chain; nothing is lost.
+        // Growing past three-quarter load re-places the chain from the
+        // slots' tags; nothing is lost.
         for i in 0u32..40 {
             set.insert(&(1_000_000 + i).to_le_bytes());
         }
@@ -1359,6 +1422,30 @@ mod tests {
         for k in &keys {
             assert_eq!(set.insert(k), None);
         }
+    }
+
+    #[test]
+    fn visited_set_keeps_keys_that_share_a_tag() {
+        // Two distinct eight-byte keys with the same 32-bit tag, found by
+        // sorting the tags of the first 2^18 keys (a pair is all but
+        // certain past about 2^16).
+        let mut tagged: Vec<(u32, u64)> = (0u64..1 << 18)
+            .map(|i| (key_tag(&i.to_le_bytes()), i))
+            .collect();
+        tagged.sort_unstable();
+        let (a, b) = tagged
+            .windows(2)
+            .find(|w| w[0].0 == w[1].0)
+            .map(|w| (w[0].1.to_le_bytes(), w[1].1.to_le_bytes()))
+            .expect("two of 2^18 keys share a tag");
+        assert_ne!(a, b);
+        assert_eq!(key_tag(&a), key_tag(&b));
+        let mut set = VisitedSet::with_slots(2);
+        assert_eq!(set.insert(&a), Some(0));
+        assert_eq!(set.insert(&b), Some(1), "a tag match alone is not a visit");
+        assert_eq!(set.insert(&a), None);
+        assert_eq!(set.insert(&b), None);
+        assert_eq!((set.key(0), set.key(1)), (&a[..], &b[..]));
     }
 
     /// `st` after taking `choices` in order.
@@ -1468,6 +1555,119 @@ mod tests {
         );
         assert_eq!(st.core.site_view(1).version, 256);
         KeyEncoder::default().canonical_key(&ctx, &st);
+    }
+
+    /// The panic text of `message_record(m, perm)`, or `None` if it
+    /// returns.
+    fn message_record_panic(m: Message, perm: &[usize]) -> Option<String> {
+        let caught = std::panic::catch_unwind(|| message_record(&m, perm)).err()?;
+        Some(
+            caught
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted panic message"),
+        )
+    }
+
+    #[test]
+    fn message_field_past_255_panics_naming_it() {
+        let (spec, wide) = (
+            QuorumSpec::new(2, 2, 3).unwrap(),
+            QuorumSpec::new(300, 300, 400).unwrap(),
+        );
+        let grant = |votes, version, epoch| Payload::VoteGrant {
+            votes,
+            version,
+            epoch,
+        };
+        let to_1 = |session, payload| Message {
+            from: 0,
+            to: 1,
+            session,
+            payload,
+        };
+        let cases = [
+            (to_1(1, grant(1, 256, 0)), "message version = 256"),
+            (to_1(1, grant(300, 0, 0)), "message votes = 300"),
+            (to_1(1, grant(1, 0, 256)), "message epoch = 256"),
+            (to_1(256, grant(1, 0, 0)), "message session = 256"),
+            (
+                to_1(1, Payload::CommitAck { votes: 999 }),
+                "message votes = 999",
+            ),
+            (
+                to_1(1, Payload::WriteCommit { version: 1 << 40 }),
+                "message version = 1099511627776",
+            ),
+            (
+                to_1(
+                    1,
+                    Payload::Install {
+                        epoch: 256,
+                        epoch_spec: spec,
+                    },
+                ),
+                "message epoch = 256",
+            ),
+            (
+                to_1(
+                    1,
+                    Payload::VoteDeny {
+                        epoch: 1,
+                        epoch_spec: wide,
+                    },
+                ),
+                "message q_r = 300",
+            ),
+            (
+                to_1(
+                    1,
+                    Payload::VoteRequest {
+                        kind: Access::Write,
+                        epoch: 1,
+                        epoch_spec: QuorumSpec::new(100, 300, 350).unwrap(),
+                    },
+                ),
+                "message q_w = 300",
+            ),
+            // Several fields past 255: the payload words are named
+            // before the session, in word order.
+            (to_1(256, grant(1, 300, 400)), "message version = 300"),
+        ];
+        for (m, field) in cases {
+            let text =
+                message_record_panic(m, &[0, 1, 2]).unwrap_or_else(|| panic!("{m:?} passed"));
+            assert_eq!(
+                text,
+                format!("state key field {field} exceeds 255, the largest value a key byte holds"),
+                "{m:?}"
+            );
+        }
+        // A renamed site index past 255 is named too, before the session.
+        let perm: Vec<usize> = (0..300).collect();
+        let far = Message {
+            from: 0,
+            to: 256,
+            session: 256,
+            payload: grant(1, 0, 0),
+        };
+        assert_eq!(
+            message_record_panic(far, &perm).as_deref(),
+            Some(
+                "state key field site index = 256 exceeds 255, the largest value a key byte holds"
+            )
+        );
+        // At 255 every field still fits.
+        let edge = to_1(255, grant(255, 255, 255));
+        assert_eq!(
+            message_record_panic(edge, &[0, 1, 2]),
+            None,
+            "255 fits a key byte"
+        );
+        assert_eq!(
+            message_record(&edge, &[0, 1, 2]),
+            [0, 1, 255, 3, 255, 255, 255]
+        );
     }
 
     #[test]

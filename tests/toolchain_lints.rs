@@ -203,7 +203,8 @@ fn every_key_is_referenced_outside_the_registry() {
 const LABELED_GATE_KEYS: &[&str] = &["load.grid-3x3", "load.hier-3x3-2/2"];
 
 /// Every manifest key the CI workflow reads, in either jq spelling:
-/// `.metrics["key"]` or `.metrics.key` (likewise for counters).
+/// `.metrics["key"]` or `.metrics.key` (likewise for counters), and
+/// every phase it selects with `.phase == "key"`.
 fn ci_gate_keys() -> BTreeSet<String> {
     let ci = read(&root().join(".github/workflows/ci.yml"));
     let mut found = BTreeSet::new();
@@ -221,6 +222,11 @@ fn ci_gate_keys() -> BTreeSet<String> {
             }
         }
     }
+    for (at, pattern) in ci.match_indices(".phase == \"") {
+        let quoted = &ci[at + pattern.len()..];
+        let end = quoted.find('"').expect("unterminated jq phase");
+        found.insert(quoted[..end].to_string());
+    }
     found
 }
 
@@ -230,6 +236,10 @@ fn ci_gates_read_only_declared_keys() {
     // The bracket form with '-' and digits used to slip past the check.
     assert!(gate_keys.contains("load.vote-best-exact.f2"));
     assert!(gate_keys.contains("mc.states_explored"));
+    // The model-check summaries print each run's explore phase and peak
+    // memory.
+    assert!(gate_keys.contains("mc.explore"));
+    assert!(gate_keys.contains("mc.peak_rss_mb"));
     let declared: BTreeSet<&str> = keys::ALL.iter().map(|k| k.as_str()).collect();
     let missing: Vec<&String> = gate_keys
         .iter()
