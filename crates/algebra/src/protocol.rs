@@ -9,7 +9,7 @@
 //! minimal-quorum families.
 
 use crate::system::QuorumSystem;
-use quorum_core::{Access, ConsistencyProtocol, Decision, QuorumSpec};
+use quorum_core::{Access, ConsistencyProtocol, Decision};
 
 /// `ConsistencyProtocol` driven by a general quorum system instead of
 /// vote thresholds. Decisions ignore the vote total and use component
@@ -58,13 +58,6 @@ impl ConsistencyProtocol for AlgebraProtocol {
         self.granted(kind, members)
     }
 
-    fn effective_spec(&self, _members: &[usize]) -> QuorumSpec {
-        // General systems have no canonical vote threshold; report the
-        // loosest consistent pair over one vote per site, for
-        // observability.
-        QuorumSpec::majority(self.system.n() as u64)
-    }
-
     fn total_votes(&self) -> u64 {
         self.system.n() as u64
     }
@@ -83,7 +76,6 @@ mod tests {
         assert!(p.can_grant(Access::Write, &[2, 3, 4], 0));
         assert!(!p.can_grant(Access::Read, &[], 0));
         assert_eq!(p.total_votes(), 5);
-        assert_eq!(p.effective_spec(&[]), QuorumSpec::majority(5));
     }
 
     #[test]

@@ -345,7 +345,7 @@ mod tests {
 
         // The checks `cluster_sim`, `shard_throughput`, `compare_systems`,
         // `optimize`, `analytic_vs_sim`, `kernel_replay`, `dynamic_qr`,
-        // `vote_opt`, `wan_clusters` and the paper-topology bins hand to
+        // `vote_opt` and the paper-topology bins hand to
         // `get_checked`: each is the one the engine, topology constructor,
         // scenario or closed form would assert.
         let latency = |s| {
@@ -391,9 +391,6 @@ mod tests {
         let accesses =
             |s| argv(s).try_get_checked("accesses", |&a| SimParams::check_batch_accesses(a));
         let max_votes = |s| argv(s).try_get_checked("max-votes", |&m| check_max_votes(m));
-        let clusters = |s| argv(s).try_get_checked("clusters", |&c| Topology::check_clusters(c));
-        let cluster_size =
-            |s| argv(s).try_get_checked("cluster-size", |&c| Topology::check_cluster_size(c));
         let chords = |s| argv(s).try_get_checked("topology", |&c| PaperScenario::check_chords(c));
         let cases = [
             (
@@ -521,14 +518,6 @@ mod tests {
             assert_eq!(got, Err(want.to_string()));
         }
         assert_eq!(
-            clusters("--clusters 0"),
-            Err("--clusters \"0\": need at least 3 clusters for a ring".to_string())
-        );
-        assert_eq!(
-            cluster_size("--cluster-size 0"),
-            Err("--cluster-size \"0\": clusters need at least 2 sites".to_string())
-        );
-        assert_eq!(
             events("--events 0"),
             Err("--events \"0\": need at least one event to replay".to_string())
         );
@@ -544,8 +533,6 @@ mod tests {
         assert_eq!(events("--events 1"), Ok(Some(1)));
         assert_eq!(accesses("--accesses 1"), Ok(Some(1)));
         assert_eq!(max_votes("--max-votes 1"), Ok(Some(1)));
-        assert_eq!(clusters("--clusters 3"), Ok(Some(3)));
-        assert_eq!(cluster_size("--cluster-size 2"), Ok(Some(2)));
         // A value that fails to parse is reported before any check runs.
         assert_eq!(
             loss("--loss x"),

@@ -9,22 +9,13 @@
 
 use crate::{or_usage_exit, Args};
 use quorum_core::VoteAssignment;
-use quorum_des::{DurationDist, SimParams};
+use quorum_des::SimParams;
 use quorum_graph::Topology;
 use quorum_mc::McReport;
 use quorum_obs::{keys, Registry, RunManifest, SimParamsRecord, TopologyRecord};
 use quorum_replica::RunResults;
 use std::path::Path;
 use std::time::Duration;
-
-/// Manifest name of a duration-distribution shape.
-pub(crate) fn dist_name(d: DurationDist) -> String {
-    match d {
-        DurationDist::Exponential => "exponential".into(),
-        DurationDist::Fixed => "fixed".into(),
-        DurationDist::Uniform => "uniform".into(),
-    }
-}
 
 /// Converts live simulation parameters into the manifest record.
 pub fn sim_params_record(p: &SimParams) -> SimParamsRecord {
@@ -38,8 +29,6 @@ pub fn sim_params_record(p: &SimParams) -> SimParamsRecord {
         max_batches: p.max_batches,
         confidence: p.confidence,
         ci_half_width: p.ci_half_width,
-        fail_dist: dist_name(p.fail_dist),
-        repair_dist: dist_name(p.repair_dist),
     }
 }
 
@@ -218,13 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn dist_names_are_stable() {
-        assert_eq!(dist_name(DurationDist::Exponential), "exponential");
-        assert_eq!(dist_name(DurationDist::Fixed), "fixed");
-        assert_eq!(dist_name(DurationDist::Uniform), "uniform");
-    }
-
-    #[test]
     fn assembled_manifest_round_trips() {
         use quorum_core::QuorumSpec;
         use quorum_replica::{run_static_observed, RunConfig, Workload};
@@ -262,7 +244,6 @@ mod tests {
         assert!(m.phase_secs(keys::REPLICA_RUN_STATIC) > 0.0);
         let back = RunManifest::parse(&m.to_json().to_string_pretty()).expect("round-trip");
         assert_eq!(back.counters, m.counters);
-        assert_eq!(back.params.fail_dist, "exponential");
         // The run's stopping point reads back under its label: two
         // batches at the cap, a CI wider than the default 0.5 % target.
         let metric = |prefix: keys::Key| back.metrics[&format!("{prefix}.topology_0")];

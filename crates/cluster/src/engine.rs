@@ -237,7 +237,6 @@ impl<'a> ClusterEngine<'a> {
             self.votes.as_slice(),
             &self.config.params,
             seed,
-            None,
         );
         let mut queue = Queue::new();
         world.schedule_initial(&mut queue);

@@ -28,7 +28,6 @@
 //! experiment measures exactly that.
 
 use crate::protocol::{Access, ConsistencyProtocol, Decision};
-use crate::quorum::QuorumSpec;
 
 /// The Jajodia–Mutchler dynamic voting protocol over `n` single-vote
 /// copies.
@@ -94,12 +93,6 @@ impl ConsistencyProtocol for DynamicVoting {
             self.updates += 1;
         }
         Decision::Granted
-    }
-
-    fn effective_spec(&self, _members: &[usize]) -> QuorumSpec {
-        // No fixed vote threshold exists; report majority over n for
-        // observability.
-        QuorumSpec::majority(self.vn.len() as u64)
     }
 
     fn total_votes(&self) -> u64 {

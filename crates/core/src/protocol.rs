@@ -55,10 +55,6 @@ pub trait ConsistencyProtocol {
     /// every component without perturbing protocol state.
     fn can_grant(&self, kind: Access, members: &[usize], votes: u64) -> bool;
 
-    /// The quorum specification currently governing a component with the
-    /// given membership.
-    fn effective_spec(&self, members: &[usize]) -> QuorumSpec;
-
     /// Total votes in the system.
     fn total_votes(&self) -> u64;
 }
@@ -136,10 +132,6 @@ impl ConsistencyProtocol for QuorumConsensus {
         self.decide_votes(kind, votes).is_granted()
     }
 
-    fn effective_spec(&self, _members: &[usize]) -> QuorumSpec {
-        self.spec
-    }
-
     fn total_votes(&self) -> u64 {
         self.votes.total()
     }
@@ -209,13 +201,6 @@ mod tests {
         p.set_spec(QuorumSpec::read_one_write_all(11));
         assert!(p.decide_votes(Access::Read, 1).is_granted());
         assert!(!p.decide_votes(Access::Write, 10).is_granted());
-    }
-
-    #[test]
-    fn effective_spec_is_static() {
-        let p = QuorumConsensus::majority(7);
-        assert_eq!(p.effective_spec(&[0, 1]), QuorumSpec::majority(7));
-        assert_eq!(p.total_votes(), 7);
     }
 
     #[test]

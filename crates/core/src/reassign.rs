@@ -159,6 +159,15 @@ impl QrProtocol {
             .max_by_key(|a| a.version)
     }
 
+    /// The quorum specification governing a component with the given
+    /// members: that of [`QrProtocol::effective`], or site 0's for an
+    /// empty component.
+    pub fn effective_spec(&self, members: &[usize]) -> QuorumSpec {
+        self.effective(members)
+            .map(|a| a.spec)
+            .unwrap_or_else(|| self.sites[0].spec)
+    }
+
     /// Models the version-number exchange among communicating sites: every
     /// member adopts the highest-versioned assignment in the component.
     /// Returns that assignment.
@@ -272,12 +281,6 @@ impl ConsistencyProtocol for QrProtocol {
         } else {
             Decision::Denied
         }
-    }
-
-    fn effective_spec(&self, members: &[usize]) -> QuorumSpec {
-        self.effective(members)
-            .map(|a| a.spec)
-            .unwrap_or_else(|| self.sites[0].spec)
     }
 
     fn total_votes(&self) -> u64 {

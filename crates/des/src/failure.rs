@@ -9,33 +9,6 @@
 use quorum_stats::rng::exponential;
 use rand::Rng;
 
-/// Shape of an up- or down-duration distribution (mean fixed by the
-/// process).
-///
-/// The paper's model is all-exponential (§5.2); the alternatives support
-/// the sensitivity ablation in DESIGN.md — how much do the availability
-/// conclusions depend on the memoryless assumption?
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DurationDist {
-    /// Exponential (the paper's Poisson model).
-    Exponential,
-    /// Deterministic: every duration equals the mean.
-    Fixed,
-    /// Uniform on `[0, 2·mean]` (same mean, lower variance than
-    /// exponential).
-    Uniform,
-}
-
-impl DurationDist {
-    fn sample<R: Rng + ?Sized>(self, rng: &mut R, mean: f64) -> f64 {
-        match self {
-            DurationDist::Exponential => exponential(rng, 1.0 / mean),
-            DurationDist::Fixed => mean,
-            DurationDist::Uniform => 2.0 * mean * rng.random::<f64>(),
-        }
-    }
-}
-
 /// An alternating up/down renewal process.
 #[derive(Debug, Clone, Copy)]
 pub struct OnOffProcess {
@@ -43,10 +16,6 @@ pub struct OnOffProcess {
     mu_fail: f64,
     /// Mean down duration (time-to-repair).
     mu_repair: f64,
-    /// Up-duration distribution shape.
-    fail_dist: DurationDist,
-    /// Down-duration distribution shape.
-    repair_dist: DurationDist,
     /// Current state.
     up: bool,
 }
@@ -65,19 +34,8 @@ impl OnOffProcess {
         Self {
             mu_fail,
             mu_repair,
-            fail_dist: DurationDist::Exponential,
-            repair_dist: DurationDist::Exponential,
             up: true,
         }
-    }
-
-    /// Overrides the duration distribution shapes (means unchanged, so the
-    /// long-run reliability is unchanged too — the renewal-reward ratio
-    /// depends only on the means).
-    pub fn with_distributions(mut self, fail: DurationDist, repair: DurationDist) -> Self {
-        self.fail_dist = fail;
-        self.repair_dist = repair;
-        self
     }
 
     /// Creates a process from a target long-run `reliability` and a mean
@@ -107,11 +65,12 @@ impl OnOffProcess {
     /// Samples the time until the next transition from the current state,
     /// then toggles the state. Returns `(gap, new_state_is_up)`.
     pub fn next_transition<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (f64, bool) {
-        let gap = if self.up {
-            self.fail_dist.sample(rng, self.mu_fail)
+        let mean = if self.up {
+            self.mu_fail
         } else {
-            self.repair_dist.sample(rng, self.mu_repair)
+            self.mu_repair
         };
+        let gap = exponential(rng, 1.0 / mean);
         self.up = !self.up;
         (gap, self.up)
     }
@@ -185,51 +144,5 @@ mod tests {
     #[should_panic(expected = "reliability must lie")]
     fn bad_reliability_rejected() {
         OnOffProcess::from_reliability(1.0, 10.0);
-    }
-
-    #[test]
-    fn fixed_durations_are_deterministic() {
-        let mut p = OnOffProcess::new(10.0, 2.0)
-            .with_distributions(DurationDist::Fixed, DurationDist::Fixed);
-        let mut rng = rng_from_seed(1);
-        assert_eq!(p.next_transition(&mut rng), (10.0, false));
-        assert_eq!(p.next_transition(&mut rng), (2.0, true));
-        assert_eq!(p.next_transition(&mut rng), (10.0, false));
-    }
-
-    #[test]
-    fn alternative_distributions_preserve_reliability() {
-        // Long-run up fraction depends only on the means (renewal-reward),
-        // so every shape must land at 96%.
-        for (fd, rd) in [
-            (DurationDist::Fixed, DurationDist::Exponential),
-            (DurationDist::Uniform, DurationDist::Uniform),
-            (DurationDist::Exponential, DurationDist::Fixed),
-        ] {
-            let mut p = OnOffProcess::from_reliability(0.96, 128.0).with_distributions(fd, rd);
-            let mut rng = rng_from_seed(33);
-            let mut t_up = 0.0;
-            let mut t_total = 0.0;
-            for _ in 0..100_000 {
-                let was_up = p.is_up();
-                let (gap, _) = p.next_transition(&mut rng);
-                if was_up {
-                    t_up += gap;
-                }
-                t_total += gap;
-            }
-            let frac = t_up / t_total;
-            assert!((frac - 0.96).abs() < 0.005, "{fd:?}/{rd:?}: {frac}");
-        }
-    }
-
-    #[test]
-    fn uniform_durations_have_matching_mean() {
-        let mut p = OnOffProcess::new(8.0, 8.0)
-            .with_distributions(DurationDist::Uniform, DurationDist::Uniform);
-        let mut rng = rng_from_seed(5);
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| p.next_transition(&mut rng).0).sum::<f64>() / n as f64;
-        assert!((mean - 8.0).abs() < 0.05, "mean {mean}");
     }
 }

@@ -35,7 +35,7 @@ mod poisson;
 mod time;
 
 pub use event::{EventKey, EventQueue};
-pub use failure::{DurationDist, OnOffProcess};
+pub use failure::OnOffProcess;
 pub use params::{ci_points, SimParams};
 pub use poisson::PoissonProcess;
 pub use time::SimTime;

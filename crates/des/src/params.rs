@@ -29,10 +29,6 @@ pub struct SimParams {
     pub confidence: f64,
     /// Target CI half-width.
     pub ci_half_width: f64,
-    /// Up-duration distribution shape (paper: exponential).
-    pub fail_dist: crate::failure::DurationDist,
-    /// Down-duration distribution shape (paper: exponential).
-    pub repair_dist: crate::failure::DurationDist,
 }
 
 impl SimParams {
@@ -48,8 +44,6 @@ impl SimParams {
             max_batches: 18,
             confidence: 0.95,
             ci_half_width: 0.005,
-            fail_dist: crate::failure::DurationDist::Exponential,
-            repair_dist: crate::failure::DurationDist::Exponential,
         }
     }
 

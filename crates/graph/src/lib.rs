@@ -31,12 +31,9 @@
 //!   bitsets. Slots carry generation stamps so per-component data can
 //!   outlive unrelated events.
 //! * [`BusNetwork`] — the single-bus architecture of §4.2 (both variants).
-//! * [`articulation_points`] — cut-vertex detection (Tarjan) feeding the
-//!   structural vote-weighting heuristic.
 
 #![warn(missing_docs)]
 
-mod articulation;
 mod bitset;
 mod bus;
 mod connectivity;
@@ -44,7 +41,6 @@ mod delta;
 mod state;
 mod topology;
 
-pub use articulation::{articulation_points, articulation_weighted_votes};
 pub use bitset::BitSet;
 pub use bus::{BusFailureMode, BusNetwork};
 pub use connectivity::{ComponentView, LiveNetwork};

@@ -73,18 +73,6 @@ impl Topology {
         require(sites >= 2, "a bus needs at least 2 sites")
     }
 
-    /// Checks the cluster count of a [`Topology::ring_of_clusters`],
-    /// returning the violated rule.
-    pub fn check_clusters(clusters: usize) -> Result<(), String> {
-        require(clusters >= 3, "need at least 3 clusters for a ring")
-    }
-
-    /// Checks the cluster size of a [`Topology::ring_of_clusters`],
-    /// returning the violated rule.
-    pub fn check_cluster_size(cluster_size: usize) -> Result<(), String> {
-        require(cluster_size >= 2, "clusters need at least 2 sites")
-    }
-
     /// Builds a topology from an explicit link list.
     ///
     /// # Panics
@@ -219,32 +207,6 @@ impl Topology {
             }
         }
         Self::from_links(n, links, format!("hypercube-{d}"))
-    }
-
-    /// A ring of `clusters` fully-connected clusters of `cluster_size`
-    /// sites each — the classic WAN shape (data centers on a backbone
-    /// ring). Site `c·cluster_size + i` is member `i` of cluster `c`;
-    /// consecutive clusters are joined by one link between their
-    /// "gateway" members (member 0 of one to member 1 of the next, so a
-    /// single site failure doesn't sever both of a cluster's WAN links).
-    ///
-    /// # Panics
-    /// Panics unless `clusters ≥ 3` and `cluster_size ≥ 2`.
-    pub fn ring_of_clusters(clusters: usize, cluster_size: usize) -> Self {
-        enforce(Self::check_clusters(clusters));
-        enforce(Self::check_cluster_size(cluster_size));
-        let n = clusters * cluster_size;
-        let at = |c: usize, i: usize| c * cluster_size + i;
-        let mut links = Vec::new();
-        for c in 0..clusters {
-            for a in 0..cluster_size {
-                for b in a + 1..cluster_size {
-                    links.push((at(c, a), at(c, b)));
-                }
-            }
-            links.push((at(c, 0), at((c + 1) % clusters, 1)));
-        }
-        Self::from_links(n, links, format!("clusters-{clusters}x{cluster_size}"))
     }
 
     /// Erdős–Rényi `G(n, p)` random graph (each possible link present
@@ -569,28 +531,6 @@ mod tests {
         assert_eq!(empty.num_links(), 0);
         let full = Topology::gnp(10, 1.0, &mut rng);
         assert_eq!(full.num_links(), 45);
-    }
-
-    #[test]
-    fn ring_of_clusters_structure() {
-        let t = Topology::ring_of_clusters(4, 3);
-        assert_eq!(t.num_sites(), 12);
-        // Per cluster: C(3,2)=3 internal + 1 WAN link → 4·4 = 16.
-        assert_eq!(t.num_links(), 16);
-        // Gateways carry the extra WAN degree: member 0 sends the
-        // outgoing WAN link, member 1 receives the incoming one.
-        assert_eq!(t.degree(0), 3, "member 0: 2 internal + outgoing WAN");
-        assert_eq!(t.degree(1), 3, "member 1: 2 internal + incoming WAN");
-        assert_eq!(t.degree(2), 2, "member 2: internal only");
-    }
-
-    #[test]
-    fn ring_of_clusters_is_connected() {
-        use crate::{ComponentView, NetworkState};
-        let t = Topology::ring_of_clusters(5, 4);
-        let s = NetworkState::all_up(&t);
-        let v = ComponentView::compute(&t, &s, &[1; 20]);
-        assert_eq!(v.num_components(), 1);
     }
 
     #[test]

@@ -92,10 +92,10 @@
 //! last choice swaps `st` into `next` and steps it without a copy, since
 //! the next pop overwrites `st` anyway. (A state the dead-message
 //! reduction collapses to one drop is never copied at all.) A new state
-//! is appended as a record. Once the read cursor passes half the
-//! buffer, the consumed prefix is drained, so each byte is moved at
-//! most once per byte popped before it and the buffer stays within
-//! about twice the live frontier.
+//! is appended as a record. Once the read cursor passes a quarter of
+//! the buffer, the consumed prefix is drained, so each byte is moved at
+//! most three times per byte popped before it and the buffer stays
+//! within about 4/3 of the live frontier.
 //!
 //! ## Reduction
 //!
@@ -502,9 +502,10 @@ impl Frontier {
         let depth = u32::try_from(depth).expect("depths fit a u32");
         st.read_record(&mut bytes);
         self.read = self.buf.len() - bytes.len();
-        // Drop the consumed prefix once it is the larger half: each byte
-        // moves at most once per byte popped before it.
-        if 2 * self.read > self.buf.len() {
+        // Drop the consumed prefix once it passes a quarter of the
+        // buffer, so the buffer stays within 4/3 of the live records:
+        // each byte moves at most three times per byte popped before it.
+        if 4 * self.read > self.buf.len() {
             self.buf.drain(..self.read);
             self.read = 0;
         }
@@ -1810,8 +1811,8 @@ mod tests {
         let mut popped = Vec::new();
         while let Some(depth) = frontier.pop_into(&mut st) {
             popped.push((depth, format!("{st:?}")));
-            // The consumed prefix never outgrows what is left.
-            assert!(2 * frontier.read <= frontier.buf.len());
+            // The consumed prefix never passes a quarter of the buffer.
+            assert!(4 * frontier.read <= frontier.buf.len());
         }
         let expected: Vec<_> = (300..)
             .zip(&states)

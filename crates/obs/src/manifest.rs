@@ -44,10 +44,6 @@ pub struct SimParamsRecord {
     pub confidence: f64,
     /// Target CI half-width.
     pub ci_half_width: f64,
-    /// Up-duration distribution name.
-    pub fail_dist: String,
-    /// Down-duration distribution name.
-    pub repair_dist: String,
 }
 
 /// Shape of the simulated network.
@@ -222,11 +218,6 @@ impl RunManifest {
         params.insert("max_batches", JsonValue::Int(self.params.max_batches));
         params.insert("confidence", JsonValue::Num(self.params.confidence));
         params.insert("ci_half_width", JsonValue::Num(self.params.ci_half_width));
-        params.insert("fail_dist", JsonValue::Str(self.params.fail_dist.clone()));
-        params.insert(
-            "repair_dist",
-            JsonValue::Str(self.params.repair_dist.clone()),
-        );
         root.insert("params", params);
 
         let mut topo = JsonValue::object();
@@ -348,8 +339,6 @@ impl RunManifest {
             max_batches: u64_field(p, "max_batches")?,
             confidence: f64_field(p, "confidence")?,
             ci_half_width: f64_field(p, "ci_half_width")?,
-            fail_dist: str_field(p, "fail_dist")?,
-            repair_dist: str_field(p, "repair_dist")?,
         };
 
         let t = get("topology")?;
@@ -501,8 +490,6 @@ mod tests {
             max_batches: 6,
             confidence: 0.95,
             ci_half_width: 0.02,
-            fail_dist: "exponential".into(),
-            repair_dist: "exponential".into(),
         };
         m.topology = TopologyRecord {
             label: "paper-topology-16".into(),

@@ -164,10 +164,6 @@ impl ConsistencyProtocol for AdaptiveQr {
         self.qr.decide(kind, members, votes)
     }
 
-    fn effective_spec(&self, members: &[usize]) -> QuorumSpec {
-        self.qr.effective_spec(members)
-    }
-
     fn total_votes(&self) -> u64 {
         self.qr.total_votes()
     }
@@ -244,7 +240,7 @@ pub fn run_adaptive(
             phase,
             stats,
             reassignments: proto.successes(),
-            final_spec: proto.effective_spec(&all),
+            final_spec: proto.qr.effective_spec(&all),
         });
     }
     results

@@ -80,8 +80,7 @@ impl BusSimulation {
         let mut stats = BatchStats::new(self.votes.total() as usize);
 
         let component_process =
-            OnOffProcess::from_reliability(self.params.reliability, self.params.mu_fail())
-                .with_distributions(self.params.fail_dist, self.params.repair_dist);
+            OnOffProcess::from_reliability(self.params.reliability, self.params.mu_fail());
         let mut site_procs = vec![component_process; n];
         let mut bus_proc = component_process;
 

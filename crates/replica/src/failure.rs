@@ -1,17 +1,16 @@
 //! The §5.2 failure world, shared by every engine that replays it.
 //!
 //! The paper's model gives every site and every link one alternating
-//! up/down renewal process, with an optional per-link reliability
-//! override. Three engines replay that model: the instantaneous
-//! simulator ([`crate::Simulation`]), the message-level cluster engine
-//! (`quorum-cluster`) and the shard crate's per-run failure timeline
-//! (`quorum-shard`). All three run it through one [`FailureWorld`]: the
-//! process bank, the failure RNG stream and the [`LiveNetwork`] (the
-//! up/down state together with its connectivity kernel), with one
-//! scheduling order and one transition arm. That is what makes the
-//! engines consume the failure stream identically, so the cluster
-//! engine's zero-latency degeneracy and the timeline's per-epoch grants
-//! are exact rather than merely statistical.
+//! up/down renewal process, all with the same reliability. Three engines
+//! replay that model: the instantaneous simulator ([`crate::Simulation`]),
+//! the message-level cluster engine (`quorum-cluster`) and the shard
+//! crate's per-run failure timeline (`quorum-shard`). All three run it
+//! through one [`FailureWorld`]: the process bank, the failure RNG
+//! stream and the [`LiveNetwork`] (the up/down state together with its
+//! connectivity kernel), with one scheduling order and one transition
+//! arm. That is what makes the engines consume the failure stream
+//! identically, so the cluster engine's zero-latency degeneracy and the
+//! timeline's per-epoch grants are exact rather than merely statistical.
 
 use quorum_des::{EventQueue, OnOffProcess, SimParams, SimTime};
 use quorum_graph::{DeltaConnectivity, LiveNetwork, Topology};
@@ -36,26 +35,12 @@ struct FailureProcesses {
 
 impl FailureProcesses {
     /// Creates the process bank: every component starts up, with the
-    /// homogeneous parameters, except links with a supplied per-link
-    /// reliability.
-    ///
-    /// # Panics
-    /// Panics if `link_rels` does not hold one reliability per link.
-    fn new(params: &SimParams, n_sites: usize, n_links: usize, link_rels: Option<&[f64]>) -> Self {
-        let process = |p: f64| {
-            OnOffProcess::from_reliability(p, params.mu_fail())
-                .with_distributions(params.fail_dist, params.repair_dist)
-        };
-        let links = match link_rels {
-            None => vec![process(params.reliability); n_links],
-            Some(rels) => {
-                assert_eq!(rels.len(), n_links, "one reliability per component");
-                rels.iter().map(|&p| process(p)).collect()
-            }
-        };
+    /// homogeneous parameters.
+    fn new(params: &SimParams, n_sites: usize, n_links: usize) -> Self {
+        let process = OnOffProcess::from_reliability(params.reliability, params.mu_fail());
         Self {
-            sites: vec![process(params.reliability); n_sites],
-            links,
+            sites: vec![process; n_sites],
+            links: vec![process; n_links],
         }
     }
 
@@ -88,25 +73,13 @@ pub struct FailureWorld<'a> {
 
 impl<'a> FailureWorld<'a> {
     /// The all-up world of batch seed `batch_seed`, weighting components
-    /// by `votes`. Reliabilities are homogeneous (`params.reliability`)
-    /// unless a per-link list is given.
+    /// by `votes`. Every component is `params.reliability` reliable.
     ///
     /// # Panics
-    /// Panics if `votes` or the link list does not cover the topology.
-    pub fn new(
-        topology: &'a Topology,
-        votes: &[u64],
-        params: &SimParams,
-        batch_seed: u64,
-        link_rels: Option<&[f64]>,
-    ) -> Self {
+    /// Panics if `votes` does not cover the topology.
+    pub fn new(topology: &'a Topology, votes: &[u64], params: &SimParams, batch_seed: u64) -> Self {
         Self {
-            procs: FailureProcesses::new(
-                params,
-                topology.num_sites(),
-                topology.num_links(),
-                link_rels,
-            ),
+            procs: FailureProcesses::new(params, topology.num_sites(), topology.num_links()),
             rng: rng_from_seed(derive_seed(batch_seed, 1)),
             network: LiveNetwork::new(topology, votes),
             site_transitions: 0,
@@ -192,13 +165,13 @@ mod tests {
     use quorum_graph::ComponentView;
 
     fn world<'a>(t: &'a Topology, votes: &[u64], seed: u64) -> FailureWorld<'a> {
-        FailureWorld::new(t, votes, &SimParams::quick(), seed, None)
+        FailureWorld::new(t, votes, &SimParams::quick(), seed)
     }
 
     #[test]
     fn bank_sizes_and_defaults() {
         let p = SimParams::quick();
-        let f = FailureProcesses::new(&p, 5, 7, None);
+        let f = FailureProcesses::new(&p, 5, 7);
         assert_eq!((f.sites.len(), f.links.len()), (5, 7));
         assert!(f.sites.iter().all(|s| s.reliability() == p.reliability));
     }
@@ -264,22 +237,5 @@ mod tests {
         let delta = w.network().delta_counters();
         assert_eq!(delta.total(), w.site_transitions() + w.link_transitions());
         assert_eq!(w.network().hits() + w.network().recomputations(), 200);
-    }
-
-    #[test]
-    fn heterogeneous_reliabilities_apply() {
-        let p = SimParams::quick();
-        let f = FailureProcesses::new(&p, 1, 2, Some(&[0.5, 0.99]));
-        assert_eq!(f.links[0].reliability(), 0.5);
-        assert!((f.links[1].reliability() - 0.99).abs() < 1e-12);
-        assert_eq!(f.sites[0].reliability(), p.reliability);
-    }
-
-    #[test]
-    #[should_panic(expected = "one reliability per component")]
-    fn wrong_override_length_rejected() {
-        let t = Topology::ring(3);
-        let votes = vec![1; 3];
-        FailureWorld::new(&t, &votes, &SimParams::quick(), 1, Some(&[0.9]));
     }
 }

@@ -37,7 +37,6 @@ mod runner;
 pub mod scenario;
 pub mod script;
 mod simulation;
-mod sweep;
 mod workload;
 
 pub use adaptive::{run_adaptive, run_phased, AdaptiveConfig, AdaptiveQr, Phase};
@@ -48,5 +47,4 @@ pub use results::{BatchStats, RunResults};
 pub use runner::{run_protocol_observed, run_static, run_static_observed, RunConfig};
 pub use scenario::PaperScenario;
 pub use simulation::{AccessObserver, NullObserver, Simulation};
-pub use sweep::sweep_read_quorum;
 pub use workload::Workload;

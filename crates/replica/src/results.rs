@@ -37,11 +37,6 @@ pub struct BatchStats {
     /// access — the SURV numerator (§3). Only counted when the run enables
     /// survivability probing.
     pub surv_possible: u64,
-    /// Sites contacted by measured accesses: a granted access contacts the
-    /// cheapest member set reaching its quorum; a denied access polls the
-    /// whole component before giving up. (Vote-collection messages; the
-    /// reply leg doubles it.)
-    pub contact_messages: u64,
     /// Granted reads that missed the most recent write (0 under valid
     /// quorums — condition 1).
     pub stale_reads: u64,
@@ -89,7 +84,6 @@ impl BatchStats {
             time_weighted_votes: vec![0.0; total_votes + 1],
             measured_time: 0.0,
             surv_possible: 0,
-            contact_messages: 0,
             stale_reads: 0,
             write_conflicts: 0,
             cache_recomputations: 0,
@@ -182,15 +176,6 @@ impl BatchStats {
         }
     }
 
-    /// Mean vote-collection contacts per measured access.
-    pub fn contacts_per_access(&self) -> f64 {
-        if self.submitted() == 0 {
-            0.0
-        } else {
-            self.contact_messages as f64 / self.submitted() as f64
-        }
-    }
-
     /// Fraction of writes granted.
     pub fn write_availability(&self) -> f64 {
         if self.writes_submitted == 0 {
@@ -222,7 +207,6 @@ impl BatchStats {
         }
         self.measured_time += other.measured_time;
         self.surv_possible += other.surv_possible;
-        self.contact_messages += other.contact_messages;
         self.stale_reads += other.stale_reads;
         self.write_conflicts += other.write_conflicts;
         self.cache_recomputations += other.cache_recomputations;
@@ -259,10 +243,6 @@ impl BatchStats {
 pub struct RunResults {
     /// Batch-means accumulator over per-batch ACC.
     pub acc: BatchMeans,
-    /// Batch-means accumulator over per-batch read availability.
-    pub read_acc: BatchMeans,
-    /// Batch-means accumulator over per-batch write availability.
-    pub write_acc: BatchMeans,
     /// Union of all batches' raw observations.
     pub combined: BatchStats,
     /// Number of batches executed.
@@ -342,12 +322,9 @@ mod tests {
         b.reads_submitted = 10;
         b.writes_submitted = 10;
         b.surv_possible = 15;
-        b.contact_messages = 60;
         assert!((b.surv_availability() - 0.75).abs() < 1e-12);
-        assert!((b.contacts_per_access() - 3.0).abs() < 1e-12);
         let empty = BatchStats::new(3);
         assert_eq!(empty.surv_availability(), 0.0);
-        assert_eq!(empty.contacts_per_access(), 0.0);
     }
 
     #[test]

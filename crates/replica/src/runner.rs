@@ -16,7 +16,7 @@ use quorum_core::{ConsistencyProtocol, QuorumConsensus, QuorumSpec, VoteAssignme
 use quorum_des::SimParams;
 use quorum_graph::Topology;
 use quorum_obs::{keys, Key, Registry};
-use quorum_stats::{converge, BatchMeans};
+use quorum_stats::converge;
 
 /// Configuration of a multi-batch run.
 #[derive(Debug, Clone, Copy)]
@@ -94,12 +94,6 @@ where
     cfg.params.validate();
     let total = votes.total() as usize;
 
-    let mut read_acc = BatchMeans::new(
-        cfg.params.confidence,
-        cfg.params.ci_half_width,
-        cfg.params.min_batches,
-    );
-    let mut write_acc = read_acc.clone();
     let mut combined = BatchStats::new(total);
 
     let conv = converge(
@@ -117,8 +111,6 @@ where
         },
         BatchStats::availability,
         |_, stats, elapsed| {
-            read_acc.push_batch(stats.read_availability());
-            write_acc.push_batch(stats.write_availability());
             combined.merge(&stats);
             registry.record_duration(keys::REPLICA_BATCH, elapsed);
         },
@@ -134,8 +126,6 @@ where
     RunResults {
         batches: conv.batches,
         acc: conv.acc,
-        read_acc,
-        write_acc,
         combined,
         ci_trace: quorum_des::ci_points(&conv.trace),
     }

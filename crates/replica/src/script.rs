@@ -355,9 +355,6 @@ mod tests {
             fn can_grant(&self, _k: Access, _m: &[usize], votes: u64) -> bool {
                 votes >= 2
             }
-            fn effective_spec(&self, _m: &[usize]) -> QuorumSpec {
-                QuorumSpec::majority(5)
-            }
             fn total_votes(&self) -> u64 {
                 5
             }

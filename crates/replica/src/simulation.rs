@@ -42,11 +42,10 @@ impl From<Transition> for Event {
 
 /// What the access path needs from one component beyond the kernel's
 /// own reads, per kernel slot: the ascending member list (the `&[usize]`
-/// the protocol and the observer take) and the prefix sums of the
-/// members' votes in descending order (the contact count). An entry is
-/// filled on first use and keyed by the slot's generation, so it stays
-/// valid across every event that left its slot alone and is refilled
-/// only after the slot's members moved.
+/// the protocol and the observer take). An entry is filled on first use
+/// and keyed by the slot's generation, so it stays valid across every
+/// event that left its slot alone and is refilled only after the slot's
+/// members moved.
 #[derive(Default)]
 struct ComponentMemo {
     entries: Vec<MemoEntry>,
@@ -58,18 +57,12 @@ struct ComponentMemo {
 struct MemoEntry {
     generation: u64,
     members: Vec<usize>,
-    vote_prefix: Vec<u64>,
 }
 
 impl ComponentMemo {
-    /// Member list and descending vote prefix sums of the component in
-    /// `slot`, refilling the entry if the slot's generation moved.
-    fn entry(
-        &mut self,
-        partition: &DeltaConnectivity,
-        slot: u32,
-        votes: &[u64],
-    ) -> (&[usize], &[u64]) {
+    /// Member list of the component in `slot`, refilling the entry if
+    /// the slot's generation moved.
+    fn members(&mut self, partition: &DeltaConnectivity, slot: u32) -> &[usize] {
         let s = slot as usize;
         if s >= self.entries.len() {
             self.entries.resize_with(s + 1, MemoEntry::default);
@@ -82,27 +75,9 @@ impl ComponentMemo {
             entry
                 .members
                 .extend(partition.slot_members(slot).iter_ones());
-            entry.vote_prefix.clear();
-            entry
-                .vote_prefix
-                .extend(entry.members.iter().map(|&site| votes[site]));
-            entry.vote_prefix.sort_unstable_by(|a, b| b.cmp(a));
-            let mut acc = 0;
-            for v in &mut entry.vote_prefix {
-                acc += *v;
-                *v = acc;
-            }
         }
-        (&entry.members, &entry.vote_prefix)
+        &entry.members
     }
-}
-
-/// Members a granted access contacts: the fewest, taken by largest votes
-/// first, whose votes reach `threshold` — or every member if none do.
-/// `vote_prefix` is a component's descending vote prefix sums.
-fn contacts(vote_prefix: &[u64], threshold: u64) -> u64 {
-    let reached_at = vote_prefix.partition_point(|&sum| sum < threshold);
-    (reached_at + 1).min(vote_prefix.len()) as u64
 }
 
 /// A single-batch simulation of one topology.
@@ -119,7 +94,6 @@ pub struct Simulation<'a> {
     batches_run: u64,
     probe_survivability: bool,
     time_weighted: bool,
-    link_reliabilities: Option<Vec<f64>>,
 }
 
 /// Observer hooks invoked on every access. The per-site `f̂` bank
@@ -226,27 +200,7 @@ impl<'a> Simulation<'a> {
             batches_run: 0,
             probe_survivability: false,
             time_weighted: false,
-            link_reliabilities: None,
         }
-    }
-
-    /// Overrides the per-link reliabilities (sites keep the global
-    /// parameter). Lets scenarios distinguish flaky WAN links from solid
-    /// LAN links.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or probabilities outside `(0, 1)`.
-    pub fn with_link_reliabilities(mut self, reliabilities: Vec<f64>) -> Self {
-        assert_eq!(
-            reliabilities.len(),
-            self.topology.num_links(),
-            "one reliability per link"
-        );
-        for &p in &reliabilities {
-            assert!(p > 0.0 && p < 1.0, "link reliability must lie in (0,1)");
-        }
-        self.link_reliabilities = Some(reliabilities);
-        self
     }
 
     /// Enables time-weighted vote accounting: between events, every site's
@@ -303,13 +257,7 @@ impl<'a> Simulation<'a> {
         let mut access_rng: StdRng = rng_from_seed(derive_seed(seed, 2));
         let mut workload_rng: StdRng = rng_from_seed(derive_seed(seed, 3));
 
-        let mut world = FailureWorld::new(
-            self.topology,
-            self.votes.as_slice(),
-            &self.params,
-            seed,
-            self.link_reliabilities.as_deref(),
-        );
+        let mut world = FailureWorld::new(self.topology, self.votes.as_slice(), &self.params, seed);
         let mut checker = SerializabilityChecker::new(n);
         let mut stats = BatchStats::new(total_votes);
         let mut queue = EventQueue::new();
@@ -357,17 +305,16 @@ impl<'a> Simulation<'a> {
                     // from its memo entry.
                     let surv = self.probe_survivability
                         && partition.live_slots().any(|slot| {
-                            let (members, _) = memo.entry(partition, slot, self.votes.as_slice());
+                            let members = memo.members(partition, slot);
                             protocol.can_grant(kind, members, partition.slot_votes(slot))
                         });
                     // A site that is down, or whose component holds no
                     // votes, accesses with no members.
-                    let (members, vote_prefix, member_bits) = if votes > 0 {
+                    let (members, member_bits) = if votes > 0 {
                         let slot = partition.slot_of(site);
-                        let (members, prefix) = memo.entry(partition, slot, self.votes.as_slice());
-                        (members, prefix, partition.slot_members(slot))
+                        (memo.members(partition, slot), partition.slot_members(slot))
                     } else {
-                        (&[][..], &[][..], &no_members)
+                        (&[][..], &no_members)
                     };
                     // The 1SR checker tracks *all* granted accesses —
                     // consistency must hold during warm-up too.
@@ -376,16 +323,6 @@ impl<'a> Simulation<'a> {
 
                     let measured = accesses_seen > warmup;
                     if measured {
-                        // Vote-collection cost: a granted access contacts
-                        // the cheapest member subset reaching its quorum
-                        // (largest votes first); a denied access polls the
-                        // whole component before giving up.
-                        stats.contact_messages += if decision.is_granted() {
-                            let threshold = protocol.effective_spec(members).threshold(kind);
-                            contacts(vote_prefix, threshold)
-                        } else {
-                            members.len() as u64
-                        };
                         if surv {
                             stats.surv_possible += 1;
                         }
@@ -604,37 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn flaky_links_reduce_availability() {
-        // Same ring, same sites; drop three links to 60% reliability and
-        // availability must fall versus the uniform baseline.
-        let topo = Topology::ring(15);
-        let params = SimParams {
-            warmup_accesses: 1_000,
-            batch_accesses: 25_000,
-            ..SimParams::paper()
-        };
-        let base = {
-            let mut sim = Simulation::new(&topo, params, Workload::uniform(15, 0.5), 52);
-            let mut proto = QuorumConsensus::majority(15);
-            sim.run_batch(&mut proto, &mut NullObserver).availability()
-        };
-        let degraded = {
-            let mut rels = vec![0.96; 15];
-            rels[0] = 0.60;
-            rels[5] = 0.60;
-            rels[10] = 0.60;
-            let mut sim = Simulation::new(&topo, params, Workload::uniform(15, 0.5), 52)
-                .with_link_reliabilities(rels);
-            let mut proto = QuorumConsensus::majority(15);
-            sim.run_batch(&mut proto, &mut NullObserver).availability()
-        };
-        assert!(
-            degraded < base - 0.03,
-            "flaky links should hurt: {degraded} vs {base}"
-        );
-    }
-
-    #[test]
     fn pasta_access_sampling_equals_time_average() {
         // Poisson Arrivals See Time Averages: the histogram of component
         // votes sampled at access instants must equal the time-weighted
@@ -709,9 +615,6 @@ mod tests {
                     Access::Read => votes >= 1,
                     Access::Write => votes >= 8,
                 }
-            }
-            fn effective_spec(&self, _m: &[usize]) -> QuorumSpec {
-                QuorumSpec::majority(15)
             }
             fn total_votes(&self) -> u64 {
                 15

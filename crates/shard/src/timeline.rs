@@ -95,7 +95,7 @@ impl FailureTimeline {
         }
         let n = topology.num_sites();
         let uniform = vec![1u64; n];
-        let mut world = FailureWorld::new(topology, &uniform, params, seed, None);
+        let mut world = FailureWorld::new(topology, &uniform, params, seed);
         let mut queue: EventQueue<Transition> = EventQueue::new();
         world.schedule_initial(&mut queue);
 

@@ -102,11 +102,6 @@ pub struct BatchMeans {
 }
 
 impl BatchMeans {
-    /// Paper defaults: 95 % confidence, ±0.5 % half-width, ≥ 5 batches.
-    pub fn paper_defaults() -> Self {
-        Self::new(0.95, 0.005, 5)
-    }
-
     /// Creates a batch-means estimator.
     ///
     /// # Panics
@@ -235,7 +230,7 @@ mod tests {
 
     #[test]
     fn batch_means_converges_on_identical_batches() {
-        let mut bm = BatchMeans::paper_defaults();
+        let mut bm = BatchMeans::new(0.95, 0.005, 5);
         assert!(!bm.is_converged());
         for _ in 0..5 {
             bm.push_batch(0.75);

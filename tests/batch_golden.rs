@@ -5,8 +5,8 @@
 //! headline counters field by field, and everything else (all vote
 //! histograms, the time-weighted mass) through a 64-bit FNV-1a hash of
 //! the `{:?}` rendering. A change to the access path — how member lists
-//! are built, how the contact count is computed, how the 1SR checker
-//! tracks current copies — must leave every one of these values as it is.
+//! are built, how the 1SR checker tracks current copies — must leave
+//! every one of these values as it is.
 //!
 //! The configurations cover the shapes that stress different parts of
 //! the access path: many small components (a plain ring), one large
@@ -48,7 +48,6 @@ struct Pin {
     reads_granted: u64,
     writes_submitted: u64,
     writes_granted: u64,
-    contact_messages: u64,
     stale_reads: u64,
     write_conflicts: u64,
     surv_possible: u64,
@@ -64,7 +63,6 @@ fn pin(s: &BatchStats) -> Pin {
         reads_granted: s.reads_granted,
         writes_submitted: s.writes_submitted,
         writes_granted: s.writes_granted,
-        contact_messages: s.contact_messages,
         stale_reads: s.stale_reads,
         write_conflicts: s.write_conflicts,
         surv_possible: s.surv_possible,
@@ -104,28 +102,26 @@ fn ring_without_chords_with_surv_probe() {
                 reads_granted: 1354,
                 writes_submitted: 2959,
                 writes_granted: 0,
-                contact_messages: 110919,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 2634,
                 cache_hits: 6807,
                 cache_recomputations: 193,
                 events_processed: 7202,
-                debug_fnv: 5351542117258546072,
+                debug_fnv: 9907643365518967260,
             },
             Pin {
                 reads_submitted: 2999,
                 reads_granted: 1580,
                 writes_submitted: 3001,
                 writes_granted: 39,
-                contact_messages: 119121,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 2954,
                 cache_hits: 6805,
                 cache_recomputations: 195,
                 events_processed: 7210,
-                debug_fnv: 4109634307668121008,
+                debug_fnv: 12742998972631601462,
             },
         ]
     );
@@ -147,28 +143,26 @@ fn ring_with_sixteen_chords_time_weighted() {
                 reads_granted: 1256,
                 writes_submitted: 4547,
                 writes_granted: 2955,
-                contact_messages: 307373,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 0,
                 cache_hits: 13048,
                 cache_recomputations: 157,
                 events_processed: 7231,
-                debug_fnv: 4503912628870872563,
+                debug_fnv: 3431229283434376219,
             },
             Pin {
                 reads_submitted: 1505,
                 reads_granted: 1394,
                 writes_submitted: 4495,
                 writes_granted: 3820,
-                contact_messages: 337901,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 0,
                 cache_hits: 13060,
                 cache_recomputations: 131,
                 events_processed: 7227,
-                debug_fnv: 4473832465810350958,
+                debug_fnv: 15179759668226430416,
             },
         ]
     );
@@ -189,28 +183,26 @@ fn fully_connected_with_surv_probe() {
                 reads_granted: 4433,
                 writes_submitted: 1461,
                 writes_granted: 1425,
-                contact_messages: 72672,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 6000,
                 cache_hits: 6908,
                 cache_recomputations: 92,
                 events_processed: 8661,
-                debug_fnv: 6561373574293545733,
+                debug_fnv: 5118382820401374156,
             },
             Pin {
                 reads_submitted: 4506,
                 reads_granted: 4231,
                 writes_submitted: 1494,
                 writes_granted: 1406,
-                contact_messages: 70417,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 6000,
                 cache_hits: 6900,
                 cache_recomputations: 100,
                 events_processed: 8624,
-                debug_fnv: 15235768984990597261,
+                debug_fnv: 516596242746764383,
             },
         ]
     );
@@ -235,28 +227,26 @@ fn unequal_votes_with_ties() {
                 reads_granted: 2387,
                 writes_submitted: 2968,
                 writes_granted: 1443,
-                contact_messages: 192590,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 4688,
                 cache_hits: 13019,
                 cache_recomputations: 158,
                 events_processed: 7195,
-                debug_fnv: 154172444442094220,
+                debug_fnv: 17747804467327805681,
             },
             Pin {
                 reads_submitted: 2985,
                 reads_granted: 2216,
                 writes_submitted: 3015,
                 writes_granted: 1150,
-                contact_messages: 184297,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 4317,
                 cache_hits: 13001,
                 cache_recomputations: 171,
                 events_processed: 7195,
-                debug_fnv: 513906016545310845,
+                debug_fnv: 5969962809689003157,
             },
         ]
     );
@@ -285,28 +275,26 @@ fn adaptive_qr_reassigns_and_refreshes() {
                 reads_granted: 3914,
                 writes_submitted: 1156,
                 writes_granted: 514,
-                contact_messages: 158891,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 5295,
                 cache_hits: 6833,
                 cache_recomputations: 167,
                 events_processed: 7202,
-                debug_fnv: 16725576757443374115,
+                debug_fnv: 11399899809433302106,
             },
             Pin {
                 reads_submitted: 4771,
                 reads_granted: 4562,
                 writes_submitted: 1229,
                 writes_granted: 38,
-                contact_messages: 81870,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 4809,
                 cache_hits: 6834,
                 cache_recomputations: 166,
                 events_processed: 7195,
-                debug_fnv: 5672470999503338769,
+                debug_fnv: 11232005429918253462,
             },
         ]
     );
@@ -327,28 +315,26 @@ fn dynamic_voting_on_ring_with_chords() {
                 reads_granted: 1235,
                 writes_submitted: 3589,
                 writes_granted: 1828,
-                contact_messages: 188210,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 6000,
                 cache_hits: 6843,
                 cache_recomputations: 157,
                 events_processed: 7172,
-                debug_fnv: 10476205978366051981,
+                debug_fnv: 4878940768059056496,
             },
             Pin {
                 reads_submitted: 2386,
                 reads_granted: 1502,
                 writes_submitted: 3614,
                 writes_granted: 2337,
-                contact_messages: 220568,
                 stale_reads: 0,
                 write_conflicts: 0,
                 surv_possible: 5944,
                 cache_hits: 6862,
                 cache_recomputations: 138,
                 events_processed: 7161,
-                debug_fnv: 5485182415310740869,
+                debug_fnv: 11155657783521000671,
             },
         ]
     );
@@ -375,10 +361,6 @@ impl ConsistencyProtocol for UnsafeQuorums {
         }
     }
 
-    fn effective_spec(&self, _members: &[usize]) -> QuorumSpec {
-        QuorumSpec::majority(101)
-    }
-
     fn total_votes(&self) -> u64 {
         101
     }
@@ -397,28 +379,26 @@ fn unsafe_quorums_on_a_ring() {
                 reads_granted: 2875,
                 writes_submitted: 2993,
                 writes_granted: 122,
-                contact_messages: 108611,
                 stale_reads: 1316,
                 write_conflicts: 0,
                 surv_possible: 0,
                 cache_hits: 6813,
                 cache_recomputations: 187,
                 events_processed: 7198,
-                debug_fnv: 4267561382021870998,
+                debug_fnv: 11230861946477607444,
             },
             Pin {
                 reads_submitted: 2988,
                 reads_granted: 2889,
                 writes_submitted: 3012,
                 writes_granted: 563,
-                contact_messages: 147114,
                 stale_reads: 1343,
                 write_conflicts: 83,
                 surv_possible: 0,
                 cache_hits: 6816,
                 cache_recomputations: 184,
                 events_processed: 7198,
-                debug_fnv: 6214401694428614881,
+                debug_fnv: 9536236924334899332,
             },
         ]
     );

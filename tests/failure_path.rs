@@ -64,7 +64,7 @@ fn check_batch(topology: &Topology, master: u64, batch: u64, horizon: f64) -> Ch
     // The world in a queue shared with the access stream, as
     // `Simulation::run_indexed_batch` drives it.
     let votes = vec![1u64; n];
-    let mut world = FailureWorld::new(topology, &votes, &params, seed, None);
+    let mut world = FailureWorld::new(topology, &votes, &params, seed);
     let mut queue: EventQueue<Event> = EventQueue::new();
     world.schedule_initial(&mut queue);
     let mut access_rng = rng_from_seed(derive_seed(seed, 2));

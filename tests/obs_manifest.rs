@@ -111,7 +111,6 @@ fn validate_sweep_manifest_is_self_consistent() {
     assert_eq!(m.bin, "validate_curves");
     assert_eq!(m.seed, 42);
     assert_eq!(m.params.batch_accesses, 5_000);
-    assert_eq!(m.params.fail_dist, "exponential");
     assert_eq!(m.topology.sites, 101);
     assert_eq!(m.votes.len(), 101);
 
@@ -154,4 +153,29 @@ fn validate_sweep_manifest_is_self_consistent() {
     assert!(csv.contains("seed"));
     let _ = std::fs::remove_file(json_path);
     let _ = std::fs::remove_file(csv_path);
+}
+
+#[test]
+fn committed_results_manifests_load() {
+    // Every manifest kept under results/ must load with today's reader,
+    // whatever version of the writer produced it.
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../results");
+    let mut loaded = Vec::new();
+    for entry in std::fs::read_dir(&results).expect("results/ exists") {
+        let path = entry.expect("readable entry").path();
+        if path.extension().is_none_or(|x| x != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable manifest");
+        let m = RunManifest::parse(&text)
+            .unwrap_or_else(|e| panic!("{} does not load: {e}", path.display()));
+        assert!(!m.bin.is_empty(), "{} names no bin", path.display());
+        assert_eq!(m.params.reliability, 0.96, "{}", path.display());
+        loaded.push(path.file_name().expect("file name").to_owned());
+    }
+    loaded.sort();
+    assert_eq!(
+        loaded,
+        ["ALGEBRA_PR.json", "BENCH_BASELINE.json", "BENCH_PR.json"]
+    );
 }

@@ -132,9 +132,6 @@ fn condition_one_violation_breaks_serializability() {
                 Access::Write => votes >= 10, // q_w = 10, T = 17 → 12 ≤ 17
             }
         }
-        fn effective_spec(&self, _m: &[usize]) -> QuorumSpec {
-            QuorumSpec::majority(17)
-        }
         fn total_votes(&self) -> u64 {
             17
         }
@@ -172,9 +169,6 @@ fn condition_two_violation_breaks_serializability() {
                 Access::Read => votes >= 13, // tight reads
                 Access::Write => votes >= 5, // q_w = 5 ≤ T/2 = 8.5: unsafe
             }
-        }
-        fn effective_spec(&self, _m: &[usize]) -> QuorumSpec {
-            QuorumSpec::majority(17)
         }
         fn total_votes(&self) -> u64 {
             17

@@ -253,3 +253,102 @@ fn ci_gates_read_only_declared_keys() {
         assert!(gate_keys.contains(*key), "stale exemption {key}");
     }
 }
+
+/// The documents that tell a reader which bins to run.
+const BIN_DOCS: &[&str] = &[
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    "ROADMAP.md",
+    "results/README.md",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// Every name that follows a `--bin` flag in `text`. Placeholders
+/// (`<name>`, a quoted shell variable) start with a character no bin
+/// name has and are skipped, as is `--bins`.
+fn bin_flag_names(text: &str) -> Vec<String> {
+    let is_name_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut names = Vec::new();
+    for (at, flag) in text.match_indices("--bin") {
+        let rest = &text[at + flag.len()..];
+        if rest.starts_with(|c: char| is_name_char(c) || c == '-') {
+            continue;
+        }
+        let rest = rest.trim_start();
+        let end = rest.find(|c: char| !is_name_char(c)).unwrap_or(rest.len());
+        if end > 0 {
+            names.push(rest[..end].to_string());
+        }
+    }
+    names
+}
+
+#[test]
+fn docs_name_only_existing_bins() {
+    assert_eq!(
+        bin_flag_names("--bin figures -- --bins --bin \"$x\" --bin <name> --bin\n  optimize"),
+        ["figures", "optimize"]
+    );
+    let bench_bins = root().join("crates/bench/src/bin");
+    let examples = root().join("examples");
+    let mut stale = Vec::new();
+    for doc in BIN_DOCS {
+        for name in bin_flag_names(&read(&root().join(doc))) {
+            let file = format!("{name}.rs");
+            if !bench_bins.join(&file).is_file() && !examples.join(&file).is_file() {
+                stale.push(format!("{doc}: --bin {name}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "docs name bins that do not exist: {stale:?}"
+    );
+}
+
+/// Whether `name` matches a `results/README.md` entry: the file name
+/// itself, or a pattern with one `*` (`rw_ratio_*.txt`).
+fn covers(entry: &str, name: &str) -> bool {
+    match entry.split_once('*') {
+        None => entry == name,
+        Some((head, tail)) => {
+            name.len() >= head.len() + tail.len() && name.starts_with(head) && name.ends_with(tail)
+        }
+    }
+}
+
+#[test]
+fn every_results_text_file_has_a_readme_row() {
+    let readme = read(&root().join("results/README.md"));
+    let rows: Vec<&str> = readme.lines().filter(|l| l.starts_with("| `")).collect();
+    let entries: Vec<&str> = rows
+        .iter()
+        .flat_map(|row| {
+            row.split('|')
+                .nth(1)
+                .unwrap_or("")
+                .split('`')
+                .skip(1)
+                .step_by(2)
+        })
+        .collect();
+    assert!(covers("rw_ratio_*.txt", "rw_ratio_quick.txt"));
+    assert!(!covers("rw_ratio_*.txt", "rw_ratio.csv"));
+    let missing: Vec<String> = list_dir(&root().join("results"))
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| {
+            p.file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| !entries.iter().any(|entry| covers(entry, name)))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "results files without a row in results/README.md: {missing:?}"
+    );
+}
